@@ -131,8 +131,15 @@ def _read_features_csv(path):
         if header != ["video_id", *FEATURE_NAMES, "label"]:
             raise ValueError(f"{path}: unexpected feature CSV header")
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            try:
+                rows.append([float(v) for v in row[1:-1]])
+            except ValueError:
+                raise ValueError(f"{path}: line {reader.line_num}: "
+                                 "non-numeric feature value") from None
             ids.append(row[0])
-            rows.append([float(v) for v in row[1:-1]])
             labels.append(row[-1])
     matrix = np.array(rows, dtype=np.float64) if rows else \
         np.zeros((0, len(FEATURE_NAMES)))
@@ -155,9 +162,16 @@ def _read_predictions_csv(path):
         if header is None or header[:2] != ["video_id", "label"]:
             raise ValueError(f"{path}: expected a video_id,label[,p_fake] CSV")
         for row in reader:
+            if len(row) < len(header):
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
+            try:
+                p_fake.append(float(row[2]) if len(row) > 2 else float("nan"))
+            except ValueError:
+                raise ValueError(f"{path}: line {reader.line_num}: "
+                                 "p_fake is not a number") from None
             ids.append(row[0])
             labels.append(row[1])
-            p_fake.append(float(row[2]) if len(row) > 2 else float("nan"))
     return ids, labels, p_fake
 
 

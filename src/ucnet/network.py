@@ -182,7 +182,7 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
     """Column means via exactly-rounded summation, so the result is
     invariant under row permutation and duplication."""
     k = rows.shape[0]
-    return np.array([math.fsum(rows[:, j]) for j in range(rows.shape[1])]) / k
+    return np.array([math.fsum(col) for col in rows.T.tolist()]) / k
 
 
 def _forward_batch(params: UCNetParams, batch: _Batch):
@@ -497,6 +497,10 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
             batch = _collate(chunk, table.dimension, len(phrases))
             probs, cache = _forward_batch(params, batch)
             loss = _batch_loss(probs, batch.labels)
+            if not math.isfinite(loss):
+                raise ValueError(
+                    f"training loss is {loss} at epoch {epoch + 1}, batch "
+                    f"{start // config.batch_size + 1}; aborting")
             grads = _backward_batch(params, batch, cache, probs, batch.labels)
             updated, state = neural.adam_step(live, grads, state)
             for key in live:

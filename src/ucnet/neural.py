@@ -11,6 +11,16 @@ finite-difference gradient checker treat every architecture uniformly. A
 
 The gradient checker perturbs the live parameter arrays in place, so
 ``parameters()`` must return the arrays the forward pass actually reads.
+
+The batched LSTM runs a packed recurrence (sequence packing and
+input-projection hoisting, as in Appleyard et al. 2016, arXiv:1604.01946).
+Rows of a padded batch are stable-sorted by descending length, so the rows
+still running at step t are a prefix of size b_t. Only real (row, step)
+cells are stored, time-major: step t owns packed rows
+``bounds[t]:bounds[t + 1]`` of every cache array. The input projection of
+all cells is one GEMM before the loop; each step adds ``h[:b_t] @ wh.T``.
+The backward pass fills one packed gate-gradient array in its reverse loop
+and then forms the weight gradients with three GEMMs over all cells.
 """
 
 from __future__ import annotations
@@ -25,9 +35,18 @@ ACTIVATIONS = ("sigmoid", "relu", "softmax", "identity")
 
 
 def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    z = np.array(x, dtype=np.float64)
+    _sigmoid_inplace(z)
+    return z
+
+
+def _sigmoid_inplace(z: np.ndarray) -> None:
+    """Overwrite z with 1 / (1 + exp(-z)); exp overflow correctly gives 0."""
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
 
 
 def relu(x):
@@ -150,14 +169,47 @@ def init_lstm(rng: np.random.Generator, input_dim: int,
     return LSTMCell(wx, wh, bias)
 
 
+def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with each output row's bits independent of the other rows.
+
+    numpy hands a one-row product to BLAS gemv, which sums in a different
+    order from gemm, so a row computed alone would not match the same row
+    computed in company; pooling relies on that match for its exact
+    permutation and duplication invariance.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
+@dataclass
+class PackedLSTMCache:
+    """Real (row, step) cells of one forward pass, packed time-major.
+
+    Rows are stable-sorted by descending length (``order``), so the rows
+    still running at step t are the prefix of size ``bounds[t + 1] -
+    bounds[t]``, and step t owns packed rows ``bounds[t]:bounds[t + 1]``.
+    """
+
+    order: np.ndarray    # (n,) sorted position -> original row
+    bounds: np.ndarray   # (t_real + 1,) packed offset of each step
+    xp: np.ndarray       # (P, input_dim) inputs
+    gates: np.ndarray    # (P, 4 * hidden) activated i, f, g, o
+    h_prev: np.ndarray   # (P, hidden) hidden state entering the step
+    c_prev: np.ndarray   # (P, hidden) cell state entering the step
+    tanh_c: np.ndarray   # (P, hidden) tanh of the cell state leaving it
+
+
 def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray,
-                       lengths: np.ndarray) -> tuple[np.ndarray, list]:
+                       lengths: np.ndarray) -> tuple[np.ndarray, PackedLSTMCache]:
     """Run ``n`` padded sequences through the recurrence at once.
 
     xs has shape (n, t_max, input_dim) and lengths gives each row's true
-    length; rows are masked out after their last step so the final hidden
-    state equals the one a per-sequence loop would produce. Returns the
-    (n, hidden_dim) final states and the cache the backward pass needs.
+    length. Only the real cells are computed: the input projection of all
+    of them is one GEMM, and each step multiplies the hidden states of the
+    rows still running by ``wh``. Returns the (n, hidden_dim) final states
+    in the caller's row order (zeros for empty rows) and the cache the
+    backward pass needs.
     """
     xs = np.asarray(xs, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -165,56 +217,77 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray,
         raise ValueError(
             f"LSTM expects (n, t, {cell.input_dim}) inputs, got shape {xs.shape}")
     n, t_max = xs.shape[0], xs.shape[1]
+    if lengths.shape != (n,) or np.any(lengths < 0) or np.any(lengths > t_max):
+        raise ValueError(f"lengths must be {n} values in [0, {t_max}]")
     hidden = cell.hidden_dim
+    order = np.argsort(-lengths, kind="stable")
+    t_real = int(lengths.max(initial=0))
+    steps, rows = np.nonzero(np.arange(t_real)[:, None] < lengths[order])
+    bounds = np.searchsorted(steps, np.arange(t_real + 1))
+    xp = xs[order[rows], steps]
+    gates = _rowwise_matmul(xp, cell.wx.T)
+    gates += cell.bias
+    p = gates.shape[0]
+    h_prev = np.empty((p, hidden))
+    c_prev = np.empty((p, hidden))
+    tanh_c = np.empty((p, hidden))
     h = np.zeros((n, hidden))
     c = np.zeros((n, hidden))
-    cache = []
-    for t in range(t_max):
-        x_t = xs[:, t, :]
-        mask = (t < lengths).astype(np.float64)[:, None]
-        z = x_t @ cell.wx.T + h @ cell.wh.T + cell.bias
-        gi = sigmoid(z[:, :hidden])
-        gf = sigmoid(z[:, hidden:2 * hidden])
-        gg = np.tanh(z[:, 2 * hidden:3 * hidden])
-        go = sigmoid(z[:, 3 * hidden:])
-        c_cand = gf * c + gi * gg
-        tanh_c = np.tanh(c_cand)
-        h_cand = go * tanh_c
-        c_new = mask * c_cand + (1.0 - mask) * c
-        h_new = mask * h_cand + (1.0 - mask) * h
-        cache.append((x_t, h, c, gi, gf, gg, go, tanh_c, mask))
-        h, c = h_new, c_new
-    return h, cache
+    wh_t = cell.wh.T
+    for t in range(len(bounds) - 1):
+        lo, hi = bounds[t], bounds[t + 1]
+        b = hi - lo
+        h_prev[lo:hi] = h[:b]
+        c_prev[lo:hi] = c[:b]
+        z = gates[lo:hi]
+        if t:
+            z += _rowwise_matmul(h[:b], wh_t)
+        _sigmoid_inplace(z[:, :2 * hidden])
+        np.tanh(z[:, 2 * hidden:3 * hidden], out=z[:, 2 * hidden:3 * hidden])
+        _sigmoid_inplace(z[:, 3 * hidden:])
+        gi, gf = z[:, :hidden], z[:, hidden:2 * hidden]
+        gg, go = z[:, 2 * hidden:3 * hidden], z[:, 3 * hidden:]
+        c[:b] = gf * c[:b] + gi * gg
+        np.tanh(c[:b], out=tanh_c[lo:hi])
+        np.multiply(go, tanh_c[lo:hi], out=h[:b])
+    finals = np.empty((n, hidden))
+    finals[order] = h
+    return finals, PackedLSTMCache(order, bounds, xp, gates, h_prev, c_prev,
+                                   tanh_c)
 
 
-def lstm_backward_batch(cell: LSTMCell, cache: list,
+def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
                         dh_final: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagation through time; returns gradients for wx, wh and bias."""
+    """Backpropagation through time; returns gradients for wx, wh and bias.
+
+    The reverse loop writes each step's gate gradients into one packed
+    array; the weight gradients are then three GEMMs over all cells.
+    """
     hidden = cell.hidden_dim
-    dwx = np.zeros_like(cell.wx)
-    dwh = np.zeros_like(cell.wh)
-    dbias = np.zeros_like(cell.bias)
-    dh = np.asarray(dh_final, dtype=np.float64).copy()
+    bounds = cache.bounds
+    dh = np.asarray(dh_final, dtype=np.float64)[cache.order]
     dc = np.zeros_like(dh)
-    for x_t, h_prev, c_prev, gi, gf, gg, go, tanh_c, mask in reversed(cache):
-        dh_cand = mask * dh
-        dc_cand = mask * dc + dh_cand * go * (1.0 - tanh_c ** 2)
-        do = dh_cand * tanh_c
-        df = dc_cand * c_prev
-        di = dc_cand * gg
-        dg = dc_cand * gi
-        dz = np.concatenate([
-            di * gi * (1.0 - gi),
-            df * gf * (1.0 - gf),
-            dg * (1.0 - gg ** 2),
-            do * go * (1.0 - go),
-        ], axis=1)
-        dwx += dz.T @ x_t
-        dwh += dz.T @ h_prev
-        dbias += dz.sum(axis=0)
-        dh = dz @ cell.wh + (1.0 - mask) * dh
-        dc = dc_cand * gf + (1.0 - mask) * dc
-    return {"wx": dwx, "wh": dwh, "bias": dbias}
+    dz_all = np.empty_like(cache.gates)
+    for t in range(len(bounds) - 2, -1, -1):
+        lo, hi = bounds[t], bounds[t + 1]
+        b = hi - lo
+        g = cache.gates[lo:hi]
+        gi, gf = g[:, :hidden], g[:, hidden:2 * hidden]
+        gg, go = g[:, 2 * hidden:3 * hidden], g[:, 3 * hidden:]
+        tanh_c = cache.tanh_c[lo:hi]
+        dh_b = dh[:b]
+        dc_cand = dc[:b] + dh_b * go * (1.0 - tanh_c ** 2)
+        dz = dz_all[lo:hi]
+        dz[:, :hidden] = dc_cand * gg * gi * (1.0 - gi)
+        dz[:, hidden:2 * hidden] = dc_cand * cache.c_prev[lo:hi] * gf * (1.0 - gf)
+        dz[:, 2 * hidden:3 * hidden] = dc_cand * gi * (1.0 - gg ** 2)
+        dz[:, 3 * hidden:] = dh_b * tanh_c * go * (1.0 - go)
+        if t:
+            dh[:b] = dz @ cell.wh
+            dc[:b] = dc_cand * gf
+    return {"wx": dz_all.T @ cache.xp,
+            "wh": dz_all.T @ cache.h_prev,
+            "bias": dz_all.sum(axis=0)}
 
 
 def lstm_sequence(cell: LSTMCell, inputs) -> np.ndarray:

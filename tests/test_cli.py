@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ucnet import cli, corpus
+from ucnet import cli, corpus, network
 from ucnet.cli import main
 
 from conftest import make_comment, make_dataset, make_video
@@ -73,6 +73,18 @@ class TestEvaluateCommand:
         rows = out.read_text().splitlines()
         assert rows[0] == "class,precision,recall,f1,support"
         assert rows[-1].startswith("macro,1,1,1,")
+
+    @pytest.mark.parametrize("bad_row", ["", "b", "b,real,high"])
+    def test_blank_short_or_bad_row_names_file_and_line(self, tmp_path, capsys,
+                                                         bad_row):
+        pred = tmp_path / "p.csv"
+        truth = tmp_path / "t.csv"
+        pred.write_text(f"video_id,label,p_fake\na,fake,0.9\n{bad_row}\n")
+        truth.write_text("video_id,label\na,fake\nb,real\n")
+        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"{pred}: line 3:" in capsys.readouterr().err
 
     def test_missing_truth_id_is_data_error(self, tmp_path, capsys):
         pred = tmp_path / "p.csv"
@@ -157,6 +169,22 @@ class TestFeaturesCommand:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("damage", ["blank", "short", "non-numeric"])
+    def test_bad_feature_row_names_file_and_line(self, synthetic_dir, tmp_path,
+                                                 capsys, damage):
+        features = run_features(synthetic_dir, tmp_path)
+        lines = features.read_text().splitlines()
+        fields = lines[2].split(",")
+        lines[2] = {"blank": "",
+                    "short": ",".join(fields[:-2]),
+                    "non-numeric": ",".join([fields[0], "x", *fields[2:]]),
+                    }[damage]
+        features.write_text("\n".join(lines) + "\n")
+        code = main(["prune", "--features", str(features),
+                     "--output", str(tmp_path / "selected.json")])
+        assert code == 2
+        assert f"{features}: line 3:" in capsys.readouterr().err
+
 
 class TestPruneAndClassic:
     def test_prune_then_train_forest(self, synthetic_dir, tmp_path):
@@ -230,6 +258,13 @@ class TestTrainUcnetCommand:
         args = self.ucnet_args(synthetic_dir, tmp_path / "m")
         args.remove("--all-features")
         assert main(args) == 2
+
+    def test_non_finite_loss_is_data_error(self, synthetic_dir, tmp_path,
+                                           monkeypatch, capsys):
+        monkeypatch.setattr(network, "_batch_loss",
+                            lambda probs, labels: float("nan"))
+        assert main(self.ucnet_args(synthetic_dir, tmp_path / "m")) == 2
+        assert "epoch 1, batch 1" in capsys.readouterr().err
 
     def test_manifest_records_phrase_digests(self, synthetic_dir, tmp_path):
         out = tmp_path / "m.model"

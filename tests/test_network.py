@@ -287,6 +287,16 @@ class TestTrain:
         assert len(model.loss_history) == 3
         assert all(np.isfinite(v) for v in model.loss_history)
 
+    def test_non_finite_loss_aborts_naming_epoch_and_batch(self, monkeypatch):
+        lexicons, dataset, table, scorer = small_training_world(12, seed=6)
+        losses = iter([0.7, 0.6, 0.5, float("nan")])
+        monkeypatch.setattr(network, "_batch_loss",
+                            lambda probs, labels: next(losses))
+        config = TrainingConfig(epochs=2, batch_size=4, seed=0)
+        with pytest.raises(ValueError, match="epoch 2, batch 1"):
+            network.train(dataset, table, lexicons, scorer, config,
+                          lstm_hidden=8)
+
 
 class TestModelIO:
     def test_save_load_round_trip_predictions(self, tmp_path):

@@ -70,6 +70,64 @@ def hand_lstm(cell: LSTMCell, xs):
     return h
 
 
+def masked_lstm_forward(cell: LSTMCell, xs, lengths):
+    """Reference recurrence over the whole padded batch, masking finished rows."""
+    hidden = cell.hidden_dim
+    n, t_max = xs.shape[0], xs.shape[1]
+    h = np.zeros((n, hidden))
+    c = np.zeros((n, hidden))
+    cache = []
+    for t in range(t_max):
+        x_t = xs[:, t, :]
+        mask = (t < lengths).astype(np.float64)[:, None]
+        z = x_t @ cell.wx.T + h @ cell.wh.T + cell.bias
+        gi = neural.sigmoid(z[:, :hidden])
+        gf = neural.sigmoid(z[:, hidden:2 * hidden])
+        gg = np.tanh(z[:, 2 * hidden:3 * hidden])
+        go = neural.sigmoid(z[:, 3 * hidden:])
+        c_cand = gf * c + gi * gg
+        tanh_c = np.tanh(c_cand)
+        h_cand = go * tanh_c
+        c_new = mask * c_cand + (1.0 - mask) * c
+        h_new = mask * h_cand + (1.0 - mask) * h
+        cache.append((x_t, h, c, gi, gf, gg, go, tanh_c, mask))
+        h, c = h_new, c_new
+    return h, cache
+
+
+def masked_lstm_backward(cell: LSTMCell, cache, dh_final):
+    """Reference BPTT for masked_lstm_forward, one weight GEMM per step."""
+    dwx = np.zeros_like(cell.wx)
+    dwh = np.zeros_like(cell.wh)
+    dbias = np.zeros_like(cell.bias)
+    dh = np.array(dh_final, dtype=np.float64)
+    dc = np.zeros_like(dh)
+    for x_t, h_prev, c_prev, gi, gf, gg, go, tanh_c, mask in reversed(cache):
+        dh_cand = mask * dh
+        dc_cand = mask * dc + dh_cand * go * (1.0 - tanh_c ** 2)
+        dz = np.concatenate([
+            dc_cand * gg * gi * (1.0 - gi),
+            dc_cand * c_prev * gf * (1.0 - gf),
+            dc_cand * gi * (1.0 - gg ** 2),
+            dh_cand * tanh_c * go * (1.0 - go),
+        ], axis=1)
+        dwx += dz.T @ x_t
+        dwh += dz.T @ h_prev
+        dbias += dz.sum(axis=0)
+        dh = dz @ cell.wh + (1.0 - mask) * dh
+        dc = dc_cand * gf + (1.0 - mask) * dc
+    return {"wx": dwx, "wh": dwh, "bias": dbias}
+
+
+def padded(seqs, input_dim, t_max=None):
+    if t_max is None:
+        t_max = max((len(s) for s in seqs), default=0)
+    xs = np.zeros((len(seqs), t_max, input_dim))
+    for row, seq in enumerate(seqs):
+        xs[row, :len(seq)] = seq
+    return xs, np.array([len(s) for s in seqs], dtype=np.int64)
+
+
 class TestLstm:
     def test_empty_sequence_is_zero(self):
         cell = init_lstm(np.random.default_rng(0), 4, 3)
@@ -118,33 +176,80 @@ class TestLstm:
     def test_bptt_matches_finite_differences_with_masking(self):
         rng = np.random.default_rng(21)
         cell = init_lstm(rng, 2, 3)
-        seqs = [rng.normal(size=(t, 2)) for t in (3, 1, 2)]
-        xs = np.zeros((3, 3, 2))
-        for row, seq in enumerate(seqs):
-            xs[row, :len(seq)] = seq
-        lengths = np.array([3, 1, 2])
-        probe = rng.normal(size=(3, 3))
+        # unsorted lengths, the second set with an empty row
+        for lengths in ((3, 1, 2), (1, 3, 0, 2)):
+            xs, lengths = padded([rng.normal(size=(t, 2)) for t in lengths], 2)
+            probe = rng.normal(size=(len(lengths), 3))
 
-        def loss_value():
-            finals, _ = lstm_forward_batch(cell, xs, lengths)
-            return float((finals * probe).sum())
+            def loss_value():
+                finals, _ = lstm_forward_batch(cell, xs, lengths)
+                return float((finals * probe).sum())
+
+            finals, cache = lstm_forward_batch(cell, xs, lengths)
+            grads = lstm_backward_batch(cell, cache, probe)
+            h = 1e-6
+            for name, array in (("wx", cell.wx), ("wh", cell.wh),
+                                ("bias", cell.bias)):
+                flat = array.reshape(-1)
+                grad = grads[name].reshape(-1)
+                for idx in range(0, flat.size, 7):
+                    original = flat[idx]
+                    flat[idx] = original + h
+                    plus = loss_value()
+                    flat[idx] = original - h
+                    minus = loss_value()
+                    flat[idx] = original
+                    numeric = (plus - minus) / (2 * h)
+                    assert abs(numeric - grad[idx]) < 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_packed_matches_masked_reference(self, data):
+        n = data.draw(st.integers(1, 7), label="rows")
+        t_max = data.draw(st.integers(0, 6), label="t_max")
+        if data.draw(st.booleans(), label="all_equal"):
+            lengths = [t_max] * n
+        else:
+            lengths = data.draw(st.lists(st.integers(0, t_max), min_size=n,
+                                         max_size=n), label="lengths")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cell = init_lstm(rng, 3, 4)
+        cell.bias[...] = rng.normal(size=cell.bias.shape)
+        xs, lengths = padded([rng.normal(size=(t, 3)) for t in lengths], 3,
+                             t_max)
 
         finals, cache = lstm_forward_batch(cell, xs, lengths)
+        ref_finals, ref_cache = masked_lstm_forward(cell, xs, lengths)
+        assert np.allclose(finals, ref_finals, rtol=0, atol=1e-12)
+        assert not np.any(finals[lengths == 0])
+
+        probe = rng.normal(size=finals.shape)
         grads = lstm_backward_batch(cell, cache, probe)
-        h = 1e-6
-        for name, array in (("wx", cell.wx), ("wh", cell.wh),
-                            ("bias", cell.bias)):
-            flat = array.reshape(-1)
-            grad = grads[name].reshape(-1)
-            for idx in range(0, flat.size, 7):
-                original = flat[idx]
-                flat[idx] = original + h
-                plus = loss_value()
-                flat[idx] = original - h
-                minus = loss_value()
-                flat[idx] = original
-                numeric = (plus - minus) / (2 * h)
-                assert abs(numeric - grad[idx]) < 1e-6
+        ref = masked_lstm_backward(cell, ref_cache, probe)
+        for name in ("wx", "wh", "bias"):
+            assert np.allclose(grads[name], ref[name], rtol=1e-12, atol=1e-12)
+
+    def test_final_state_independent_of_batch_mates(self):
+        rng = np.random.default_rng(31)
+        for input_dim, hidden in ((6, 5), (16, 40)):
+            cell = init_lstm(rng, input_dim, hidden)
+            seqs = [rng.normal(size=(t, input_dim)) for t in (5, 2, 0, 7, 2, 1)]
+            finals, _ = lstm_forward_batch(cell, *padded(seqs, input_dim))
+            for row, seq in enumerate(seqs):
+                # alone, the row runs every step without company
+                alone, _ = lstm_forward_batch(cell, *padded([seq], input_dim))
+                assert np.array_equal(alone[0], finals[row])
+                order = list(rng.permutation(len(seqs)))
+                mates = [seqs[i] for i in order + order[::2]]
+                shuffled, _ = lstm_forward_batch(cell, *padded(mates, input_dim))
+                assert np.array_equal(shuffled[order.index(row)], finals[row])
+
+    def test_lengths_outside_padding_rejected(self):
+        cell = init_lstm(np.random.default_rng(0), 2, 3)
+        xs = np.zeros((2, 3, 2))
+        for lengths in ([1, 4], [-1, 2], [1]):
+            with pytest.raises(ValueError):
+                lstm_forward_batch(cell, xs, np.array(lengths))
 
 
 class TestCrossEntropy:
