@@ -1,103 +1,245 @@
-"""Versioned flat text format for named tensors.
+"""Versioned file format for named float64 tensors.
 
-Layout::
+Version 2, the one :func:`save_tensors` writes, is a short UTF-8 text
+header followed by a binary payload, after NumPy's NEP 1 ("A Simple File
+Format for NumPy Arrays")::
 
-    tensors 1
-    meta <key> <value ...>
+    tensors 2
+    meta <key> <value>
     tensor <name> <ndim> <dim0> <dim1> ...
-    <row of values> ...
+    data <n_bytes>
+    <payload>
 
-Values are printed with 17 significant digits, which round-trips IEEE
-doubles exactly, so save followed by load reproduces every array bit for
-bit. Meta values are free-form strings (rest of line).
+Each header line ends in ``\\n``, so ``head`` shows the header. The payload
+holds every tensor's values as raw row-major little-endian float64 (``<f8``)
+in header order, ``n_bytes`` in all, and nothing follows it. The file stores
+the IEEE bits themselves, so save followed by load reproduces every array
+bit for bit by construction, and the same tensors always give the same bytes.
+
+Version 1, written before version 2, is text throughout: the same ``meta``
+and ``tensor`` lines, each ``tensor`` line followed by its values printed
+with 17 significant digits, one line per leading-axis row (a single line for
+0-d and 1-d tensors). :func:`load_tensors` still reads it; the version on
+the first line picks the parser.
+
+Tensor names and meta keys are non-empty and contain no whitespace. A meta
+value is the rest of its line and may hold anything but ``\\n``. Loaded
+arrays are writable, C-contiguous and own their memory, and they are always
+finite. A malformed file raises ``ValueError`` naming the file and, where
+there is one, the line. Indexing a loaded mapping with a name it lacks also
+raises ``ValueError`` naming the file, so model loaders report a missing
+tensor or meta key without checks of their own.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 FORMAT_NAME = "tensors"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+PAYLOAD_DTYPE = np.dtype("<f8")
 
 
-def _format_value(x: float) -> str:
-    return f"{x:.17g}"
+class _Entries(dict):
+    """Loaded tensors or meta; a missing key raises ``ValueError`` naming the file."""
+
+    def __init__(self, path: Path, kind: str):
+        super().__init__()
+        self.path = path
+        self.kind = kind
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: no {self.kind} {key!r}")
+
+
+def _valid_name(name: str) -> bool:
+    return bool(name) and not any(c.isspace() for c in name)
 
 
 def save_tensors(path, tensors: Mapping[str, np.ndarray],
                  meta: Mapping[str, str] | None = None) -> None:
-    path = Path(path)
-    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
+    header = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     for key, value in (meta or {}).items():
-        if " " in key or "\n" in key:
-            raise ValueError(f"meta key {key!r} must not contain whitespace")
-        if "\n" in str(value):
+        if not _valid_name(key):
+            raise ValueError(
+                f"meta key {key!r} must be non-empty and contain no whitespace")
+        value = str(value)
+        if "\n" in value:
             raise ValueError(f"meta value for {key!r} must be a single line")
-        lines.append(f"meta {key} {value}")
+        header.append(f"meta {key} {value}")
+    arrays = []
     for name, array in tensors.items():
-        if " " in name or "\n" in name:
-            raise ValueError(f"tensor name {name!r} must not contain whitespace")
-        array = np.asarray(array, dtype=np.float64)
-        if not np.all(np.isfinite(array)):
+        if not _valid_name(name):
+            raise ValueError(
+                f"tensor name {name!r} must be non-empty and contain no whitespace")
+        array = np.asarray(array, dtype=PAYLOAD_DTYPE, order="C")
+        if not np.isfinite(array).all():
             raise ValueError(f"tensor {name!r} contains non-finite values")
-        dims = " ".join(str(d) for d in array.shape)
-        lines.append(f"tensor {name} {array.ndim} {dims}".rstrip())
-        rows = array.reshape(array.shape[0], -1) if array.ndim >= 2 else \
-            array.reshape(1, -1)
-        for row in rows:
-            lines.append(" ".join(_format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        header.append(" ".join(["tensor", name, str(array.ndim),
+                                *map(str, array.shape)]))
+        arrays.append(array)
+    header.append(f"data {sum(array.nbytes for array in arrays)}")
+    with Path(path).open("wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("utf-8"))
+        for array in arrays:
+            fh.write(array)
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty tensor file")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != FORMAT_NAME:
-        raise ValueError(f"{path}: not a tensor file")
-    if int(header[1]) != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported version {header[1]}")
+    with path.open("rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty tensor file")
+        fields = _decode(path, 1, first).split()
+        if len(fields) != 2 or fields[0] != FORMAT_NAME:
+            raise ValueError(f"{path}: not a tensor file")
+        version = _parse_count(path, 1, fields[1], "format version")
+        if version == 1:
+            return _load_text(path, fh.read())
+        if version == FORMAT_VERSION:
+            return _load_binary(path, fh)
+    raise ValueError(f"{path}: unsupported version {fields[1]}")
 
-    tensors: dict[str, np.ndarray] = {}
-    meta: dict[str, str] = {}
-    pos = 1
+
+def _decode(path: Path, lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
+def _parse_count(path: Path, lineno: int, text: str, what: str) -> int:
+    """A non-negative decimal integer field of a header line."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # longer than int() accepts
+            pass
+    raise ValueError(f"{path}: line {lineno}: {what} {text[:40]!r} is not "
+                     "a non-negative integer")
+
+
+def _parse_tensor_line(path: Path, lineno: int, fields: list[str],
+                       tensors: dict) -> tuple[str, tuple[int, ...]]:
+    """Name and shape from the fields after ``tensor``."""
+    if len(fields) < 2:
+        raise ValueError(f"{path}: line {lineno}: expected "
+                         "'tensor <name> <ndim> <dims...>'")
+    name = fields[0]
+    if not _valid_name(name):
+        raise ValueError(f"{path}: line {lineno}: bad tensor name {name!r}")
+    if name in tensors:
+        raise ValueError(f"{path}: line {lineno}: duplicate tensor {name!r}")
+    ndim = _parse_count(path, lineno, fields[1], "ndim")
+    if len(fields) != 2 + ndim:
+        raise ValueError(f"{path}: line {lineno}: tensor {name!r} declares "
+                         f"{ndim} dims but lists {len(fields) - 2}")
+    return name, tuple(_parse_count(path, lineno, d, "dim") for d in fields[2:])
+
+
+def _load_binary(path: Path, fh) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    meta = _Entries(path, "meta key")
+    shapes: dict[str, tuple[int, ...]] = {}
+    lineno = 1
+    while True:
+        lineno += 1
+        raw = fh.readline()
+        if not raw.endswith(b"\n"):
+            raise ValueError(f"{path}: line {lineno}: header ends without "
+                             "a 'data <n_bytes>' line")
+        kind, _, rest = _decode(path, lineno, raw[:-1]).partition(" ")
+        if kind == "meta":
+            key, sep, value = rest.partition(" ")
+            if not sep or not _valid_name(key):
+                raise ValueError(f"{path}: line {lineno}: expected "
+                                 "'meta <key> <value>'")
+            if key in meta:
+                raise ValueError(f"{path}: line {lineno}: duplicate meta "
+                                 f"key {key!r}")
+            meta[key] = value
+        elif kind == "tensor":
+            name, shape = _parse_tensor_line(path, lineno, rest.split(" "),
+                                             shapes)
+            shapes[name] = shape
+        elif kind == "data":
+            n_bytes = _parse_count(path, lineno, rest, "data size")
+            break
+        else:
+            raise ValueError(f"{path}: line {lineno}: unknown header line "
+                             f"kind {kind[:40]!r}")
+
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    needed = PAYLOAD_DTYPE.itemsize * sum(sizes)
+    if n_bytes != needed:
+        raise ValueError(f"{path}: line {lineno}: data line declares "
+                         f"{n_bytes} bytes, the tensors need {needed}")
+    payload = fh.read()
+    if len(payload) != n_bytes:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
+                         f"the header declares {n_bytes}")
+    values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE)
+    finite = bool(np.isfinite(values).all())
+    tensors = _Entries(path, "tensor")
+    offset = 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        block = values[offset:offset + size]
+        if not finite and not np.isfinite(block).all():
+            raise ValueError(f"{path}: tensor {name!r} contains non-finite values")
+        # astype copies: the arrays own writable memory, not views of payload.
+        tensors[name] = block.reshape(shape).astype(np.float64)
+        offset += size
+    return tensors, meta
+
+
+def _load_text(path: Path, body: bytes) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Parse the body (after the version line) of a version 1 file."""
+    try:
+        # Split on "\n" only, the one line end the writer emitted.
+        lines = body.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = body.count(b"\n", 0, exc.start) + 2
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+    tensors = _Entries(path, "tensor")
+    meta = _Entries(path, "meta key")
+    pos = 0
     while pos < len(lines):
+        lineno = pos + 2
         line = lines[pos]
+        pos += 1
         if not line.strip():
-            pos += 1
             continue
         if line.startswith("meta "):
             parts = line.split(" ", 2)
             meta[parts[1]] = parts[2] if len(parts) > 2 else ""
-            pos += 1
             continue
         if not line.startswith("tensor "):
-            raise ValueError(f"{path}: line {pos + 1}: expected tensor header")
-        fields = line.split()
-        name = fields[1]
-        if name in tensors:
-            raise ValueError(f"{path}: duplicate tensor {name!r}")
-        ndim = int(fields[2])
-        shape = tuple(int(d) for d in fields[3:3 + ndim])
-        if len(shape) != ndim:
-            raise ValueError(f"{path}: line {pos + 1}: malformed shape")
-        n_rows = shape[0] if ndim >= 2 else 1
+            raise ValueError(f"{path}: line {lineno}: expected tensor header")
+        name, shape = _parse_tensor_line(path, lineno, line.split()[1:], tensors)
+        n_rows = shape[0] if len(shape) >= 2 else 1
         values: list[float] = []
-        pos += 1
         for _ in range(n_rows):
             if pos >= len(lines):
-                raise ValueError(f"{path}: tensor {name!r}: truncated data")
-            values.extend(float(v) for v in lines[pos].split())
+                raise ValueError(f"{path}: line {lineno}: tensor {name!r}: "
+                                 "truncated data")
+            try:
+                values.extend(float(v) for v in lines[pos].split())
+            except ValueError:
+                raise ValueError(f"{path}: line {pos + 2}: tensor {name!r}: "
+                                 "value is not a number") from None
             pos += 1
-        expected = int(np.prod(shape)) if shape else 1
+        expected = math.prod(shape)
         if len(values) != expected:
             raise ValueError(
-                f"{path}: tensor {name!r}: expected {expected} values, "
-                f"got {len(values)}")
-        tensors[name] = np.array(values, dtype=np.float64).reshape(shape)
+                f"{path}: line {lineno}: tensor {name!r}: expected "
+                f"{expected} values, got {len(values)}")
+        array = np.array(values, dtype=np.float64).reshape(shape)
+        if not np.isfinite(array).all():
+            raise ValueError(f"{path}: line {lineno}: tensor {name!r} "
+                             "contains non-finite values")
+        tensors[name] = array
     return tensors, meta

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ucnet import classic
+from ucnet import classic, serialize
 from ucnet.classic import (feature_importances, gini, load_forest,
                            load_logistic, load_tree,
                            logistic_loss_and_gradient, save_forest,
@@ -153,6 +153,19 @@ class TestRandomForest:
         assert np.array_equal(forest.predict(probe), again.predict(probe))
         assert np.array_equal(feature_importances(forest),
                               feature_importances(again))
+
+    @pytest.mark.parametrize("drop", ["tree1.threshold", "n_trees"])
+    def test_missing_entry_is_named(self, tmp_path, drop):
+        rng = np.random.default_rng(6)
+        X, y = separable_features(rng, 40)
+        path = tmp_path / "forest.model"
+        save_forest(train_forest(X, y, n_trees=2, seed=2), path)
+        tensors, meta = serialize.load_tensors(path)
+        tensors.pop(drop, None)
+        meta.pop(drop, None)
+        serialize.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError, match=f"forest.model: no .*'{drop}'"):
+            load_forest(path)
 
 
 class TestFeatureImportances:

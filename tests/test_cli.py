@@ -299,6 +299,22 @@ class TestPcaCommand:
     def test_pca_requires_a_source(self, tmp_path):
         assert main(["pca", "--output", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("content", [
+        b"tensors 2\ntensor a\ndata 0\n",
+        b"tensors 1\ntensor a\n",
+        b"tensors x\n",
+        b"tensors 2\nmeta kind ucnet\ntensor a 1 2\ndata 16\n" + bytes(8),
+    ])
+    def test_malformed_model_file_is_data_error(self, synthetic_dir, tmp_path,
+                                                capsys, content):
+        model = tmp_path / "bad.model"
+        model.write_bytes(content)
+        assert main(["pca", "--input", str(synthetic_dir / "corpus.jsonl"),
+                     "--model", str(model),
+                     "--embeddings", str(synthetic_dir / "embeddings.txt"),
+                     "--output", str(tmp_path / "x.csv")]) == 2
+        assert str(model) in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_sets_defaults_and_flags_override(self, synthetic_dir,

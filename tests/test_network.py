@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ucnet import corpus, evaluation, lexical, network, neural, synthetic
+from ucnet import (corpus, evaluation, lexical, network, neural, serialize,
+                   synthetic)
 from ucnet.embeddings import EmbeddingTable
 from ucnet.network import (Prediction, TrainingConfig, UCNetModel,
                            classify, comment_weight, extract_unified_embeddings,
@@ -322,6 +323,34 @@ class TestModelIO:
         tampered[0] = "a different phrase"
         with pytest.raises(ValueError, match="phrase"):
             UCNetModel.load(path, tampered)
+
+    def test_loaded_parameters_pass_gradient_check(self, phrases, tmp_path):
+        rng = np.random.default_rng(3)
+        params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
+        path = tmp_path / "ucnet.model"
+        UCNetModel(params, phrases, ("a", "b"), 8).save(path)
+        model = UCNetModel.load(path, phrases)
+        prepared = network.PreparedVideo(
+            comment_seqs=[rng.normal(size=(5, 8)) for _ in range(3)],
+            fvs=(rng.random((3, 30)) < 0.2).astype(float),
+            features=rng.normal(size=2))
+        assert neural.gradient_check(model, prepared, 1, h=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("drop,kind", [("lstm.wx", "tensor"),
+                                           ("output.bias", "tensor"),
+                                           ("epochs", "meta key")])
+    def test_missing_entry_is_named(self, phrases, tmp_path, drop, kind):
+        params = init_params(np.random.default_rng(0), 4, len(phrases), 2,
+                             lstm_hidden=3)
+        path = tmp_path / "ucnet.model"
+        UCNetModel(params, phrases, ("a", "b"), 4).save(path)
+        tensors, meta = serialize.load_tensors(path)
+        tensors.pop(drop, None)
+        meta.pop(drop, None)
+        serialize.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError) as info:
+            UCNetModel.load(path, phrases)
+        assert f"{path}: no {kind} {drop!r}" in str(info.value)
 
 
 class TestExtractUnifiedEmbeddings:
