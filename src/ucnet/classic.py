@@ -317,14 +317,17 @@ def _tree_tensors(tree: DecisionTree, prefix: str) -> dict[str, np.ndarray]:
 
 def _tree_from_tensors(tensors, prefix: str, max_depth: int,
                        min_samples_leaf: int) -> DecisionTree:
+    feature = tensors.shaped(f"{prefix}.feature", None)
+    n_nodes = feature.shape[0]
     return DecisionTree(
-        feature=tensors[f"{prefix}.feature"].astype(np.int64),
-        threshold=tensors[f"{prefix}.threshold"],
-        left=tensors[f"{prefix}.left"].astype(np.int64),
-        right=tensors[f"{prefix}.right"].astype(np.int64),
-        impurity=tensors[f"{prefix}.impurity"],
-        n_samples=tensors[f"{prefix}.n_samples"].astype(np.int64),
-        class_probs=tensors[f"{prefix}.class_probs"],
+        feature=feature.astype(np.int64),
+        threshold=tensors.shaped(f"{prefix}.threshold", n_nodes),
+        left=tensors.shaped(f"{prefix}.left", n_nodes).astype(np.int64),
+        right=tensors.shaped(f"{prefix}.right", n_nodes).astype(np.int64),
+        impurity=tensors.shaped(f"{prefix}.impurity", n_nodes),
+        n_samples=tensors.shaped(f"{prefix}.n_samples",
+                                 n_nodes).astype(np.int64),
+        class_probs=tensors.shaped(f"{prefix}.class_probs", n_nodes, 2),
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
     )
@@ -352,15 +355,15 @@ def load_forest(path) -> RandomForest:
     tensors, meta = serialize.load_tensors(path)
     if meta.get("kind") != "random-forest":
         raise ValueError(f"{path}: not a random-forest file")
-    n_trees = int(meta["n_trees"])
-    max_depth = int(meta.get("max_depth", "8"))
-    min_leaf = int(meta.get("min_samples_leaf", "2"))
+    n_trees = meta.integer("n_trees")
+    max_depth = meta.integer("max_depth", 8)
+    min_leaf = meta.integer("min_samples_leaf", 2)
     trees = tuple(_tree_from_tensors(tensors, f"tree{i}", max_depth, min_leaf)
                   for i in range(n_trees))
-    seeds = tuple(int(s) for s in tensors["tree_seeds"])
+    seeds = tuple(int(s) for s in tensors.shaped("tree_seeds", n_trees))
     return RandomForest(trees=trees, tree_seeds=seeds,
-                        features_per_split=int(meta["features_per_split"]),
-                        n_features=int(meta["n_features"]))
+                        features_per_split=meta.integer("features_per_split"),
+                        n_features=meta.integer("n_features"))
 
 
 def save_tree(tree: DecisionTree, path) -> None:
@@ -376,8 +379,8 @@ def load_tree(path) -> DecisionTree:
     tensors, meta = serialize.load_tensors(path)
     if meta.get("kind") != "decision-tree":
         raise ValueError(f"{path}: not a decision-tree file")
-    return _tree_from_tensors(tensors, "tree", int(meta["max_depth"]),
-                              int(meta["min_samples_leaf"]))
+    return _tree_from_tensors(tensors, "tree", meta.integer("max_depth"),
+                              meta.integer("min_samples_leaf"))
 
 
 def save_logistic(model: LogisticModel, path) -> None:
@@ -393,5 +396,5 @@ def load_logistic(path) -> LogisticModel:
     tensors, meta = serialize.load_tensors(path)
     if meta.get("kind") != "logistic":
         raise ValueError(f"{path}: not a logistic-model file")
-    return LogisticModel(weights=tensors["weights"],
-                         intercept=float(tensors["intercept"][0]))
+    return LogisticModel(weights=tensors.shaped("weights", None),
+                         intercept=float(tensors.shaped("intercept", 1)[0]))

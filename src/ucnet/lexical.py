@@ -237,12 +237,15 @@ class TitleScorer:
             raise ValueError(
                 f"{path}: lexicons differ from the ones the scorer was trained with")
         scorer = cls(lexicons)
-        scorer.mean = tensors["feature_mean"]
-        scorer.std = tensors["feature_std"]
-        hidden = neural.DenseLayer(tensors["layer0.weights"],
-                                   tensors["layer0.bias"], "relu")
-        out = neural.DenseLayer(tensors["layer1.weights"],
-                                tensors["layer1.bias"], "softmax")
+        n_inputs = len(TITLE_SCORER_FEATURES)
+        scorer.mean = tensors.shaped("feature_mean", n_inputs)
+        scorer.std = tensors.shaped("feature_std", n_inputs)
+        weights = tensors.shaped("layer0.weights", None, n_inputs)
+        units = weights.shape[0]
+        hidden = neural.DenseLayer(
+            weights, tensors.shaped("layer0.bias", units), "relu")
+        out = neural.DenseLayer(tensors.shaped("layer1.weights", 2, units),
+                                tensors.shaped("layer1.bias", 2), "softmax")
         scorer.mlp = neural.Mlp([hidden, out])
         return scorer
 

@@ -2,7 +2,9 @@
 
 Per comment, a binary fakeness-indicator vector is mapped through a sigmoid
 dense head to a scalar weight in (0, 1); the comment's word-vector sequence
-runs through an LSTM whose final hidden state is the comment embedding. The
+runs through an LSTM whose final hidden state is the comment embedding. A
+comment travels as the token ids of its words, and a batch as a padded id
+array plus the embedding table's matrix, which the LSTM reads. The
 mean of the weight-scaled embeddings is the video's unified embedding,
 which is concatenated with the selected simple features and classified by a
 ReLU dense layer into a 2-way softmax over (real, fake).
@@ -109,9 +111,10 @@ def classify(prediction: Prediction) -> str:
 
 @dataclass
 class PreparedVideo:
-    """Embedding sequences and fakeness vectors for one video, ready to batch."""
+    """Token-id sequences and fakeness vectors for one video, ready to batch."""
 
-    comment_seqs: list[np.ndarray]  # (length_i, embedding_dim) each
+    comment_ids: list[np.ndarray]   # (length_i,) int64 rows of matrix each
+    matrix: np.ndarray              # (vocab_size, embedding_dim) word vectors
     fvs: np.ndarray                 # (n_comments, n_phrases)
     features: np.ndarray            # (n_features,)
     label: int | None = None
@@ -131,42 +134,41 @@ def prepare_video(comments: Sequence[Comment], features: np.ndarray,
                   max_comments: int = 200, max_tokens: int = 100,
                   label: int | None = None) -> PreparedVideo:
     chosen = _select_comments(comments, max_comments)
-    seqs = [embed_comment(c.text, table, max_tokens) for c in chosen]
+    ids = [embed_comment(c.text, table, max_tokens) for c in chosen]
     if chosen:
         fvs = np.stack([fakeness_vector(c.text, phrases) for c in chosen])
     else:
         fvs = np.zeros((0, len(phrases)))
-    return PreparedVideo(comment_seqs=seqs, fvs=fvs,
+    return PreparedVideo(comment_ids=ids, matrix=table.matrix, fvs=fvs,
                          features=np.asarray(features, dtype=np.float64),
                          label=label)
 
 
 @dataclass
 class _Batch:
-    seqs: np.ndarray      # (n_comments_total, t_max, embedding_dim)
+    ids: np.ndarray       # (n_comments_total, t_max) int64, 0 past each length
     lengths: np.ndarray   # (n_comments_total,)
+    matrix: np.ndarray    # (vocab_size, embedding_dim) rows the ids index
     fvs: np.ndarray       # (n_comments_total, n_phrases)
     offsets: np.ndarray   # (n_videos + 1,) comment segment boundaries
     features: np.ndarray  # (n_videos, n_features)
     labels: np.ndarray | None
 
 
-def _collate(videos: Sequence[PreparedVideo], embedding_dim: int,
-             n_phrases: int) -> _Batch:
-    counts = [len(v.comment_seqs) for v in videos]
+def _collate(videos: Sequence[PreparedVideo], n_phrases: int) -> _Batch:
+    matrix = videos[0].matrix
+    if any(v.matrix is not matrix for v in videos):
+        raise ValueError("videos in one batch must share one embedding matrix")
+    seqs = [seq for v in videos for seq in v.comment_ids]
+    counts = [len(v.comment_ids) for v in videos]
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     total = int(offsets[-1])
-    lengths = np.array([len(seq) for v in videos for seq in v.comment_seqs],
-                       dtype=np.int64)
-    t_max = int(lengths.max()) if total else 0
-    seqs = np.zeros((total, t_max, embedding_dim))
-    row = 0
-    for v in videos:
-        for seq in v.comment_seqs:
-            if len(seq):
-                seqs[row, :len(seq), :] = seq
-            row += 1
+    lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
+    t_max = int(lengths.max(initial=0))
+    ids = np.zeros((total, t_max), dtype=np.int64)
     if total:
+        # Row-major order of the mask is the order of the concatenated ids.
+        ids[np.arange(t_max) < lengths[:, None]] = np.concatenate(seqs)
         fvs = np.concatenate([v.fvs for v in videos if len(v.fvs)])
     else:
         fvs = np.zeros((0, n_phrases))
@@ -174,8 +176,8 @@ def _collate(videos: Sequence[PreparedVideo], embedding_dim: int,
     labels = None
     if all(v.label is not None for v in videos):
         labels = np.array([v.label for v in videos], dtype=np.int64)
-    return _Batch(seqs=seqs, lengths=lengths, fvs=fvs, offsets=offsets,
-                  features=features, labels=labels)
+    return _Batch(ids=ids, lengths=lengths, matrix=matrix, fvs=fvs,
+                  offsets=offsets, features=features, labels=labels)
 
 
 def _exact_mean(rows: np.ndarray) -> np.ndarray:
@@ -188,9 +190,9 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
 def _forward_batch(params: UCNetParams, batch: _Batch):
     hidden_dim = params.lstm.hidden_dim
     n_videos = batch.features.shape[0]
-    if batch.seqs.shape[0]:
+    if batch.ids.shape[0]:
         finals, lstm_cache = neural.lstm_forward_batch(
-            params.lstm, batch.seqs, batch.lengths)
+            params.lstm, batch.ids, batch.lengths, batch.matrix)
         weight_pre = batch.fvs @ params.weight_head.weights.T + params.weight_head.bias
         weights = neural.sigmoid(weight_pre)  # (n_comments, 1)
         weighted = weights * finals
@@ -307,7 +309,7 @@ class UCNetModel:
                              self.config.max_tokens_per_comment, label)
 
     def _single_batch(self, prepared: PreparedVideo) -> _Batch:
-        return _collate([prepared], self.embedding_dim, len(self.phrases))
+        return _collate([prepared], len(self.phrases))
 
     def loss(self, prepared: PreparedVideo, true_class: int) -> float:
         probs, _ = _forward_batch(self.params, self._single_batch(prepared))
@@ -338,16 +340,17 @@ class UCNetModel:
         """Raw per-comment LSTM embeddings (before weighting), stacked."""
         chosen = _select_comments(comments, self.config.max_comments_per_video)
         prepared = PreparedVideo(
-            comment_seqs=[embed_comment(c.text, table,
-                                        self.config.max_tokens_per_comment)
-                          for c in chosen],
+            comment_ids=[embed_comment(c.text, table,
+                                       self.config.max_tokens_per_comment)
+                         for c in chosen],
+            matrix=table.matrix,
             fvs=np.zeros((len(chosen), len(self.phrases))),
             features=np.zeros(len(self.feature_names)))
         batch = self._single_batch(prepared)
-        if not batch.seqs.shape[0]:
+        if not batch.ids.shape[0]:
             return np.zeros((0, self.params.lstm.hidden_dim))
-        finals, _ = neural.lstm_forward_batch(self.params.lstm, batch.seqs,
-                                              batch.lengths)
+        finals, _ = neural.lstm_forward_batch(self.params.lstm, batch.ids,
+                                              batch.lengths, batch.matrix)
         return finals
 
     def unified_embedding(self, comments: Sequence[Comment],
@@ -386,27 +389,38 @@ class UCNetModel:
             raise ValueError(
                 f"{path}: fakeness phrase list does not match the one the "
                 "model was trained with; refusing to run inference")
-        params = UCNetParams(
-            lstm=neural.LSTMCell(tensors["lstm.wx"], tensors["lstm.wh"],
-                                 tensors["lstm.bias"]),
-            weight_head=neural.DenseLayer(tensors["weight_head.weights"],
-                                          tensors["weight_head.bias"], "sigmoid"),
-            hidden=neural.DenseLayer(tensors["hidden.weights"],
-                                     tensors["hidden.bias"], "relu"),
-            output=neural.DenseLayer(tensors["output.weights"],
-                                     tensors["output.bias"], "softmax"),
-        )
-        config = TrainingConfig(
-            learning_rate=float(meta["learning_rate"]),
-            epochs=int(meta["epochs"]),
-            batch_size=int(meta["batch_size"]),
-            seed=int(meta["seed"]),
-            max_comments_per_video=int(meta["max_comments_per_video"]),
-            max_tokens_per_comment=int(meta["max_tokens_per_comment"]),
-        )
         feature_names = tuple(meta["feature_names"].split(","))
-        return cls(params, phrases, feature_names,
-                   int(meta["embedding_dim"]), config)
+        embedding_dim = meta.integer("embedding_dim")
+        lstm_hidden = meta.integer("lstm_hidden")
+        hidden_w = tensors.shaped("hidden.weights", None,
+                                  lstm_hidden + len(feature_names))
+        units = hidden_w.shape[0]
+        params = UCNetParams(
+            lstm=neural.LSTMCell(
+                tensors.shaped("lstm.wx", 4 * lstm_hidden, embedding_dim),
+                tensors.shaped("lstm.wh", 4 * lstm_hidden, lstm_hidden),
+                tensors.shaped("lstm.bias", 4 * lstm_hidden)),
+            weight_head=neural.DenseLayer(
+                tensors.shaped("weight_head.weights", 1, len(phrases)),
+                tensors.shaped("weight_head.bias", 1), "sigmoid"),
+            hidden=neural.DenseLayer(
+                hidden_w, tensors.shaped("hidden.bias", units), "relu"),
+            output=neural.DenseLayer(
+                tensors.shaped("output.weights", N_CLASSES, units),
+                tensors.shaped("output.bias", N_CLASSES), "softmax"),
+        )
+        settings = dict(
+            learning_rate=meta.real("learning_rate"),
+            epochs=meta.integer("epochs"),
+            batch_size=meta.integer("batch_size"),
+            seed=meta.integer("seed"),
+            max_comments_per_video=meta.integer("max_comments_per_video"),
+            max_tokens_per_comment=meta.integer("max_tokens_per_comment"))
+        try:
+            config = TrainingConfig(**settings)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        return cls(params, phrases, feature_names, embedding_dim, config)
 
 
 def comment_weight(fv: np.ndarray, params: UCNetParams) -> float:
@@ -437,7 +451,7 @@ def forward(video: VideoRecord, features: np.ndarray, table: EmbeddingTable,
             f"expected {params.n_features} features, got shape {features.shape}")
     prepared = prepare_video(video.comments, features, table, phrases,
                              max_comments, max_tokens)
-    batch = _collate([prepared], params.lstm.input_dim, len(phrases))
+    batch = _collate([prepared], len(phrases))
     probs, _ = _forward_batch(params, batch)
     return Prediction(p_real=float(probs[0, 0]), p_fake=float(probs[0, 1]))
 
@@ -494,7 +508,7 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             chunk = [prepared[i] for i in order[start:start + config.batch_size]]
-            batch = _collate(chunk, table.dimension, len(phrases))
+            batch = _collate(chunk, len(phrases))
             probs, cache = _forward_batch(params, batch)
             loss = _batch_loss(probs, batch.labels)
             if not math.isfinite(loss):

@@ -12,15 +12,20 @@ finite-difference gradient checker treat every architecture uniformly. A
 The gradient checker perturbs the live parameter arrays in place, so
 ``parameters()`` must return the arrays the forward pass actually reads.
 
-The batched LSTM runs a packed recurrence (sequence packing and
-input-projection hoisting, as in Appleyard et al. 2016, arXiv:1604.01946).
-Rows of a padded batch are stable-sorted by descending length, so the rows
-still running at step t are a prefix of size b_t. Only real (row, step)
-cells are stored, time-major: step t owns packed rows
-``bounds[t]:bounds[t + 1]`` of every cache array. The input projection of
-all cells is one GEMM before the loop; each step adds ``h[:b_t] @ wh.T``.
-The backward pass fills one packed gate-gradient array in its reverse loop
-and then forms the weight gradients with three GEMMs over all cells.
+The batched LSTM reads token ids, not vectors: its input is a padded
+``(n, t_max)`` integer array of row ids into a ``(V, input_dim)`` float64
+matrix (an embedding table's), plus each row's true length. It runs a
+packed recurrence (sequence packing and input-projection hoisting, as in
+Appleyard et al. 2016, arXiv:1604.01946). Rows are stable-sorted by
+descending length, so the rows still running at step t are a prefix of size
+b_t. Only real (row, step) cells are stored, time-major: step t owns packed
+rows ``bounds[t]:bounds[t + 1]`` of every cache array. The input projection
+is one GEMM before the loop over the distinct ids among the real cells
+only, scattered to the cells by index, since a cell's projection depends
+only on its token; each step then adds ``h[:b_t] @ wh.T``. The backward
+pass fills one packed gate-gradient array in its reverse loop and then forms
+the weight gradients with three GEMMs over all cells, gathering the cells'
+input vectors from the matrix for ``wx``.
 """
 
 from __future__ import annotations
@@ -193,30 +198,37 @@ class PackedLSTMCache:
 
     order: np.ndarray    # (n,) sorted position -> original row
     bounds: np.ndarray   # (t_real + 1,) packed offset of each step
-    xp: np.ndarray       # (P, input_dim) inputs
+    ids: np.ndarray      # (P,) token id of each cell
+    matrix: np.ndarray   # (V, input_dim) input vectors the ids index
     gates: np.ndarray    # (P, 4 * hidden) activated i, f, g, o
     h_prev: np.ndarray   # (P, hidden) hidden state entering the step
     c_prev: np.ndarray   # (P, hidden) cell state entering the step
     tanh_c: np.ndarray   # (P, hidden) tanh of the cell state leaving it
 
 
-def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray,
-                       lengths: np.ndarray) -> tuple[np.ndarray, PackedLSTMCache]:
-    """Run ``n`` padded sequences through the recurrence at once.
+def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
+                       matrix: np.ndarray) -> tuple[np.ndarray, PackedLSTMCache]:
+    """Run ``n`` padded token-id sequences through the recurrence at once.
 
-    xs has shape (n, t_max, input_dim) and lengths gives each row's true
-    length. Only the real cells are computed: the input projection of all
-    of them is one GEMM, and each step multiplies the hidden states of the
-    rows still running by ``wh``. Returns the (n, hidden_dim) final states
-    in the caller's row order (zeros for empty rows) and the cache the
+    xs is an (n, t_max) integer array of row ids into matrix, a
+    (V, input_dim) array of input vectors, and lengths gives each row's
+    true length; ids past it are padding and never read. Only the real
+    cells are computed: the input projection is one GEMM over the distinct
+    ids among them, and each step multiplies the hidden states of the rows
+    still running by ``wh``. Returns the (n, hidden_dim) final states in
+    the caller's row order (zeros for empty rows) and the cache the
     backward pass needs.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.asarray(xs)
+    matrix = np.asarray(matrix, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    if xs.ndim != 3 or xs.shape[2] != cell.input_dim:
-        raise ValueError(
-            f"LSTM expects (n, t, {cell.input_dim}) inputs, got shape {xs.shape}")
-    n, t_max = xs.shape[0], xs.shape[1]
+    if xs.ndim != 2 or not np.issubdtype(xs.dtype, np.integer):
+        raise ValueError(f"LSTM expects an (n, t) integer id array, got "
+                         f"{xs.dtype} of shape {xs.shape}")
+    if matrix.ndim != 2 or matrix.shape[1] != cell.input_dim:
+        raise ValueError(f"LSTM expects a (V, {cell.input_dim}) input matrix, "
+                         f"got shape {matrix.shape}")
+    n, t_max = xs.shape
     if lengths.shape != (n,) or np.any(lengths < 0) or np.any(lengths > t_max):
         raise ValueError(f"lengths must be {n} values in [0, {t_max}]")
     hidden = cell.hidden_dim
@@ -224,9 +236,13 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray,
     t_real = int(lengths.max(initial=0))
     steps, rows = np.nonzero(np.arange(t_real)[:, None] < lengths[order])
     bounds = np.searchsorted(steps, np.arange(t_real + 1))
-    xp = xs[order[rows], steps]
-    gates = _rowwise_matmul(xp, cell.wx.T)
-    gates += cell.bias
+    ids = xs[order[rows], steps]
+    if ids.size and (ids.min() < 0 or ids.max() >= matrix.shape[0]):
+        raise ValueError(f"token ids must lie in [0, {matrix.shape[0]})")
+    distinct, cell_of = np.unique(ids, return_inverse=True)
+    projected = _rowwise_matmul(matrix[distinct], cell.wx.T)
+    projected += cell.bias
+    gates = projected[cell_of]
     p = gates.shape[0]
     h_prev = np.empty((p, hidden))
     c_prev = np.empty((p, hidden))
@@ -252,8 +268,8 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray,
         np.multiply(go, tanh_c[lo:hi], out=h[:b])
     finals = np.empty((n, hidden))
     finals[order] = h
-    return finals, PackedLSTMCache(order, bounds, xp, gates, h_prev, c_prev,
-                                   tanh_c)
+    return finals, PackedLSTMCache(order, bounds, ids, matrix, gates, h_prev,
+                                   c_prev, tanh_c)
 
 
 def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
@@ -285,21 +301,20 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
         if t:
             dh[:b] = dz @ cell.wh
             dc[:b] = dc_cand * gf
-    return {"wx": dz_all.T @ cache.xp,
+    return {"wx": dz_all.T @ cache.matrix[cache.ids],
             "wh": dz_all.T @ cache.h_prev,
             "bias": dz_all.sum(axis=0)}
 
 
 def lstm_sequence(cell: LSTMCell, inputs) -> np.ndarray:
-    """Final hidden state of one sequence; the empty sequence maps to zeros."""
+    """Final hidden state of one (t, input_dim) vector sequence; the empty
+    sequence maps to zeros."""
     if len(inputs) == 0:
         return np.zeros(cell.hidden_dim)
     xs = np.asarray(inputs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != cell.input_dim:
-        raise ValueError(
-            f"LSTM expects vectors of length {cell.input_dim}, "
-            f"got shape {xs.shape}")
-    h, _ = lstm_forward_batch(cell, xs[None, :, :], np.array([xs.shape[0]]))
+    # The sequence is its own matrix, read once per row in order.
+    h, _ = lstm_forward_batch(cell, np.arange(len(xs))[None, :],
+                              np.array([len(xs)]), xs)
     return h[0]
 
 

@@ -28,7 +28,10 @@ arrays are writable, C-contiguous and own their memory, and they are always
 finite. A malformed file raises ``ValueError`` naming the file and, where
 there is one, the line. Indexing a loaded mapping with a name it lacks also
 raises ``ValueError`` naming the file, so model loaders report a missing
-tensor or meta key without checks of their own.
+tensor or meta key without checks of their own. Model loaders read tensors
+through :meth:`Tensors.shaped` and numeric meta values through
+:meth:`Meta.integer` and :meth:`Meta.real`, which name the file and the
+entry when a shape or a value is not what the model needs.
 """
 
 from __future__ import annotations
@@ -47,13 +50,59 @@ PAYLOAD_DTYPE = np.dtype("<f8")
 class _Entries(dict):
     """Loaded tensors or meta; a missing key raises ``ValueError`` naming the file."""
 
-    def __init__(self, path: Path, kind: str):
+    kind: str  # what a key names, for messages
+
+    def __init__(self, path: Path):
         super().__init__()
         self.path = path
-        self.kind = kind
 
     def __missing__(self, key):
         raise ValueError(f"{self.path}: no {self.kind} {key!r}")
+
+
+class Tensors(_Entries):
+    """Loaded ``name -> array`` mapping of one file."""
+
+    kind = "tensor"
+
+    def shaped(self, name: str, *shape: int | None) -> np.ndarray:
+        """The tensor ``name``, which must have ``shape``; ``None`` matches
+        any length along its axis."""
+        array = self[name]
+        if array.ndim != len(shape) or any(
+                want is not None and got != want
+                for got, want in zip(array.shape, shape)):
+            wanted = ", ".join("any" if d is None else str(d) for d in shape)
+            raise ValueError(f"{self.path}: tensor {name!r} has shape "
+                             f"{array.shape}, the model needs ({wanted})")
+        return array
+
+
+class Meta(_Entries):
+    """Loaded ``key -> text`` meta of one file."""
+
+    kind = "meta key"
+
+    def integer(self, key: str, default: int | None = None) -> int:
+        """Meta ``key`` as an integer; ``default``, if given, when absent."""
+        return self._number(key, int, "an integer", default)
+
+    def real(self, key: str) -> float:
+        """Meta ``key`` as a finite float."""
+        return self._number(key, float, "a finite number", None)
+
+    def _number(self, key, parse, what, default):
+        if default is not None and key not in self:
+            return default
+        text = self[key]
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or (parse is float and not math.isfinite(value)):
+            raise ValueError(f"{self.path}: meta {key!r} is not {what}: "
+                             f"{text[:40]!r}")
+        return value
 
 
 def _valid_name(name: str) -> bool:
@@ -89,7 +138,7 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray],
             fh.write(array)
 
 
-def load_tensors(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def load_tensors(path) -> tuple[Tensors, Meta]:
     path = Path(path)
     with path.open("rb") as fh:
         first = fh.readline()
@@ -142,8 +191,8 @@ def _parse_tensor_line(path: Path, lineno: int, fields: list[str],
     return name, tuple(_parse_count(path, lineno, d, "dim") for d in fields[2:])
 
 
-def _load_binary(path: Path, fh) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    meta = _Entries(path, "meta key")
+def _load_binary(path: Path, fh) -> tuple[Tensors, Meta]:
+    meta = Meta(path)
     shapes: dict[str, tuple[int, ...]] = {}
     lineno = 1
     while True:
@@ -184,7 +233,7 @@ def _load_binary(path: Path, fh) -> tuple[dict[str, np.ndarray], dict[str, str]]
                          f"the header declares {n_bytes}")
     values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE)
     finite = bool(np.isfinite(values).all())
-    tensors = _Entries(path, "tensor")
+    tensors = Tensors(path)
     offset = 0
     for (name, shape), size in zip(shapes.items(), sizes):
         block = values[offset:offset + size]
@@ -196,7 +245,7 @@ def _load_binary(path: Path, fh) -> tuple[dict[str, np.ndarray], dict[str, str]]
     return tensors, meta
 
 
-def _load_text(path: Path, body: bytes) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def _load_text(path: Path, body: bytes) -> tuple[Tensors, Meta]:
     """Parse the body (after the version line) of a version 1 file."""
     try:
         # Split on "\n" only, the one line end the writer emitted.
@@ -204,8 +253,8 @@ def _load_text(path: Path, body: bytes) -> tuple[dict[str, np.ndarray], dict[str
     except UnicodeDecodeError as exc:
         lineno = body.count(b"\n", 0, exc.start) + 2
         raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
-    tensors = _Entries(path, "tensor")
-    meta = _Entries(path, "meta key")
+    tensors = Tensors(path)
+    meta = Meta(path)
     pos = 0
     while pos < len(lines):
         lineno = pos + 2

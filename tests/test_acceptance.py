@@ -41,7 +41,8 @@ def test_criterion_1_gradient_correctness(phrases):
                                  n_features=2, lstm_hidden=8)
     model = network.UCNetModel(params, phrases, ("f0", "f1"), 8)
     prepared = network.PreparedVideo(
-        comment_seqs=[rng.normal(size=(5, 8)) for _ in range(3)],
+        comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
+        matrix=rng.normal(size=(15, 8)),
         fvs=(rng.random((3, len(phrases))) < 0.2).astype(float),
         features=rng.normal(size=2))
     error = neural.gradient_check(model, prepared, 1, h=1e-5)
@@ -178,8 +179,8 @@ def test_criterion_6_pooling_identities(phrases):
         make_comment("d", "video song the"),
     ]
     unified = network.unified_embedding(comments, table, params, phrases)
-    raw = np.stack([neural.lstm_sequence(params.lstm,
-                                         embed_comment(c.text, table))
+    raw = np.stack([neural.lstm_sequence(
+                        params.lstm, table.matrix[embed_comment(c.text, table)])
                     for c in comments])
     assert np.allclose(unified, 0.5 * raw.mean(axis=0), atol=1e-12)
 

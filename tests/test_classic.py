@@ -94,6 +94,20 @@ class TestDecisionTree:
         assert np.array_equal(tree.predict_proba(probe),
                               again.predict_proba(probe))
 
+    @pytest.mark.parametrize("entry,value", [
+        ("tree.threshold", np.zeros(2)), ("tree.feature", np.zeros((1, 1))),
+        ("min_samples_leaf", "two")])
+    def test_bad_entry_is_named(self, tmp_path, entry, value):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 3))
+        path = tmp_path / "tree.model"
+        save_tree(train_tree(X, (X[:, 1] > 0).astype(np.int64)), path)
+        tensors, meta = serialize.load_tensors(path)
+        (meta if isinstance(value, str) else tensors)[entry] = value
+        serialize.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError, match=f"tree.model: .*'{entry}'"):
+            load_tree(path)
+
 
 def separable_features(rng, n):
     X = rng.normal(size=(n, 4))
@@ -165,6 +179,21 @@ class TestRandomForest:
         meta.pop(drop, None)
         serialize.save_tensors(path, tensors, meta)
         with pytest.raises(ValueError, match=f"forest.model: no .*'{drop}'"):
+            load_forest(path)
+
+    @pytest.mark.parametrize("entry,value", [
+        ("tree1.left", np.zeros(1)), ("tree0.class_probs", np.zeros((1, 3))),
+        ("tree_seeds", np.zeros(3)), ("n_trees", "two"), ("max_depth", "8.5"),
+        ("n_features", "")])
+    def test_bad_entry_is_named(self, tmp_path, entry, value):
+        rng = np.random.default_rng(6)
+        X, y = separable_features(rng, 40)
+        path = tmp_path / "forest.model"
+        save_forest(train_forest(X, y, n_trees=2, seed=2), path)
+        tensors, meta = serialize.load_tensors(path)
+        (meta if isinstance(value, str) else tensors)[entry] = value
+        serialize.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError, match=f"forest.model: .*'{entry}'"):
             load_forest(path)
 
 
@@ -253,3 +282,11 @@ class TestLogistic:
         again = load_logistic(tmp_path / "logit.model")
         assert np.array_equal(model.predict_proba_fake(X),
                               again.predict_proba_fake(X))
+
+    def test_bad_shapes_are_named(self, tmp_path):
+        path = tmp_path / "logit.model"
+        for tensors in ({"weights": np.zeros((2, 1)), "intercept": np.zeros(1)},
+                        {"weights": np.zeros(2), "intercept": np.zeros(2)}):
+            serialize.save_tensors(path, tensors, {"kind": "logistic"})
+            with pytest.raises(ValueError, match="logit.model: tensor"):
+                load_logistic(path)

@@ -316,6 +316,53 @@ class TestPcaCommand:
         assert str(model) in capsys.readouterr().err
 
 
+    @pytest.fixture()
+    def model_file(self, tmp_path):
+        from ucnet import lexical
+        phrases = lexical.load_fakeness_phrases()
+        params = network.init_params(np.random.default_rng(0), 8, len(phrases),
+                                     2, lstm_hidden=3)
+        path = tmp_path / "ucnet.model"
+        network.UCNetModel(params, phrases, ("a", "b"), 8).save(path)
+        return path
+
+    def run_pca(self, synthetic_dir, model, embeddings, tmp_path):
+        return main(["pca", "--input", str(synthetic_dir / "corpus.jsonl"),
+                     "--model", str(model), "--embeddings", str(embeddings),
+                     "--output", str(tmp_path / "x.csv")])
+
+    def test_untrained_model_file_runs(self, synthetic_dir, tmp_path,
+                                       model_file):
+        assert self.run_pca(synthetic_dir, model_file,
+                            synthetic_dir / "embeddings.txt", tmp_path) == 0
+
+    @pytest.mark.parametrize("entry,value", [
+        ("lstm.wx", np.zeros((12, 5))), ("output.bias", np.zeros(3)),
+        ("epochs", "ten"), ("max_tokens_per_comment", "1.5")])
+    def test_model_entry_that_does_not_fit_is_data_error(
+            self, synthetic_dir, tmp_path, capsys, model_file, entry, value):
+        from ucnet import serialize
+        tensors, meta = serialize.load_tensors(model_file)
+        (meta if isinstance(value, str) else tensors)[entry] = value
+        serialize.save_tensors(model_file, tensors, meta)
+        assert self.run_pca(synthetic_dir, model_file,
+                            synthetic_dir / "embeddings.txt", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(model_file) in err and entry in err
+
+    @pytest.mark.parametrize("line,bad", [
+        (1, "x 8"), (3, "tok 1 2 3 4 5 6 7 x"), (2, "tok nan 0 0 0 0 0 0 0")])
+    def test_bad_embedding_file_is_data_error(self, synthetic_dir, tmp_path,
+                                              capsys, model_file, line, bad):
+        lines = (synthetic_dir / "embeddings.txt").read_text().splitlines()
+        lines[line - 1] = bad
+        embeddings = tmp_path / "bad.txt"
+        embeddings.write_text("\n".join(lines) + "\n")
+        assert self.run_pca(synthetic_dir, model_file, embeddings,
+                            tmp_path) == 2
+        assert f"{embeddings}: line {line}:" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_sets_defaults_and_flags_override(self, synthetic_dir,
                                                      tmp_path):

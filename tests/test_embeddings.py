@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucnet.embeddings import (EmbeddingTable, embed_comment, load_embeddings,
                               save_embeddings)
+from ucnet.lexical import tokenize
 
 
 def write_table(path, rows, dim=None, count=None):
@@ -59,6 +61,56 @@ class TestLoadEmbeddings:
         for token, vec in vectors.items():
             assert np.array_equal(again.lookup(token), vec)
 
+    def test_save_load_save_is_byte_identical_and_keeps_order(self, tmp_path):
+        rng = np.random.default_rng(1)
+        tokens = ["zeta", "alpha", "Mid", "b2", "_"]
+        vectors = {t: rng.normal(size=3) * 10.0 ** rng.integers(-300, 300, 3)
+                   for t in tokens}
+        vectors["alpha"][0] = -0.0
+        table = EmbeddingTable(dimension=3, vectors=vectors)
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_embeddings(table, first)
+        again = load_embeddings(first, 3)
+        save_embeddings(again, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert list(again.vocab) == tokens == list(again.vectors)
+        assert np.array_equal(again.matrix, table.matrix)
+        # the text is what the per-vector writer printed: 17 digits a value
+        expected = "5 3\n" + "".join(
+            t + " " + " ".join(f"{v:.17g}" for v in vectors[t]) + "\n"
+            for t in tokens)
+        assert first.read_text() == expected
+
+    @pytest.mark.parametrize("content,line", [
+        ("2 2\na 1 2\nb 1 x\n", 3),        # a component that is no number
+        ("two 2\na 1 2\n", 1),              # header count not an integer
+        ("2\na 1 2\n", 1),                  # header with one field
+        ("2 2 2\na 1 2\n", 1),              # header with three fields
+        ("2 2\na 1 2\n\nb nan 0\n", 4),     # non-finite component
+        ("2 2\na inf 2\nb 0 0\n", 2),
+    ])
+    def test_bad_file_names_path_and_line(self, tmp_path, content, line):
+        path = tmp_path / "vec.txt"
+        path.write_text(content)
+        with pytest.raises(ValueError) as info:
+            load_embeddings(path, 2)
+        assert f"{path}: line {line}:" in str(info.value)
+
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(b"1 2\n\xff 1 2\n")
+        with pytest.raises(ValueError, match="line 2: not UTF-8"):
+            load_embeddings(path, 2)
+
+    def test_matrix_is_contiguous_float64(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        write_table(path, [("a", [1, 2]), ("b", [3, 4])])
+        table = load_embeddings(path, 2)
+        assert table.matrix.dtype == np.float64
+        assert table.matrix.flags.c_contiguous
+        assert table.vocab == {"a": 0, "b": 1}
+        assert np.array_equal(table.matrix, [[1, 2], [3, 4]])
+
 
 def toy_table():
     return EmbeddingTable(dimension=2, vectors={
@@ -68,36 +120,71 @@ def toy_table():
     })
 
 
+def vector_sequence(text, table, max_tokens=100):
+    """Reference: the in-vocabulary vectors stacked one token at a time."""
+    found = [table.vectors[t.lower()] for t in tokenize(text)
+             if t.lower() in table.vectors][:max_tokens]
+    return np.stack(found) if found else np.zeros((0, table.dimension))
+
+
 class TestEmbedComment:
     def test_all_oov_gives_empty_sequence(self):
-        seq = embed_comment("uncovered tokens only", toy_table())
-        assert seq.shape == (0, 2)
+        table = toy_table()
+        ids = embed_comment("uncovered tokens only", table)
+        assert ids.shape == (0,) and ids.dtype == np.int64
+        assert table.matrix[ids].shape == (0, 2)
 
     def test_in_vocabulary_order_preserved(self):
-        seq = embed_comment("Fake video", toy_table())
+        table = toy_table()
+        ids = embed_comment("Fake video", table)
+        assert ids.tolist() == [0, 1]
+        seq = table.matrix[ids]
         assert seq.shape == (2, 2)
         assert np.array_equal(seq[0], [1.0, 0.0])
         assert np.array_equal(seq[1], [0.0, 1.0])
 
     def test_truncation_keeps_prefix(self):
         text = " ".join(["word"] * 150)
-        seq = embed_comment(text, toy_table(), max_tokens=100)
+        table = toy_table()
+        seq = table.matrix[embed_comment(text, table, max_tokens=100)]
         assert seq.shape == (100, 2)
         assert np.array_equal(seq[0], [0.5, 0.5])
 
     def test_oov_skipped_not_zero_filled(self):
-        seq = embed_comment("fake mystery video", toy_table())
-        assert seq.shape == (2, 2)
+        assert embed_comment("fake mystery video", toy_table()).shape == (2,)
 
     def test_vectors_equal_stored_rows(self):
         table = toy_table()
-        seq = embed_comment("word fake", table)
+        seq = table.matrix[embed_comment("word fake", table)]
         assert np.array_equal(seq[0], table.lookup("word"))
         assert np.array_equal(seq[1], table.lookup("fake"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["fake", "FAKE", "Video", "word", "zzz",
+                                     "fake!", "(word)", "vid eo", ",", ""]),
+                    max_size=30),
+           st.integers(1, 12))
+    def test_gathered_rows_equal_vector_sequence(self, words, max_tokens):
+        table = toy_table()
+        text = " ".join(words)
+        ids = embed_comment(text, table, max_tokens)
+        assert np.array_equal(table.matrix[ids],
+                              vector_sequence(text, table, max_tokens))
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
             EmbeddingTable(dimension=3, vectors={"a": np.zeros(2)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'b'"):
             EmbeddingTable(dimension=2,
-                           vectors={"a": np.array([np.nan, 0.0])})
+                           vectors={"a": np.zeros(2),
+                                    "b": np.array([np.nan, 0.0])})
+        with pytest.raises(ValueError):
+            EmbeddingTable(dimension=0, vectors={})
+
+    def test_table_keeps_insertion_order_in_rows(self):
+        table = toy_table()
+        assert list(table.vocab) == list(table.vectors) == ["fake", "video",
+                                                            "word"]
+        assert "video" in table and "mystery" not in table and len(table) == 3
+        assert np.array_equal(table.matrix,
+                              [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])

@@ -216,6 +216,21 @@ class TestTitleScorer:
         with pytest.raises(ValueError, match="lexicons"):
             TitleScorer.load(path, other)
 
+    @pytest.mark.parametrize("entry,shape", [
+        ("feature_mean", (3,)), ("layer0.weights", (8, 2)),
+        ("layer0.bias", (7,)), ("layer1.weights", (3, 8)),
+        ("layer1.bias", (2, 1))])
+    def test_load_names_a_tensor_of_the_wrong_shape(self, tmp_path, lexicons,
+                                                    scorer, entry, shape):
+        from ucnet import serialize
+        path = tmp_path / "scorer.model"
+        scorer.save(path)
+        tensors, meta = serialize.load_tensors(path)
+        tensors[entry] = np.zeros(shape)
+        serialize.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError, match=f"scorer.model: tensor '{entry}'"):
+            TitleScorer.load(path, lexicons)
+
 
 def oracle_tokens(text):
     """Char-loop tokenizer, independent of the library implementation."""

@@ -98,7 +98,8 @@ class TestUnifiedEmbedding:
         comment = make_comment("c", "fake video")
         unified = unified_embedding([comment], table, params, TOY_PHRASES)
         from ucnet.embeddings import embed_comment
-        emb = neural.lstm_sequence(params.lstm, embed_comment("fake video", table))
+        emb = neural.lstm_sequence(
+            params.lstm, table.matrix[embed_comment("fake video", table)])
         w = comment_weight(fakeness_vector("fake video", TOY_PHRASES), params)
         assert np.allclose(unified, w * emb, atol=1e-12)
 
@@ -115,8 +116,8 @@ class TestUnifiedEmbedding:
         comments = toy_comments()
         unified = unified_embedding(comments, table, params, TOY_PHRASES)
         from ucnet.embeddings import embed_comment
-        raw = np.stack([neural.lstm_sequence(params.lstm,
-                                             embed_comment(c.text, table))
+        raw = np.stack([neural.lstm_sequence(
+                            params.lstm, table.matrix[embed_comment(c.text, table)])
                         for c in comments])
         assert np.allclose(unified, 0.5 * raw.mean(axis=0), atol=1e-12)
 
@@ -180,7 +181,8 @@ class TestForward:
         from ucnet.embeddings import embed_comment
         weighted = []
         for c in video.comments:
-            emb = neural.lstm_sequence(params.lstm, embed_comment(c.text, table))
+            emb = neural.lstm_sequence(
+                params.lstm, table.matrix[embed_comment(c.text, table)])
             fv = fakeness_vector(c.text, TOY_PHRASES)
             w = 1.0 / (1.0 + np.exp(-(params.weight_head.weights @ fv
                                       + params.weight_head.bias)))
@@ -331,7 +333,8 @@ class TestModelIO:
         UCNetModel(params, phrases, ("a", "b"), 8).save(path)
         model = UCNetModel.load(path, phrases)
         prepared = network.PreparedVideo(
-            comment_seqs=[rng.normal(size=(5, 8)) for _ in range(3)],
+            comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
+            matrix=rng.normal(size=(15, 8)),
             fvs=(rng.random((3, 30)) < 0.2).astype(float),
             features=rng.normal(size=2))
         assert neural.gradient_check(model, prepared, 1, h=1e-5) < 1e-4
@@ -351,6 +354,32 @@ class TestModelIO:
         with pytest.raises(ValueError) as info:
             UCNetModel.load(path, phrases)
         assert f"{path}: no {kind} {drop!r}" in str(info.value)
+
+
+    @pytest.mark.parametrize("tensor,value,entry", [
+        ("lstm.wx", np.zeros((12, 5)), "'lstm.wx'"),
+        ("lstm.bias", np.zeros(13), "'lstm.bias'"),
+        ("hidden.bias", np.zeros(7), "'hidden.bias'"),
+        ("output.weights", np.zeros((3, 4)), "'output.weights'"),
+        ("weight_head.weights", np.zeros((1, 3)), "'weight_head.weights'"),
+        ("epochs", "ten", "'epochs'"),
+        ("learning_rate", "nan", "'learning_rate'"),
+        ("embedding_dim", "4.0", "'embedding_dim'"),
+        ("lstm_hidden", "4", "'hidden.weights'"),
+        ("batch_size", "0", "batch_size must be positive"),
+    ])
+    def test_bad_entry_is_named(self, phrases, tmp_path, tensor, value, entry):
+        params = init_params(np.random.default_rng(0), 4, len(phrases), 2,
+                             lstm_hidden=3)
+        path = tmp_path / "ucnet.model"
+        UCNetModel(params, phrases, ("a", "b"), 4).save(path)
+        tensors, meta = serialize.load_tensors(path)
+        (meta if isinstance(value, str) else tensors)[tensor] = value
+        serialize.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError) as info:
+            UCNetModel.load(path, phrases)
+        assert str(info.value).startswith(f"{path}: ")
+        assert entry in str(info.value)
 
 
 class TestExtractUnifiedEmbeddings:
@@ -392,7 +421,8 @@ class TestGradientCheckFullModel:
         params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
         model = UCNetModel(params, phrases, ("a", "b"), 8)
         prepared = network.PreparedVideo(
-            comment_seqs=[rng.normal(size=(5, 8)) for _ in range(3)],
+            comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
+            matrix=rng.normal(size=(15, 8)),
             fvs=(rng.random((3, 30)) < 0.2).astype(float),
             features=rng.normal(size=2))
         assert neural.gradient_check(model, prepared, 1, h=1e-5) < 1e-4
@@ -402,6 +432,6 @@ class TestGradientCheckFullModel:
         params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
         model = UCNetModel(params, phrases, ("a", "b"), 8)
         prepared = network.PreparedVideo(
-            comment_seqs=[], fvs=np.zeros((0, 30)),
+            comment_ids=[], matrix=np.zeros((0, 8)), fvs=np.zeros((0, 30)),
             features=rng.normal(size=2))
         assert neural.gradient_check(model, prepared, 0, h=1e-5) < 1e-4

@@ -119,13 +119,32 @@ def masked_lstm_backward(cell: LSTMCell, cache, dh_final):
     return {"wx": dwx, "wh": dwh, "bias": dbias}
 
 
-def padded(seqs, input_dim, t_max=None):
+def padded_ids(id_seqs, t_max=None):
+    """(n, t_max) int64 ids, zero past each length, and the lengths."""
     if t_max is None:
-        t_max = max((len(s) for s in seqs), default=0)
-    xs = np.zeros((len(seqs), t_max, input_dim))
-    for row, seq in enumerate(seqs):
-        xs[row, :len(seq)] = seq
-    return xs, np.array([len(s) for s in seqs], dtype=np.int64)
+        t_max = max((len(s) for s in id_seqs), default=0)
+    ids = np.zeros((len(id_seqs), t_max), dtype=np.int64)
+    for row, seq in enumerate(id_seqs):
+        ids[row, :len(seq)] = seq
+    return ids, np.array([len(s) for s in id_seqs], dtype=np.int64)
+
+
+def padded(seqs, input_dim, t_max=None):
+    """Float sequences as LSTM input: one matrix row per cell, so every id
+    is distinct. Returns (ids, lengths, matrix)."""
+    starts = np.cumsum([0] + [len(s) for s in seqs])
+    ids, lengths = padded_ids([np.arange(a, b) for a, b in
+                               zip(starts[:-1], starts[1:])], t_max)
+    matrix = np.concatenate([np.reshape(s, (-1, input_dim)) for s in seqs]) \
+        if seqs else np.zeros((0, input_dim))
+    return ids, lengths, matrix
+
+
+def padded_vectors(ids, lengths, matrix):
+    """The (n, t_max, input_dim) float tensor the ids stand for, zero-padded."""
+    xs = matrix[ids] if len(matrix) else np.zeros(ids.shape + matrix.shape[1:])
+    xs[np.arange(ids.shape[1]) >= lengths[:, None]] = 0.0
+    return xs
 
 
 class TestLstm:
@@ -162,13 +181,7 @@ class TestLstm:
         rng = np.random.default_rng(11)
         cell = init_lstm(rng, 3, 4)
         seqs = [rng.normal(size=(t, 3)) for t in (4, 1, 0, 3)]
-        t_max = 4
-        xs = np.zeros((4, t_max, 3))
-        for row, seq in enumerate(seqs):
-            if len(seq):
-                xs[row, :len(seq)] = seq
-        finals, _ = lstm_forward_batch(cell, xs,
-                                       np.array([len(s) for s in seqs]))
+        finals, _ = lstm_forward_batch(cell, *padded(seqs, 3))
         for row, seq in enumerate(seqs):
             assert np.allclose(finals[row], lstm_sequence(cell, seq),
                                atol=1e-12)
@@ -178,14 +191,15 @@ class TestLstm:
         cell = init_lstm(rng, 2, 3)
         # unsorted lengths, the second set with an empty row
         for lengths in ((3, 1, 2), (1, 3, 0, 2)):
-            xs, lengths = padded([rng.normal(size=(t, 2)) for t in lengths], 2)
+            xs, lengths, matrix = padded(
+                [rng.normal(size=(t, 2)) for t in lengths], 2)
             probe = rng.normal(size=(len(lengths), 3))
 
             def loss_value():
-                finals, _ = lstm_forward_batch(cell, xs, lengths)
+                finals, _ = lstm_forward_batch(cell, xs, lengths, matrix)
                 return float((finals * probe).sum())
 
-            finals, cache = lstm_forward_batch(cell, xs, lengths)
+            finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
             grads = lstm_backward_batch(cell, cache, probe)
             h = 1e-6
             for name, array in (("wx", cell.wx), ("wh", cell.wh),
@@ -202,7 +216,7 @@ class TestLstm:
                     numeric = (plus - minus) / (2 * h)
                     assert abs(numeric - grad[idx]) < 1e-6
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_packed_matches_masked_reference(self, data):
         n = data.draw(st.integers(1, 7), label="rows")
@@ -215,11 +229,20 @@ class TestLstm:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         cell = init_lstm(rng, 3, 4)
         cell.bias[...] = rng.normal(size=cell.bias.shape)
-        xs, lengths = padded([rng.normal(size=(t, 3)) for t in lengths], 3,
-                             t_max)
+        # vocab 0: every cell its own row; 1: one distinct token (U = 1);
+        # larger: ids drawn with repeats from a shared table.
+        vocab = data.draw(st.sampled_from([0, 1, 2, 5]), label="vocab")
+        if vocab:
+            matrix = rng.normal(size=(vocab, 3))
+            xs, lengths = padded_ids(
+                [rng.integers(0, vocab, size=t) for t in lengths], t_max)
+        else:
+            xs, lengths, matrix = padded(
+                [rng.normal(size=(t, 3)) for t in lengths], 3, t_max)
 
-        finals, cache = lstm_forward_batch(cell, xs, lengths)
-        ref_finals, ref_cache = masked_lstm_forward(cell, xs, lengths)
+        finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+        ref_finals, ref_cache = masked_lstm_forward(
+            cell, padded_vectors(xs, lengths, matrix), lengths)
         assert np.allclose(finals, ref_finals, rtol=0, atol=1e-12)
         assert not np.any(finals[lengths == 0])
 
@@ -229,27 +252,66 @@ class TestLstm:
         for name in ("wx", "wh", "bias"):
             assert np.allclose(grads[name], ref[name], rtol=1e-12, atol=1e-12)
 
+    def test_distinct_token_projection_is_bit_identical(self):
+        # Projecting each distinct token once gives the same bits as feeding
+        # every cell its own copy of the vector.
+        rng = np.random.default_rng(41)
+        for input_dim, hidden, vocab in ((6, 5, 1), (6, 5, 4), (16, 40, 9)):
+            cell = init_lstm(rng, input_dim, hidden)
+            matrix = rng.normal(size=(vocab, input_dim))
+            xs, lengths = padded_ids(
+                [rng.integers(0, vocab, size=t) for t in (5, 2, 0, 7, 2, 1)])
+            finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+            copies = [matrix[xs[row, :t]] for row, t in enumerate(lengths)]
+            once, once_cache = lstm_forward_batch(
+                cell, *padded(copies, input_dim))
+            assert np.array_equal(finals, once)
+            probe = rng.normal(size=finals.shape)
+            grads = lstm_backward_batch(cell, cache, probe)
+            once_grads = lstm_backward_batch(cell, once_cache, probe)
+            for name in ("wx", "wh", "bias"):
+                assert np.array_equal(grads[name], once_grads[name])
+
     def test_final_state_independent_of_batch_mates(self):
         rng = np.random.default_rng(31)
         for input_dim, hidden in ((6, 5), (16, 40)):
             cell = init_lstm(rng, input_dim, hidden)
-            seqs = [rng.normal(size=(t, input_dim)) for t in (5, 2, 0, 7, 2, 1)]
-            finals, _ = lstm_forward_batch(cell, *padded(seqs, input_dim))
-            for row, seq in enumerate(seqs):
-                # alone, the row runs every step without company
-                alone, _ = lstm_forward_batch(cell, *padded([seq], input_dim))
-                assert np.array_equal(alone[0], finals[row])
-                order = list(rng.permutation(len(seqs)))
-                mates = [seqs[i] for i in order + order[::2]]
-                shuffled, _ = lstm_forward_batch(cell, *padded(mates, input_dim))
-                assert np.array_equal(shuffled[order.index(row)], finals[row])
+            lengths = (5, 2, 0, 7, 2, 1)
+            # own vectors per cell, then ids shared through a 4-token table
+            vectors = [rng.normal(size=(t, input_dim)) for t in lengths]
+            table = rng.normal(size=(4, input_dim))
+            tokens = [rng.integers(0, 4, size=t) for t in lengths]
+            for seqs, batch in ((vectors, lambda s: padded(s, input_dim)),
+                                (tokens, lambda s: (*padded_ids(s), table))):
+                finals, _ = lstm_forward_batch(cell, *batch(seqs))
+                for row, seq in enumerate(seqs):
+                    # alone, the row runs every step without company
+                    alone, _ = lstm_forward_batch(cell, *batch([seq]))
+                    assert np.array_equal(alone[0], finals[row])
+                    order = list(rng.permutation(len(seqs)))
+                    mates = [seqs[i] for i in order + order[::2]]
+                    shuffled, _ = lstm_forward_batch(cell, *batch(mates))
+                    assert np.array_equal(shuffled[order.index(row)], finals[row])
 
     def test_lengths_outside_padding_rejected(self):
         cell = init_lstm(np.random.default_rng(0), 2, 3)
-        xs = np.zeros((2, 3, 2))
+        xs = np.zeros((2, 3), dtype=np.int64)
         for lengths in ([1, 4], [-1, 2], [1]):
             with pytest.raises(ValueError):
-                lstm_forward_batch(cell, xs, np.array(lengths))
+                lstm_forward_batch(cell, xs, np.array(lengths), np.zeros((1, 2)))
+
+    def test_bad_ids_or_matrix_rejected(self):
+        cell = init_lstm(np.random.default_rng(0), 2, 3)
+        lengths = np.array([2, 1])
+        ids = np.array([[0, 1], [2, 9]])  # 9 is padding: never read
+        lstm_forward_batch(cell, ids, lengths, np.zeros((3, 2)))
+        for xs, matrix in ((ids, np.zeros((2, 2))),       # id 2 out of range
+                           (-ids, np.zeros((3, 2))),      # negative id
+                           (ids.astype(float), np.zeros((3, 2))),
+                           (ids[:, :, None], np.zeros((3, 2))),
+                           (ids, np.zeros((3, 4)))):      # wrong width
+            with pytest.raises(ValueError):
+                lstm_forward_batch(cell, xs, lengths, matrix)
 
 
 class TestCrossEntropy:

@@ -153,6 +153,26 @@ class TestBinaryFormat:
             meta["j"]
         assert meta.get("j") is None
 
+    def test_checked_reads_name_the_file_and_entry(self, tmp_path):
+        path = tmp_path / "m.tensors"
+        save_tensors(path, {"a": np.zeros((2, 3))},
+                     {"n": "7", "x": "0.25", "word": "ten", "half": "1.5",
+                      "inf": "inf", "nan": "nan"})
+        tensors, meta = load_tensors(path)
+        assert tensors.shaped("a", 2, None).shape == (2, 3)
+        for shape in ((3, 2), (2,), (2, 3, 1), (None, 4)):
+            with pytest.raises(ValueError, match=r"m\.tensors: tensor 'a' "
+                               r"has shape \(2, 3\)"):
+                tensors.shaped("a", *shape)
+        assert (meta.integer("n"), meta.real("x"), meta.real("n")) == (7, 0.25, 7.0)
+        assert meta.integer("absent", 4) == 4 and meta.integer("n", 4) == 7
+        for key, read in (("word", meta.integer), ("half", meta.integer),
+                          ("word", meta.real), ("inf", meta.real),
+                          ("nan", meta.real), ("word", lambda k: meta.integer(k, 1))):
+            with pytest.raises(ValueError,
+                               match=rf"m\.tensors: meta '{key}' is not"):
+                read(key)
+
 
 V2_HEAD = b"tensors 2\n"
 NAN = struct.pack("<d", float("nan"))
