@@ -33,8 +33,7 @@ features = feature_matrix(list(corpus), lexicons, scorer)
 feature_proj, feature_var = pca_project(features, 2)
 
 # Right-hand view: PCA of the unified comment embeddings.
-unified = extract_unified_embeddings(corpus, table, model.params,
-                                     model.phrases)
+unified = extract_unified_embeddings(corpus, table, model)
 unified_proj, unified_var = pca_project(unified, 2)
 
 

@@ -60,9 +60,7 @@ from .network import (
     comment_weight,
     extract_unified_embeddings,
     fakeness_vector,
-    forward,
     train,
-    unified_embedding,
 )
 from .neural import (
     AdamState,

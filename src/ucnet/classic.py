@@ -54,6 +54,9 @@ class DecisionTree:
             out[row] = self.class_probs[node]
         return out
 
+    def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
+        return self.predict_proba(X)[:, 1]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         probs = self.predict_proba(X)
         return (probs[:, 1] >= probs[:, 0]).astype(np.int64)
@@ -170,12 +173,11 @@ def _validate_xy(X, y):
     return X, y
 
 
-def train_tree(X, y, max_depth: int = 8, min_samples_leaf: int = 2,
-               seed: int = 0) -> DecisionTree:
-    """Greedy CART with Gini impurity over all features."""
+def train_tree(X, y, max_depth: int = 8,
+               min_samples_leaf: int = 2) -> DecisionTree:
+    """Greedy CART with Gini impurity over all features (deterministic)."""
     X, y = _validate_xy(X, y)
-    builder = _TreeBuilder(X, y, max_depth, max(1, min_samples_leaf),
-                           np.random.default_rng(seed), None)
+    builder = _TreeBuilder(X, y, max_depth, max(1, min_samples_leaf), None, None)
     return builder.build()
 
 
@@ -288,8 +290,8 @@ def logistic_loss_and_gradient(weights: np.ndarray, intercept: float,
     return loss, X.T @ delta, float(delta.sum())
 
 
-def train_logistic(X, y, learning_rate: float = 0.1, epochs: int = 500,
-                   seed: int = 0) -> LogisticModel:
+def train_logistic(X, y, learning_rate: float = 0.1,
+                   epochs: int = 500) -> LogisticModel:
     """Full-batch gradient descent on cross-entropy from zero initialization."""
     X, y = _validate_xy(X, y)
     if len(set(y.tolist())) < 2:
@@ -333,8 +335,7 @@ def _tree_from_tensors(tensors, prefix: str, max_depth: int,
     )
 
 
-def save_forest(forest: RandomForest, path, max_depth: int = 8,
-                min_samples_leaf: int = 2) -> None:
+def save_forest(forest: RandomForest, path) -> None:
     tensors: dict[str, np.ndarray] = {
         "tree_seeds": np.array(forest.tree_seeds, dtype=np.float64),
     }
@@ -345,8 +346,8 @@ def save_forest(forest: RandomForest, path, max_depth: int = 8,
         "n_trees": str(len(forest.trees)),
         "features_per_split": str(forest.features_per_split),
         "n_features": str(forest.n_features),
-        "max_depth": str(max_depth),
-        "min_samples_leaf": str(min_samples_leaf),
+        "max_depth": str(forest.trees[0].max_depth),
+        "min_samples_leaf": str(forest.trees[0].min_samples_leaf),
     }
     serialize.save_tensors(path, tensors, meta)
 

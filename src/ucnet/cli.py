@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -225,14 +224,8 @@ def _cmd_features(args) -> int:
     dataset = corpus.load_dataset(args.input, Path(args.input).stem)
     scorer, scorer_inputs = _get_scorer(args, lexicons)
     videos = list(dataset)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            vectors = list(pool.map(
-                lambda v: lexical.extract_features(v, lexicons, scorer).as_array(),
-                videos))
-    else:
-        vectors = [lexical.extract_features(v, lexicons, scorer).as_array()
-                   for v in videos]
+    vectors = [lexical.extract_features(v, lexicons, scorer).as_array()
+               for v in videos]
     matrix = np.stack(vectors) if vectors else np.zeros((0, len(FEATURE_NAMES)))
     _write_features_csv(args.output, dataset.ids(), matrix,
                         [v.label for v in videos])
@@ -277,31 +270,30 @@ def _cmd_train_classic(args) -> int:
     indices = _load_selected(args.selected) if args.selected else \
         tuple(range(len(FEATURE_NAMES)))
     X = matrix[:, indices]
-    if args.model == "forest":
-        model = classic.train_forest(X, y, n_trees=args.trees,
-                                     max_depth=args.max_depth,
-                                     features_per_split=args.features_per_split,
-                                     seed=args.seed)
-        classic.save_forest(model, args.output, max_depth=args.max_depth)
-    elif args.model == "tree":
-        model = classic.train_tree(X, y, max_depth=args.max_depth, seed=args.seed)
-        classic.save_tree(model, args.output)
-    else:
-        model = classic.train_logistic(X, y, learning_rate=args.learning_rate,
-                                       epochs=args.epochs, seed=args.seed)
-        classic.save_logistic(model, args.output)
+    # kind -> (train, save), built per call so each `classic.` name is looked
+    # up when it runs (a tracer may have replaced it).
+    train, save = {
+        "forest": (lambda: classic.train_forest(
+                       X, y, n_trees=args.trees, max_depth=args.max_depth,
+                       features_per_split=args.features_per_split,
+                       seed=args.seed),
+                   classic.save_forest),
+        "tree": (lambda: classic.train_tree(X, y, max_depth=args.max_depth),
+                 classic.save_tree),
+        "logistic": (lambda: classic.train_logistic(
+                         X, y, learning_rate=args.learning_rate,
+                         epochs=args.epochs),
+                     classic.save_logistic),
+    }[args.model]
+    model = train()
+    save(model, args.output)
     inputs = {"features": args.features}
     if args.selected:
         inputs["selected"] = args.selected
     outputs = [args.output]
     if args.test_features:
         test_ids, test_matrix, _ = _read_features_csv(args.test_features)
-        X_test = test_matrix[:, indices]
-        if args.model == "logistic":
-            p_fake = model.predict_proba_fake(X_test)
-        else:
-            p_fake = model.predict_proba_fake(X_test) if args.model == "forest" \
-                else model.predict_proba(X_test)[:, 1]
+        p_fake = model.predict_proba_fake(test_matrix[:, indices])
         predicted = ["fake" if p >= 0.5 else "real" for p in p_fake]
         if not args.predictions:
             raise ValueError("--test-features requires --predictions")
@@ -410,10 +402,7 @@ def _cmd_pca(args) -> int:
             else lexical.load_fakeness_phrases()
         model = network.UCNetModel.load(args.model, phrases)
         table = load_embeddings(args.embeddings, model.embedding_dim)
-        matrix = network.extract_unified_embeddings(
-            dataset, table, model.params, model.phrases,
-            model.config.max_comments_per_video,
-            model.config.max_tokens_per_comment)
+        matrix = network.extract_unified_embeddings(dataset, table, model)
         ids = dataset.ids()
         labels = [r.label for r in dataset]
         inputs = {"input": args.input, "model": args.model,
@@ -490,7 +479,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--lexicon-dir", default=None)
-    p.add_argument("--threads", type=int, default=1)
     _add_scorer_flags(p)
     p.set_defaults(func=_cmd_features)
 

@@ -21,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .lexical import tokenize
+from .serialize import valid_name
 
 DEFAULT_MAX_TOKENS = 100
 
@@ -135,6 +136,10 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
+    for token in table.vocab:
+        if not valid_name(token):
+            raise ValueError(f"token {token!r} must be non-empty and contain "
+                             "no whitespace to be saved")
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table)} {table.dimension}\n")

@@ -8,6 +8,13 @@ array plus the embedding table's matrix, which the LSTM reads. The
 mean of the weight-scaled embeddings is the video's unified embedding,
 which is concatenated with the selected simple features and classified by a
 ReLU dense layer into a 2-way softmax over (real, fake).
+
+There is one forward pass, ``_forward_batch`` over a ``_collate``d batch of
+prepared videos. ``train`` runs it on shuffled mini-batches; every other use
+of :class:`UCNetModel` (``loss``, ``loss_and_gradients``, ``predict``,
+``predict_record``, ``unified_embedding`` and so
+:func:`extract_unified_embeddings`) runs it on one video per call, so
+inference holds the LSTM state of one video at a time.
 """
 
 from __future__ import annotations
@@ -51,12 +58,13 @@ class TrainingConfig:
     max_tokens_per_comment: int = 100
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size <= 0:
-            raise ValueError("learning_rate and batch_size must be positive")
+        for name in ("learning_rate", "batch_size", "max_comments_per_video",
+                     "max_tokens_per_comment"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be positive, got {getattr(self, name)}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.max_comments_per_video <= 0 or self.max_tokens_per_comment <= 0:
-            raise ValueError("comment/token caps must be positive")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 @dataclass
@@ -304,61 +312,46 @@ class UCNetModel:
 
     def prepare(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable, label: int | None = None) -> PreparedVideo:
+        features = np.asarray(features, dtype=np.float64)
+        if features.shape != (len(self.feature_names),):
+            raise ValueError(f"expected {len(self.feature_names)} features, "
+                             f"got shape {features.shape}")
         return prepare_video(comments, features, table, self.phrases,
                              self.config.max_comments_per_video,
                              self.config.max_tokens_per_comment, label)
 
-    def _single_batch(self, prepared: PreparedVideo) -> _Batch:
-        return _collate([prepared], len(self.phrases))
+    def _forward(self, prepared: PreparedVideo):
+        """One video through ``_forward_batch`` as a batch of one."""
+        batch = _collate([prepared], len(self.phrases))
+        probs, cache = _forward_batch(self.params, batch)
+        return batch, probs, cache
 
     def loss(self, prepared: PreparedVideo, true_class: int) -> float:
-        probs, _ = _forward_batch(self.params, self._single_batch(prepared))
+        _, probs, _ = self._forward(prepared)
         return _batch_loss(probs, np.array([true_class]))
 
     def loss_and_gradients(self, prepared: PreparedVideo, true_class: int):
-        batch = self._single_batch(prepared)
-        probs, cache = _forward_batch(self.params, batch)
+        batch, probs, cache = self._forward(prepared)
         labels = np.array([true_class])
         return (_batch_loss(probs, labels),
                 _backward_batch(self.params, batch, cache, probs, labels))
 
-    def predict_prepared(self, prepared: PreparedVideo) -> Prediction:
-        probs, _ = _forward_batch(self.params, self._single_batch(prepared))
-        return Prediction(p_real=float(probs[0, 0]), p_fake=float(probs[0, 1]))
-
     def predict(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable) -> Prediction:
-        return self.predict_prepared(self.prepare(comments, features, table))
+        """Class probabilities for one video given its selected features."""
+        _, probs, _ = self._forward(self.prepare(comments, features, table))
+        return Prediction(p_real=float(probs[0, 0]), p_fake=float(probs[0, 1]))
 
     def predict_record(self, record: VideoRecord, table: EmbeddingTable,
                        lexicons: LexiconSet, scorer: TitleScorer) -> Prediction:
         features = _select_features(record, lexicons, scorer, self.feature_names)
         return self.predict(record.comments, features, table)
 
-    def comment_embeddings(self, comments: Sequence[Comment],
-                           table: EmbeddingTable) -> np.ndarray:
-        """Raw per-comment LSTM embeddings (before weighting), stacked."""
-        chosen = _select_comments(comments, self.config.max_comments_per_video)
-        prepared = PreparedVideo(
-            comment_ids=[embed_comment(c.text, table,
-                                       self.config.max_tokens_per_comment)
-                         for c in chosen],
-            matrix=table.matrix,
-            fvs=np.zeros((len(chosen), len(self.phrases))),
-            features=np.zeros(len(self.feature_names)))
-        batch = self._single_batch(prepared)
-        if not batch.ids.shape[0]:
-            return np.zeros((0, self.params.lstm.hidden_dim))
-        finals, _ = neural.lstm_forward_batch(self.params.lstm, batch.ids,
-                                              batch.lengths, batch.matrix)
-        return finals
-
     def unified_embedding(self, comments: Sequence[Comment],
                           table: EmbeddingTable) -> np.ndarray:
+        """Mean of weight-scaled comment embeddings; zero vector for no comments."""
         prepared = self.prepare(comments, np.zeros(len(self.feature_names)), table)
-        batch = self._single_batch(prepared)
-        _, cache = _forward_batch(self.params, batch)
-        _, finals, weights, x, _, _ = cache
+        _, _, (_, _, _, x, _, _) = self._forward(prepared)
         return x[0, :self.params.lstm.hidden_dim].copy()
 
     def save(self, path) -> None:
@@ -427,33 +420,6 @@ def comment_weight(fv: np.ndarray, params: UCNetParams) -> float:
     """Learned scalar importance of one comment, strictly inside (0, 1)."""
     out = neural.dense_forward(params.weight_head, np.asarray(fv, dtype=np.float64))
     return float(out[0])
-
-
-def unified_embedding(comments: Sequence[Comment], table: EmbeddingTable,
-                      params: UCNetParams, phrases: Sequence[str],
-                      max_comments: int = 200,
-                      max_tokens: int = 100) -> np.ndarray:
-    """Mean of weight-scaled comment embeddings; zero vector for no comments."""
-    placeholder_names = tuple(f"f{i}" for i in range(params.n_features))
-    model = UCNetModel(params, phrases, placeholder_names, params.lstm.input_dim,
-                       TrainingConfig(max_comments_per_video=max_comments,
-                                      max_tokens_per_comment=max_tokens))
-    return model.unified_embedding(comments, table)
-
-
-def forward(video: VideoRecord, features: np.ndarray, table: EmbeddingTable,
-            params: UCNetParams, phrases: Sequence[str],
-            max_comments: int = 200, max_tokens: int = 100) -> Prediction:
-    """Class probabilities for one video given its selected simple features."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape != (params.n_features,):
-        raise ValueError(
-            f"expected {params.n_features} features, got shape {features.shape}")
-    prepared = prepare_video(video.comments, features, table, phrases,
-                             max_comments, max_tokens)
-    batch = _collate([prepared], len(phrases))
-    probs, _ = _forward_batch(params, batch)
-    return Prediction(p_real=float(probs[0, 0]), p_fake=float(probs[0, 1]))
 
 
 def _select_features(record: VideoRecord, lexicons: LexiconSet,
@@ -528,13 +494,7 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
 
 
 def extract_unified_embeddings(dataset: Dataset, table: EmbeddingTable,
-                               params: UCNetParams, phrases: Sequence[str],
-                               max_comments: int = 200,
-                               max_tokens: int = 100) -> np.ndarray:
+                               model: UCNetModel) -> np.ndarray:
     """One unified-embedding row per video, in dataset order (feeds PCA)."""
-    rows = [unified_embedding(r.comments, table, params, phrases,
-                              max_comments, max_tokens)
-            for r in dataset]
-    if not rows:
-        return np.zeros((0, params.lstm.hidden_dim))
-    return np.stack(rows)
+    rows = [model.unified_embedding(r.comments, table) for r in dataset]
+    return np.stack(rows) if rows else np.zeros((0, model.params.lstm.hidden_dim))

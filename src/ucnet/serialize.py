@@ -105,7 +105,9 @@ class Meta(_Entries):
         return value
 
 
-def _valid_name(name: str) -> bool:
+def valid_name(name: str) -> bool:
+    """True for a non-empty name with no whitespace, which a reader that
+    splits lines into whitespace-separated fields reads back unchanged."""
     return bool(name) and not any(c.isspace() for c in name)
 
 
@@ -113,7 +115,7 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray],
                  meta: Mapping[str, str] | None = None) -> None:
     header = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     for key, value in (meta or {}).items():
-        if not _valid_name(key):
+        if not valid_name(key):
             raise ValueError(
                 f"meta key {key!r} must be non-empty and contain no whitespace")
         value = str(value)
@@ -122,7 +124,7 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray],
         header.append(f"meta {key} {value}")
     arrays = []
     for name, array in tensors.items():
-        if not _valid_name(name):
+        if not valid_name(name):
             raise ValueError(
                 f"tensor name {name!r} must be non-empty and contain no whitespace")
         array = np.asarray(array, dtype=PAYLOAD_DTYPE, order="C")
@@ -180,7 +182,7 @@ def _parse_tensor_line(path: Path, lineno: int, fields: list[str],
         raise ValueError(f"{path}: line {lineno}: expected "
                          "'tensor <name> <ndim> <dims...>'")
     name = fields[0]
-    if not _valid_name(name):
+    if not valid_name(name):
         raise ValueError(f"{path}: line {lineno}: bad tensor name {name!r}")
     if name in tensors:
         raise ValueError(f"{path}: line {lineno}: duplicate tensor {name!r}")
@@ -204,7 +206,7 @@ def _load_binary(path: Path, fh) -> tuple[Tensors, Meta]:
         kind, _, rest = _decode(path, lineno, raw[:-1]).partition(" ")
         if kind == "meta":
             key, sep, value = rest.partition(" ")
-            if not sep or not _valid_name(key):
+            if not sep or not valid_name(key):
                 raise ValueError(f"{path}: line {lineno}: expected "
                                  "'meta <key> <value>'")
             if key in meta:

@@ -178,7 +178,8 @@ def test_criterion_6_pooling_identities(phrases):
         make_comment("c", "the hoax staged"),
         make_comment("d", "video song the"),
     ]
-    unified = network.unified_embedding(comments, table, params, phrases)
+    model = network.UCNetModel(params, phrases, (), 6)
+    unified = model.unified_embedding(comments, table)
     raw = np.stack([neural.lstm_sequence(
                         params.lstm, table.matrix[embed_comment(c.text, table)])
                     for c in comments])
@@ -187,10 +188,9 @@ def test_criterion_6_pooling_identities(phrases):
     for order in ([3, 1, 0, 2], [2, 3, 1, 0]):
         permuted = [comments[i] for i in order]
         assert np.array_equal(
-            unified, network.unified_embedding(permuted, table, params, phrases))
+            unified, model.unified_embedding(permuted, table))
     assert np.array_equal(
-        unified,
-        network.unified_embedding(comments + comments, table, params, phrases))
+        unified, model.unified_embedding(comments + comments, table))
     report(6, "zero-weight-head identity within 1e-12; permutation and "
               "duplication exact")
 

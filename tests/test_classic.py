@@ -83,6 +83,14 @@ class TestDecisionTree:
         tree = train_tree(X, y)  # unsplittable: leaf with 0.5 / 0.5
         assert np.array_equal(tree.predict(np.array([[0.0]])), [1])
 
+    def test_proba_fake_is_fake_column(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(40, 3))
+        tree = train_tree(X, (X[:, 0] + X[:, 2] > 0).astype(np.int64))
+        probe = rng.normal(size=(25, 3))
+        assert np.array_equal(tree.predict_proba_fake(probe),
+                              tree.predict_proba(probe)[:, 1])
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 3))
@@ -167,6 +175,18 @@ class TestRandomForest:
         assert np.array_equal(forest.predict(probe), again.predict(probe))
         assert np.array_equal(feature_importances(forest),
                               feature_importances(again))
+
+    def test_save_keeps_training_depth_and_leaf_size(self, tmp_path):
+        rng = np.random.default_rng(8)
+        X, y = separable_features(rng, 70)
+        forest = train_forest(X, y, n_trees=3, max_depth=2, seed=4)
+        save_forest(forest, tmp_path / "forest.model")
+        again = load_forest(tmp_path / "forest.model")
+        assert [t.max_depth for t in again.trees] == [2, 2, 2]
+        assert [t.min_samples_leaf for t in again.trees] == [2, 2, 2]
+        probe = rng.normal(size=(20, 4))
+        assert np.array_equal(forest.predict_proba_fake(probe),
+                              again.predict_proba_fake(probe))
 
     @pytest.mark.parametrize("drop", ["tree1.threshold", "n_trees"])
     def test_missing_entry_is_named(self, tmp_path, drop):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ucnet import cli, corpus, network
+from ucnet import classic, cli, corpus, network
 from ucnet.cli import main
 
 from conftest import make_comment, make_dataset, make_video
@@ -145,16 +145,6 @@ class TestFeaturesCommand:
         manifest = json.loads((tmp_path / "features.csv.manifest.json").read_text())
         assert manifest["lexicons"]  # bundled lexicon digests recorded
 
-    def test_threads_flag_gives_same_output(self, synthetic_dir, tmp_path):
-        single = run_features(synthetic_dir, tmp_path)
-        threaded = tmp_path / "features2.csv"
-        code = main(["features", "--input", str(synthetic_dir / "corpus.jsonl"),
-                     "--output", str(threaded),
-                     "--train-titles", str(synthetic_dir / "titles.tsv"),
-                     "--threads", "4"])
-        assert code == 0
-        assert single.read_bytes() == threaded.read_bytes()
-
     def test_scorer_save_and_reuse(self, synthetic_dir, tmp_path):
         saved = tmp_path / "scorer.model"
         first = tmp_path / "f1.csv"
@@ -208,6 +198,31 @@ class TestPruneAndClassic:
             rows = list(csv.reader(fh))
         assert rows[0] == ["video_id", "label", "p_fake"]
         assert len(rows) == 25
+
+    @pytest.mark.parametrize("kind,train,load", [
+        ("forest", lambda X, y: classic.train_forest(X, y, n_trees=20, seed=2),
+         classic.load_forest),
+        ("tree", lambda X, y: classic.train_tree(X, y), classic.load_tree),
+        ("logistic", lambda X, y: classic.train_logistic(X, y),
+         classic.load_logistic),
+    ])
+    def test_each_kind_predicts_and_saves_its_model(self, synthetic_dir,
+                                                    tmp_path, kind, train, load):
+        features = run_features(synthetic_dir, tmp_path)
+        model = tmp_path / f"{kind}.model"
+        predictions = tmp_path / "pred.csv"
+        assert main(["train-classic", "--features", str(features),
+                     "--model", kind, "--output", str(model),
+                     "--trees", "20", "--seed", "2",
+                     "--test-features", str(features),
+                     "--predictions", str(predictions)]) == 0
+        _, X, labels = cli._read_features_csv(features)
+        X = X[:, tuple(range(X.shape[1]))]  # the CLI's column selection
+        expected = train(X, cli._classic_labels(labels, features)) \
+            .predict_proba_fake(X)
+        _, _, p_fake = cli._read_predictions_csv(predictions)
+        assert np.array_equal(p_fake, expected)
+        assert np.array_equal(load(model).predict_proba_fake(X), expected)
 
     def test_train_classic_determinism(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)

@@ -111,6 +111,16 @@ class TestLoadEmbeddings:
         assert table.vocab == {"a": 0, "b": 1}
         assert np.array_equal(table.matrix, [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("token", ["a b", "a\x85b", "a\u2028b", ""])
+    def test_save_refuses_token_the_loader_cannot_read(self, tmp_path, token):
+        table = EmbeddingTable(dimension=2, vectors={
+            "ok": np.zeros(2), token: np.ones(2)})
+        path = tmp_path / "vec.txt"
+        with pytest.raises(ValueError) as info:
+            save_embeddings(table, path)
+        assert f"token {token!r}" in str(info.value)
+        assert not path.exists()
+
 
 def toy_table():
     return EmbeddingTable(dimension=2, vectors={

@@ -8,8 +8,7 @@ from ucnet import (corpus, evaluation, lexical, network, neural, serialize,
 from ucnet.embeddings import EmbeddingTable
 from ucnet.network import (Prediction, TrainingConfig, UCNetModel,
                            classify, comment_weight, extract_unified_embeddings,
-                           fakeness_vector, forward, init_params,
-                           unified_embedding)
+                           fakeness_vector, init_params)
 
 from conftest import make_comment, make_dataset, make_video
 
@@ -91,12 +90,19 @@ def toy_comments():
 TOY_PHRASES = ("fake", "hoax", "staged", "nice video", "so fake")
 
 
+def toy_model(params, max_comments=200):
+    """A model over TOY_PHRASES with placeholder feature names."""
+    names = tuple(f"f{i}" for i in range(params.n_features))
+    return UCNetModel(params, TOY_PHRASES, names, params.lstm.input_dim,
+                      TrainingConfig(max_comments_per_video=max_comments))
+
+
 class TestUnifiedEmbedding:
     def test_single_comment_is_weight_times_embedding(self, ):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         table = toy_table()
         comment = make_comment("c", "fake video")
-        unified = unified_embedding([comment], table, params, TOY_PHRASES)
+        unified = toy_model(params).unified_embedding([comment], table)
         from ucnet.embeddings import embed_comment
         emb = neural.lstm_sequence(
             params.lstm, table.matrix[embed_comment("fake video", table)])
@@ -105,7 +111,7 @@ class TestUnifiedEmbedding:
 
     def test_no_comments_is_zero_vector(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
-        out = unified_embedding([], toy_table(), params, TOY_PHRASES)
+        out = toy_model(params).unified_embedding([], toy_table())
         assert np.array_equal(out, np.zeros(3))
 
     def test_zero_weight_head_halves_mean_raw_embedding(self):
@@ -114,7 +120,7 @@ class TestUnifiedEmbedding:
         params.weight_head.bias[...] = 0.0
         table = toy_table()
         comments = toy_comments()
-        unified = unified_embedding(comments, table, params, TOY_PHRASES)
+        unified = toy_model(params).unified_embedding(comments, table)
         from ucnet.embeddings import embed_comment
         raw = np.stack([neural.lstm_sequence(
                             params.lstm, table.matrix[embed_comment(c.text, table)])
@@ -125,38 +131,40 @@ class TestUnifiedEmbedding:
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         table = toy_table()
         comments = toy_comments()
-        base = unified_embedding(comments, table, params, TOY_PHRASES)
+        model = toy_model(params)
+        base = model.unified_embedding(comments, table)
         for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
             shuffled = [comments[i] for i in order]
             assert np.array_equal(
-                base, unified_embedding(shuffled, table, params, TOY_PHRASES))
+                base, model.unified_embedding(shuffled, table))
 
     def test_duplication_invariance_exact(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         table = toy_table()
         comments = toy_comments()
-        base = unified_embedding(comments, table, params, TOY_PHRASES)
+        model = toy_model(params)
+        base = model.unified_embedding(comments, table)
         doubled = comments + comments
         assert np.array_equal(
-            base, unified_embedding(doubled, table, params, TOY_PHRASES))
+            base, model.unified_embedding(doubled, table))
 
     def test_comment_cap_keeps_most_recent(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         table = toy_table()
         comments = toy_comments()
-        capped = unified_embedding(comments, table, params, TOY_PHRASES,
-                                   max_comments=2)
+        capped = toy_model(params, max_comments=2).unified_embedding(comments,
+                                                                     table)
         newest_two = [comments[0], comments[1]]
         assert np.array_equal(
-            capped, unified_embedding(newest_two, table, params, TOY_PHRASES))
+            capped, toy_model(params).unified_embedding(newest_two, table))
 
 
 class TestForward:
     def test_probabilities_sum_to_one(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         video = make_video(comments=toy_comments())
-        prediction = forward(video, np.array([0.3, 0.7]), toy_table(), params,
-                             TOY_PHRASES)
+        prediction = toy_model(params).predict(video.comments,
+                                               np.array([0.3, 0.7]), toy_table())
         assert prediction.p_real + prediction.p_fake == pytest.approx(1.0,
                                                                       abs=1e-12)
 
@@ -165,8 +173,8 @@ class TestForward:
         params.output.weights[...] = 0.0
         params.output.bias[...] = 0.0
         video = make_video(comments=toy_comments())
-        prediction = forward(video, np.zeros(2), toy_table(), params,
-                             TOY_PHRASES)
+        prediction = toy_model(params).predict(video.comments, np.zeros(2),
+                                               toy_table())
         assert prediction == Prediction(0.5, 0.5)
 
     def test_hand_traced_reduced_forward(self):
@@ -175,7 +183,7 @@ class TestForward:
         table = toy_table()
         video = make_video(comments=toy_comments())
         features = np.array([0.25, 0.9])
-        got = forward(video, features, table, params, TOY_PHRASES)
+        got = toy_model(params).predict(video.comments, features, table)
 
         # independent trace with basic numpy ops
         from ucnet.embeddings import embed_comment
@@ -199,8 +207,9 @@ class TestForward:
     def test_feature_length_mismatch_rejected(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         video = make_video(comments=toy_comments())
-        with pytest.raises(ValueError):
-            forward(video, np.zeros(5), toy_table(), params, TOY_PHRASES)
+        for features in (np.zeros(5), np.zeros((1, 2))):
+            with pytest.raises(ValueError, match="expected 2 features"):
+                toy_model(params).predict(video.comments, features, toy_table())
 
 
 class TestClassify:
@@ -367,6 +376,11 @@ class TestModelIO:
         ("embedding_dim", "4.0", "'embedding_dim'"),
         ("lstm_hidden", "4", "'hidden.weights'"),
         ("batch_size", "0", "batch_size must be positive"),
+        ("max_tokens_per_comment", "-1",
+         "max_tokens_per_comment must be positive, got -1"),
+        ("max_comments_per_video", "0",
+         "max_comments_per_video must be positive, got 0"),
+        ("epochs", "-2", "epochs must be >= 0, got -2"),
     ])
     def test_bad_entry_is_named(self, phrases, tmp_path, tensor, value, entry):
         params = init_params(np.random.default_rng(0), 4, len(phrases), 2,
@@ -385,18 +399,18 @@ class TestModelIO:
 class TestExtractUnifiedEmbeddings:
     def test_single_video_matrix(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
+        model = toy_model(params)
         video = make_video("v", comments=toy_comments())
         matrix = extract_unified_embeddings(make_dataset([video]), toy_table(),
-                                            params, TOY_PHRASES)
+                                            model)
         assert matrix.shape == (1, 3)
         assert np.array_equal(
-            matrix[0], unified_embedding(video.comments, toy_table(), params,
-                                         TOY_PHRASES))
+            matrix[0], model.unified_embedding(video.comments, toy_table()))
 
     def test_empty_dataset(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         matrix = extract_unified_embeddings(make_dataset([]), toy_table(),
-                                            params, TOY_PHRASES)
+                                            toy_model(params))
         assert matrix.shape == (0, 3)
 
     def test_rows_match_per_video_calls(self):
@@ -407,12 +421,11 @@ class TestExtractUnifiedEmbeddings:
                              if text else ())
                   for i, text in enumerate(
                       ["fake video", "nice song", "", "the hoax", "staged ok"])]
-        matrix = extract_unified_embeddings(make_dataset(videos), table,
-                                            params, TOY_PHRASES)
+        model = toy_model(params)
+        matrix = extract_unified_embeddings(make_dataset(videos), table, model)
         for row, video in zip(matrix, videos):
             assert np.array_equal(
-                row, unified_embedding(video.comments, table, params,
-                                       TOY_PHRASES))
+                row, model.unified_embedding(video.comments, table))
 
 
 class TestGradientCheckFullModel:
