@@ -68,11 +68,9 @@ from .neural import (
     LSTMCell,
     Mlp,
     adam_step,
-    backward,
-    cross_entropy,
     dense_forward,
     gradient_check,
-    lstm_sequence,
+    softmax_cross_entropy,
 )
 
 __version__ = "0.1.0"

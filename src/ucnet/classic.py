@@ -162,7 +162,9 @@ class _TreeBuilder:
 
 
 def _validate_xy(X, y):
-    X = np.asarray(X, dtype=np.float64)
+    # C order, so a product over X sums in the same order for any caller's
+    # memory layout of the same values.
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be 2-d with one label per row")
@@ -266,7 +268,7 @@ class LogisticModel:
     intercept: float
 
     def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        X = np.ascontiguousarray(X, dtype=np.float64)  # see _validate_xy
         z = X @ self.weights + self.intercept
         e = np.exp(-np.abs(z))
         return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -265,6 +265,8 @@ def _load_selected(path) -> tuple[int, ...]:
 
 
 def _cmd_train_classic(args) -> int:
+    if args.test_features and not args.predictions:
+        raise ValueError("--test-features requires --predictions")
     ids, matrix, labels = _read_features_csv(args.features)
     y = _classic_labels(labels, args.features)
     indices = _load_selected(args.selected) if args.selected else \
@@ -295,8 +297,6 @@ def _cmd_train_classic(args) -> int:
         test_ids, test_matrix, _ = _read_features_csv(args.test_features)
         p_fake = model.predict_proba_fake(test_matrix[:, indices])
         predicted = ["fake" if p >= 0.5 else "real" for p in p_fake]
-        if not args.predictions:
-            raise ValueError("--test-features requires --predictions")
         _write_predictions_csv(args.predictions, test_ids, predicted, p_fake)
         inputs["test_features"] = args.test_features
         outputs.append(args.predictions)
@@ -308,8 +308,10 @@ def _cmd_train_classic(args) -> int:
 def _cmd_train_ucnet(args) -> int:
     lexicon_dir = _lexicon_dir(args)
     lexicons = LexiconSet.from_directory(lexicon_dir)
+    # Without --phrases, the lexicon directory's list if it has one, else
+    # the bundled list; a --phrases file that is missing is an error.
     phrases_path = args.phrases or str(lexicon_dir / "fakeness_phrases.txt")
-    if not Path(phrases_path).exists():
+    if not args.phrases and not Path(phrases_path).exists():
         phrases_path = str(lexical.default_lexicon_dir() / "fakeness_phrases.txt")
     phrases = lexical.load_lexicon_lines(phrases_path)
     table = load_embeddings(args.embeddings, args.embedding_dim)

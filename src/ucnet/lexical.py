@@ -282,8 +282,7 @@ def train_title_scorer(titles: Sequence[tuple[str, str]],
     xs = (xs - scorer.mean) / scorer.std
 
     rng = np.random.default_rng(config.seed)
-    mlp = neural.Mlp.init(
-        rng, [xs.shape[1], config.hidden_dim, 2], ["relu", "softmax"])
+    mlp = neural.Mlp.init(rng, [xs.shape[1], config.hidden_dim, 2])
     params = mlp.parameters()
     state = neural.AdamState.for_params(params, learning_rate=config.learning_rate)
     for _ in range(config.epochs):

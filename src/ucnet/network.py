@@ -10,11 +10,13 @@ which is concatenated with the selected simple features and classified by a
 ReLU dense layer into a 2-way softmax over (real, fake).
 
 There is one forward pass, ``_forward_batch`` over a ``_collate``d batch of
-prepared videos. ``train`` runs it on shuffled mini-batches; every other use
-of :class:`UCNetModel` (``loss``, ``loss_and_gradients``, ``predict``,
+prepared videos, and one backward pass, ``_backward_batch``; the dense head
+runs through :class:`ucnet.neural.Mlp`. ``UCNetModel.batch_loss_and_gradients``
+chains them over labelled videos: ``train`` calls it on shuffled mini-batches
+and :func:`ucnet.neural.gradient_check` on any batch. Inference (``predict``,
 ``predict_record``, ``unified_embedding`` and so
-:func:`extract_unified_embeddings`) runs it on one video per call, so
-inference holds the LSTM state of one video at a time.
+:func:`extract_unified_embeddings`) runs the forward pass on one video per
+call, so it holds the LSTM state of one video at a time.
 """
 
 from __future__ import annotations
@@ -89,6 +91,11 @@ class UCNetParams:
     @property
     def n_features(self) -> int:
         return self.hidden.in_dim - self.lstm.hidden_dim
+
+    @property
+    def head(self) -> neural.Mlp:
+        """The hidden and output layers as one dense stack."""
+        return neural.Mlp([self.hidden, self.output], names=("hidden", "output"))
 
 
 def init_params(rng: np.random.Generator, embedding_dim: int, n_phrases: int,
@@ -215,33 +222,19 @@ def _forward_batch(params: UCNetParams, batch: _Batch):
         if end > start:
             unified[v] = _exact_mean(weighted[start:end])
     x = np.concatenate([unified, batch.features], axis=1)
-    z1 = neural.dense_preactivation(params.hidden, x)
-    h1 = neural.relu(z1)
-    z2 = neural.dense_preactivation(params.output, h1)
-    probs = neural.softmax(z2)
-    cache = (lstm_cache, finals, weights, x, z1, h1)
+    probs, head_inputs, head_zs = params.head._forward_cached(x)
+    cache = (lstm_cache, finals, weights, head_inputs, head_zs)
     return probs, cache
 
 
-def _backward_batch(params: UCNetParams, batch: _Batch, cache, probs,
-                    labels: np.ndarray) -> dict[str, np.ndarray]:
-    lstm_cache, finals, weights, x, z1, h1 = cache
-    hidden_dim = params.lstm.hidden_dim
+def _backward_batch(params: UCNetParams, batch: _Batch, cache,
+                    delta: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of every parameter given the gradient of the loss with
+    respect to the output logits."""
+    lstm_cache, finals, weights, head_inputs, head_zs = cache
     n_videos = batch.features.shape[0]
-
-    delta2 = probs.copy()
-    delta2[np.arange(n_videos), labels] -= 1.0
-    delta2 /= n_videos
-    grads: dict[str, np.ndarray] = {
-        "output.weights": delta2.T @ h1,
-        "output.bias": delta2.sum(axis=0),
-    }
-    dh1 = delta2 @ params.output.weights
-    dz1 = dh1 * (z1 > 0)
-    grads["hidden.weights"] = dz1.T @ x
-    grads["hidden.bias"] = dz1.sum(axis=0)
-    dx = dz1 @ params.hidden.weights
-    d_unified = dx[:, :hidden_dim]
+    grads, dx = params.head._backward_from_delta(delta, head_inputs, head_zs)
+    d_unified = dx[:, :params.lstm.hidden_dim]
 
     d_weighted = np.zeros_like(finals)
     for v in range(n_videos):
@@ -267,17 +260,12 @@ def _backward_batch(params: UCNetParams, batch: _Batch, cache, probs,
     return grads
 
 
-def _batch_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
-    return float(-np.log(picked).mean())
-
-
 class UCNetModel:
     """Trained parameters bundled with the phrase list and feature selection.
 
     Implements the network protocol of :mod:`ucnet.neural` (``parameters``,
-    ``loss``, ``loss_and_gradients``) over a :class:`PreparedVideo`, so the
-    finite-difference gradient checker applies to the full architecture.
+    ``batch_loss_and_gradients``) over labelled :class:`PreparedVideo`s, so
+    the finite-difference gradient checker applies to the full architecture.
     """
 
     def __init__(self, params: UCNetParams, phrases: Sequence[str],
@@ -304,10 +292,7 @@ class UCNetModel:
             "lstm.bias": p.lstm.bias,
             "weight_head.weights": p.weight_head.weights,
             "weight_head.bias": p.weight_head.bias,
-            "hidden.weights": p.hidden.weights,
-            "hidden.bias": p.hidden.bias,
-            "output.weights": p.output.weights,
-            "output.bias": p.output.bias,
+            **p.head.parameters(),
         }
 
     def prepare(self, comments: Sequence[Comment], features: np.ndarray,
@@ -320,26 +305,23 @@ class UCNetModel:
                              self.config.max_comments_per_video,
                              self.config.max_tokens_per_comment, label)
 
-    def _forward(self, prepared: PreparedVideo):
-        """One video through ``_forward_batch`` as a batch of one."""
-        batch = _collate([prepared], len(self.phrases))
+    def _forward(self, videos: Sequence[PreparedVideo]):
+        batch = _collate(videos, len(self.phrases))
         probs, cache = _forward_batch(self.params, batch)
         return batch, probs, cache
 
-    def loss(self, prepared: PreparedVideo, true_class: int) -> float:
-        _, probs, _ = self._forward(prepared)
-        return _batch_loss(probs, np.array([true_class]))
-
-    def loss_and_gradients(self, prepared: PreparedVideo, true_class: int):
-        batch, probs, cache = self._forward(prepared)
-        labels = np.array([true_class])
-        return (_batch_loss(probs, labels),
-                _backward_batch(self.params, batch, cache, probs, labels))
+    def batch_loss_and_gradients(self, videos: Sequence[PreparedVideo]):
+        """Mean cross-entropy over labelled videos and its gradients."""
+        batch, probs, cache = self._forward(videos)
+        if batch.labels is None:
+            raise ValueError("every video in a loss batch needs a label")
+        loss, delta = neural.softmax_cross_entropy(probs, batch.labels)
+        return loss, _backward_batch(self.params, batch, cache, delta)
 
     def predict(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable) -> Prediction:
         """Class probabilities for one video given its selected features."""
-        _, probs, _ = self._forward(self.prepare(comments, features, table))
+        _, probs, _ = self._forward([self.prepare(comments, features, table)])
         return Prediction(p_real=float(probs[0, 0]), p_fake=float(probs[0, 1]))
 
     def predict_record(self, record: VideoRecord, table: EmbeddingTable,
@@ -351,7 +333,7 @@ class UCNetModel:
                           table: EmbeddingTable) -> np.ndarray:
         """Mean of weight-scaled comment embeddings; zero vector for no comments."""
         prepared = self.prepare(comments, np.zeros(len(self.feature_names)), table)
-        _, _, (_, _, _, x, _, _) = self._forward(prepared)
+        _, _, (_, _, _, (x, _), _) = self._forward([prepared])
         return x[0, :self.params.lstm.hidden_dim].copy()
 
     def save(self, path) -> None:
@@ -474,14 +456,11 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             chunk = [prepared[i] for i in order[start:start + config.batch_size]]
-            batch = _collate(chunk, len(phrases))
-            probs, cache = _forward_batch(params, batch)
-            loss = _batch_loss(probs, batch.labels)
+            loss, grads = model.batch_loss_and_gradients(chunk)
             if not math.isfinite(loss):
                 raise ValueError(
                     f"training loss is {loss} at epoch {epoch + 1}, batch "
                     f"{start // config.batch_size + 1}; aborting")
-            grads = _backward_batch(params, batch, cache, probs, batch.labels)
             updated, state = neural.adam_step(live, grads, state)
             for key in live:
                 live[key][...] = updated[key]

@@ -3,11 +3,10 @@
 Everything computes in float64 on plain numpy arrays. Model parameters are
 exposed as ordered ``name -> array`` dicts so the Adam optimizer and the
 finite-difference gradient checker treat every architecture uniformly. A
-"network" is any object with three methods::
+"network" is any object with two methods::
 
-    parameters()                      -> live dict of named arrays
-    loss(inputs, true_class)          -> float
-    loss_and_gradients(inputs, true_class) -> (float, dict of named arrays)
+    parameters()                       -> live dict of named arrays
+    batch_loss_and_gradients(*batch)   -> (mean loss, dict of named arrays)
 
 The gradient checker perturbs the live parameter arrays in place, so
 ``parameters()`` must return the arrays the forward pass actually reads.
@@ -77,12 +76,21 @@ def _apply_activation(name: str, z):
     raise ValueError(f"unknown activation {name!r}")
 
 
-def cross_entropy(probabilities, true_class: int) -> float:
-    """Negative log-likelihood of the true class, floored at 1e-12."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if not 0 <= true_class < p.shape[-1]:
-        raise IndexError(f"true_class {true_class} out of range for {p.shape[-1]} classes")
-    return float(-math.log(max(float(p[true_class]), 1e-12)))
+def softmax_cross_entropy(probs, labels) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of the labels under (n, k) softmax
+    outputs, each probability floored at 1e-12, and its gradient with
+    respect to the softmax logits."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels)
+    n, k = probs.shape
+    if labels.shape != (n,) or np.any((labels < 0) | (labels >= k)):
+        raise IndexError(f"labels must be {n} class indices in [0, {k})")
+    rows = np.arange(n)
+    loss = float(-np.log(np.clip(probs[rows, labels], 1e-12, None)).mean())
+    delta = probs.copy()
+    delta[rows, labels] -= 1.0
+    delta /= n
+    return loss, delta
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int,
@@ -306,46 +314,36 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
             "bias": dz_all.sum(axis=0)}
 
 
-def lstm_sequence(cell: LSTMCell, inputs) -> np.ndarray:
-    """Final hidden state of one (t, input_dim) vector sequence; the empty
-    sequence maps to zeros."""
-    if len(inputs) == 0:
-        return np.zeros(cell.hidden_dim)
-    xs = np.asarray(inputs, dtype=np.float64)
-    # The sequence is its own matrix, read once per row in order.
-    h, _ = lstm_forward_batch(cell, np.arange(len(xs))[None, :],
-                              np.array([len(xs)]), xs)
-    return h[0]
-
-
 class Mlp:
-    """Dense stack used by the title scorer and by small test networks.
+    """ReLU hidden layers under a softmax output, trained on mean
+    cross-entropy. The title scorer is one; UCNet's classification head is
+    another, whose parameters carry the layer names it is given."""
 
-    The loss convention depends on the final activation: softmax pairs with
-    cross-entropy over the class probabilities, a 1-unit sigmoid with
-    Bernoulli cross-entropy, and identity reads the raw output at the true
-    class (linear in the parameters, handy for checker calibration).
-    """
-
-    def __init__(self, layers: Sequence[DenseLayer]):
+    def __init__(self, layers: Sequence[DenseLayer],
+                 names: Sequence[str] | None = None):
         if not layers:
             raise ValueError("Mlp needs at least one layer")
+        if any(layer.activation != "relu" for layer in layers[:-1]) \
+                or layers[-1].activation != "softmax":
+            raise ValueError("Mlp takes relu hidden layers and a softmax output")
         self.layers = list(layers)
+        self.names = tuple(names) if names is not None else \
+            tuple(f"layer{i}" for i in range(len(self.layers)))
+        if len(self.names) != len(self.layers):
+            raise ValueError("one name per layer required")
 
     @classmethod
-    def init(cls, rng: np.random.Generator, dims: Sequence[int],
-             activations: Sequence[str]) -> "Mlp":
-        if len(activations) != len(dims) - 1:
-            raise ValueError("one activation per layer required")
-        layers = [init_dense(rng, dims[i + 1], dims[i], act)
-                  for i, act in enumerate(activations)]
-        return cls(layers)
+    def init(cls, rng: np.random.Generator, dims: Sequence[int]) -> "Mlp":
+        last = len(dims) - 2
+        return cls([init_dense(rng, dims[i + 1], dims[i],
+                               "softmax" if i == last else "relu")
+                    for i in range(last + 1)])
 
     def parameters(self) -> dict[str, np.ndarray]:
         params: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            params[f"layer{i}.weights"] = layer.weights
-            params[f"layer{i}.bias"] = layer.bias
+        for name, layer in zip(self.names, self.layers):
+            params[f"{name}.weights"] = layer.weights
+            params[f"{name}.bias"] = layer.bias
         return params
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -354,9 +352,11 @@ class Mlp:
             out = dense_forward(layer, out)
         return out
 
-    def _forward_cached(self, x):
+    def _forward_cached(self, xs):
+        """Class probabilities of a batch of rows, plus each layer's input
+        and pre-activation for ``_backward_from_delta``."""
         inputs, zs = [], []
-        out = np.asarray(x, dtype=np.float64)
+        out = np.asarray(xs, dtype=np.float64)
         for layer in self.layers:
             inputs.append(out)
             z = dense_preactivation(layer, out)
@@ -364,80 +364,23 @@ class Mlp:
             out = _apply_activation(layer.activation, z)
         return out, inputs, zs
 
-    def _sample_loss(self, probs: np.ndarray, true_class: int) -> float:
-        final = self.layers[-1].activation
-        if final == "softmax":
-            return cross_entropy(probs, true_class)
-        if final == "sigmoid" and self.layers[-1].out_dim == 1:
-            p = float(probs[0]) if true_class == 1 else 1.0 - float(probs[0])
-            return float(-math.log(max(p, 1e-12)))
-        if final == "identity":
-            return float(probs[true_class])
-        raise ValueError(
-            f"no loss convention for final activation {final!r}")
-
-    def loss(self, x, true_class: int) -> float:
-        return self._sample_loss(self.forward(x), true_class)
-
-    def loss_and_gradients(self, x, true_class: int):
-        out, inputs, zs = self._forward_cached(x)
-        loss = self._sample_loss(out, true_class)
-        final = self.layers[-1].activation
-        if final == "softmax":
-            delta = out.copy()
-            delta[true_class] -= 1.0
-        elif final == "sigmoid":
-            target = 1.0 if true_class == 1 else 0.0
-            delta = out - target  # d(bernoulli ce)/dz through the sigmoid
-        else:  # identity: d(out[true])/dz
-            delta = np.zeros_like(out)
-            delta[true_class] = 1.0
-        grads = self._backward_from_delta(delta, inputs, zs)
-        return loss, grads
-
     def _backward_from_delta(self, delta, inputs, zs):
+        """Parameter gradients and the input gradient, given the gradient
+        with respect to the output logits of a batch."""
         grads: dict[str, np.ndarray] = {}
         for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
             if i < len(self.layers) - 1:
-                z = zs[i]
-                if layer.activation == "relu":
-                    delta = delta * (z > 0)
-                elif layer.activation == "sigmoid":
-                    s = sigmoid(z)
-                    delta = delta * s * (1.0 - s)
-                elif layer.activation == "identity":
-                    pass
-                else:
-                    raise ValueError(
-                        f"{layer.activation!r} is only supported as the final layer")
-            if delta.ndim == 1:
-                grads[f"layer{i}.weights"] = np.outer(delta, inputs[i])
-                grads[f"layer{i}.bias"] = delta.copy()
-            else:
-                grads[f"layer{i}.weights"] = delta.T @ inputs[i]
-                grads[f"layer{i}.bias"] = delta.sum(axis=0)
-            delta = delta @ layer.weights
-        return grads
+                delta = delta * (zs[i] > 0)
+            grads[f"{self.names[i]}.weights"] = delta.T @ inputs[i]
+            grads[f"{self.names[i]}.bias"] = delta.sum(axis=0)
+            delta = delta @ self.layers[i].weights
+        return grads, delta
 
     def batch_loss_and_gradients(self, xs: np.ndarray, ys: np.ndarray):
-        """Mean cross-entropy over a batch; softmax final layer only."""
-        if self.layers[-1].activation != "softmax":
-            raise ValueError("batch training expects a softmax output layer")
+        """Mean cross-entropy over a batch of rows and its gradients."""
         out, inputs, zs = self._forward_cached(xs)
-        n = out.shape[0]
-        picked = np.clip(out[np.arange(n), ys], 1e-12, None)
-        loss = float(-np.log(picked).mean())
-        delta = out.copy()
-        delta[np.arange(n), ys] -= 1.0
-        delta /= n
-        grads = self._backward_from_delta(delta, inputs, zs)
-        return loss, grads
-
-
-def backward(network, inputs, true_class: int) -> dict[str, np.ndarray]:
-    """Analytic gradients of the network's loss for one example."""
-    return network.loss_and_gradients(inputs, true_class)[1]
+        loss, delta = softmax_cross_entropy(out, ys)
+        return loss, self._backward_from_delta(delta, inputs, zs)[0]
 
 
 @dataclass
@@ -489,13 +432,14 @@ def adam_step(params: Mapping[str, np.ndarray],
     return new_params, new_state
 
 
-def gradient_check(network, inputs, true_class: int, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def gradient_check(network, *batch, h: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients
+    of ``network.batch_loss_and_gradients(*batch)``.
 
     Perturbs every parameter entry in place by +-h, so only use on networks
-    small enough to afford 2 forward passes per parameter.
+    small enough to afford 2 passes per parameter.
     """
-    loss0, analytic = network.loss_and_gradients(inputs, true_class)
+    loss0, analytic = network.batch_loss_and_gradients(*batch)
     if not math.isfinite(loss0):
         raise ValueError("loss is not finite")
     worst = 0.0
@@ -505,9 +449,9 @@ def gradient_check(network, inputs, true_class: int, h: float = 1e-5) -> float:
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + h
-            plus = network.loss(inputs, true_class)
+            plus = network.batch_loss_and_gradients(*batch)[0]
             flat[i] = original - h
-            minus = network.loss(inputs, true_class)
+            minus = network.batch_loss_and_gradients(*batch)[0]
             flat[i] = original
             if not (math.isfinite(plus) and math.isfinite(minus)):
                 raise ValueError("loss is not finite during perturbation")

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from ucnet import lexical, synthetic
+from ucnet import lexical, neural, synthetic
 from ucnet.corpus import Comment, Dataset, VideoRecord
 
 
@@ -37,3 +38,16 @@ def make_video(vid="v0", label="real", title="a plain title", comments=(),
 
 def make_dataset(records, name="test"):
     return Dataset(name=name, records=tuple(records))
+
+
+def lstm_sequence(cell: neural.LSTMCell, inputs) -> np.ndarray:
+    """Final hidden state of one (t, input_dim) vector sequence run alone;
+    the empty sequence maps to zeros. The per-sequence reference for
+    batched LSTM and pooling results."""
+    if len(inputs) == 0:
+        return np.zeros(cell.hidden_dim)
+    xs = np.asarray(inputs, dtype=np.float64)
+    # The sequence is its own matrix, read once per row in order.
+    h, _ = neural.lstm_forward_batch(cell, np.arange(len(xs))[None, :],
+                                     np.array([len(xs)]), xs)
+    return h[0]

@@ -15,7 +15,7 @@ import pytest
 from ucnet import classic, corpus, evaluation, lexical, network, neural, synthetic
 from ucnet.cli import main
 
-from conftest import make_comment, make_dataset, make_video
+from conftest import lstm_sequence, make_comment, make_dataset, make_video
 from test_corpus import PAPER_AGREEMENT, brute_force_mine, rounds_from_matrix
 from test_lexical import oracle_extract, random_video
 
@@ -44,8 +44,8 @@ def test_criterion_1_gradient_correctness(phrases):
         comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
         matrix=rng.normal(size=(15, 8)),
         fvs=(rng.random((3, len(phrases))) < 0.2).astype(float),
-        features=rng.normal(size=2))
-    error = neural.gradient_check(model, prepared, 1, h=1e-5)
+        features=rng.normal(size=2), label=1)
+    error = neural.gradient_check(model, [prepared], h=1e-5)
     elapsed = time.monotonic() - started
     assert error < 1e-4
     assert elapsed < 60.0
@@ -180,7 +180,7 @@ def test_criterion_6_pooling_identities(phrases):
     ]
     model = network.UCNetModel(params, phrases, (), 6)
     unified = model.unified_embedding(comments, table)
-    raw = np.stack([neural.lstm_sequence(
+    raw = np.stack([lstm_sequence(
                         params.lstm, table.matrix[embed_comment(c.text, table)])
                     for c in comments])
     assert np.allclose(unified, 0.5 * raw.mean(axis=0), atol=1e-12)

@@ -293,6 +293,17 @@ class TestLogistic:
         with pytest.raises(ValueError):
             train_logistic(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
+    def test_column_layout_does_not_change_bits(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(200, 6))
+        y = (X[:, 0] + 0.5 * rng.normal(size=200) > 0).astype(np.int64)
+        model = train_logistic(X, y)
+        fortran = train_logistic(np.asfortranarray(X), y)
+        assert np.array_equal(model.weights, fortran.weights)
+        assert model.intercept == fortran.intercept
+        assert np.array_equal(model.predict_proba_fake(X),
+                              model.predict_proba_fake(np.asfortranarray(X)))
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 2))

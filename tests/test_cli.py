@@ -217,12 +217,23 @@ class TestPruneAndClassic:
                      "--test-features", str(features),
                      "--predictions", str(predictions)]) == 0
         _, X, labels = cli._read_features_csv(features)
-        X = X[:, tuple(range(X.shape[1]))]  # the CLI's column selection
         expected = train(X, cli._classic_labels(labels, features)) \
             .predict_proba_fake(X)
         _, _, p_fake = cli._read_predictions_csv(predictions)
         assert np.array_equal(p_fake, expected)
         assert np.array_equal(load(model).predict_proba_fake(X), expected)
+
+    def test_test_features_without_predictions_trains_nothing(
+            self, synthetic_dir, tmp_path, capsys):
+        features = run_features(synthetic_dir, tmp_path)
+        model = tmp_path / "tree.model"
+        assert main(["train-classic", "--features", str(features),
+                     "--model", "tree", "--output", str(model),
+                     "--test-features", str(features)]) == 2
+        assert "--test-features requires --predictions" in \
+            capsys.readouterr().err
+        assert not model.exists()
+        assert not (tmp_path / "tree.model.manifest.json").exists()
 
     def test_train_classic_determinism(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)
@@ -276,10 +287,21 @@ class TestTrainUcnetCommand:
 
     def test_non_finite_loss_is_data_error(self, synthetic_dir, tmp_path,
                                            monkeypatch, capsys):
-        monkeypatch.setattr(network, "_batch_loss",
-                            lambda probs, labels: float("nan"))
+        original = network.UCNetModel.batch_loss_and_gradients
+        monkeypatch.setattr(
+            network.UCNetModel, "batch_loss_and_gradients",
+            lambda self, videos: (float("nan"), original(self, videos)[1]))
         assert main(self.ucnet_args(synthetic_dir, tmp_path / "m")) == 2
         assert "epoch 1, batch 1" in capsys.readouterr().err
+
+    def test_missing_phrases_file_is_data_error(self, synthetic_dir, tmp_path,
+                                                capsys):
+        out = tmp_path / "m.model"
+        missing = tmp_path / "no_phrases.txt"
+        args = self.ucnet_args(synthetic_dir, out) + ["--phrases", str(missing)]
+        assert main(args) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_manifest_records_phrase_digests(self, synthetic_dir, tmp_path):
         out = tmp_path / "m.model"

@@ -10,7 +10,7 @@ from ucnet.network import (Prediction, TrainingConfig, UCNetModel,
                            classify, comment_weight, extract_unified_embeddings,
                            fakeness_vector, init_params)
 
-from conftest import make_comment, make_dataset, make_video
+from conftest import lstm_sequence, make_comment, make_dataset, make_video
 
 
 class TestFakenessVector:
@@ -104,7 +104,7 @@ class TestUnifiedEmbedding:
         comment = make_comment("c", "fake video")
         unified = toy_model(params).unified_embedding([comment], table)
         from ucnet.embeddings import embed_comment
-        emb = neural.lstm_sequence(
+        emb = lstm_sequence(
             params.lstm, table.matrix[embed_comment("fake video", table)])
         w = comment_weight(fakeness_vector("fake video", TOY_PHRASES), params)
         assert np.allclose(unified, w * emb, atol=1e-12)
@@ -122,7 +122,7 @@ class TestUnifiedEmbedding:
         comments = toy_comments()
         unified = toy_model(params).unified_embedding(comments, table)
         from ucnet.embeddings import embed_comment
-        raw = np.stack([neural.lstm_sequence(
+        raw = np.stack([lstm_sequence(
                             params.lstm, table.matrix[embed_comment(c.text, table)])
                         for c in comments])
         assert np.allclose(unified, 0.5 * raw.mean(axis=0), atol=1e-12)
@@ -189,7 +189,7 @@ class TestForward:
         from ucnet.embeddings import embed_comment
         weighted = []
         for c in video.comments:
-            emb = neural.lstm_sequence(
+            emb = lstm_sequence(
                 params.lstm, table.matrix[embed_comment(c.text, table)])
             fv = fakeness_vector(c.text, TOY_PHRASES)
             w = 1.0 / (1.0 + np.exp(-(params.weight_head.weights @ fv
@@ -302,8 +302,12 @@ class TestTrain:
     def test_non_finite_loss_aborts_naming_epoch_and_batch(self, monkeypatch):
         lexicons, dataset, table, scorer = small_training_world(12, seed=6)
         losses = iter([0.7, 0.6, 0.5, float("nan")])
-        monkeypatch.setattr(network, "_batch_loss",
-                            lambda probs, labels: next(losses))
+        original = UCNetModel.batch_loss_and_gradients
+
+        def lossy(self, videos):
+            return next(losses), original(self, videos)[1]
+
+        monkeypatch.setattr(UCNetModel, "batch_loss_and_gradients", lossy)
         config = TrainingConfig(epochs=2, batch_size=4, seed=0)
         with pytest.raises(ValueError, match="epoch 2, batch 1"):
             network.train(dataset, table, lexicons, scorer, config,
@@ -345,8 +349,8 @@ class TestModelIO:
             comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
             matrix=rng.normal(size=(15, 8)),
             fvs=(rng.random((3, 30)) < 0.2).astype(float),
-            features=rng.normal(size=2))
-        assert neural.gradient_check(model, prepared, 1, h=1e-5) < 1e-4
+            features=rng.normal(size=2), label=1)
+        assert neural.gradient_check(model, [prepared], h=1e-5) < 1e-4
 
     @pytest.mark.parametrize("drop,kind", [("lstm.wx", "tensor"),
                                            ("output.bias", "tensor"),
@@ -437,8 +441,8 @@ class TestGradientCheckFullModel:
             comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
             matrix=rng.normal(size=(15, 8)),
             fvs=(rng.random((3, 30)) < 0.2).astype(float),
-            features=rng.normal(size=2))
-        assert neural.gradient_check(model, prepared, 1, h=1e-5) < 1e-4
+            features=rng.normal(size=2), label=1)
+        assert neural.gradient_check(model, [prepared], h=1e-5) < 1e-4
 
     def test_video_without_comments_still_differentiable(self, phrases):
         rng = np.random.default_rng(5)
@@ -446,5 +450,48 @@ class TestGradientCheckFullModel:
         model = UCNetModel(params, phrases, ("a", "b"), 8)
         prepared = network.PreparedVideo(
             comment_ids=[], matrix=np.zeros((0, 8)), fvs=np.zeros((0, 30)),
-            features=rng.normal(size=2))
-        assert neural.gradient_check(model, prepared, 0, h=1e-5) < 1e-4
+            features=rng.normal(size=2), label=0)
+        assert neural.gradient_check(model, [prepared], h=1e-5) < 1e-4
+
+    @staticmethod
+    def ragged_batch(phrases, seed, shapes):
+        """A small model and one labelled video per (comment lengths,
+        label) pair, all reading one 12-token matrix."""
+        rng = np.random.default_rng(seed)
+        params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
+        model = UCNetModel(params, phrases, ("a", "b"), 8)
+        matrix = rng.normal(size=(12, 8))
+        videos = [network.PreparedVideo(
+            comment_ids=[rng.integers(0, 12, size=t) for t in lengths],
+            matrix=matrix,
+            fvs=(rng.random((len(lengths), 30)) < 0.3).astype(float),
+            features=rng.normal(size=2), label=label)
+            for lengths, label in shapes]
+        return model, videos
+
+    def test_ragged_batch_of_three_videos_passes(self, phrases):
+        # 3, 0 and 2 comments of unequal lengths: the per-video segments of
+        # the pooling and of its gradient are exercised.
+        model, batch = self.ragged_batch(
+            phrases, 7, (((4, 1, 6), 1), ((), 0), ((2, 5), 1)))
+        assert neural.gradient_check(model, batch, h=1e-5) < 1e-4
+
+    def test_batch_gradients_average_per_video(self, phrases):
+        model, videos = self.ragged_batch(
+            phrases, 8, (((3, 2), 0), ((), 1), ((5,), 1)))
+        loss, grads = model.batch_loss_and_gradients(videos)
+        singles = [model.batch_loss_and_gradients([v]) for v in videos]
+        assert loss == pytest.approx(np.mean([s[0] for s in singles]))
+        for key in grads:
+            mean_grad = np.mean([s[1][key] for s in singles], axis=0)
+            assert np.allclose(grads[key], mean_grad, rtol=0, atol=1e-12)
+
+    def test_unlabelled_video_rejected(self, phrases):
+        params = init_params(np.random.default_rng(0), 8, len(phrases), 2,
+                             lstm_hidden=8)
+        model = UCNetModel(params, phrases, ("a", "b"), 8)
+        prepared = network.PreparedVideo(
+            comment_ids=[], matrix=np.zeros((0, 8)), fvs=np.zeros((0, 30)),
+            features=np.zeros(2))
+        with pytest.raises(ValueError, match="label"):
+            model.batch_loss_and_gradients([prepared])

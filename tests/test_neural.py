@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from ucnet import neural
 from ucnet.neural import (AdamState, DenseLayer, LSTMCell, Mlp, adam_step,
-                          backward, cross_entropy, dense_forward,
-                          gradient_check, init_dense, init_lstm,
-                          lstm_backward_batch, lstm_forward_batch,
-                          lstm_sequence, softmax)
+                          dense_forward, gradient_check, init_dense, init_lstm,
+                          lstm_backward_batch, lstm_forward_batch, softmax,
+                          softmax_cross_entropy)
+
+from conftest import lstm_sequence
 
 
 class TestDenseForward:
@@ -314,27 +315,40 @@ class TestLstm:
                 lstm_forward_batch(cell, xs, lengths, matrix)
 
 
+def ce_loss(probs, labels):
+    return softmax_cross_entropy(np.array(probs), np.array(labels))[0]
+
+
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        assert cross_entropy(np.array([1.0, 0.0]), 0) == 0.0
+        assert ce_loss([[1.0, 0.0]], [0]) == 0.0
 
     def test_uniform_is_log_two(self):
-        assert cross_entropy(np.array([0.5, 0.5]), 1) == pytest.approx(math.log(2))
+        assert ce_loss([[0.5, 0.5]], [1]) == pytest.approx(math.log(2))
 
     def test_random_probabilities_match_direct_log(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(4))
-            k = int(rng.integers(0, 4))
-            assert cross_entropy(p, k) == pytest.approx(-math.log(max(p[k], 1e-12)))
+        p = rng.dirichlet(np.ones(4), size=20)
+        k = rng.integers(0, 4, size=20)
+        direct = [-math.log(max(p[i, k[i]], 1e-12)) for i in range(20)]
+        for i in range(20):
+            assert ce_loss(p[i:i + 1], k[i:i + 1]) == pytest.approx(direct[i])
+        assert ce_loss(p, k) == pytest.approx(np.mean(direct))
 
     def test_floor_keeps_loss_finite(self):
-        assert cross_entropy(np.array([0.0, 1.0]), 0) == pytest.approx(
-            -math.log(1e-12))
+        assert ce_loss([[0.0, 1.0]], [0]) == pytest.approx(-math.log(1e-12))
+
+    def test_delta_is_probabilities_minus_one_hot_over_n(self):
+        p = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
+        _, delta = softmax_cross_entropy(p, np.array([1, 0, 0]))
+        expected = (p - np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])) / 3
+        assert np.allclose(delta, expected, rtol=0, atol=1e-15)
 
     def test_out_of_range_class(self):
-        with pytest.raises(IndexError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+        # -1 would silently pick the last column under numpy indexing
+        for label in (2, -1):
+            with pytest.raises(IndexError):
+                ce_loss([[0.5, 0.5]], [label])
 
 
 class TestBackward:
@@ -343,42 +357,75 @@ class TestBackward:
         layer = DenseLayer(np.array([[50.0, 0.0], [-50.0, 0.0]]),
                            np.zeros(2), "softmax")
         net = Mlp([layer])
-        x = np.array([1.0, 0.0])
-        loss = net.loss(x, 0)
-        grads = backward(net, x, 0)
+        loss, grads = net.batch_loss_and_gradients(np.array([[1.0, 0.0]]), [0])
         assert loss < 1e-15
         assert all(np.abs(g).max() < 1e-15 for g in grads.values())
 
-    def test_single_sigmoid_unit_hand_gradient(self):
-        w = np.array([[0.7]])
-        b = np.array([-0.2])
-        net = Mlp([DenseLayer(w, b, "sigmoid")])
-        x = np.array([1.3])
-        loss, grads = net.loss_and_gradients(x, 1)
+    def test_two_way_softmax_hand_gradient(self):
+        # logits (0, 0.7 x - 0.2): p(class 1) is the sigmoid of the second
+        w = np.array([[0.0], [0.7]])
+        b = np.array([0.0, -0.2])
+        net = Mlp([DenseLayer(w, b, "softmax")])
+        loss, grads = net.batch_loss_and_gradients(np.array([[1.3]]), [1])
         p = 1.0 / (1.0 + math.exp(-(0.7 * 1.3 - 0.2)))
         assert loss == pytest.approx(-math.log(p), abs=1e-12)
         # d(-log p)/dw = (p - 1) * x for the true class 1
-        assert grads["layer0.weights"][0, 0] == pytest.approx((p - 1) * 1.3,
+        assert grads["layer0.weights"][1, 0] == pytest.approx((p - 1) * 1.3,
                                                               abs=1e-12)
-        assert grads["layer0.bias"][0] == pytest.approx(p - 1, abs=1e-12)
+        assert grads["layer0.bias"][1] == pytest.approx(p - 1, abs=1e-12)
 
     def test_mlp_gradient_check(self):
         rng = np.random.default_rng(13)
-        net = Mlp.init(rng, [5, 4, 3], ["relu", "softmax"])
-        x = rng.normal(size=5)
-        assert gradient_check(net, x, 2, h=1e-5) < 1e-6
+        net = Mlp.init(rng, [5, 4, 3])
+        xs = rng.normal(size=(3, 5))
+        assert gradient_check(net, xs, np.array([2, 0, 1]), h=1e-5) < 1e-6
 
     def test_batch_gradients_average_per_sample(self):
         rng = np.random.default_rng(14)
-        net = Mlp.init(rng, [3, 4, 2], ["relu", "softmax"])
+        net = Mlp.init(rng, [3, 4, 2])
         xs = rng.normal(size=(6, 3))
         ys = np.array([0, 1, 1, 0, 1, 0])
         batch_loss, batch_grads = net.batch_loss_and_gradients(xs, ys)
-        per_sample = [net.loss_and_gradients(x, int(y)) for x, y in zip(xs, ys)]
+        per_sample = [net.batch_loss_and_gradients(xs[i:i + 1], ys[i:i + 1])
+                      for i in range(len(ys))]
         assert batch_loss == pytest.approx(np.mean([s[0] for s in per_sample]))
         for key in batch_grads:
             mean_grad = np.mean([s[1][key] for s in per_sample], axis=0)
             assert np.allclose(batch_grads[key], mean_grad, atol=1e-12)
+
+    def test_input_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(15)
+        net = Mlp.init(rng, [4, 5, 2])
+        xs = rng.normal(size=(3, 4))
+        ys = np.array([1, 0, 1])
+        out, inputs, zs = net._forward_cached(xs)
+        _, delta = softmax_cross_entropy(out, ys)
+        _, dx = net._backward_from_delta(delta, inputs, zs)
+        h = 1e-6
+        for idx in np.ndindex(xs.shape):
+            bumped = [xs.copy(), xs.copy()]
+            bumped[0][idx] += h
+            bumped[1][idx] -= h
+            plus, minus = (net.batch_loss_and_gradients(x, ys)[0]
+                           for x in bumped)
+            assert abs((plus - minus) / (2 * h) - dx[idx]) < 1e-8
+
+    def test_only_relu_hidden_layers_and_softmax_output(self):
+        rng = np.random.default_rng(16)
+        for acts in (("sigmoid", "softmax"), ("identity", "softmax"),
+                     ("relu", "sigmoid"), ("identity",), ("relu", "relu")):
+            dims = [3] * len(acts) + [2]
+            layers = [init_dense(rng, dims[i + 1], dims[i], act)
+                      for i, act in enumerate(acts)]
+            with pytest.raises(ValueError):
+                Mlp(layers)
+
+    def test_layer_names_label_parameters(self):
+        net = Mlp.init(np.random.default_rng(0), [3, 4, 2])
+        named = Mlp(net.layers, names=("hidden", "output"))
+        assert list(named.parameters()) == [
+            "hidden.weights", "hidden.bias", "output.weights", "output.bias"]
+        assert named.parameters()["hidden.weights"] is net.layers[0].weights
 
 
 class TestAdam:
@@ -423,6 +470,25 @@ class TestAdam:
         assert state.learning_rate == 1e-4
 
 
+class _Linear:
+    """Mean over rows of the raw output at each row's label: linear in the
+    parameters, so central differences are exact up to round-off."""
+
+    def __init__(self, weights, bias):
+        self.weights, self.bias = weights, bias
+
+    def parameters(self):
+        return {"weights": self.weights, "bias": self.bias}
+
+    def batch_loss_and_gradients(self, xs, ys):
+        n = len(ys)
+        out = xs @ self.weights.T + self.bias
+        loss = float(out[np.arange(n), ys].mean())
+        picks = np.zeros_like(out)
+        picks[np.arange(n), ys] = 1.0 / n
+        return loss, {"weights": picks.T @ xs, "bias": picks.sum(axis=0)}
+
+
 class _DoubledGradients:
     """Wrapper that corrupts analytic gradients by a factor of two."""
 
@@ -432,35 +498,29 @@ class _DoubledGradients:
     def parameters(self):
         return self.inner.parameters()
 
-    def loss(self, inputs, true_class):
-        return self.inner.loss(inputs, true_class)
-
-    def loss_and_gradients(self, inputs, true_class):
-        loss, grads = self.inner.loss_and_gradients(inputs, true_class)
+    def batch_loss_and_gradients(self, *batch):
+        loss, grads = self.inner.batch_loss_and_gradients(*batch)
         return loss, {k: 2.0 * v for k, v in grads.items()}
 
 
 class TestGradientCheck:
     def test_linear_model_at_round_off_level(self):
         rng = np.random.default_rng(17)
-        net = Mlp([DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3),
-                              "identity")])
-        x = rng.normal(size=4)
-        assert gradient_check(net, x, 1, h=1e-5) < 1e-8
+        net = _Linear(rng.normal(size=(3, 4)), rng.normal(size=3))
+        xs = rng.normal(size=(2, 4))
+        assert gradient_check(net, xs, np.array([1, 2]), h=1e-5) < 1e-8
 
     def test_corrupted_gradient_reports_half(self):
         rng = np.random.default_rng(18)
-        net = Mlp([DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2),
-                              "identity")])
-        err = gradient_check(_DoubledGradients(net), rng.normal(size=3), 0,
-                             h=1e-5)
+        net = _Linear(rng.normal(size=(2, 3)), rng.normal(size=2))
+        err = gradient_check(_DoubledGradients(net), rng.normal(size=(1, 3)),
+                             np.array([0]), h=1e-5)
         assert err == pytest.approx(0.5, abs=1e-3)
 
     def test_non_finite_loss_rejected(self):
-        layer = DenseLayer(np.array([[1.0]]), np.zeros(1), "identity")
-        net = Mlp([layer])
+        net = _Linear(np.array([[1.0]]), np.zeros(1))
         with pytest.raises(ValueError):
-            gradient_check(net, np.array([np.inf]), 0)
+            gradient_check(net, np.array([[np.inf]]), np.array([0]))
 
 
 class TestInitialization:
