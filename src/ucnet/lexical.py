@@ -283,16 +283,14 @@ def train_title_scorer(titles: Sequence[tuple[str, str]],
 
     rng = np.random.default_rng(config.seed)
     mlp = neural.Mlp.init(rng, [xs.shape[1], config.hidden_dim, 2])
-    params = mlp.parameters()
-    state = neural.AdamState.for_params(params, learning_rate=config.learning_rate)
+    state = neural.AdamState.for_params(mlp.flat.vector,
+                                        learning_rate=config.learning_rate)
     for _ in range(config.epochs):
         order = rng.permutation(len(xs))
         for start in range(0, len(xs), config.batch_size):
             batch = order[start:start + config.batch_size]
-            _, grads = mlp.batch_loss_and_gradients(xs[batch], ys[batch])
-            updated, state = neural.adam_step(params, grads, state)
-            for key in params:
-                params[key][...] = updated[key]
+            mlp.batch_loss_and_gradients(xs[batch], ys[batch])
+            neural.adam_step(mlp.flat.vector, mlp.flat.gradient, state)
     scorer.mlp = mlp
     return scorer
 

@@ -17,6 +17,13 @@ and :func:`ucnet.neural.gradient_check` on any batch. Inference (``predict``,
 ``predict_record``, ``unified_embedding`` and so
 :func:`extract_unified_embeddings`) runs the forward pass on one video per
 call, so it holds the LSTM state of one video at a time.
+
+A model keeps all its parameters, and their gradients, in one flat float64
+vector each (:class:`ucnet.neural.FlatParameters`), which Adam updates in
+place. The LSTM runs in the model's compute dtype, float32 by default: each
+forward pass casts the LSTM's master weights once, the LSTM's final states
+are widened to float64, and its gradients are widened into the flat
+gradient vector. Pooling, both dense heads and the softmax stay float64.
 """
 
 from __future__ import annotations
@@ -91,11 +98,6 @@ class UCNetParams:
     @property
     def n_features(self) -> int:
         return self.hidden.in_dim - self.lstm.hidden_dim
-
-    @property
-    def head(self) -> neural.Mlp:
-        """The hidden and output layers as one dense stack."""
-        return neural.Mlp([self.hidden, self.output], names=("hidden", "output"))
 
 
 def init_params(rng: np.random.Generator, embedding_dim: int, n_phrases: int,
@@ -198,22 +200,25 @@ def _collate(videos: Sequence[PreparedVideo], n_phrases: int) -> _Batch:
 def _exact_mean(rows: np.ndarray) -> np.ndarray:
     """Column means via exactly-rounded summation, so the result is
     invariant under row permutation and duplication."""
-    k = rows.shape[0]
-    return np.array([math.fsum(col) for col in rows.T.tolist()]) / k
+    k, width = rows.shape
+    return np.fromiter(map(math.fsum, rows.T.tolist()), np.float64, width) / k
 
 
-def _forward_batch(params: UCNetParams, batch: _Batch):
+def _forward_batch(model: UCNetModel, batch: _Batch):
+    params = model.params
     hidden_dim = params.lstm.hidden_dim
     n_videos = batch.features.shape[0]
     if batch.ids.shape[0]:
+        cell = model._compute_cell()
         finals, lstm_cache = neural.lstm_forward_batch(
-            params.lstm, batch.ids, batch.lengths, batch.matrix)
+            cell, batch.ids, batch.lengths, batch.matrix)
+        finals = finals.astype(np.float64, copy=False)
         weight_pre = batch.fvs @ params.weight_head.weights.T + params.weight_head.bias
         weights = neural.sigmoid(weight_pre)  # (n_comments, 1)
         weighted = weights * finals
     else:
+        cell = lstm_cache = None
         finals = np.zeros((0, hidden_dim))
-        lstm_cache = []
         weights = np.zeros((0, 1))
         weighted = finals
     unified = np.zeros((n_videos, hidden_dim))
@@ -222,19 +227,20 @@ def _forward_batch(params: UCNetParams, batch: _Batch):
         if end > start:
             unified[v] = _exact_mean(weighted[start:end])
     x = np.concatenate([unified, batch.features], axis=1)
-    probs, head_inputs, head_zs = params.head._forward_cached(x)
-    cache = (lstm_cache, finals, weights, head_inputs, head_zs)
+    probs, head_inputs, head_zs = model.head._forward_cached(x)
+    cache = (cell, lstm_cache, finals, weights, head_inputs, head_zs)
     return probs, cache
 
 
-def _backward_batch(params: UCNetParams, batch: _Batch, cache,
-                    delta: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of every parameter given the gradient of the loss with
-    respect to the output logits."""
-    lstm_cache, finals, weights, head_inputs, head_zs = cache
+def _backward_batch(model: UCNetModel, batch: _Batch, cache,
+                    delta: np.ndarray) -> None:
+    """Write the gradient of every parameter into ``model.flat.grads``,
+    given the gradient of the loss with respect to the output logits."""
+    cell, lstm_cache, finals, weights, head_inputs, head_zs = cache
+    grads = model.flat.grads
     n_videos = batch.features.shape[0]
-    grads, dx = params.head._backward_from_delta(delta, head_inputs, head_zs)
-    d_unified = dx[:, :params.lstm.hidden_dim]
+    dx = model.head._backward_from_delta(delta, head_inputs, head_zs)
+    d_unified = dx[:, :model.params.lstm.hidden_dim]
 
     d_weighted = np.zeros_like(finals)
     for v in range(n_videos):
@@ -245,19 +251,15 @@ def _backward_batch(params: UCNetParams, batch: _Batch, cache,
         d_finals = weights * d_weighted
         d_w = (finals * d_weighted).sum(axis=1, keepdims=True)
         d_pre = d_w * weights * (1.0 - weights)
-        grads["weight_head.weights"] = d_pre.T @ batch.fvs
-        grads["weight_head.bias"] = d_pre.sum(axis=0)
-        lstm_grads = neural.lstm_backward_batch(params.lstm, lstm_cache, d_finals)
+        np.matmul(d_pre.T, batch.fvs, out=grads["weight_head.weights"])
+        d_pre.sum(axis=0, out=grads["weight_head.bias"])
+        lstm_grads = neural.lstm_backward_batch(cell, lstm_cache, d_finals)
+        for name in ("wx", "wh", "bias"):
+            grads[f"lstm.{name}"][...] = lstm_grads[name]  # widened to float64
     else:
-        grads["weight_head.weights"] = np.zeros_like(params.weight_head.weights)
-        grads["weight_head.bias"] = np.zeros_like(params.weight_head.bias)
-        lstm_grads = {"wx": np.zeros_like(params.lstm.wx),
-                      "wh": np.zeros_like(params.lstm.wh),
-                      "bias": np.zeros_like(params.lstm.bias)}
-    grads["lstm.wx"] = lstm_grads["wx"]
-    grads["lstm.wh"] = lstm_grads["wh"]
-    grads["lstm.bias"] = lstm_grads["bias"]
-    return grads
+        for name in ("weight_head.weights", "weight_head.bias",
+                     "lstm.wx", "lstm.wh", "lstm.bias"):
+            grads[name][...] = 0.0
 
 
 class UCNetModel:
@@ -266,18 +268,49 @@ class UCNetModel:
     Implements the network protocol of :mod:`ucnet.neural` (``parameters``,
     ``batch_loss_and_gradients``) over labelled :class:`PreparedVideo`s, so
     the finite-difference gradient checker applies to the full architecture.
+    The parameters are copied into ``self.flat``; ``self.params`` holds
+    views into it. ``dtype`` is the LSTM's compute dtype: float32 by
+    default, float64 for checks against float64 references.
     """
 
     def __init__(self, params: UCNetParams, phrases: Sequence[str],
                  feature_names: Sequence[str], embedding_dim: int,
-                 config: TrainingConfig | None = None):
+                 config: TrainingConfig | None = None, *,
+                 dtype=np.float32):
         if params.n_phrases != len(phrases):
             raise ValueError("weight head width must match the phrase count")
         if params.n_features != len(feature_names):
             raise ValueError("hidden width must match the feature selection")
         if params.lstm.input_dim != embedding_dim:
             raise ValueError("LSTM input width must match the embedding dimension")
-        self.params = params
+        # The LSTM's tensors come first, so they are a prefix of the vector.
+        self.flat = neural.FlatParameters.pack({
+            "lstm.wx": params.lstm.wx,
+            "lstm.wh": params.lstm.wh,
+            "lstm.bias": params.lstm.bias,
+            "weight_head.weights": params.weight_head.weights,
+            "weight_head.bias": params.weight_head.bias,
+            "hidden.weights": params.hidden.weights,
+            "hidden.bias": params.hidden.bias,
+            "output.weights": params.output.weights,
+            "output.bias": params.output.bias,
+        })
+        views = self.flat.params
+        self.params = UCNetParams(
+            lstm=neural.LSTMCell(views["lstm.wx"], views["lstm.wh"],
+                                 views["lstm.bias"]),
+            weight_head=neural.DenseLayer(views["weight_head.weights"],
+                                          views["weight_head.bias"], "sigmoid"),
+            hidden=neural.DenseLayer(views["hidden.weights"],
+                                     views["hidden.bias"], "relu"),
+            output=neural.DenseLayer(views["output.weights"],
+                                     views["output.bias"], "softmax"))
+        self.head = neural.Mlp([self.params.hidden, self.params.output],
+                               names=("hidden", "output"), flat=self.flat)
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(
+                f"compute dtype must be float32 or float64, got {self.dtype}")
         self.phrases = tuple(phrases)
         self.feature_names = tuple(feature_names)
         self.embedding_dim = embedding_dim
@@ -285,15 +318,17 @@ class UCNetModel:
         self.loss_history: list[float] = []
 
     def parameters(self) -> dict[str, np.ndarray]:
-        p = self.params
-        return {
-            "lstm.wx": p.lstm.wx,
-            "lstm.wh": p.lstm.wh,
-            "lstm.bias": p.lstm.bias,
-            "weight_head.weights": p.weight_head.weights,
-            "weight_head.bias": p.weight_head.bias,
-            **p.head.parameters(),
-        }
+        return dict(self.flat.params)
+
+    def _compute_cell(self) -> neural.LSTMCell:
+        """The LSTM cell in the compute dtype, built from views of one cast
+        copy of the LSTM prefix of the flat vector (the master weights
+        themselves at float64)."""
+        lstm = self.params.lstm
+        size = lstm.wx.size + lstm.wh.size + lstm.bias.size
+        cast = self.flat.vector[:size].astype(self.dtype, copy=False)
+        return neural.LSTMCell(**neural.segment_views(cast, {
+            "wx": lstm.wx.shape, "wh": lstm.wh.shape, "bias": lstm.bias.shape}))
 
     def prepare(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable, label: int | None = None) -> PreparedVideo:
@@ -307,7 +342,7 @@ class UCNetModel:
 
     def _forward(self, videos: Sequence[PreparedVideo]):
         batch = _collate(videos, len(self.phrases))
-        probs, cache = _forward_batch(self.params, batch)
+        probs, cache = _forward_batch(self, batch)
         return batch, probs, cache
 
     def batch_loss_and_gradients(self, videos: Sequence[PreparedVideo]):
@@ -316,7 +351,8 @@ class UCNetModel:
         if batch.labels is None:
             raise ValueError("every video in a loss batch needs a label")
         loss, delta = neural.softmax_cross_entropy(probs, batch.labels)
-        return loss, _backward_batch(self.params, batch, cache, delta)
+        _backward_batch(self, batch, cache, delta)
+        return loss, self.flat.grads
 
     def predict(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable) -> Prediction:
@@ -333,7 +369,7 @@ class UCNetModel:
                           table: EmbeddingTable) -> np.ndarray:
         """Mean of weight-scaled comment embeddings; zero vector for no comments."""
         prepared = self.prepare(comments, np.zeros(len(self.feature_names)), table)
-        _, _, (_, _, _, (x, _), _) = self._forward([prepared])
+        _, _, (_, _, _, _, (x, _), _) = self._forward([prepared])
         return x[0, :self.params.lstm.hidden_dim].copy()
 
     def save(self, path) -> None:
@@ -448,22 +484,20 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
         features = _select_features(record, lexicons, scorer, feature_names)
         prepared.append(model.prepare(record.comments, features, table, label))
 
-    live = model.parameters()
-    state = neural.AdamState.for_params(live, learning_rate=config.learning_rate)
+    state = neural.AdamState.for_params(model.flat.vector,
+                                        learning_rate=config.learning_rate)
     n = len(prepared)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             chunk = [prepared[i] for i in order[start:start + config.batch_size]]
-            loss, grads = model.batch_loss_and_gradients(chunk)
+            loss, _ = model.batch_loss_and_gradients(chunk)
             if not math.isfinite(loss):
                 raise ValueError(
                     f"training loss is {loss} at epoch {epoch + 1}, batch "
                     f"{start // config.batch_size + 1}; aborting")
-            updated, state = neural.adam_step(live, grads, state)
-            for key in live:
-                live[key][...] = updated[key]
+            neural.adam_step(model.flat.vector, model.flat.gradient, state)
             epoch_loss += loss * len(chunk)
         mean_loss = epoch_loss / n
         model.loss_history.append(mean_loss)

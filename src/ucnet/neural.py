@@ -1,15 +1,24 @@
 """Minimal dense/LSTM machinery with hand-written gradients.
 
-Everything computes in float64 on plain numpy arrays. Model parameters are
-exposed as ordered ``name -> array`` dicts so the Adam optimizer and the
-finite-difference gradient checker treat every architecture uniformly. A
-"network" is any object with two methods::
+Model parameters and their gradients are float64 and live in one contiguous
+vector each (:class:`FlatParameters`); every parameter is exposed as a named
+view into it, so the Adam optimizer updates the whole model with a handful
+of in-place vector operations and the finite-difference gradient checker
+treats every architecture uniformly. A "network" is any object with two
+methods::
 
     parameters()                       -> live dict of named arrays
     batch_loss_and_gradients(*batch)   -> (mean loss, dict of named arrays)
 
 The gradient checker perturbs the live parameter arrays in place, so
 ``parameters()`` must return the arrays the forward pass actually reads.
+The gradient arrays may be the network's own buffer, overwritten by its next
+call: copy them to keep them.
+
+The LSTM computes in the dtype of the cell it is given. UCNet hands it a
+float32 copy of its float64 master weights (mixed precision, Micikevicius et
+al. 2018, arXiv:1710.03740); gradient checks hand it the float64 weights.
+Everything else computes in float64.
 
 The batched LSTM reads token ids, not vectors: its input is a padded
 ``(n, t_max)`` integer array of row ids into a ``(V, input_dim)`` float64
@@ -24,7 +33,7 @@ only, scattered to the cells by index, since a cell's projection depends
 only on its token; each step then adds ``h[:b_t] @ wh.T``. The backward
 pass fills one packed gate-gradient array in its reverse loop and then forms
 the weight gradients with three GEMMs over all cells, gathering the cells'
-input vectors from the matrix for ``wx``.
+input vectors from the distinct rows for ``wx``.
 """
 
 from __future__ import annotations
@@ -152,9 +161,11 @@ class LSTMCell:
     bias: np.ndarray  # (4 * hidden_dim,)
 
     def __post_init__(self) -> None:
-        self.wx = np.asarray(self.wx, dtype=np.float64)
-        self.wh = np.asarray(self.wh, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        # float32 weights make a float32 cell; anything else computes in float64.
+        dtype = np.float32 if np.asarray(self.wx).dtype == np.float32 else np.float64
+        self.wx = np.asarray(self.wx, dtype=dtype)
+        self.wh = np.asarray(self.wh, dtype=dtype)
+        self.bias = np.asarray(self.bias, dtype=dtype)
         hidden = self.wh.shape[1]
         if self.wx.shape[0] != 4 * hidden or self.wh.shape[0] != 4 * hidden \
                 or self.bias.shape != (4 * hidden,):
@@ -206,8 +217,8 @@ class PackedLSTMCache:
 
     order: np.ndarray    # (n,) sorted position -> original row
     bounds: np.ndarray   # (t_real + 1,) packed offset of each step
-    ids: np.ndarray      # (P,) token id of each cell
-    matrix: np.ndarray   # (V, input_dim) input vectors the ids index
+    cell_of: np.ndarray  # (P,) row of ``inputs`` each cell reads
+    inputs: np.ndarray   # (U, input_dim) distinct input vectors, compute dtype
     gates: np.ndarray    # (P, 4 * hidden) activated i, f, g, o
     h_prev: np.ndarray   # (P, hidden) hidden state entering the step
     c_prev: np.ndarray   # (P, hidden) cell state entering the step
@@ -225,7 +236,8 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     ids among them, and each step multiplies the hidden states of the rows
     still running by ``wh``. Returns the (n, hidden_dim) final states in
     the caller's row order (zeros for empty rows) and the cache the
-    backward pass needs.
+    backward pass needs, both in the cell's dtype: the distinct input rows
+    are cast to it before the projection.
     """
     xs = np.asarray(xs)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -239,7 +251,7 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     n, t_max = xs.shape
     if lengths.shape != (n,) or np.any(lengths < 0) or np.any(lengths > t_max):
         raise ValueError(f"lengths must be {n} values in [0, {t_max}]")
-    hidden = cell.hidden_dim
+    hidden, dtype = cell.hidden_dim, cell.wx.dtype
     order = np.argsort(-lengths, kind="stable")
     t_real = int(lengths.max(initial=0))
     steps, rows = np.nonzero(np.arange(t_real)[:, None] < lengths[order])
@@ -248,15 +260,16 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     if ids.size and (ids.min() < 0 or ids.max() >= matrix.shape[0]):
         raise ValueError(f"token ids must lie in [0, {matrix.shape[0]})")
     distinct, cell_of = np.unique(ids, return_inverse=True)
-    projected = _rowwise_matmul(matrix[distinct], cell.wx.T)
+    inputs = matrix[distinct].astype(dtype, copy=False)
+    projected = _rowwise_matmul(inputs, cell.wx.T)
     projected += cell.bias
     gates = projected[cell_of]
     p = gates.shape[0]
-    h_prev = np.empty((p, hidden))
-    c_prev = np.empty((p, hidden))
-    tanh_c = np.empty((p, hidden))
-    h = np.zeros((n, hidden))
-    c = np.zeros((n, hidden))
+    h_prev = np.empty((p, hidden), dtype)
+    c_prev = np.empty((p, hidden), dtype)
+    tanh_c = np.empty((p, hidden), dtype)
+    h = np.zeros((n, hidden), dtype)
+    c = np.zeros((n, hidden), dtype)
     wh_t = cell.wh.T
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
@@ -274,22 +287,23 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
         c[:b] = gf * c[:b] + gi * gg
         np.tanh(c[:b], out=tanh_c[lo:hi])
         np.multiply(go, tanh_c[lo:hi], out=h[:b])
-    finals = np.empty((n, hidden))
+    finals = np.empty((n, hidden), dtype)
     finals[order] = h
-    return finals, PackedLSTMCache(order, bounds, ids, matrix, gates, h_prev,
-                                   c_prev, tanh_c)
+    return finals, PackedLSTMCache(order, bounds, cell_of, inputs, gates,
+                                   h_prev, c_prev, tanh_c)
 
 
 def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
                         dh_final: np.ndarray) -> dict[str, np.ndarray]:
-    """Backpropagation through time; returns gradients for wx, wh and bias.
+    """Backpropagation through time; returns gradients for wx, wh and bias
+    in the cell's dtype.
 
     The reverse loop writes each step's gate gradients into one packed
     array; the weight gradients are then three GEMMs over all cells.
     """
     hidden = cell.hidden_dim
     bounds = cache.bounds
-    dh = np.asarray(dh_final, dtype=np.float64)[cache.order]
+    dh = np.asarray(dh_final, dtype=cell.wh.dtype)[cache.order]
     dc = np.zeros_like(dh)
     dz_all = np.empty_like(cache.gates)
     for t in range(len(bounds) - 2, -1, -1):
@@ -309,28 +323,75 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
         if t:
             dh[:b] = dz @ cell.wh
             dc[:b] = dc_cand * gf
-    return {"wx": dz_all.T @ cache.matrix[cache.ids],
+    return {"wx": dz_all.T @ cache.inputs[cache.cell_of],
             "wh": dz_all.T @ cache.h_prev,
             "bias": dz_all.sum(axis=0)}
+
+
+def segment_views(vector: np.ndarray, shapes: Mapping[str, tuple[int, ...]]
+                  ) -> dict[str, np.ndarray]:
+    """Named views of consecutive segments of a 1-D vector, in order."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = vector[offset:offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+@dataclass
+class FlatParameters:
+    """A model's float64 parameters as one contiguous vector, with a gradient
+    vector of the same layout; ``params`` and ``grads`` name views into them."""
+
+    vector: np.ndarray
+    gradient: np.ndarray
+    params: dict[str, np.ndarray]
+    grads: dict[str, np.ndarray]
+
+    @classmethod
+    def pack(cls, arrays: Mapping[str, np.ndarray]) -> "FlatParameters":
+        """Copy the named arrays, in order, into a new vector."""
+        shapes = {name: np.shape(a) for name, a in arrays.items()}
+        vector = np.concatenate([np.ravel(a) for a in arrays.values()],
+                                dtype=np.float64)
+        gradient = np.zeros_like(vector)
+        return cls(vector, gradient, segment_views(vector, shapes),
+                   segment_views(gradient, shapes))
 
 
 class Mlp:
     """ReLU hidden layers under a softmax output, trained on mean
     cross-entropy. The title scorer is one; UCNet's classification head is
-    another, whose parameters carry the layer names it is given."""
+    another, whose parameters carry the layer names it is given.
+
+    The layers are copied into a new :class:`FlatParameters` unless ``flat``
+    is given: the storage of a larger model whose views the layers already
+    are, into which the gradients are then written too.
+    """
 
     def __init__(self, layers: Sequence[DenseLayer],
-                 names: Sequence[str] | None = None):
+                 names: Sequence[str] | None = None,
+                 flat: FlatParameters | None = None):
         if not layers:
             raise ValueError("Mlp needs at least one layer")
         if any(layer.activation != "relu" for layer in layers[:-1]) \
                 or layers[-1].activation != "softmax":
             raise ValueError("Mlp takes relu hidden layers and a softmax output")
-        self.layers = list(layers)
         self.names = tuple(names) if names is not None else \
-            tuple(f"layer{i}" for i in range(len(self.layers)))
-        if len(self.names) != len(self.layers):
+            tuple(f"layer{i}" for i in range(len(layers)))
+        if len(self.names) != len(layers):
             raise ValueError("one name per layer required")
+        if flat is None:
+            flat = FlatParameters.pack(
+                {f"{name}.{part}": getattr(layer, part)
+                 for name, layer in zip(self.names, layers)
+                 for part in ("weights", "bias")})
+            layers = [DenseLayer(flat.params[f"{name}.weights"],
+                                 flat.params[f"{name}.bias"], layer.activation)
+                      for name, layer in zip(self.names, layers)]
+        self.layers = list(layers)
+        self.flat = flat
 
     @classmethod
     def init(cls, rng: np.random.Generator, dims: Sequence[int]) -> "Mlp":
@@ -364,72 +425,85 @@ class Mlp:
             out = _apply_activation(layer.activation, z)
         return out, inputs, zs
 
-    def _backward_from_delta(self, delta, inputs, zs):
-        """Parameter gradients and the input gradient, given the gradient
-        with respect to the output logits of a batch."""
-        grads: dict[str, np.ndarray] = {}
+    def _backward_from_delta(self, delta, inputs, zs) -> np.ndarray:
+        """Write the parameter gradients into ``flat.grads`` and return the
+        input gradient, given the gradient with respect to the output
+        logits of a batch."""
+        grads = self.flat.grads
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
                 delta = delta * (zs[i] > 0)
-            grads[f"{self.names[i]}.weights"] = delta.T @ inputs[i]
-            grads[f"{self.names[i]}.bias"] = delta.sum(axis=0)
+            np.matmul(delta.T, inputs[i], out=grads[f"{self.names[i]}.weights"])
+            delta.sum(axis=0, out=grads[f"{self.names[i]}.bias"])
             delta = delta @ self.layers[i].weights
-        return grads, delta
+        return delta
 
     def batch_loss_and_gradients(self, xs: np.ndarray, ys: np.ndarray):
-        """Mean cross-entropy over a batch of rows and its gradients."""
+        """Mean cross-entropy over a batch of rows and its gradients (views
+        into ``flat.gradient``)."""
         out, inputs, zs = self._forward_cached(xs)
         loss, delta = softmax_cross_entropy(out, ys)
-        return loss, self._backward_from_delta(delta, inputs, zs)[0]
+        self._backward_from_delta(delta, inputs, zs)
+        return loss, self.flat.grads
 
 
 @dataclass
 class AdamState:
-    """Adam accumulators; ``m``/``v`` mirror the parameter dict shapes."""
+    """Adam accumulators; ``m``/``v`` have the flat parameter vector's shape.
+    ``scratch`` holds two more such vectors, reused by every step so that
+    a step allocates nothing."""
 
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)),
+                                repr=False)
 
     @classmethod
-    def for_params(cls, params: Mapping[str, np.ndarray],
-                   learning_rate: float = 1e-4, beta1: float = 0.9,
-                   beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def for_params(cls, vector: np.ndarray, learning_rate: float = 1e-4,
+                   beta1: float = 0.9, beta2: float = 0.999,
+                   epsilon: float = 1e-8) -> "AdamState":
         return cls(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                   epsilon=epsilon, t=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()})
+                   epsilon=epsilon, t=0, m=np.zeros_like(vector),
+                   v=np.zeros_like(vector),
+                   scratch=np.empty((2,) + np.shape(vector)))
 
 
-def adam_step(params: Mapping[str, np.ndarray],
-              grads: Mapping[str, np.ndarray],
-              state: AdamState) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Pure: returns fresh arrays and state."""
-    if set(params) != set(grads):
-        raise ValueError("parameter and gradient names differ")
-    t = state.t + 1
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for key, p in params.items():
-        g = np.asarray(grads[key], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {key!r}")
-        m = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        new_params[key] = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        new_m[key] = m
-        new_v[key] = v
-    new_state = AdamState(learning_rate=state.learning_rate, beta1=state.beta1,
-                          beta2=state.beta2, epsilon=state.epsilon, t=t,
-                          m=new_m, v=new_v)
-    return new_params, new_state
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of a flat float64 parameter vector.
+
+    Updates ``params``, ``state.m`` and ``state.v`` in place and advances
+    ``state.t``. Every element goes through the same operations, in the
+    same order, as the textbook expressions
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``.
+    """
+    if not (params.shape == grads.shape == state.m.shape == state.v.shape
+            == state.scratch.shape[1:]):
+        raise ValueError(
+            f"parameter, gradient and moment shapes differ: {params.shape}, "
+            f"{grads.shape}, {state.m.shape}, {state.v.shape}")
+    state.t += 1
+    scratch, step = state.scratch
+    m, v = state.m, state.v
+    m *= state.beta1
+    np.multiply(grads, 1.0 - state.beta1, out=scratch)
+    m += scratch
+    v *= state.beta2
+    np.multiply(grads, 1.0 - state.beta2, out=scratch)
+    scratch *= grads
+    v += scratch
+    np.divide(v, 1.0 - state.beta2 ** state.t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.epsilon
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
+    step *= state.learning_rate
+    step /= scratch
+    params -= step
 
 
 def gradient_check(network, *batch, h: float = 1e-5) -> float:
@@ -440,11 +514,13 @@ def gradient_check(network, *batch, h: float = 1e-5) -> float:
     small enough to afford 2 passes per parameter.
     """
     loss0, analytic = network.batch_loss_and_gradients(*batch)
+    # A snapshot: the network may overwrite its gradient buffer on each call.
+    analytic = {name: np.array(g, dtype=np.float64) for name, g in analytic.items()}
     if not math.isfinite(loss0):
         raise ValueError("loss is not finite")
     worst = 0.0
     for name, array in network.parameters().items():
-        grad = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
+        grad = analytic[name].reshape(-1)
         flat = array.reshape(-1)
         for i in range(flat.size):
             original = flat[i]

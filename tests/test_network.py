@@ -11,6 +11,7 @@ from ucnet.network import (Prediction, TrainingConfig, UCNetModel,
                            fakeness_vector, init_params)
 
 from conftest import lstm_sequence, make_comment, make_dataset, make_video
+from test_neural import copied
 
 
 class TestFakenessVector:
@@ -90,11 +91,12 @@ def toy_comments():
 TOY_PHRASES = ("fake", "hoax", "staged", "nice video", "so fake")
 
 
-def toy_model(params, max_comments=200):
+def toy_model(params, max_comments=200, dtype=np.float32):
     """A model over TOY_PHRASES with placeholder feature names."""
     names = tuple(f"f{i}" for i in range(params.n_features))
     return UCNetModel(params, TOY_PHRASES, names, params.lstm.input_dim,
-                      TrainingConfig(max_comments_per_video=max_comments))
+                      TrainingConfig(max_comments_per_video=max_comments),
+                      dtype=dtype)
 
 
 class TestUnifiedEmbedding:
@@ -131,22 +133,24 @@ class TestUnifiedEmbedding:
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         table = toy_table()
         comments = toy_comments()
-        model = toy_model(params)
-        base = model.unified_embedding(comments, table)
-        for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
-            shuffled = [comments[i] for i in order]
-            assert np.array_equal(
-                base, model.unified_embedding(shuffled, table))
+        for dtype in (np.float32, np.float64):
+            model = toy_model(params, dtype=dtype)
+            base = model.unified_embedding(comments, table)
+            for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
+                shuffled = [comments[i] for i in order]
+                assert np.array_equal(
+                    base, model.unified_embedding(shuffled, table))
 
     def test_duplication_invariance_exact(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
         table = toy_table()
         comments = toy_comments()
-        model = toy_model(params)
-        base = model.unified_embedding(comments, table)
-        doubled = comments + comments
-        assert np.array_equal(
-            base, model.unified_embedding(doubled, table))
+        for dtype in (np.float32, np.float64):
+            model = toy_model(params, dtype=dtype)
+            base = model.unified_embedding(comments, table)
+            doubled = comments + comments
+            assert np.array_equal(
+                base, model.unified_embedding(doubled, table))
 
     def test_comment_cap_keeps_most_recent(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
@@ -183,7 +187,8 @@ class TestForward:
         table = toy_table()
         video = make_video(comments=toy_comments())
         features = np.array([0.25, 0.9])
-        got = toy_model(params).predict(video.comments, features, table)
+        got = toy_model(params, dtype=np.float64).predict(video.comments,
+                                                          features, table)
 
         # independent trace with basic numpy ops
         from ucnet.embeddings import embed_comment
@@ -203,6 +208,35 @@ class TestForward:
         probs = exp / exp.sum()
         assert got.p_real == pytest.approx(probs[0], abs=1e-10)
         assert got.p_fake == pytest.approx(probs[1], abs=1e-10)
+
+    def test_float32_default_agrees_with_float64(self, tmp_path):
+        # Only the LSTM computes in float32: its finals differ from float64
+        # at float32 rounding (~1e-7), and so does everything downstream.
+        params = tiny_params(seed=4, embedding_dim=4, lstm_hidden=4,
+                             n_phrases=len(TOY_PHRASES), n_features=2)
+        table = toy_table()
+        single, double = toy_model(params), toy_model(params, dtype=np.float64)
+        assert single.dtype == np.float32
+        comments = toy_comments()
+        a = single.unified_embedding(comments, table)
+        b = double.unified_embedding(comments, table)
+        assert a.dtype == np.float64
+        assert np.allclose(a, b, rtol=0, atol=1e-6)
+        features = np.array([0.25, 0.9])
+        p = single.predict(comments, features, table)
+        q = double.predict(comments, features, table)
+        assert p.p_fake == pytest.approx(q.p_fake, abs=1e-6)
+        # the file holds the float64 master weights, whatever the dtype
+        single.save(tmp_path / "a.model")
+        double.save(tmp_path / "b.model")
+        assert (tmp_path / "a.model").read_bytes() == \
+            (tmp_path / "b.model").read_bytes()
+
+    def test_only_float32_or_float64_compute(self):
+        params = tiny_params(n_phrases=len(TOY_PHRASES))
+        for dtype in (np.float16, np.int64):
+            with pytest.raises(ValueError, match="compute dtype"):
+                toy_model(params, dtype=dtype)
 
     def test_feature_length_mismatch_rejected(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
@@ -276,6 +310,29 @@ class TestTrain:
                               fresh.output.weights)
         assert model.loss_history == []
 
+    def test_parameters_stay_views_of_the_flat_vector(self):
+        lexicons, dataset, table, scorer = small_training_world(12, seed=6)
+        config = TrainingConfig(epochs=3, batch_size=4, seed=0)
+        model = network.train(dataset, table, lexicons, scorer, config,
+                              lstm_hidden=8)
+        fresh = init_params(np.random.default_rng(0), table.dimension, 30,
+                            8, 8)
+        assert not np.array_equal(model.params.lstm.wx, fresh.lstm.wx)
+        live = model.parameters()
+        for name, array in live.items():
+            assert np.shares_memory(array, model.flat.vector), name
+        p = model.params
+        for array, name in ((p.lstm.wx, "lstm.wx"), (p.lstm.wh, "lstm.wh"),
+                            (p.lstm.bias, "lstm.bias"),
+                            (p.weight_head.weights, "weight_head.weights"),
+                            (p.hidden.weights, "hidden.weights"),
+                            (p.output.bias, "output.bias"),
+                            (model.head.layers[1].weights, "output.weights")):
+            assert array is live[name]
+        assert np.array_equal(
+            np.concatenate([a.ravel() for a in live.values()]),
+            model.flat.vector)
+
     def test_single_class_rejected(self):
         lexicons, dataset, table, scorer = small_training_world(10, seed=4)
         fakes = make_dataset([r for r in dataset if r.label == "fake"])
@@ -344,7 +401,10 @@ class TestModelIO:
         params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
         path = tmp_path / "ucnet.model"
         UCNetModel(params, phrases, ("a", "b"), 8).save(path)
-        model = UCNetModel.load(path, phrases)
+        loaded = UCNetModel.load(path, phrases)
+        model = UCNetModel(loaded.params, loaded.phrases, loaded.feature_names,
+                           loaded.embedding_dim, loaded.config,
+                           dtype=np.float64)
         prepared = network.PreparedVideo(
             comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
             matrix=rng.normal(size=(15, 8)),
@@ -436,7 +496,7 @@ class TestGradientCheckFullModel:
     def test_reduced_network_passes(self, phrases):
         rng = np.random.default_rng(3)
         params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
-        model = UCNetModel(params, phrases, ("a", "b"), 8)
+        model = UCNetModel(params, phrases, ("a", "b"), 8, dtype=np.float64)
         prepared = network.PreparedVideo(
             comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
             matrix=rng.normal(size=(15, 8)),
@@ -447,7 +507,7 @@ class TestGradientCheckFullModel:
     def test_video_without_comments_still_differentiable(self, phrases):
         rng = np.random.default_rng(5)
         params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
-        model = UCNetModel(params, phrases, ("a", "b"), 8)
+        model = UCNetModel(params, phrases, ("a", "b"), 8, dtype=np.float64)
         prepared = network.PreparedVideo(
             comment_ids=[], matrix=np.zeros((0, 8)), fvs=np.zeros((0, 30)),
             features=rng.normal(size=2), label=0)
@@ -455,11 +515,11 @@ class TestGradientCheckFullModel:
 
     @staticmethod
     def ragged_batch(phrases, seed, shapes):
-        """A small model and one labelled video per (comment lengths,
-        label) pair, all reading one 12-token matrix."""
+        """A small float64 model and one labelled video per (comment
+        lengths, label) pair, all reading one 12-token matrix."""
         rng = np.random.default_rng(seed)
         params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
-        model = UCNetModel(params, phrases, ("a", "b"), 8)
+        model = UCNetModel(params, phrases, ("a", "b"), 8, dtype=np.float64)
         matrix = rng.normal(size=(12, 8))
         videos = [network.PreparedVideo(
             comment_ids=[rng.integers(0, 12, size=t) for t in lengths],
@@ -479,8 +539,8 @@ class TestGradientCheckFullModel:
     def test_batch_gradients_average_per_video(self, phrases):
         model, videos = self.ragged_batch(
             phrases, 8, (((3, 2), 0), ((), 1), ((5,), 1)))
-        loss, grads = model.batch_loss_and_gradients(videos)
-        singles = [model.batch_loss_and_gradients([v]) for v in videos]
+        loss, grads = copied(model.batch_loss_and_gradients(videos))
+        singles = [copied(model.batch_loss_and_gradients([v])) for v in videos]
         assert loss == pytest.approx(np.mean([s[0] for s in singles]))
         for key in grads:
             mean_grad = np.mean([s[1][key] for s in singles], axis=0)
