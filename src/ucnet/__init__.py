@@ -68,7 +68,6 @@ from .neural import (
     LSTMCell,
     Mlp,
     adam_step,
-    dense_forward,
     gradient_check,
     softmax_cross_entropy,
 )

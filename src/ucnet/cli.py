@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -84,7 +85,7 @@ def _write_manifest(primary_output, args, inputs: dict, lexicons: dict,
 
 def _load_labeled_titles(path) -> list[tuple[str, str]]:
     titles = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(corpus.read_utf8(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t", 1)
@@ -124,22 +125,21 @@ def _write_features_csv(path, ids, matrix, labels) -> None:
 
 def _read_features_csv(path):
     ids, rows, labels = [], [], []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["video_id", *FEATURE_NAMES, "label"]:
-            raise ValueError(f"{path}: unexpected feature CSV header")
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"{len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row[1:-1]])
-            except ValueError:
-                raise ValueError(f"{path}: line {reader.line_num}: "
-                                 "non-numeric feature value") from None
-            ids.append(row[0])
-            labels.append(row[-1])
+    reader = csv.reader(io.StringIO(corpus.read_utf8(path), newline=""))
+    header = next(reader, None)
+    if header != ["video_id", *FEATURE_NAMES, "label"]:
+        raise ValueError(f"{path}: unexpected feature CSV header")
+    for row in reader:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {reader.line_num}: expected "
+                             f"{len(header)} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row[1:-1]])
+        except ValueError:
+            raise ValueError(f"{path}: line {reader.line_num}: "
+                             "non-numeric feature value") from None
+        ids.append(row[0])
+        labels.append(row[-1])
     matrix = np.array(rows, dtype=np.float64) if rows else \
         np.zeros((0, len(FEATURE_NAMES)))
     return ids, matrix, labels
@@ -155,22 +155,21 @@ def _write_predictions_csv(path, ids, labels, p_fake) -> None:
 
 def _read_predictions_csv(path):
     ids, labels, p_fake = [], [], []
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["video_id", "label"]:
-            raise ValueError(f"{path}: expected a video_id,label[,p_fake] CSV")
-        for row in reader:
-            if len(row) < len(header):
-                raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"{len(header)} fields, got {len(row)}")
-            try:
-                p_fake.append(float(row[2]) if len(row) > 2 else float("nan"))
-            except ValueError:
-                raise ValueError(f"{path}: line {reader.line_num}: "
-                                 "p_fake is not a number") from None
-            ids.append(row[0])
-            labels.append(row[1])
+    reader = csv.reader(io.StringIO(corpus.read_utf8(path), newline=""))
+    header = next(reader, None)
+    if header is None or header[:2] != ["video_id", "label"]:
+        raise ValueError(f"{path}: expected a video_id,label[,p_fake] CSV")
+    for row in reader:
+        if len(row) < len(header):
+            raise ValueError(f"{path}: line {reader.line_num}: expected "
+                             f"{len(header)} fields, got {len(row)}")
+        try:
+            p_fake.append(float(row[2]) if len(row) > 2 else float("nan"))
+        except ValueError:
+            raise ValueError(f"{path}: line {reader.line_num}: "
+                             "p_fake is not a number") from None
+        ids.append(row[0])
+        labels.append(row[1])
     return ids, labels, p_fake
 
 
@@ -260,7 +259,7 @@ def _cmd_prune(args) -> int:
 
 
 def _load_selected(path) -> tuple[int, ...]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = json.loads(corpus.read_utf8(path))
     return tuple(int(i) for i in payload["selected_indices"])
 
 
@@ -569,7 +568,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 def _read_config_file(path) -> dict[str, str]:
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(corpus.read_utf8(path).splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -32,6 +32,17 @@ _RECORD_KEYS = (
 _COMMENT_KEYS = ("id", "text", "like_count", "reply_count", "published_at")
 
 
+def read_utf8(path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise a ValueError
+    naming the file and the line they are on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
 def nfc(text: str) -> str:
     """Unicode NFC normalization used before any phrase matching."""
     return unicodedata.normalize("NFC", text)
@@ -168,8 +179,7 @@ def load_dataset(path, name: str) -> Dataset:
     path = Path(path)
     records: list[VideoRecord] = []
     seen: set[str] = set()
-    text = path.read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}: line {lineno}"
@@ -177,6 +187,8 @@ def load_dataset(path, name: str) -> Dataset:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{where}: invalid JSON ({exc.msg})") from None
+        except (ValueError, RecursionError) as exc:  # too many digits or too deep
+            raise ValueError(f"{where}: invalid JSON ({exc})") from None
         try:
             record = _parse_record(obj, where)
         except ValueError as exc:
@@ -356,7 +368,7 @@ def load_annotation_round(path) -> dict[str, str]:
     """Read a `video_id<TAB>label` annotation file into a mapping."""
     path = Path(path)
     round_: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -20,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .corpus import read_utf8
 from .lexical import tokenize
 from .serialize import valid_name
 
@@ -85,12 +86,7 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     if expected_dim <= 0:
         raise ValueError("embedding dimension must be positive")
     path = Path(path)
-    data = path.read_bytes()
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty embedding file")
     try:

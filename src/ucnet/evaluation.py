@@ -8,11 +8,14 @@ precision/recall are defined as 0.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .corpus import read_utf8
 
 EVAL_LABELS = ("fake", "real")
 
@@ -168,13 +171,12 @@ def export_report(obj, path, video_ids: Sequence[str] | None = None,
 def read_report(path) -> EvaluationReport:
     """Parse a report CSV written by export_report."""
     rows: dict[str, list[str]] = {}
-    with Path(path).open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["class", "precision", "recall", "f1", "support"]:
-            raise ValueError(f"{path}: unexpected report header {header}")
-        for row in reader:
-            rows[row[0]] = row[1:]
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    header = next(reader)
+    if header != ["class", "precision", "recall", "f1", "support"]:
+        raise ValueError(f"{path}: unexpected report header {header}")
+    for row in reader:
+        rows[row[0]] = row[1:]
     metrics = {}
     for label in EVAL_LABELS:
         p, r, f1, support = rows[label]

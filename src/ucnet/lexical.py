@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .corpus import Comment, VideoRecord, nfc
+from .corpus import Comment, VideoRecord, nfc, read_utf8
 
 DISLIKE_RATIO_CAP = 1000.0
 
@@ -46,15 +46,27 @@ def _fold(text: str) -> str:
     return nfc(text).casefold()
 
 
+def _numbered_entries(path) -> list[tuple[int, str]]:
+    """(line number, entry) of each line that is not blank or a '#' comment."""
+    entries = []
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            entries.append((lineno, stripped))
+    return entries
+
+
 def load_lexicon_lines(path) -> tuple[str, ...]:
     """One entry per line; blank lines and '#' comment lines are skipped."""
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        entries.append(stripped)
-    return tuple(entries)
+    return tuple(entry for _, entry in _numbered_entries(path))
+
+
+def _compile_pattern(pattern: str) -> re.Pattern:
+    try:
+        return re.compile(pattern, re.IGNORECASE)
+    except (re.error, OverflowError, RecursionError) as exc:
+        raise ValueError(
+            f"invalid regular expression {pattern!r}: {exc}") from None
 
 
 def lexicon_digest(entries: Sequence[str]) -> str:
@@ -79,17 +91,24 @@ class LexiconSet:
         return cls(
             clickbait_phrases=tuple(_fold(p) for p in clickbait),
             violent_words=frozenset(_fold(w) for w in violent),
-            fakeness_patterns=tuple(re.compile(p, re.IGNORECASE) for p in patterns),
+            fakeness_patterns=tuple(_compile_pattern(p) for p in patterns),
             swear_words=frozenset(_fold(w) for w in swear),
         )
 
     @classmethod
     def from_directory(cls, directory) -> "LexiconSet":
         directory = Path(directory)
+        patterns_path = directory / "fakeness_patterns.txt"
+        patterns = _numbered_entries(patterns_path)
+        for lineno, pattern in patterns:
+            try:
+                _compile_pattern(pattern)
+            except ValueError as exc:
+                raise ValueError(f"{patterns_path}: line {lineno}: {exc}") from None
         return cls.from_entries(
             load_lexicon_lines(directory / "clickbait_phrases.txt"),
             load_lexicon_lines(directory / "violent_words.txt"),
-            load_lexicon_lines(directory / "fakeness_patterns.txt"),
+            [pattern for _, pattern in patterns],
             load_lexicon_lines(directory / "swear_words.txt"),
         )
 
@@ -242,11 +261,12 @@ class TitleScorer:
         scorer.std = tensors.shaped("feature_std", n_inputs)
         weights = tensors.shaped("layer0.weights", None, n_inputs)
         units = weights.shape[0]
-        hidden = neural.DenseLayer(
-            weights, tensors.shaped("layer0.bias", units), "relu")
-        out = neural.DenseLayer(tensors.shaped("layer1.weights", 2, units),
-                                tensors.shaped("layer1.bias", 2), "softmax")
-        scorer.mlp = neural.Mlp([hidden, out])
+        flat = neural.FlatParameters.pack({
+            "layer0.weights": weights,
+            "layer0.bias": tensors.shaped("layer0.bias", units),
+            "layer1.weights": tensors.shaped("layer1.weights", 2, units),
+            "layer1.bias": tensors.shaped("layer1.bias", 2)})
+        scorer.mlp = neural.Mlp(flat, ("layer0", "layer1"))
         return scorer
 
 

@@ -10,8 +10,9 @@ which is concatenated with the selected simple features and classified by a
 ReLU dense layer into a 2-way softmax over (real, fake).
 
 There is one forward pass, ``_forward_batch`` over a ``_collate``d batch of
-prepared videos, and one backward pass, ``_backward_batch``; the dense head
-runs through :class:`ucnet.neural.Mlp`. ``UCNetModel.batch_loss_and_gradients``
+prepared videos, and one backward pass, ``_backward_batch``. The weight
+head is ``_comment_weights``, and the classifier is a :class:`ucnet.neural.Mlp`
+over the layers ``hidden`` and ``output``. ``UCNetModel.batch_loss_and_gradients``
 chains them over labelled videos: ``train`` calls it on shuffled mini-batches
 and :func:`ucnet.neural.gradient_check` on any batch. Inference (``predict``,
 ``predict_record``, ``unified_embedding`` and so
@@ -105,9 +106,9 @@ def init_params(rng: np.random.Generator, embedding_dim: int, n_phrases: int,
                 hidden_units: int = DEFAULT_HIDDEN_UNITS) -> UCNetParams:
     return UCNetParams(
         lstm=neural.init_lstm(rng, embedding_dim, lstm_hidden),
-        weight_head=neural.init_dense(rng, 1, n_phrases, "sigmoid"),
-        hidden=neural.init_dense(rng, hidden_units, lstm_hidden + n_features, "relu"),
-        output=neural.init_dense(rng, N_CLASSES, hidden_units, "softmax"),
+        weight_head=neural.init_dense(rng, 1, n_phrases),
+        hidden=neural.init_dense(rng, hidden_units, lstm_hidden + n_features),
+        output=neural.init_dense(rng, N_CLASSES, hidden_units),
     )
 
 
@@ -204,6 +205,11 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.fsum, rows.T.tolist()), np.float64, width) / k
 
 
+def _comment_weights(fvs: np.ndarray, weight_head: neural.DenseLayer) -> np.ndarray:
+    """The sigmoid weight head's weight for each fakeness vector in ``fvs``."""
+    return neural.sigmoid(fvs @ weight_head.weights.T + weight_head.bias)
+
+
 def _forward_batch(model: UCNetModel, batch: _Batch):
     params = model.params
     hidden_dim = params.lstm.hidden_dim
@@ -213,8 +219,7 @@ def _forward_batch(model: UCNetModel, batch: _Batch):
         finals, lstm_cache = neural.lstm_forward_batch(
             cell, batch.ids, batch.lengths, batch.matrix)
         finals = finals.astype(np.float64, copy=False)
-        weight_pre = batch.fvs @ params.weight_head.weights.T + params.weight_head.bias
-        weights = neural.sigmoid(weight_pre)  # (n_comments, 1)
+        weights = _comment_weights(batch.fvs, params.weight_head)  # (n_comments, 1)
         weighted = weights * finals
     else:
         cell = lstm_cache = None
@@ -227,8 +232,8 @@ def _forward_batch(model: UCNetModel, batch: _Batch):
         if end > start:
             unified[v] = _exact_mean(weighted[start:end])
     x = np.concatenate([unified, batch.features], axis=1)
-    probs, head_inputs, head_zs = model.head._forward_cached(x)
-    cache = (cell, lstm_cache, finals, weights, head_inputs, head_zs)
+    probs, head_inputs = model.head._forward_cached(x)
+    cache = (cell, lstm_cache, finals, weights, head_inputs)
     return probs, cache
 
 
@@ -236,10 +241,10 @@ def _backward_batch(model: UCNetModel, batch: _Batch, cache,
                     delta: np.ndarray) -> None:
     """Write the gradient of every parameter into ``model.flat.grads``,
     given the gradient of the loss with respect to the output logits."""
-    cell, lstm_cache, finals, weights, head_inputs, head_zs = cache
+    cell, lstm_cache, finals, weights, head_inputs = cache
     grads = model.flat.grads
     n_videos = batch.features.shape[0]
-    dx = model.head._backward_from_delta(delta, head_inputs, head_zs)
+    dx = model.head._backward_from_delta(delta, head_inputs)
     d_unified = dx[:, :model.params.lstm.hidden_dim]
 
     d_weighted = np.zeros_like(finals)
@@ -296,17 +301,14 @@ class UCNetModel:
             "output.bias": params.output.bias,
         })
         views = self.flat.params
+        self.head = neural.Mlp(self.flat, ("hidden", "output"))
         self.params = UCNetParams(
             lstm=neural.LSTMCell(views["lstm.wx"], views["lstm.wh"],
                                  views["lstm.bias"]),
             weight_head=neural.DenseLayer(views["weight_head.weights"],
-                                          views["weight_head.bias"], "sigmoid"),
-            hidden=neural.DenseLayer(views["hidden.weights"],
-                                     views["hidden.bias"], "relu"),
-            output=neural.DenseLayer(views["output.weights"],
-                                     views["output.bias"], "softmax"))
-        self.head = neural.Mlp([self.params.hidden, self.params.output],
-                               names=("hidden", "output"), flat=self.flat)
+                                          views["weight_head.bias"]),
+            hidden=self.head.layers[0],
+            output=self.head.layers[1])
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
             raise ValueError(
@@ -369,7 +371,7 @@ class UCNetModel:
                           table: EmbeddingTable) -> np.ndarray:
         """Mean of weight-scaled comment embeddings; zero vector for no comments."""
         prepared = self.prepare(comments, np.zeros(len(self.feature_names)), table)
-        _, _, (_, _, _, _, (x, _), _) = self._forward([prepared])
+        _, _, (_, _, _, _, (x, _)) = self._forward([prepared])
         return x[0, :self.params.lstm.hidden_dim].copy()
 
     def save(self, path) -> None:
@@ -413,13 +415,16 @@ class UCNetModel:
                 tensors.shaped("lstm.bias", 4 * lstm_hidden)),
             weight_head=neural.DenseLayer(
                 tensors.shaped("weight_head.weights", 1, len(phrases)),
-                tensors.shaped("weight_head.bias", 1), "sigmoid"),
+                tensors.shaped("weight_head.bias", 1)),
             hidden=neural.DenseLayer(
-                hidden_w, tensors.shaped("hidden.bias", units), "relu"),
+                hidden_w, tensors.shaped("hidden.bias", units)),
             output=neural.DenseLayer(
                 tensors.shaped("output.weights", N_CLASSES, units),
-                tensors.shaped("output.bias", N_CLASSES), "softmax"),
+                tensors.shaped("output.bias", N_CLASSES)),
         )
+        for name in ("lstm.wx", "lstm.wh", "lstm.bias"):
+            if np.abs(tensors[name]).max() > np.finfo(np.float32).max:
+                raise ValueError(f"{path}: tensor {name!r} overflows float32")
         settings = dict(
             learning_rate=meta.real("learning_rate"),
             epochs=meta.integer("epochs"),
@@ -436,8 +441,7 @@ class UCNetModel:
 
 def comment_weight(fv: np.ndarray, params: UCNetParams) -> float:
     """Learned scalar importance of one comment, strictly inside (0, 1)."""
-    out = neural.dense_forward(params.weight_head, np.asarray(fv, dtype=np.float64))
-    return float(out[0])
+    return float(_comment_weights(fv, params.weight_head)[0])
 
 
 def _select_features(record: VideoRecord, lexicons: LexiconSet,

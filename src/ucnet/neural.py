@@ -4,8 +4,9 @@ Model parameters and their gradients are float64 and live in one contiguous
 vector each (:class:`FlatParameters`); every parameter is exposed as a named
 view into it, so the Adam optimizer updates the whole model with a handful
 of in-place vector operations and the finite-difference gradient checker
-treats every architecture uniformly. A "network" is any object with two
-methods::
+treats every architecture uniformly. A :class:`DenseLayer` is an affine map
+whose nonlinearity is fixed where it is used: :class:`Mlp` puts ReLU between
+its layers and a softmax on top. A "network" is any object with two methods::
 
     parameters()                       -> live dict of named arrays
     batch_loss_and_gradients(*batch)   -> (mean loss, dict of named arrays)
@@ -44,9 +45,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("sigmoid", "relu", "softmax", "identity")
-
-
 def sigmoid(x):
     z = np.array(x, dtype=np.float64)
     _sigmoid_inplace(z)
@@ -62,27 +60,11 @@ def _sigmoid_inplace(z: np.ndarray) -> None:
     np.reciprocal(z, out=z)
 
 
-def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
 def softmax(logits):
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _apply_activation(name: str, z):
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "relu":
-        return relu(z)
-    if name == "softmax":
-        return softmax(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
 
 
 def softmax_cross_entropy(probs, labels) -> tuple[float, np.ndarray]:
@@ -110,15 +92,14 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int,
 
 @dataclass
 class DenseLayer:
+    """The affine map ``x @ weights.T + bias``."""
+
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray     # (out_dim,)
-    activation: str
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ValueError("dense layer shapes are inconsistent")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
@@ -133,23 +114,8 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-def init_dense(rng: np.random.Generator, out_dim: int, in_dim: int,
-               activation: str) -> DenseLayer:
-    return DenseLayer(glorot_uniform(rng, out_dim, in_dim),
-                      np.zeros(out_dim), activation)
-
-
-def dense_preactivation(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != layer.in_dim:
-        raise ValueError(
-            f"dense layer expects input of size {layer.in_dim}, got {x.shape[-1]}")
-    return x @ layer.weights.T + layer.bias
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """activation(W x + b); works on a single vector or a batch of rows."""
-    return _apply_activation(layer.activation, dense_preactivation(layer, x))
+def init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> DenseLayer:
+    return DenseLayer(glorot_uniform(rng, out_dim, in_dim), np.zeros(out_dim))
 
 
 @dataclass
@@ -363,42 +329,32 @@ class FlatParameters:
 class Mlp:
     """ReLU hidden layers under a softmax output, trained on mean
     cross-entropy. The title scorer is one; UCNet's classification head is
-    another, whose parameters carry the layer names it is given.
+    another, over the model's own :class:`FlatParameters`.
 
-    The layers are copied into a new :class:`FlatParameters` unless ``flat``
-    is given: the storage of a larger model whose views the layers already
-    are, into which the gradients are then written too.
+    Layer ``name`` is the affine map of the views ``name.weights`` and
+    ``name.bias`` of ``flat``, into whose gradient vector the backward pass
+    writes.
     """
 
-    def __init__(self, layers: Sequence[DenseLayer],
-                 names: Sequence[str] | None = None,
-                 flat: FlatParameters | None = None):
-        if not layers:
+    def __init__(self, flat: FlatParameters, names: Sequence[str]):
+        self.names = tuple(names)
+        if not self.names:
             raise ValueError("Mlp needs at least one layer")
-        if any(layer.activation != "relu" for layer in layers[:-1]) \
-                or layers[-1].activation != "softmax":
-            raise ValueError("Mlp takes relu hidden layers and a softmax output")
-        self.names = tuple(names) if names is not None else \
-            tuple(f"layer{i}" for i in range(len(layers)))
-        if len(self.names) != len(layers):
-            raise ValueError("one name per layer required")
-        if flat is None:
-            flat = FlatParameters.pack(
-                {f"{name}.{part}": getattr(layer, part)
-                 for name, layer in zip(self.names, layers)
-                 for part in ("weights", "bias")})
-            layers = [DenseLayer(flat.params[f"{name}.weights"],
-                                 flat.params[f"{name}.bias"], layer.activation)
-                      for name, layer in zip(self.names, layers)]
-        self.layers = list(layers)
+        self.layers = [DenseLayer(flat.params[f"{name}.weights"],
+                                  flat.params[f"{name}.bias"])
+                       for name in self.names]
         self.flat = flat
 
     @classmethod
     def init(cls, rng: np.random.Generator, dims: Sequence[int]) -> "Mlp":
-        last = len(dims) - 2
-        return cls([init_dense(rng, dims[i + 1], dims[i],
-                               "softmax" if i == last else "relu")
-                    for i in range(last + 1)])
+        """Glorot-uniform layers ``layer0``, ``layer1``, ... in a new vector."""
+        names = [f"layer{i}" for i in range(len(dims) - 1)]
+        arrays = {}
+        for name, in_dim, out_dim in zip(names, dims, dims[1:]):
+            layer = init_dense(rng, out_dim, in_dim)
+            arrays[f"{name}.weights"] = layer.weights
+            arrays[f"{name}.bias"] = layer.bias
+        return cls(FlatParameters.pack(arrays), names)
 
     def parameters(self) -> dict[str, np.ndarray]:
         params: dict[str, np.ndarray] = {}
@@ -408,31 +364,30 @@ class Mlp:
         return params
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=np.float64)
-        for layer in self.layers:
-            out = dense_forward(layer, out)
-        return out
+        """Class probabilities of one row or of a batch of rows."""
+        return self._forward_cached(x)[0]
 
     def _forward_cached(self, xs):
         """Class probabilities of a batch of rows, plus each layer's input
-        and pre-activation for ``_backward_from_delta``."""
-        inputs, zs = [], []
+        for ``_backward_from_delta``."""
+        inputs = []
         out = np.asarray(xs, dtype=np.float64)
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
+            if i:
+                out = np.maximum(out, 0.0)
             inputs.append(out)
-            z = dense_preactivation(layer, out)
-            zs.append(z)
-            out = _apply_activation(layer.activation, z)
-        return out, inputs, zs
+            out = out @ layer.weights.T + layer.bias
+        return softmax(out), inputs
 
-    def _backward_from_delta(self, delta, inputs, zs) -> np.ndarray:
+    def _backward_from_delta(self, delta, inputs) -> np.ndarray:
         """Write the parameter gradients into ``flat.grads`` and return the
         input gradient, given the gradient with respect to the output
         logits of a batch."""
         grads = self.flat.grads
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
-                delta = delta * (zs[i] > 0)
+                # ReLU passes the gradient where its output is positive.
+                delta = delta * (inputs[i + 1] > 0)
             np.matmul(delta.T, inputs[i], out=grads[f"{self.names[i]}.weights"])
             delta.sum(axis=0, out=grads[f"{self.names[i]}.bias"])
             delta = delta @ self.layers[i].weights
@@ -441,9 +396,9 @@ class Mlp:
     def batch_loss_and_gradients(self, xs: np.ndarray, ys: np.ndarray):
         """Mean cross-entropy over a batch of rows and its gradients (views
         into ``flat.gradient``)."""
-        out, inputs, zs = self._forward_cached(xs)
+        out, inputs = self._forward_cached(xs)
         loss, delta = softmax_cross_entropy(out, ys)
-        self._backward_from_delta(delta, inputs, zs)
+        self._backward_from_delta(delta, inputs)
         return loss, self.flat.grads
 
 

@@ -43,6 +43,27 @@ class TestExitCodes:
                      "--output", str(tmp_path / "out.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--config", "BAD", "evaluate", "--pred", "x", "--truth", "y",
+         "--output", "OUT"],
+        ["evaluate", "--pred", "BAD", "--truth", "BAD", "--output", "OUT"],
+        ["mine", "--input", "BAD", "--output", "OUT"],
+        ["mine", "--input", "CORPUS", "--seed-phrases", "BAD", "--output", "OUT"],
+        ["agreement", "--round1", "BAD", "--round2", "BAD", "--output", "OUT"],
+        ["features", "--input", "CORPUS", "--train-titles", "BAD",
+         "--output", "OUT"],
+        ["prune", "--features", "BAD", "--output", "OUT"],
+    ], ids=["config", "predictions", "dataset", "lexicon", "annotations",
+            "titles", "features"])
+    def test_undecodable_input_names_file_and_line(self, synthetic_dir,
+                                                   tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"first line\n\xff\n")
+        paths = {"BAD": str(bad), "OUT": str(tmp_path / "out"),
+                 "CORPUS": str(synthetic_dir / "corpus.jsonl")}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        assert f"{bad}: line 2: not UTF-8 text" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -375,7 +396,8 @@ class TestPcaCommand:
 
     @pytest.mark.parametrize("entry,value", [
         ("lstm.wx", np.zeros((12, 5))), ("output.bias", np.zeros(3)),
-        ("epochs", "ten"), ("max_tokens_per_comment", "1.5")])
+        ("epochs", "ten"), ("max_tokens_per_comment", "1.5"),
+        ("lstm.wx", np.full((12, 8), 1e300))])
     def test_model_entry_that_does_not_fit_is_data_error(
             self, synthetic_dir, tmp_path, capsys, model_file, entry, value):
         from ucnet import serialize
@@ -442,3 +464,20 @@ class TestLexiconDirEnv:
         assert code == 0
         manifest = json.loads((tmp_path / "features.csv.manifest.json").read_text())
         assert manifest["lexicons"]
+
+    def test_invalid_pattern_names_file_and_line(self, synthetic_dir, tmp_path,
+                                                 capsys):
+        import shutil
+        from ucnet import lexical
+        custom = tmp_path / "lexicons"
+        shutil.copytree(lexical.default_lexicon_dir(), custom)
+        patterns = custom / "fakeness_patterns.txt"
+        lines = patterns.read_text().splitlines() + ["(unclosed"]
+        patterns.write_text("\n".join(lines) + "\n")
+        code = main(["features", "--input", str(synthetic_dir / "corpus.jsonl"),
+                     "--output", str(tmp_path / "features.csv"),
+                     "--train-titles", str(synthetic_dir / "titles.tsv"),
+                     "--lexicon-dir", str(custom)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{patterns}: line {len(lines)}:" in err and "(unclosed" in err

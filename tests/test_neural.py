@@ -6,45 +6,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucnet import neural
-from ucnet.neural import (AdamState, DenseLayer, LSTMCell, Mlp, adam_step,
-                          dense_forward, gradient_check, init_dense, init_lstm,
+from ucnet.neural import (AdamState, DenseLayer, FlatParameters, LSTMCell, Mlp,
+                          adam_step, gradient_check, init_dense, init_lstm,
                           lstm_backward_batch, lstm_forward_batch, softmax,
                           softmax_cross_entropy)
 
 from conftest import lstm_sequence
 
 
-class TestDenseForward:
-    def test_zero_parameters_sigmoid_gives_half(self):
-        layer = DenseLayer(np.zeros((3, 4)), np.zeros(3), "sigmoid")
-        assert np.array_equal(dense_forward(layer, np.ones(4)), [0.5] * 3)
-
-    def test_identity_passthrough(self):
-        layer = DenseLayer(np.eye(3), np.zeros(3), "identity")
-        x = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(dense_forward(layer, x), x)
-
-    def test_random_layer_matches_hand_product(self):
-        rng = np.random.default_rng(5)
-        w = rng.normal(size=(3, 2))
-        b = rng.normal(size=3)
-        x = rng.normal(size=2)
-        layer = DenseLayer(w, b, "identity")
-        expected = [w[i, 0] * x[0] + w[i, 1] * x[1] + b[i] for i in range(3)]
-        assert np.allclose(dense_forward(layer, x), expected, atol=1e-12)
-
+class TestDenseLayer:
     def test_dimension_mismatch(self):
-        layer = DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")
+        net = Mlp.init(np.random.default_rng(5), [3, 2])
         with pytest.raises(ValueError):
-            dense_forward(layer, np.zeros(4))
-
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError):
-            DenseLayer(np.zeros((1, 1)), np.zeros(1), "gelu")
+            net.forward(np.zeros(4))
 
     def test_non_finite_parameters_rejected(self):
         with pytest.raises(ValueError):
-            DenseLayer(np.array([[np.inf]]), np.zeros(1), "relu")
+            DenseLayer(np.array([[np.inf]]), np.zeros(1))
 
 
 class TestSoftmax:
@@ -405,9 +383,9 @@ def copied(loss_and_grads):
 class TestBackward:
     def test_gradients_vanish_at_near_stationary_point(self):
         # logits with a huge margin: loss ~ 0 and so is every gradient
-        layer = DenseLayer(np.array([[50.0, 0.0], [-50.0, 0.0]]),
-                           np.zeros(2), "softmax")
-        net = Mlp([layer])
+        net = Mlp(FlatParameters.pack({
+            "layer0.weights": np.array([[50.0, 0.0], [-50.0, 0.0]]),
+            "layer0.bias": np.zeros(2)}), ["layer0"])
         loss, grads = net.batch_loss_and_gradients(np.array([[1.0, 0.0]]), [0])
         assert loss < 1e-15
         assert all(np.abs(g).max() < 1e-15 for g in grads.values())
@@ -416,7 +394,8 @@ class TestBackward:
         # logits (0, 0.7 x - 0.2): p(class 1) is the sigmoid of the second
         w = np.array([[0.0], [0.7]])
         b = np.array([0.0, -0.2])
-        net = Mlp([DenseLayer(w, b, "softmax")])
+        net = Mlp(FlatParameters.pack({"layer0.weights": w, "layer0.bias": b}),
+                  ["layer0"])
         loss, grads = net.batch_loss_and_gradients(np.array([[1.3]]), [1])
         p = 1.0 / (1.0 + math.exp(-(0.7 * 1.3 - 0.2)))
         assert loss == pytest.approx(-math.log(p), abs=1e-12)
@@ -450,9 +429,9 @@ class TestBackward:
         net = Mlp.init(rng, [4, 5, 2])
         xs = rng.normal(size=(3, 4))
         ys = np.array([1, 0, 1])
-        out, inputs, zs = net._forward_cached(xs)
+        out, inputs = net._forward_cached(xs)
         _, delta = softmax_cross_entropy(out, ys)
-        dx = net._backward_from_delta(delta, inputs, zs)
+        dx = net._backward_from_delta(delta, inputs)
         h = 1e-6
         for idx in np.ndindex(xs.shape):
             bumped = [xs.copy(), xs.copy()]
@@ -462,25 +441,26 @@ class TestBackward:
                            for x in bumped)
             assert abs((plus - minus) / (2 * h) - dx[idx]) < 1e-8
 
-    def test_only_relu_hidden_layers_and_softmax_output(self):
-        rng = np.random.default_rng(16)
-        for acts in (("sigmoid", "softmax"), ("identity", "softmax"),
-                     ("relu", "sigmoid"), ("identity",), ("relu", "relu")):
-            dims = [3] * len(acts) + [2]
-            layers = [init_dense(rng, dims[i + 1], dims[i], act)
-                      for i, act in enumerate(acts)]
-            with pytest.raises(ValueError):
-                Mlp(layers)
-
     def test_layer_names_label_parameters(self):
         net = Mlp.init(np.random.default_rng(0), [3, 4, 2])
-        named = Mlp(net.layers, names=("hidden", "output"))
+        arrays = {"other": np.ones(2)}
+        for name, layer in zip(("hidden", "output"), net.layers):
+            arrays[f"{name}.weights"] = layer.weights
+            arrays[f"{name}.bias"] = layer.bias
+        flat = FlatParameters.pack(arrays)
+        named = Mlp(flat, ("hidden", "output"))
         assert list(named.parameters()) == [
             "hidden.weights", "hidden.bias", "output.weights", "output.bias"]
         assert named.parameters()["hidden.weights"] is named.layers[0].weights
+        assert named.parameters()["hidden.weights"] is flat.params["hidden.weights"]
         assert np.array_equal(named.layers[0].weights, net.layers[0].weights)
-        # a new Mlp copies the layers: training it leaves the original alone
-        assert not np.shares_memory(named.flat.vector, net.flat.vector)
+        # gradients land in the given vector's gradient, other entries untouched
+        xs, ys = np.ones((2, 3)), np.array([0, 1])
+        _, grads = named.batch_loss_and_gradients(xs, ys)
+        assert grads is flat.grads
+        assert np.array_equal(flat.grads["other"], np.zeros(2))
+        assert np.array_equal(grads["output.weights"],
+                              net.batch_loss_and_gradients(xs, ys)[1]["layer1.weights"])
 
 
 def pure_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -630,7 +610,7 @@ class TestGradientCheck:
 class TestInitialization:
     def test_glorot_bounds(self):
         rng = np.random.default_rng(0)
-        layer = init_dense(rng, 30, 20, "relu")
+        layer = init_dense(rng, 30, 20)
         bound = math.sqrt(6.0 / 50.0)
         assert np.abs(layer.weights).max() <= bound
         assert np.array_equal(layer.bias, np.zeros(30))
