@@ -49,5 +49,5 @@ print(f"    macro: P={report.macro_precision:.2f} "
 phrases = load_fakeness_phrases()
 print("\nlearned comment weights")
 for text in ("fake fake fake", "looks almost real to me", "love this song"):
-    weight = comment_weight(fakeness_vector(text, phrases), model.params)
+    weight = comment_weight(fakeness_vector(text, phrases), model)
     print(f"    {text!r}: weight = {weight:.3f}")

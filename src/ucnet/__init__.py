@@ -55,7 +55,6 @@ from .network import (
     Prediction,
     TrainingConfig,
     UCNetModel,
-    UCNetParams,
     classify,
     comment_weight,
     extract_unified_embeddings,
@@ -64,7 +63,6 @@ from .network import (
 )
 from .neural import (
     AdamState,
-    DenseLayer,
     LSTMCell,
     Mlp,
     adam_step,

@@ -259,8 +259,22 @@ def _cmd_prune(args) -> int:
 
 
 def _load_selected(path) -> tuple[int, ...]:
-    payload = json.loads(corpus.read_utf8(path))
-    return tuple(int(i) for i in payload["selected_indices"])
+    """The ``selected_indices`` of a ``prune`` output: distinct integers in
+    [0, 8), each a column of the features CSV."""
+    text = corpus.read_utf8(path)
+    try:
+        indices = json.loads(text)["selected_indices"]
+    except (ValueError, RecursionError) as exc:  # also too long or too deep
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    except (KeyError, TypeError):
+        raise ValueError(f"{path}: no 'selected_indices' list") from None
+    n = len(FEATURE_NAMES)
+    if not (isinstance(indices, list)
+            and all(type(i) is int and 0 <= i < n for i in indices)
+            and len(set(indices)) == len(indices)):
+        raise ValueError(f"{path}: selected_indices must be distinct integers "
+                         f"in [0, {n}), got {json.dumps(indices)[:80]}")
+    return tuple(indices)
 
 
 def _cmd_train_classic(args) -> int:

@@ -169,20 +169,29 @@ def export_report(obj, path, video_ids: Sequence[str] | None = None,
 
 
 def read_report(path) -> EvaluationReport:
-    """Parse a report CSV written by export_report."""
-    rows: dict[str, list[str]] = {}
+    """Parse a report CSV written by export_report. A file that is not one
+    raises ``ValueError`` naming it and, for a bad row, the line."""
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty report")
     if header != ["class", "precision", "recall", "f1", "support"]:
         raise ValueError(f"{path}: unexpected report header {header}")
+    rows: dict[str, tuple[float, float, float, int]] = {}
     for row in reader:
-        rows[row[0]] = row[1:]
-    metrics = {}
-    for label in EVAL_LABELS:
-        p, r, f1, support = rows[label]
-        metrics[label] = ClassMetrics(float(p), float(r), float(f1), int(support))
+        where = f"{path}: line {reader.line_num}"
+        if len(row) != 5:
+            raise ValueError(f"{where}: expected 5 fields, got {len(row)}")
+        try:
+            rows[row[0]] = (float(row[1]), float(row[2]), float(row[3]),
+                            int(row[4]))
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric cell in {row}") from None
+    for label in (*EVAL_LABELS, "macro"):
+        if label not in rows:
+            raise ValueError(f"{path}: no {label!r} row")
+    metrics = {label: ClassMetrics(*rows[label]) for label in EVAL_LABELS}
     macro = rows["macro"]
     return EvaluationReport(fake=metrics["fake"], real=metrics["real"],
-                            macro_precision=float(macro[0]),
-                            macro_recall=float(macro[1]),
-                            macro_f1=float(macro[2]))
+                            macro_precision=macro[0], macro_recall=macro[1],
+                            macro_f1=macro[2])

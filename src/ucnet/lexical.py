@@ -239,7 +239,7 @@ class TitleScorer:
         tensors.update(self.mlp.parameters())
         meta = {
             "kind": "title-scorer",
-            "hidden_dim": str(self.mlp.layers[0].out_dim),
+            "hidden_dim": str(len(self.mlp.flat.params["layer0.bias"])),
             "clickbait_digest": lexicon_digest(self.lexicons.clickbait_phrases),
             "violent_digest": lexicon_digest(sorted(self.lexicons.violent_words)),
         }

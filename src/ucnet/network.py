@@ -19,20 +19,25 @@ and :func:`ucnet.neural.gradient_check` on any batch. Inference (``predict``,
 :func:`extract_unified_embeddings`) runs the forward pass on one video per
 call, so it holds the LSTM state of one video at a time.
 
-A model keeps all its parameters, and their gradients, in one flat float64
-vector each (:class:`ucnet.neural.FlatParameters`), which Adam updates in
-place. The LSTM runs in the model's compute dtype, float32 by default: each
-forward pass casts the LSTM's master weights once, the LSTM's final states
-are widened to float64, and its gradients are widened into the flat
+The model's nine tensors, their names, shapes and order, are set in one
+place, ``_layout``: ``init_params`` draws them in that order, the
+constructor refuses any other mapping, and ``UCNetModel.load`` reads a file
+through it. A model keeps all its parameters, and their gradients, in one
+flat float64 vector each (:class:`ucnet.neural.FlatParameters`), which Adam
+updates in place; the LSTM's tensors come first, so they are a prefix of
+the vector. The LSTM runs in the model's compute dtype, float32 by default:
+each forward pass casts the LSTM's master weights once, the LSTM's final
+states are widened to float64, and its gradients are widened into the flat
 gradient vector. Pooling, both dense heads and the softmax stay float64.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -77,39 +82,58 @@ class TrainingConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
-@dataclass
-class UCNetParams:
-    lstm: neural.LSTMCell
-    weight_head: neural.DenseLayer  # (1, n_phrases), sigmoid
-    hidden: neural.DenseLayer       # (hidden_units, lstm_hidden + n_features), relu
-    output: neural.DenseLayer       # (2, hidden_units), softmax
+def _layout(embedding_dim: int, n_phrases: int, n_features: int,
+            lstm_hidden: int, hidden_units: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in flat-vector order: the
+    LSTM, the sigmoid weight head, then the ReLU ``hidden`` and softmax
+    ``output`` layers of the classifier."""
+    gates = 4 * lstm_hidden
+    return {
+        "lstm.wx": (gates, embedding_dim),
+        "lstm.wh": (gates, lstm_hidden),
+        "lstm.bias": (gates,),
+        "weight_head.weights": (1, n_phrases),
+        "weight_head.bias": (1,),
+        "hidden.weights": (hidden_units, lstm_hidden + n_features),
+        "hidden.bias": (hidden_units,),
+        "output.weights": (N_CLASSES, hidden_units),
+        "output.bias": (N_CLASSES,),
+    }
 
-    def __post_init__(self) -> None:
-        if self.weight_head.out_dim != 1:
-            raise ValueError("weight head must have a single output")
-        if self.hidden.in_dim != self.lstm.hidden_dim + self.n_features:
-            raise ValueError("hidden layer width does not match lstm + features")
-        if self.output.in_dim != self.hidden.out_dim or self.output.out_dim != N_CLASSES:
-            raise ValueError("output layer shapes are inconsistent")
 
-    @property
-    def n_phrases(self) -> int:
-        return self.weight_head.in_dim
-
-    @property
-    def n_features(self) -> int:
-        return self.hidden.in_dim - self.lstm.hidden_dim
+def _check_layout(shapes: Mapping[str, tuple[int, ...]],
+                  layout: Mapping[str, tuple[int, ...]]) -> None:
+    """Refuse tensors whose names, order or shapes differ from the layout,
+    naming the first tensor that differs."""
+    for i, (name, want) in enumerate(itertools.zip_longest(shapes, layout)):
+        if name != want:
+            raise ValueError(
+                f"tensor {i} is {name!r}, the model needs {want!r}")
+    for name, want in layout.items():
+        if shapes[name] != want:
+            raise ValueError(f"tensor {name!r} has shape {shapes[name]}, "
+                             f"the model needs {want}")
 
 
 def init_params(rng: np.random.Generator, embedding_dim: int, n_phrases: int,
                 n_features: int, lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
-                hidden_units: int = DEFAULT_HIDDEN_UNITS) -> UCNetParams:
-    return UCNetParams(
-        lstm=neural.init_lstm(rng, embedding_dim, lstm_hidden),
-        weight_head=neural.init_dense(rng, 1, n_phrases),
-        hidden=neural.init_dense(rng, hidden_units, lstm_hidden + n_features),
-        output=neural.init_dense(rng, N_CLASSES, hidden_units),
-    )
+                hidden_units: int = DEFAULT_HIDDEN_UNITS
+                ) -> dict[str, np.ndarray]:
+    """Initial tensors in layout order: the LSTM from
+    :func:`ucnet.neural.init_lstm`, then each dense layer's Glorot-uniform
+    weights and zero bias, drawn in that order from rng."""
+    layout = _layout(embedding_dim, n_phrases, n_features, lstm_hidden,
+                     hidden_units)
+    lstm = neural.init_lstm(rng, embedding_dim, lstm_hidden)
+    params = {}
+    for name, shape in layout.items():
+        if name.startswith("lstm."):
+            params[name] = getattr(lstm, name.removeprefix("lstm."))
+        elif name.endswith(".weights"):
+            params[name] = neural.glorot_uniform(rng, *shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
 
 
 @dataclass(frozen=True)
@@ -205,21 +229,23 @@ def _exact_mean(rows: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.fsum, rows.T.tolist()), np.float64, width) / k
 
 
-def _comment_weights(fvs: np.ndarray, weight_head: neural.DenseLayer) -> np.ndarray:
+def _comment_weights(fvs: np.ndarray, weights: np.ndarray,
+                     bias: np.ndarray) -> np.ndarray:
     """The sigmoid weight head's weight for each fakeness vector in ``fvs``."""
-    return neural.sigmoid(fvs @ weight_head.weights.T + weight_head.bias)
+    return neural.sigmoid(fvs @ weights.T + bias)
 
 
 def _forward_batch(model: UCNetModel, batch: _Batch):
-    params = model.params
-    hidden_dim = params.lstm.hidden_dim
+    params = model.flat.params
+    hidden_dim = model.lstm_hidden
     n_videos = batch.features.shape[0]
     if batch.ids.shape[0]:
         cell = model._compute_cell()
         finals, lstm_cache = neural.lstm_forward_batch(
             cell, batch.ids, batch.lengths, batch.matrix)
         finals = finals.astype(np.float64, copy=False)
-        weights = _comment_weights(batch.fvs, params.weight_head)  # (n_comments, 1)
+        weights = _comment_weights(batch.fvs, params["weight_head.weights"],
+                                   params["weight_head.bias"])  # (n_comments, 1)
         weighted = weights * finals
     else:
         cell = lstm_cache = None
@@ -245,7 +271,7 @@ def _backward_batch(model: UCNetModel, batch: _Batch, cache,
     grads = model.flat.grads
     n_videos = batch.features.shape[0]
     dx = model.head._backward_from_delta(delta, head_inputs)
-    d_unified = dx[:, :model.params.lstm.hidden_dim]
+    d_unified = dx[:, :model.lstm_hidden]
 
     d_weighted = np.zeros_like(finals)
     for v in range(n_videos):
@@ -273,42 +299,31 @@ class UCNetModel:
     Implements the network protocol of :mod:`ucnet.neural` (``parameters``,
     ``batch_loss_and_gradients``) over labelled :class:`PreparedVideo`s, so
     the finite-difference gradient checker applies to the full architecture.
-    The parameters are copied into ``self.flat``; ``self.params`` holds
-    views into it. ``dtype`` is the LSTM's compute dtype: float32 by
-    default, float64 for checks against float64 references.
+    ``params`` maps the tensor names of ``_layout`` to arrays, in layout
+    order; they are copied into ``self.flat``. ``dtype`` is the LSTM's
+    compute dtype: float32 by default, float64 for checks against float64
+    references.
     """
 
-    def __init__(self, params: UCNetParams, phrases: Sequence[str],
-                 feature_names: Sequence[str], embedding_dim: int,
-                 config: TrainingConfig | None = None, *,
-                 dtype=np.float32):
-        if params.n_phrases != len(phrases):
-            raise ValueError("weight head width must match the phrase count")
-        if params.n_features != len(feature_names):
-            raise ValueError("hidden width must match the feature selection")
-        if params.lstm.input_dim != embedding_dim:
-            raise ValueError("LSTM input width must match the embedding dimension")
-        # The LSTM's tensors come first, so they are a prefix of the vector.
-        self.flat = neural.FlatParameters.pack({
-            "lstm.wx": params.lstm.wx,
-            "lstm.wh": params.lstm.wh,
-            "lstm.bias": params.lstm.bias,
-            "weight_head.weights": params.weight_head.weights,
-            "weight_head.bias": params.weight_head.bias,
-            "hidden.weights": params.hidden.weights,
-            "hidden.bias": params.hidden.bias,
-            "output.weights": params.output.weights,
-            "output.bias": params.output.bias,
-        })
-        views = self.flat.params
+    def __init__(self, params: Mapping[str, np.ndarray],
+                 phrases: Sequence[str], feature_names: Sequence[str],
+                 embedding_dim: int, config: TrainingConfig | None = None,
+                 *, dtype=np.float32):
+        shapes = {name: np.shape(array) for name, array in params.items()}
+        wh, bias = shapes.get("lstm.wh", ()), shapes.get("hidden.bias", ())
+        self.lstm_hidden = wh[-1] if wh else 0
+        layout = _layout(embedding_dim, len(phrases), len(feature_names),
+                         self.lstm_hidden, bias[0] if bias else 0)
+        _check_layout(shapes, layout)
+        self.flat = neural.FlatParameters.pack(params)
+        for name in ("lstm.wx", "lstm.wh", "lstm.bias"):
+            if np.abs(self.flat.params[name]).max(initial=0.0) \
+                    > np.finfo(np.float32).max:
+                raise ValueError(f"tensor {name!r} overflows float32")
+        self._lstm_shapes = {name.removeprefix("lstm."): shape
+                             for name, shape in layout.items()
+                             if name.startswith("lstm.")}
         self.head = neural.Mlp(self.flat, ("hidden", "output"))
-        self.params = UCNetParams(
-            lstm=neural.LSTMCell(views["lstm.wx"], views["lstm.wh"],
-                                 views["lstm.bias"]),
-            weight_head=neural.DenseLayer(views["weight_head.weights"],
-                                          views["weight_head.bias"]),
-            hidden=self.head.layers[0],
-            output=self.head.layers[1])
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
             raise ValueError(
@@ -326,11 +341,9 @@ class UCNetModel:
         """The LSTM cell in the compute dtype, built from views of one cast
         copy of the LSTM prefix of the flat vector (the master weights
         themselves at float64)."""
-        lstm = self.params.lstm
-        size = lstm.wx.size + lstm.wh.size + lstm.bias.size
+        size = sum(math.prod(shape) for shape in self._lstm_shapes.values())
         cast = self.flat.vector[:size].astype(self.dtype, copy=False)
-        return neural.LSTMCell(**neural.segment_views(cast, {
-            "wx": lstm.wx.shape, "wh": lstm.wh.shape, "bias": lstm.bias.shape}))
+        return neural.LSTMCell(**neural.segment_views(cast, self._lstm_shapes))
 
     def prepare(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable, label: int | None = None) -> PreparedVideo:
@@ -372,14 +385,14 @@ class UCNetModel:
         """Mean of weight-scaled comment embeddings; zero vector for no comments."""
         prepared = self.prepare(comments, np.zeros(len(self.feature_names)), table)
         _, _, (_, _, _, _, (x, _)) = self._forward([prepared])
-        return x[0, :self.params.lstm.hidden_dim].copy()
+        return x[0, :self.lstm_hidden].copy()
 
     def save(self, path) -> None:
         tensors = self.parameters()
         meta = {
             "kind": "ucnet",
             "embedding_dim": str(self.embedding_dim),
-            "lstm_hidden": str(self.params.lstm.hidden_dim),
+            "lstm_hidden": str(self.lstm_hidden),
             "n_phrases": str(len(self.phrases)),
             "phrase_digest": lexicon_digest(self.phrases),
             "feature_names": ",".join(self.feature_names),
@@ -402,29 +415,14 @@ class UCNetModel:
             raise ValueError(
                 f"{path}: fakeness phrase list does not match the one the "
                 "model was trained with; refusing to run inference")
-        feature_names = tuple(meta["feature_names"].split(","))
+        names = meta["feature_names"]
+        feature_names = tuple(names.split(",")) if names else ()
         embedding_dim = meta.integer("embedding_dim")
-        lstm_hidden = meta.integer("lstm_hidden")
-        hidden_w = tensors.shaped("hidden.weights", None,
-                                  lstm_hidden + len(feature_names))
-        units = hidden_w.shape[0]
-        params = UCNetParams(
-            lstm=neural.LSTMCell(
-                tensors.shaped("lstm.wx", 4 * lstm_hidden, embedding_dim),
-                tensors.shaped("lstm.wh", 4 * lstm_hidden, lstm_hidden),
-                tensors.shaped("lstm.bias", 4 * lstm_hidden)),
-            weight_head=neural.DenseLayer(
-                tensors.shaped("weight_head.weights", 1, len(phrases)),
-                tensors.shaped("weight_head.bias", 1)),
-            hidden=neural.DenseLayer(
-                hidden_w, tensors.shaped("hidden.bias", units)),
-            output=neural.DenseLayer(
-                tensors.shaped("output.weights", N_CLASSES, units),
-                tensors.shaped("output.bias", N_CLASSES)),
-        )
-        for name in ("lstm.wx", "lstm.wh", "lstm.bias"):
-            if np.abs(tensors[name]).max() > np.finfo(np.float32).max:
-                raise ValueError(f"{path}: tensor {name!r} overflows float32")
+        units = tensors.shaped("hidden.weights", None, None).shape[0]
+        layout = _layout(embedding_dim, len(phrases), len(feature_names),
+                         meta.integer("lstm_hidden"), units)
+        params = {name: tensors.shaped(name, *shape)
+                  for name, shape in layout.items()}
         settings = dict(
             learning_rate=meta.real("learning_rate"),
             epochs=meta.integer("epochs"),
@@ -433,15 +431,17 @@ class UCNetModel:
             max_comments_per_video=meta.integer("max_comments_per_video"),
             max_tokens_per_comment=meta.integer("max_tokens_per_comment"))
         try:
-            config = TrainingConfig(**settings)
+            return cls(params, phrases, feature_names, embedding_dim,
+                       TrainingConfig(**settings))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return cls(params, phrases, feature_names, embedding_dim, config)
 
 
-def comment_weight(fv: np.ndarray, params: UCNetParams) -> float:
+def comment_weight(fv: np.ndarray, model: UCNetModel) -> float:
     """Learned scalar importance of one comment, strictly inside (0, 1)."""
-    return float(_comment_weights(fv, params.weight_head)[0])
+    params = model.flat.params
+    return float(_comment_weights(fv, params["weight_head.weights"],
+                                  params["weight_head.bias"])[0])
 
 
 def _select_features(record: VideoRecord, lexicons: LexiconSet,
@@ -514,4 +514,4 @@ def extract_unified_embeddings(dataset: Dataset, table: EmbeddingTable,
                                model: UCNetModel) -> np.ndarray:
     """One unified-embedding row per video, in dataset order (feeds PCA)."""
     rows = [model.unified_embedding(r.comments, table) for r in dataset]
-    return np.stack(rows) if rows else np.zeros((0, model.params.lstm.hidden_dim))
+    return np.stack(rows) if rows else np.zeros((0, model.lstm_hidden))

@@ -4,9 +4,12 @@ Model parameters and their gradients are float64 and live in one contiguous
 vector each (:class:`FlatParameters`); every parameter is exposed as a named
 view into it, so the Adam optimizer updates the whole model with a handful
 of in-place vector operations and the finite-difference gradient checker
-treats every architecture uniformly. A :class:`DenseLayer` is an affine map
-whose nonlinearity is fixed where it is used: :class:`Mlp` puts ReLU between
-its layers and a softmax on top. A "network" is any object with two methods::
+treats every architecture uniformly. :meth:`FlatParameters.pack` is where
+parameters enter a model, and the one place their finiteness is checked. A
+dense layer is a pair of views ``name.weights`` and ``name.bias``, read as the
+affine map ``x @ weights.T + bias``; its nonlinearity is fixed where it is
+used: :class:`Mlp` puts ReLU between its layers and a softmax on top. A
+"network" is any object with two methods::
 
     parameters()                       -> live dict of named arrays
     batch_loss_and_gradients(*batch)   -> (mean loss, dict of named arrays)
@@ -91,36 +94,12 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int,
 
 
 @dataclass
-class DenseLayer:
-    """The affine map ``x @ weights.T + bias``."""
-
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray     # (out_dim,)
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("dense layer shapes are inconsistent")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("dense layer parameters must be finite")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-
-def init_dense(rng: np.random.Generator, out_dim: int, in_dim: int) -> DenseLayer:
-    return DenseLayer(glorot_uniform(rng, out_dim, in_dim), np.zeros(out_dim))
-
-
-@dataclass
 class LSTMCell:
-    """Single LSTM cell with gate matrices stacked as (input, forget, candidate, output)."""
+    """Single LSTM cell with gate matrices stacked as (input, forget, candidate, output).
+
+    Building one checks shapes only: the weights were checked where they
+    entered the model, so a forward pass does not scan them again.
+    """
 
     wx: np.ndarray    # (4 * hidden_dim, input_dim)
     wh: np.ndarray    # (4 * hidden_dim, hidden_dim)
@@ -136,9 +115,6 @@ class LSTMCell:
         if self.wx.shape[0] != 4 * hidden or self.wh.shape[0] != 4 * hidden \
                 or self.bias.shape != (4 * hidden,):
             raise ValueError("LSTM cell shapes are inconsistent")
-        for arr in (self.wx, self.wh, self.bias):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("LSTM parameters must be finite")
 
     @property
     def input_dim(self) -> int:
@@ -317,13 +293,17 @@ class FlatParameters:
 
     @classmethod
     def pack(cls, arrays: Mapping[str, np.ndarray]) -> "FlatParameters":
-        """Copy the named arrays, in order, into a new vector."""
+        """Copy the named arrays, in order, into a new vector; every value
+        must be finite."""
         shapes = {name: np.shape(a) for name, a in arrays.items()}
         vector = np.concatenate([np.ravel(a) for a in arrays.values()],
                                 dtype=np.float64)
+        params = segment_views(vector, shapes)
+        if not np.isfinite(vector).all():
+            bad = next(n for n, a in params.items() if not np.isfinite(a).all())
+            raise ValueError(f"parameter {bad!r} is not finite")
         gradient = np.zeros_like(vector)
-        return cls(vector, gradient, segment_views(vector, shapes),
-                   segment_views(gradient, shapes))
+        return cls(vector, gradient, params, segment_views(gradient, shapes))
 
 
 class Mlp:
@@ -340,9 +320,6 @@ class Mlp:
         self.names = tuple(names)
         if not self.names:
             raise ValueError("Mlp needs at least one layer")
-        self.layers = [DenseLayer(flat.params[f"{name}.weights"],
-                                  flat.params[f"{name}.bias"])
-                       for name in self.names]
         self.flat = flat
 
     @classmethod
@@ -351,17 +328,13 @@ class Mlp:
         names = [f"layer{i}" for i in range(len(dims) - 1)]
         arrays = {}
         for name, in_dim, out_dim in zip(names, dims, dims[1:]):
-            layer = init_dense(rng, out_dim, in_dim)
-            arrays[f"{name}.weights"] = layer.weights
-            arrays[f"{name}.bias"] = layer.bias
+            arrays[f"{name}.weights"] = glorot_uniform(rng, out_dim, in_dim)
+            arrays[f"{name}.bias"] = np.zeros(out_dim)
         return cls(FlatParameters.pack(arrays), names)
 
     def parameters(self) -> dict[str, np.ndarray]:
-        params: dict[str, np.ndarray] = {}
-        for name, layer in zip(self.names, self.layers):
-            params[f"{name}.weights"] = layer.weights
-            params[f"{name}.bias"] = layer.bias
-        return params
+        return {f"{name}.{part}": self.flat.params[f"{name}.{part}"]
+                for name in self.names for part in ("weights", "bias")}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of one row or of a batch of rows."""
@@ -370,27 +343,29 @@ class Mlp:
     def _forward_cached(self, xs):
         """Class probabilities of a batch of rows, plus each layer's input
         for ``_backward_from_delta``."""
+        params = self.flat.params
         inputs = []
         out = np.asarray(xs, dtype=np.float64)
-        for i, layer in enumerate(self.layers):
+        for i, name in enumerate(self.names):
             if i:
                 out = np.maximum(out, 0.0)
             inputs.append(out)
-            out = out @ layer.weights.T + layer.bias
+            out = out @ params[f"{name}.weights"].T + params[f"{name}.bias"]
         return softmax(out), inputs
 
     def _backward_from_delta(self, delta, inputs) -> np.ndarray:
         """Write the parameter gradients into ``flat.grads`` and return the
         input gradient, given the gradient with respect to the output
         logits of a batch."""
-        grads = self.flat.grads
-        for i in range(len(self.layers) - 1, -1, -1):
-            if i < len(self.layers) - 1:
+        params, grads = self.flat.params, self.flat.grads
+        for i in range(len(self.names) - 1, -1, -1):
+            name = self.names[i]
+            if i < len(self.names) - 1:
                 # ReLU passes the gradient where its output is positive.
                 delta = delta * (inputs[i + 1] > 0)
-            np.matmul(delta.T, inputs[i], out=grads[f"{self.names[i]}.weights"])
-            delta.sum(axis=0, out=grads[f"{self.names[i]}.bias"])
-            delta = delta @ self.layers[i].weights
+            np.matmul(delta.T, inputs[i], out=grads[f"{name}.weights"])
+            delta.sum(axis=0, out=grads[f"{name}.bias"])
+            delta = delta @ params[f"{name}.weights"]
         return delta
 
     def batch_loss_and_gradients(self, xs: np.ndarray, ys: np.ndarray):

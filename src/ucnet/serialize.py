@@ -16,11 +16,8 @@ in header order, ``n_bytes`` in all, and nothing follows it. The file stores
 the IEEE bits themselves, so save followed by load reproduces every array
 bit for bit by construction, and the same tensors always give the same bytes.
 
-Version 1, written before version 2, is text throughout: the same ``meta``
-and ``tensor`` lines, each ``tensor`` line followed by its values printed
-with 17 significant digits, one line per leading-axis row (a single line for
-0-d and 1-d tensors). :func:`load_tensors` still reads it; the version on
-the first line picks the parser.
+:func:`load_tensors` reads version 2 only; any other version, including
+the all-text version 1 that preceded it, raises ``unsupported version``.
 
 Tensor names and meta keys are non-empty and contain no whitespace. A meta
 value is the rest of its line and may hold anything but ``\\n``. Loaded
@@ -150,8 +147,6 @@ def load_tensors(path) -> tuple[Tensors, Meta]:
         if len(fields) != 2 or fields[0] != FORMAT_NAME:
             raise ValueError(f"{path}: not a tensor file")
         version = _parse_count(path, 1, fields[1], "format version")
-        if version == 1:
-            return _load_text(path, fh.read())
         if version == FORMAT_VERSION:
             return _load_binary(path, fh)
     raise ValueError(f"{path}: unsupported version {fields[1]}")
@@ -244,53 +239,4 @@ def _load_binary(path: Path, fh) -> tuple[Tensors, Meta]:
         # astype copies: the arrays own writable memory, not views of payload.
         tensors[name] = block.reshape(shape).astype(np.float64)
         offset += size
-    return tensors, meta
-
-
-def _load_text(path: Path, body: bytes) -> tuple[Tensors, Meta]:
-    """Parse the body (after the version line) of a version 1 file."""
-    try:
-        # Split on "\n" only, the one line end the writer emitted.
-        lines = body.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        lineno = body.count(b"\n", 0, exc.start) + 2
-        raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
-    tensors = Tensors(path)
-    meta = Meta(path)
-    pos = 0
-    while pos < len(lines):
-        lineno = pos + 2
-        line = lines[pos]
-        pos += 1
-        if not line.strip():
-            continue
-        if line.startswith("meta "):
-            parts = line.split(" ", 2)
-            meta[parts[1]] = parts[2] if len(parts) > 2 else ""
-            continue
-        if not line.startswith("tensor "):
-            raise ValueError(f"{path}: line {lineno}: expected tensor header")
-        name, shape = _parse_tensor_line(path, lineno, line.split()[1:], tensors)
-        n_rows = shape[0] if len(shape) >= 2 else 1
-        values: list[float] = []
-        for _ in range(n_rows):
-            if pos >= len(lines):
-                raise ValueError(f"{path}: line {lineno}: tensor {name!r}: "
-                                 "truncated data")
-            try:
-                values.extend(float(v) for v in lines[pos].split())
-            except ValueError:
-                raise ValueError(f"{path}: line {pos + 2}: tensor {name!r}: "
-                                 "value is not a number") from None
-            pos += 1
-        expected = math.prod(shape)
-        if len(values) != expected:
-            raise ValueError(
-                f"{path}: line {lineno}: tensor {name!r}: expected "
-                f"{expected} values, got {len(values)}")
-        array = np.array(values, dtype=np.float64).reshape(shape)
-        if not np.isfinite(array).all():
-            raise ValueError(f"{path}: line {lineno}: tensor {name!r} "
-                             "contains non-finite values")
-        tensors[name] = array
     return tensors, meta

@@ -51,3 +51,9 @@ def lstm_sequence(cell: neural.LSTMCell, inputs) -> np.ndarray:
     h, _ = neural.lstm_forward_batch(cell, np.arange(len(xs))[None, :],
                                      np.array([len(xs)]), xs)
     return h[0]
+
+
+def lstm_cell(params) -> neural.LSTMCell:
+    """The LSTM cell of a UCNet parameter mapping (``network.init_params``)."""
+    return neural.LSTMCell(params["lstm.wx"], params["lstm.wh"],
+                           params["lstm.bias"])

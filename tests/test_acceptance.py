@@ -15,7 +15,8 @@ import pytest
 from ucnet import classic, corpus, evaluation, lexical, network, neural, synthetic
 from ucnet.cli import main
 
-from conftest import lstm_sequence, make_comment, make_dataset, make_video
+from conftest import (lstm_cell, lstm_sequence, make_comment, make_dataset,
+                      make_video)
 from test_corpus import PAPER_AGREEMENT, brute_force_mine, rounds_from_matrix
 from test_lexical import oracle_extract, random_video
 
@@ -172,16 +173,16 @@ def test_criterion_6_pooling_identities(phrases):
         w: rng.normal(size=6) for w in
         ["fake", "video", "nice", "hoax", "song", "the", "staged", "wow"]})
     params = network.init_params(rng, 6, len(phrases), 0, lstm_hidden=5)
-    params.weight_head.weights[...] = 0.0
-    params.weight_head.bias[...] = 0.0
+    params["weight_head.weights"][...] = 0.0
+    params["weight_head.bias"][...] = 0.0
     comments = [
         make_comment("a", "fake video wow"),
         make_comment("b", "nice song"),
         make_comment("c", "the hoax staged"),
         make_comment("d", "video song the"),
     ]
-    raw = np.stack([lstm_sequence(
-                        params.lstm, table.matrix[embed_comment(c.text, table)])
+    raw = np.stack([lstm_sequence(lstm_cell(params),
+                                  table.matrix[embed_comment(c.text, table)])
                     for c in comments])
     # The identity holds to float64 round-off at float64 and to float32
     # round-off (|h| < 1) at float32; the invariances are exact in both.

@@ -333,6 +333,46 @@ class TestTrainUcnetCommand:
         assert "embeddings" in manifest["inputs"]
 
 
+BAD_SELECTIONS = {
+    "not-json": "not json",
+    "empty": "",
+    "no-key": '{"x": 1}',
+    "top-level-list": "[0, 1]",
+    "not-a-list": '{"selected_indices": 3}',
+    "float": '{"selected_indices": [0, 1.5]}',
+    "string": '{"selected_indices": ["1"]}',
+    "bool": '{"selected_indices": [true]}',
+    "duplicate": '{"selected_indices": [1, 2, 1]}',
+    "past-the-end": '{"selected_indices": [99]}',
+    "eight": '{"selected_indices": [8]}',
+    "negative": '{"selected_indices": [-1]}',
+}
+
+
+class TestSelectedFile:
+    @pytest.mark.parametrize("command", ["train-classic", "train-ucnet"])
+    @pytest.mark.parametrize("content", BAD_SELECTIONS.values(),
+                             ids=BAD_SELECTIONS.keys())
+    def test_bad_selection_names_file_before_training(
+            self, synthetic_dir, tmp_path, capsys, command, content):
+        selected = tmp_path / "selected.json"
+        selected.write_text(content)
+        out = tmp_path / "out.model"
+        if command == "train-classic":
+            args = ["train-classic", "--features",
+                    str(run_features(synthetic_dir, tmp_path)),
+                    "--output", str(out)]
+        else:
+            args = TestTrainUcnetCommand().ucnet_args(synthetic_dir, out)
+            args.remove("--all-features")
+        capsys.readouterr()
+        assert main(args + ["--selected", str(selected)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {selected}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestPcaCommand:
     def test_pca_on_features(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)

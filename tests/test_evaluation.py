@@ -197,6 +197,31 @@ class TestExportReport:
         again = read_report(path)
         assert again == report
 
+    @pytest.mark.parametrize("damage,message", [
+        ("empty", "empty report"),
+        ("header-only", "no 'fake' row"),
+        ("no-macro", "no 'macro' row"),
+        ("short-row", "line 2: expected 5 fields, got 4"),
+        ("non-numeric", "line 3: non-numeric cell"),
+        ("fractional-support", "line 4: non-numeric cell"),
+    ])
+    def test_broken_report_names_file(self, tmp_path, damage, message):
+        path = tmp_path / "report.csv"
+        export_report(evaluate(["fake", "real"], ["fake", "fake"]), path)
+        lines = path.read_text().splitlines()
+        lines = {"empty": [],
+                 "header-only": lines[:1],
+                 "no-macro": lines[:3],
+                 "short-row": [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]],
+                 "non-numeric": [*lines[:2], "real,x,0,0,1", lines[3]],
+                 "fractional-support": [*lines[:3], lines[3] + ".5"],
+                 }[damage]
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError) as info:
+            read_report(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
     def test_empty_projection_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         export_report(np.zeros((0, 2)), path, video_ids=[], labels=[])

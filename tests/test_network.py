@@ -10,7 +10,8 @@ from ucnet.network import (Prediction, TrainingConfig, UCNetModel,
                            classify, comment_weight, extract_unified_embeddings,
                            fakeness_vector, init_params)
 
-from conftest import lstm_sequence, make_comment, make_dataset, make_video
+from conftest import (lstm_cell, lstm_sequence, make_comment, make_dataset,
+                      make_video)
 from test_neural import copied
 
 
@@ -48,28 +49,30 @@ def tiny_params(seed=0, embedding_dim=4, n_phrases=5, n_features=2,
 class TestCommentWeight:
     def test_zero_parameters_give_half(self):
         params = tiny_params()
-        params.weight_head.weights[...] = 0.0
-        params.weight_head.bias[...] = 0.0
-        assert comment_weight(np.array([1.0, 0, 1, 0, 1]), params) == 0.5
+        params["weight_head.weights"][...] = 0.0
+        params["weight_head.bias"][...] = 0.0
+        model = toy_model(params)
+        assert comment_weight(np.array([1.0, 0, 1, 0, 1]), model) == 0.5
 
     def test_hand_sigmoid(self):
         params = tiny_params(n_phrases=2)
-        params.weight_head.weights[...] = np.array([[0.8, -0.4]])
-        params.weight_head.bias[...] = np.array([0.1])
+        params["weight_head.weights"][...] = np.array([[0.8, -0.4]])
+        params["weight_head.bias"][...] = np.array([0.1])
+        model = toy_model(params, phrases=("fake", "hoax"))
         fv = np.array([1.0, 1.0])
         expected = 1.0 / (1.0 + math.exp(-(0.8 - 0.4 + 0.1)))
-        assert comment_weight(fv, params) == pytest.approx(expected, abs=1e-12)
+        assert comment_weight(fv, model) == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_extra_bits_with_positive_weights(self):
         params = tiny_params(n_phrases=4)
-        params.weight_head.weights[...] = np.abs(params.weight_head.weights)
+        params["weight_head.weights"][...] = np.abs(params["weight_head.weights"])
+        model = toy_model(params, phrases=TOY_PHRASES[:4])
         base = np.array([1.0, 0.0, 0.0, 0.0])
         more = np.array([1.0, 0.0, 1.0, 0.0])
-        assert comment_weight(more, params) >= comment_weight(base, params)
+        assert comment_weight(more, model) >= comment_weight(base, model)
 
     def test_strictly_inside_unit_interval(self):
-        params = tiny_params()
-        w = comment_weight(np.ones(5), params)
+        w = comment_weight(np.ones(5), toy_model(tiny_params()))
         assert 0.0 < w < 1.0
 
 
@@ -91,10 +94,11 @@ def toy_comments():
 TOY_PHRASES = ("fake", "hoax", "staged", "nice video", "so fake")
 
 
-def toy_model(params, max_comments=200, dtype=np.float32):
-    """A model over TOY_PHRASES with placeholder feature names."""
-    names = tuple(f"f{i}" for i in range(params.n_features))
-    return UCNetModel(params, TOY_PHRASES, names, params.lstm.input_dim,
+def toy_model(params, max_comments=200, dtype=np.float32, phrases=TOY_PHRASES):
+    """A model over ``phrases`` with placeholder feature names."""
+    n_features = params["hidden.weights"].shape[1] - params["lstm.wh"].shape[1]
+    names = tuple(f"f{i}" for i in range(n_features))
+    return UCNetModel(params, phrases, names, params["lstm.wx"].shape[1],
                       TrainingConfig(max_comments_per_video=max_comments),
                       dtype=dtype)
 
@@ -107,8 +111,9 @@ class TestUnifiedEmbedding:
         unified = toy_model(params).unified_embedding([comment], table)
         from ucnet.embeddings import embed_comment
         emb = lstm_sequence(
-            params.lstm, table.matrix[embed_comment("fake video", table)])
-        w = comment_weight(fakeness_vector("fake video", TOY_PHRASES), params)
+            lstm_cell(params), table.matrix[embed_comment("fake video", table)])
+        w = comment_weight(fakeness_vector("fake video", TOY_PHRASES),
+                           toy_model(params))
         assert np.allclose(unified, w * emb, atol=1e-12)
 
     def test_no_comments_is_zero_vector(self):
@@ -118,14 +123,15 @@ class TestUnifiedEmbedding:
 
     def test_zero_weight_head_halves_mean_raw_embedding(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
-        params.weight_head.weights[...] = 0.0
-        params.weight_head.bias[...] = 0.0
+        params["weight_head.weights"][...] = 0.0
+        params["weight_head.bias"][...] = 0.0
         table = toy_table()
         comments = toy_comments()
         unified = toy_model(params).unified_embedding(comments, table)
         from ucnet.embeddings import embed_comment
         raw = np.stack([lstm_sequence(
-                            params.lstm, table.matrix[embed_comment(c.text, table)])
+                            lstm_cell(params),
+                            table.matrix[embed_comment(c.text, table)])
                         for c in comments])
         assert np.allclose(unified, 0.5 * raw.mean(axis=0), atol=1e-12)
 
@@ -174,8 +180,8 @@ class TestForward:
 
     def test_zero_head_gives_even_odds(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
-        params.output.weights[...] = 0.0
-        params.output.bias[...] = 0.0
+        params["output.weights"][...] = 0.0
+        params["output.bias"][...] = 0.0
         video = make_video(comments=toy_comments())
         prediction = toy_model(params).predict(video.comments, np.zeros(2),
                                                toy_table())
@@ -195,15 +201,15 @@ class TestForward:
         weighted = []
         for c in video.comments:
             emb = lstm_sequence(
-                params.lstm, table.matrix[embed_comment(c.text, table)])
+                lstm_cell(params), table.matrix[embed_comment(c.text, table)])
             fv = fakeness_vector(c.text, TOY_PHRASES)
-            w = 1.0 / (1.0 + np.exp(-(params.weight_head.weights @ fv
-                                      + params.weight_head.bias)))
+            w = 1.0 / (1.0 + np.exp(-(params["weight_head.weights"] @ fv
+                                      + params["weight_head.bias"])))
             weighted.append(float(w[0]) * emb)
         unified = np.mean(weighted, axis=0)
         x = np.concatenate([unified, features])
-        h1 = np.maximum(params.hidden.weights @ x + params.hidden.bias, 0.0)
-        logits = params.output.weights @ h1 + params.output.bias
+        h1 = np.maximum(params["hidden.weights"] @ x + params["hidden.bias"], 0.0)
+        logits = params["output.weights"] @ h1 + params["output.bias"]
         exp = np.exp(logits - logits.max())
         probs = exp / exp.sum()
         assert got.p_real == pytest.approx(probs[0], abs=1e-10)
@@ -305,9 +311,9 @@ class TestTrain:
                               lstm_hidden=8)
         fresh = init_params(np.random.default_rng(77), table.dimension, 30,
                             8, 8)
-        assert np.array_equal(model.params.lstm.wx, fresh.lstm.wx)
-        assert np.array_equal(model.params.output.weights,
-                              fresh.output.weights)
+        assert list(model.parameters()) == list(fresh)
+        for name, array in model.parameters().items():
+            assert np.array_equal(array, fresh[name]), name
         assert model.loss_history == []
 
     def test_parameters_stay_views_of_the_flat_vector(self):
@@ -317,17 +323,11 @@ class TestTrain:
                               lstm_hidden=8)
         fresh = init_params(np.random.default_rng(0), table.dimension, 30,
                             8, 8)
-        assert not np.array_equal(model.params.lstm.wx, fresh.lstm.wx)
         live = model.parameters()
+        assert not np.array_equal(live["lstm.wx"], fresh["lstm.wx"])
         for name, array in live.items():
             assert np.shares_memory(array, model.flat.vector), name
-        p = model.params
-        for array, name in ((p.lstm.wx, "lstm.wx"), (p.lstm.wh, "lstm.wh"),
-                            (p.lstm.bias, "lstm.bias"),
-                            (p.weight_head.weights, "weight_head.weights"),
-                            (p.hidden.weights, "hidden.weights"),
-                            (p.output.bias, "output.bias"),
-                            (model.head.layers[1].weights, "output.weights")):
+        for name, array in model.head.parameters().items():
             assert array is live[name]
         assert np.array_equal(
             np.concatenate([a.ravel() for a in live.values()]),
@@ -402,9 +402,9 @@ class TestModelIO:
         path = tmp_path / "ucnet.model"
         UCNetModel(params, phrases, ("a", "b"), 8).save(path)
         loaded = UCNetModel.load(path, phrases)
-        model = UCNetModel(loaded.params, loaded.phrases, loaded.feature_names,
-                           loaded.embedding_dim, loaded.config,
-                           dtype=np.float64)
+        model = UCNetModel(loaded.parameters(), loaded.phrases,
+                           loaded.feature_names, loaded.embedding_dim,
+                           loaded.config, dtype=np.float64)
         prepared = network.PreparedVideo(
             comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
             matrix=rng.normal(size=(15, 8)),
@@ -438,7 +438,7 @@ class TestModelIO:
         ("epochs", "ten", "'epochs'"),
         ("learning_rate", "nan", "'learning_rate'"),
         ("embedding_dim", "4.0", "'embedding_dim'"),
-        ("lstm_hidden", "4", "'hidden.weights'"),
+        ("lstm_hidden", "4", "'lstm.wx'"),
         ("batch_size", "0", "batch_size must be positive"),
         ("max_tokens_per_comment", "-1",
          "max_tokens_per_comment must be positive, got -1"),
@@ -458,6 +458,92 @@ class TestModelIO:
             UCNetModel.load(path, phrases)
         assert str(info.value).startswith(f"{path}: ")
         assert entry in str(info.value)
+
+
+class TestLayout:
+    # (embedding_dim, n_phrases, n_features, lstm_hidden, hidden_units)
+    CONFIGS = [(8, 30, 8, 6, 4), (3, 2, 0, 1, 1)]
+
+    @pytest.mark.parametrize("dims", CONFIGS)
+    def test_layout_init_save_and_load_agree(self, tmp_path, dims):
+        embedding_dim, n_phrases, n_features, lstm_hidden, _ = dims
+        layout = list(network._layout(*dims).items())
+        assert [name for name, _ in layout[:3]] == [
+            "lstm.wx", "lstm.wh", "lstm.bias"]
+        params = init_params(np.random.default_rng(1), *dims)
+        assert [(n, a.shape) for n, a in params.items()] == layout
+        phrases = tuple(f"phrase {i}" for i in range(n_phrases))
+        names = tuple(f"f{i}" for i in range(n_features))
+        model = UCNetModel(params, phrases, names, embedding_dim)
+        assert model.lstm_hidden == lstm_hidden
+        assert np.array_equal(
+            model.flat.vector,
+            np.concatenate([a.ravel() for a in params.values()]))
+        path = tmp_path / "ucnet.model"
+        model.save(path)
+        tensors, _ = serialize.load_tensors(path)
+        assert [(n, a.shape) for n, a in tensors.items()] == layout
+        loaded = UCNetModel.load(path, phrases)
+        assert loaded.feature_names == names
+        assert loaded.lstm_hidden == lstm_hidden
+        assert [(n, a.shape) for n, a in loaded.parameters().items()] == layout
+        assert loaded.flat.vector.tobytes() == model.flat.vector.tobytes()
+
+    def test_init_draws_the_lstm_then_each_dense_layer(self):
+        rng = np.random.default_rng(4)
+        cell = neural.init_lstm(rng, 5, 3)
+        head = neural.glorot_uniform(rng, 1, 7)
+        hidden = neural.glorot_uniform(rng, 2, 3 + 4)
+        output = neural.glorot_uniform(rng, 2, 2)
+        params = init_params(np.random.default_rng(4), 5, 7, 4, 3, 2)
+        for name, want in (("lstm.wx", cell.wx), ("lstm.wh", cell.wh),
+                           ("lstm.bias", cell.bias),
+                           ("weight_head.weights", head),
+                           ("hidden.weights", hidden),
+                           ("output.weights", output)):
+            assert np.array_equal(params[name], want), name
+        for name in ("weight_head.bias", "hidden.bias", "output.bias"):
+            assert not params[name].any(), name
+
+    REFUSALS = {
+        "phrases": "tensor 'weight_head.weights' has shape (1, 5), "
+                   "the model needs (1, 4)",
+        "features": "tensor 'hidden.weights' has shape (4, 5), "
+                    "the model needs (4, 6)",
+        "embedding_dim": "tensor 'lstm.wx' has shape (12, 4), "
+                         "the model needs (12, 5)",
+        "reordered": "tensor 3 is 'weight_head.bias', the model needs "
+                     "'weight_head.weights'",
+        "missing": "tensor 8 is None, the model needs 'output.bias'",
+        "extra": "tensor 9 is 'spare', the model needs None",
+        "non-finite": "parameter 'hidden.bias' is not finite",
+        "overflow": "tensor 'lstm.wh' overflows float32",
+    }
+
+    @pytest.mark.parametrize("change,message", REFUSALS.items(),
+                             ids=REFUSALS.keys())
+    def test_constructor_refuses_a_mismatch(self, change, message):
+        params = tiny_params(n_phrases=5)
+        phrases, names, embedding_dim = TOY_PHRASES, ("f0", "f1"), 4
+        if change == "phrases":
+            phrases = phrases[:4]
+        elif change == "features":
+            names += ("f2",)
+        elif change == "embedding_dim":
+            embedding_dim = 5
+        elif change == "reordered":
+            params["weight_head.weights"] = params.pop("weight_head.weights")
+        elif change == "missing":
+            del params["output.bias"]
+        elif change == "extra":
+            params["spare"] = np.zeros(1)
+        elif change == "non-finite":
+            params["hidden.bias"][1] = np.nan
+        elif change == "overflow":
+            params["lstm.wh"][0, 0] = 1e39
+        with pytest.raises(ValueError) as info:
+            UCNetModel(params, phrases, names, embedding_dim)
+        assert str(info.value) == message
 
 
 class TestExtractUnifiedEmbeddings:

@@ -6,23 +6,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucnet import neural
-from ucnet.neural import (AdamState, DenseLayer, FlatParameters, LSTMCell, Mlp,
-                          adam_step, gradient_check, init_dense, init_lstm,
-                          lstm_backward_batch, lstm_forward_batch, softmax,
-                          softmax_cross_entropy)
+from ucnet.neural import (AdamState, FlatParameters, LSTMCell, Mlp, adam_step,
+                          gradient_check, init_lstm, lstm_backward_batch,
+                          lstm_forward_batch, softmax, softmax_cross_entropy)
 
 from conftest import lstm_sequence
 
 
 class TestDenseLayer:
+    """A dense layer is the views ``name.weights`` and ``name.bias`` of a
+    FlatParameters."""
+
     def test_dimension_mismatch(self):
         net = Mlp.init(np.random.default_rng(5), [3, 2])
         with pytest.raises(ValueError):
             net.forward(np.zeros(4))
 
     def test_non_finite_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            DenseLayer(np.array([[np.inf]]), np.zeros(1))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="'layer0.bias' is not finite"):
+                FlatParameters.pack({"layer0.weights": np.ones((1, 2)),
+                                     "layer0.bias": np.array([bad])})
 
 
 class TestSoftmax:
@@ -444,16 +448,17 @@ class TestBackward:
     def test_layer_names_label_parameters(self):
         net = Mlp.init(np.random.default_rng(0), [3, 4, 2])
         arrays = {"other": np.ones(2)}
-        for name, layer in zip(("hidden", "output"), net.layers):
-            arrays[f"{name}.weights"] = layer.weights
-            arrays[f"{name}.bias"] = layer.bias
+        for name, layer in (("hidden", "layer0"), ("output", "layer1")):
+            arrays[f"{name}.weights"] = net.flat.params[f"{layer}.weights"]
+            arrays[f"{name}.bias"] = net.flat.params[f"{layer}.bias"]
         flat = FlatParameters.pack(arrays)
         named = Mlp(flat, ("hidden", "output"))
         assert list(named.parameters()) == [
             "hidden.weights", "hidden.bias", "output.weights", "output.bias"]
-        assert named.parameters()["hidden.weights"] is named.layers[0].weights
-        assert named.parameters()["hidden.weights"] is flat.params["hidden.weights"]
-        assert np.array_equal(named.layers[0].weights, net.layers[0].weights)
+        for name, array in named.parameters().items():
+            assert array is flat.params[name]
+        assert np.array_equal(named.parameters()["hidden.weights"],
+                              net.parameters()["layer0.weights"])
         # gradients land in the given vector's gradient, other entries untouched
         xs, ys = np.ones((2, 3)), np.array([0, 1])
         _, grads = named.batch_loss_and_gradients(xs, ys)
@@ -547,7 +552,7 @@ class TestAdam:
         for name, array in net.parameters().items():
             assert np.shares_memory(array, net.flat.vector)
             assert np.shares_memory(grads[name], net.flat.gradient)
-        assert net.parameters()["layer0.weights"] is net.layers[0].weights
+        assert net.parameters()["layer0.weights"] is net.flat.params["layer0.weights"]
         # the views tile the vector in order, with nothing left over
         assert np.array_equal(
             np.concatenate([a.ravel() for a in net.parameters().values()]),
@@ -609,11 +614,10 @@ class TestGradientCheck:
 
 class TestInitialization:
     def test_glorot_bounds(self):
-        rng = np.random.default_rng(0)
-        layer = init_dense(rng, 30, 20)
+        net = Mlp.init(np.random.default_rng(0), [20, 30])
         bound = math.sqrt(6.0 / 50.0)
-        assert np.abs(layer.weights).max() <= bound
-        assert np.array_equal(layer.bias, np.zeros(30))
+        assert np.abs(net.parameters()["layer0.weights"]).max() <= bound
+        assert np.array_equal(net.parameters()["layer0.bias"], np.zeros(30))
 
     def test_lstm_forget_bias_is_one(self):
         cell = init_lstm(np.random.default_rng(0), 4, 6)

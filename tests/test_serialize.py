@@ -43,11 +43,12 @@ class TestTensorDocument:
         with pytest.raises(ValueError):
             load_tensors(path)
 
-    def test_rejects_truncated_tensor(self, tmp_path):
-        path = tmp_path / "bad"
-        path.write_text("tensors 1\ntensor big 2 3 3\n1 2 3\n")
-        with pytest.raises(ValueError, match="big"):
+    def test_rejects_version_one(self, tmp_path):
+        path = tmp_path / "old.model"
+        path.write_text("tensors 1\ntensor a 1 1\n1\n")
+        with pytest.raises(ValueError) as info:
             load_tensors(path)
+        assert str(info.value) == f"{path}: unsupported version 1"
 
     def test_rejects_non_finite_values(self, tmp_path):
         with pytest.raises(ValueError):
@@ -55,7 +56,8 @@ class TestTensorDocument:
 
     def test_rejects_duplicate_names(self, tmp_path):
         path = tmp_path / "bad"
-        path.write_text("tensors 1\ntensor a 1 1\n1\ntensor a 1 1\n2\n")
+        path.write_bytes(b"tensors 2\ntensor a 1 1\ntensor a 1 1\ndata 16\n"
+                         + bytes(16))
         with pytest.raises(ValueError, match="duplicate"):
             load_tensors(path)
 
@@ -206,18 +208,6 @@ MALFORMED = [
     (V2_HEAD + b"tensor a 0\ntensor b 1 1\ndata 16\n" + bytes(8)
      + struct.pack("<d", float("-inf")), None),
     (V2_HEAD + b"tensor a 1 1\ntensor a 1 1\ndata 16\n" + bytes(16), 3),
-    (b"tensors 1\ntensor a\n", 2),
-    (b"tensors 1\ntensor a 1 x\n1\n", 2),
-    (b"tensors 1\ntensor a 1 -1\n\n", 2),
-    (b"tensors 1\ntensor a 2 1\n1\n", 2),
-    (b"tensors 1\nwhat\n", 2),
-    (b"tensors 1\ntensor a 1 2\n1 nope\n", 3),
-    (b"tensors 1\ntensor a 1 1\nnan\n", 2),
-    (b"tensors 1\ntensor a 1 1\n1e999\n", 2),
-    (b"tensors 1\ntensor a 1 1\n\xff\n", 3),
-    (b"tensors 1\ntensor a 1 2\n1 2 3\n", 2),
-    (b"tensors 1\nmeta k v\ntensor a 2 2 1\n1\n", 3),
-    (b"tensors 1\ntensor a 1 1\n1\ntensor a 1 1\n2\n", 4),
 ]
 
 
@@ -270,34 +260,3 @@ class TestMalformedFiles:
         else:
             for array in tensors.values():
                 assert np.isfinite(array).all()
-
-
-class TestVersionOneFiles:
-    def test_hand_written_v1_file_loads_bit_exact(self, tmp_path):
-        path = tmp_path / "old.model"
-        path.write_text(
-            "tensors 1\n"
-            "meta kind logistic\n"
-            "meta note free text  with spaces\n"
-            "tensor m 2 2 3\n"
-            "0.10000000000000001 -2.5000000000000001e-17 3\n"
-            "-0 4.9406564584124654e-324 1.7976931348623157e+308\n"
-            "tensor v 1 2\n"
-            "1e-300 -1\n"
-            "tensor s 0\n"
-            "2.5\n"
-            "tensor e 1 0\n"
-            "\n")
-        tensors, meta = load_tensors(path)
-        assert meta == {"kind": "logistic", "note": "free text  with spaces"}
-        expected = {
-            "m": np.array([[0.1, -2.5e-17, 3.0], [-0.0, 5e-324, 1.7976931348623157e308]]),
-            "v": np.array([1e-300, -1.0]),
-            "s": np.array(2.5),
-            "e": np.zeros(0),
-        }
-        assert list(tensors) == list(expected)
-        for name, array in expected.items():
-            assert tensors[name].shape == array.shape
-            assert tensors[name].tobytes() == array.tobytes()
-            assert tensors[name].flags.writeable
