@@ -7,10 +7,8 @@ trains for a few minutes. Shows the per-epoch loss, the held-out report,
 and the learned comment weights on sample comments.
 """
 
-import numpy as np
-
-from ucnet import (LexiconSet, TrainingConfig, classify, evaluate,
-                   load_fakeness_phrases, train, train_title_scorer)
+from ucnet import (LexiconSet, TrainingConfig, classify, evaluate, train,
+                   train_title_scorer)
 from ucnet.corpus import split_dataset
 from ucnet.network import comment_weight, fakeness_vector
 from ucnet.synthetic import (make_embedding_table, make_labeled_titles,
@@ -45,9 +43,10 @@ print(f"    macro: P={report.macro_precision:.2f} "
       f"R={report.macro_recall:.2f} F1={report.macro_f1:.2f}")
 
 # The weight head learns which indicator phrases matter: skeptical comments
-# should earn different weights than small talk.
-phrases = load_fakeness_phrases()
-print("\nlearned comment weights")
+# should earn different weights than small talk. The model keeps the phrase
+# list it was trained on (the lexicon directory's fakeness_phrases.txt), and
+# its file records it, so a loaded model scores comments without the list.
+print(f"\nlearned comment weights over {len(model.phrases)} phrases")
 for text in ("fake fake fake", "looks almost real to me", "love this song"):
-    weight = comment_weight(fakeness_vector(text, phrases), model)
+    weight = comment_weight(fakeness_vector(text, model.phrases), model)
     print(f"    {text!r}: weight = {weight:.3f}")

@@ -9,7 +9,6 @@ results.
 
 from .corpus import (
     ANNOTATION_LABELS,
-    CLASS_LABELS,
     LABELS,
     Comment,
     Dataset,
@@ -39,7 +38,6 @@ from .lexical import (
     extract_features,
     load_fakeness_phrases,
     prune_correlated,
-    title_fakeness_score,
     train_title_scorer,
 )
 from .classic import (

@@ -170,6 +170,8 @@ def _validate_xy(X, y):
         raise ValueError("X must be 2-d with one label per row")
     if len(y) == 0:
         raise ValueError("training data is empty")
+    if X.shape[1] == 0:
+        raise ValueError("training data has no feature columns")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 (real) or 1 (fake)")
     return X, y
@@ -359,8 +361,8 @@ def load_forest(path) -> RandomForest:
     if meta.get("kind") != "random-forest":
         raise ValueError(f"{path}: not a random-forest file")
     n_trees = meta.integer("n_trees")
-    max_depth = meta.integer("max_depth", 8)
-    min_leaf = meta.integer("min_samples_leaf", 2)
+    max_depth = meta.integer("max_depth")
+    min_leaf = meta.integer("min_samples_leaf")
     trees = tuple(_tree_from_tensors(tensors, f"tree{i}", max_depth, min_leaf)
                   for i in range(n_trees))
     seeds = tuple(int(s) for s in tensors.shaped("tree_seeds", n_trees))

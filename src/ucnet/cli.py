@@ -55,13 +55,8 @@ def _lexicon_dir(args) -> Path:
 
 
 def _lexicon_digests(directory: Path) -> dict[str, str]:
-    out = {}
-    for name in ("clickbait_phrases.txt", "violent_words.txt",
-                 "fakeness_patterns.txt", "swear_words.txt"):
-        path = directory / name
-        if path.exists():
-            out[name] = _sha256(path)
-    return out
+    """SHA-256 of each file ``LexiconSet.from_directory`` reads."""
+    return {name: _sha256(directory / name) for name in lexical.LEXICON_FILES}
 
 
 def _write_manifest(primary_output, args, inputs: dict, lexicons: dict,
@@ -223,9 +218,7 @@ def _cmd_features(args) -> int:
     dataset = corpus.load_dataset(args.input, Path(args.input).stem)
     scorer, scorer_inputs = _get_scorer(args, lexicons)
     videos = list(dataset)
-    vectors = [lexical.extract_features(v, lexicons, scorer).as_array()
-               for v in videos]
-    matrix = np.stack(vectors) if vectors else np.zeros((0, len(FEATURE_NAMES)))
+    matrix = lexical.feature_matrix(videos, lexicons, scorer)
     _write_features_csv(args.output, dataset.ids(), matrix,
                         [v.label for v in videos])
     outputs = [args.output]
@@ -284,6 +277,9 @@ def _cmd_train_classic(args) -> int:
     y = _classic_labels(labels, args.features)
     indices = _load_selected(args.selected) if args.selected else \
         tuple(range(len(FEATURE_NAMES)))
+    if not indices:
+        raise ValueError(f"{args.selected}: selects no features; a "
+                         f"{args.model} model needs at least one")
     X = matrix[:, indices]
     # kind -> (train, save), built per call so each `classic.` name is looked
     # up when it runs (a tracer may have replaced it).
@@ -321,17 +317,12 @@ def _cmd_train_classic(args) -> int:
 def _cmd_train_ucnet(args) -> int:
     lexicon_dir = _lexicon_dir(args)
     lexicons = LexiconSet.from_directory(lexicon_dir)
-    # Without --phrases, the lexicon directory's list if it has one, else
-    # the bundled list; a --phrases file that is missing is an error.
-    phrases_path = args.phrases or str(lexicon_dir / "fakeness_phrases.txt")
-    if not args.phrases and not Path(phrases_path).exists():
-        phrases_path = str(lexical.default_lexicon_dir() / "fakeness_phrases.txt")
-    phrases = lexical.load_lexicon_lines(phrases_path)
+    if not lexicons.fakeness_phrases:
+        raise ValueError(f"{lexicon_dir / 'fakeness_phrases.txt'}: no phrases")
     table = load_embeddings(args.embeddings, args.embedding_dim)
     scorer, scorer_inputs = _get_scorer(args, lexicons)
 
-    inputs = {"embeddings": args.embeddings, "phrases": phrases_path,
-              **scorer_inputs}
+    inputs = {"embeddings": args.embeddings, **scorer_inputs}
     if args.train:
         train_set = corpus.load_dataset(args.train, Path(args.train).stem)
         test_set = None
@@ -361,7 +352,7 @@ def _cmd_train_ucnet(args) -> int:
         max_comments_per_video=args.max_comments,
         max_tokens_per_comment=args.max_tokens)
     model = network.train(train_set, table, lexicons, scorer, config,
-                          phrases=phrases, feature_indices=indices,
+                          feature_indices=indices,
                           lstm_hidden=args.lstm_hidden)
     model.save(args.output)
     outputs = [args.output]
@@ -413,9 +404,7 @@ def _cmd_pca(args) -> int:
         inputs = {"features": args.features}
     elif args.input and args.model and args.embeddings:
         dataset = corpus.load_dataset(args.input, Path(args.input).stem)
-        phrases = lexical.load_fakeness_phrases(args.phrases) if args.phrases \
-            else lexical.load_fakeness_phrases()
-        model = network.UCNetModel.load(args.model, phrases)
+        model = network.UCNetModel.load(args.model)
         table = load_embeddings(args.embeddings, model.embedding_dim)
         matrix = network.extract_unified_embeddings(dataset, table, model)
         ids = dataset.ids()
@@ -534,7 +523,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--embedding-dim", type=int, default=300)
     p.add_argument("--lexicon-dir", default=None)
-    p.add_argument("--phrases", default=None)
     p.add_argument("--selected", default=None)
     p.add_argument("--all-features", action="store_true")
     p.add_argument("--learning-rate", type=float, default=1e-4)
@@ -564,7 +552,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--input", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--phrases", default=None)
     p.add_argument("--components", type=int, default=2)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_pca)

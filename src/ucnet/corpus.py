@@ -21,10 +21,6 @@ logger = logging.getLogger(__name__)
 
 LABELS = ("fake", "real", "not_sure", "unlabeled")
 ANNOTATION_LABELS = ("spam", "legitimate", "not_sure")
-# Class-index convention for every binary classifier in the package:
-# index 0 is real, index 1 is fake.
-CLASS_LABELS = ("real", "fake")
-
 _RECORD_KEYS = (
     "id", "title", "description", "tags", "view_count", "like_count",
     "dislike_count", "channel_subscriber_count", "comments", "label",

@@ -3,6 +3,9 @@
 Tokenization rule used throughout the package: a token is a maximal run of
 alphanumeric characters (str.isalnum), taken after Unicode NFC
 normalization. Phrase matching is case-insensitive substring matching.
+
+A lexicon directory holds the five lists of ``LEXICON_FILES``: four for the
+features, and the fakeness-indicator phrases that the network trains on.
 """
 
 from __future__ import annotations
@@ -74,18 +77,27 @@ def lexicon_digest(entries: Sequence[str]) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
+# The files of a lexicon directory, in the order of LexiconSet's fields.
+LEXICON_FILES = ("clickbait_phrases.txt", "violent_words.txt",
+                 "fakeness_patterns.txt", "swear_words.txt",
+                 "fakeness_phrases.txt")
+
+
 @dataclass(frozen=True)
 class LexiconSet:
     clickbait_phrases: tuple[str, ...]
     violent_words: frozenset[str]
     fakeness_patterns: tuple[re.Pattern, ...]
     swear_words: frozenset[str]
+    fakeness_phrases: tuple[str, ...]  # as written, in file order
 
     @classmethod
     def from_entries(cls, clickbait: Sequence[str], violent: Sequence[str],
-                     patterns: Sequence[str], swear: Sequence[str]) -> "LexiconSet":
+                     patterns: Sequence[str], swear: Sequence[str],
+                     phrases: Sequence[str]) -> "LexiconSet":
         for name, entries in (("clickbait", clickbait), ("violent", violent),
-                              ("patterns", patterns), ("swear", swear)):
+                              ("patterns", patterns), ("swear", swear),
+                              ("fakeness phrases", phrases)):
             if any(not e for e in entries):
                 raise ValueError(f"{name} lexicon contains an empty entry")
         return cls(
@@ -93,24 +105,23 @@ class LexiconSet:
             violent_words=frozenset(_fold(w) for w in violent),
             fakeness_patterns=tuple(_compile_pattern(p) for p in patterns),
             swear_words=frozenset(_fold(w) for w in swear),
+            fakeness_phrases=tuple(phrases),
         )
 
     @classmethod
     def from_directory(cls, directory) -> "LexiconSet":
+        """The five lists of ``LEXICON_FILES``, all read from ``directory``."""
         directory = Path(directory)
-        patterns_path = directory / "fakeness_patterns.txt"
-        patterns = _numbered_entries(patterns_path)
-        for lineno, pattern in patterns:
+        lists = {name: _numbered_entries(directory / name)
+                 for name in LEXICON_FILES}
+        patterns = directory / "fakeness_patterns.txt"
+        for lineno, pattern in lists[patterns.name]:
             try:
                 _compile_pattern(pattern)
             except ValueError as exc:
-                raise ValueError(f"{patterns_path}: line {lineno}: {exc}") from None
-        return cls.from_entries(
-            load_lexicon_lines(directory / "clickbait_phrases.txt"),
-            load_lexicon_lines(directory / "violent_words.txt"),
-            [pattern for _, pattern in patterns],
-            load_lexicon_lines(directory / "swear_words.txt"),
-        )
+                raise ValueError(f"{patterns}: line {lineno}: {exc}") from None
+        return cls.from_entries(*([entry for _, entry in entries]
+                                  for entries in lists.values()))
 
     @classmethod
     def default(cls) -> "LexiconSet":
@@ -121,11 +132,9 @@ def default_lexicon_dir() -> Path:
     return Path(resources.files("ucnet") / "lexicons")
 
 
-def load_fakeness_phrases(path=None) -> tuple[str, ...]:
-    """The fakeness-indicator phrase list (30 bundled entries by default)."""
-    if path is None:
-        path = default_lexicon_dir() / "fakeness_phrases.txt"
-    return load_lexicon_lines(path)
+def load_fakeness_phrases() -> tuple[str, ...]:
+    """The bundled fakeness-indicator phrase list (30 entries)."""
+    return load_lexicon_lines(default_lexicon_dir() / "fakeness_phrases.txt")
 
 
 def has_clickbait_phrase(title: str, lex: LexiconSet) -> int:
@@ -270,11 +279,6 @@ class TitleScorer:
         return scorer
 
 
-def title_fakeness_score(title: str, scorer: TitleScorer) -> float:
-    """Probability-like fakeness score for a title; requires a trained scorer."""
-    return scorer.score(title)
-
-
 def train_title_scorer(titles: Sequence[tuple[str, str]],
                        lexicons: LexiconSet | None = None,
                        config: TitleScorerConfig | None = None) -> TitleScorer:
@@ -351,7 +355,7 @@ def extract_features(video: VideoRecord, lex: LexiconSet,
         has_clickbait_phrase=float(has_clickbait_phrase(video.title, lex)),
         ratio_violent_words=ratio_violent_words(video.title, lex),
         ratio_caps=ratio_caps(video.title),
-        title_fakeness_score=title_fakeness_score(video.title, scorer),
+        title_fakeness_score=scorer.score(video.title),
         dislike_like_ratio=dislike_like_ratio(video),
         comments_fakeness=comments_fakeness(video.comments, lex),
         comments_inappropriateness=comments_inappropriateness(video.comments, lex),

@@ -22,18 +22,22 @@ call, so it holds the LSTM state of one video at a time.
 The model's nine tensors, their names, shapes and order, are set in one
 place, ``_layout``: ``init_params`` draws them in that order, the
 constructor refuses any other mapping, and ``UCNetModel.load`` reads a file
-through it. A model keeps all its parameters, and their gradients, in one
-flat float64 vector each (:class:`ucnet.neural.FlatParameters`), which Adam
-updates in place; the LSTM's tensors come first, so they are a prefix of
-the vector. The LSTM runs in the model's compute dtype, float32 by default:
-each forward pass casts the LSTM's master weights once, the LSTM's final
-states are widened to float64, and its gradients are widened into the flat
-gradient vector. Pooling, both dense heads and the softmax stay float64.
+through it. The weight head has one weight per fakeness-indicator phrase,
+so the phrase list is part of the model: ``save`` writes it into the file's
+meta and ``load`` reads it back. A model keeps all its parameters, and
+their gradients, in one flat float64 vector each
+(:class:`ucnet.neural.FlatParameters`), which Adam updates in place; the
+LSTM's tensors come first, so they are a prefix of the vector. The LSTM
+runs in the model's compute dtype, float32 by default: each forward pass
+casts the LSTM's master weights once, the LSTM's final states are widened
+to float64, and its gradients are widened into the flat gradient vector.
+Pooling, both dense heads and the softmax stay float64.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import math
 from dataclasses import dataclass
@@ -44,8 +48,7 @@ import numpy as np
 from . import neural, serialize
 from .corpus import Comment, Dataset, VideoRecord, nfc
 from .embeddings import EmbeddingTable, embed_comment
-from .lexical import (FEATURE_NAMES, LexiconSet, TitleScorer, extract_features,
-                      lexicon_digest, load_fakeness_phrases)
+from .lexical import FEATURE_NAMES, LexiconSet, TitleScorer, extract_features
 
 logger = logging.getLogger(__name__)
 
@@ -309,6 +312,8 @@ class UCNetModel:
                  phrases: Sequence[str], feature_names: Sequence[str],
                  embedding_dim: int, config: TrainingConfig | None = None,
                  *, dtype=np.float32):
+        if not phrases:
+            raise ValueError("a model needs at least one fakeness phrase")
         shapes = {name: np.shape(array) for name, array in params.items()}
         wh, bias = shapes.get("lstm.wh", ()), shapes.get("hidden.bias", ())
         self.lstm_hidden = wh[-1] if wh else 0
@@ -393,8 +398,7 @@ class UCNetModel:
             "kind": "ucnet",
             "embedding_dim": str(self.embedding_dim),
             "lstm_hidden": str(self.lstm_hidden),
-            "n_phrases": str(len(self.phrases)),
-            "phrase_digest": lexicon_digest(self.phrases),
+            "phrases": json.dumps(self.phrases, ensure_ascii=False),
             "feature_names": ",".join(self.feature_names),
             "learning_rate": f"{self.config.learning_rate:.17g}",
             "epochs": str(self.config.epochs),
@@ -406,15 +410,12 @@ class UCNetModel:
         serialize.save_tensors(path, tensors, meta)
 
     @classmethod
-    def load(cls, path, phrases: Sequence[str] | None = None) -> "UCNetModel":
+    def load(cls, path) -> "UCNetModel":
+        """The model saved at ``path``, with the phrase list it records."""
         tensors, meta = serialize.load_tensors(path)
         if meta.get("kind") != "ucnet":
             raise ValueError(f"{path}: not a ucnet model file")
-        phrases = tuple(phrases) if phrases is not None else load_fakeness_phrases()
-        if lexicon_digest(phrases) != meta.get("phrase_digest"):
-            raise ValueError(
-                f"{path}: fakeness phrase list does not match the one the "
-                "model was trained with; refusing to run inference")
+        phrases = _read_phrases(meta)
         names = meta["feature_names"]
         feature_names = tuple(names.split(",")) if names else ()
         embedding_dim = meta.integer("embedding_dim")
@@ -437,6 +438,20 @@ class UCNetModel:
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _read_phrases(meta: serialize.Meta) -> tuple[str, ...]:
+    """The ``phrases`` meta entry: a JSON list of non-empty strings."""
+    text = meta["phrases"]
+    try:
+        phrases = json.loads(text)
+    except (ValueError, RecursionError):
+        phrases = None
+    if not (isinstance(phrases, list) and phrases
+            and all(isinstance(p, str) and p for p in phrases)):
+        raise ValueError(f"{meta.path}: meta 'phrases' is not a non-empty "
+                         f"list of non-empty strings: {text[:40]!r}")
+    return tuple(phrases)
+
+
 def comment_weight(fv: np.ndarray, model: UCNetModel) -> float:
     """Learned scalar importance of one comment, strictly inside (0, 1)."""
     params = model.flat.params
@@ -454,18 +469,18 @@ def _select_features(record: VideoRecord, lexicons: LexiconSet,
 
 def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
           scorer: TitleScorer, config: TrainingConfig | None = None,
-          phrases: Sequence[str] | None = None,
           feature_indices: Sequence[int] | None = None,
           lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
           hidden_units: int = DEFAULT_HIDDEN_UNITS) -> UCNetModel:
     """Mini-batch Adam training with cross-entropy over shuffled epochs.
 
-    feature_indices selects a subset of the eight simple features (the
-    post-pruning selection); None feeds all eight. Deterministic for a
-    fixed config seed; per-epoch mean loss lands in model.loss_history.
+    The fakeness vectors run over ``lexicons.fakeness_phrases``, which the
+    model keeps as ``model.phrases``. feature_indices selects a subset of
+    the eight simple features (the post-pruning selection); None feeds all
+    eight. Deterministic for a fixed config seed; per-epoch mean loss lands
+    in model.loss_history.
     """
     config = config if config is not None else TrainingConfig()
-    phrases = tuple(phrases) if phrases is not None else load_fakeness_phrases()
     if feature_indices is None:
         feature_indices = tuple(range(len(FEATURE_NAMES)))
     feature_names = tuple(FEATURE_NAMES[i] for i in feature_indices)
@@ -479,6 +494,7 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
         raise ValueError("training set must contain both classes")
 
     rng = np.random.default_rng(config.seed)
+    phrases = lexicons.fakeness_phrases
     params = init_params(rng, table.dimension, len(phrases), len(feature_names),
                          lstm_hidden, hidden_units)
     model = UCNetModel(params, phrases, feature_names, table.dimension, config)

@@ -80,17 +80,15 @@ class Meta(_Entries):
 
     kind = "meta key"
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        """Meta ``key`` as an integer; ``default``, if given, when absent."""
-        return self._number(key, int, "an integer", default)
+    def integer(self, key: str) -> int:
+        """Meta ``key`` as an integer."""
+        return self._number(key, int, "an integer")
 
     def real(self, key: str) -> float:
         """Meta ``key`` as a finite float."""
-        return self._number(key, float, "a finite number", None)
+        return self._number(key, float, "a finite number")
 
-    def _number(self, key, parse, what, default):
-        if default is not None and key not in self:
-            return default
+    def _number(self, key, parse, what):
         text = self[key]
         try:
             value = parse(text)

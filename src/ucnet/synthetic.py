@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import Comment, Dataset, VideoRecord
 from .embeddings import EmbeddingTable
-from .lexical import LexiconSet, tokenize, load_fakeness_phrases
+from .lexical import LexiconSet, tokenize
 
 GENERIC_WORDS = (
     "the", "this", "that", "video", "music", "song", "channel", "great",
@@ -42,11 +42,11 @@ def _generic_words(phrases) -> tuple[str, ...]:
                  if not any(p in w for p in folded))
 
 
-def _phrase_vocabulary(lexicons: LexiconSet, phrases) -> list[str]:
+def _phrase_vocabulary(lexicons: LexiconSet) -> list[str]:
     vocab: dict[str, None] = {}
-    for word in _generic_words(phrases):
+    for word in _generic_words(lexicons.fakeness_phrases):
         vocab[word] = None
-    for phrase in phrases:
+    for phrase in lexicons.fakeness_phrases:
         for token in tokenize(phrase):
             vocab[token.lower()] = None
     for word in sorted(lexicons.swear_words):
@@ -65,8 +65,8 @@ def make_embedding_table(seed: int = 7, dimension: int = 16,
     semantically related words.
     """
     lexicons = lexicons if lexicons is not None else LexiconSet.default()
-    phrases = load_fakeness_phrases()
-    vocab = _phrase_vocabulary(lexicons, phrases)
+    phrases = lexicons.fakeness_phrases
+    vocab = _phrase_vocabulary(lexicons)
     generic = set(_generic_words(phrases))
     phrase_only = {token.lower() for phrase in phrases
                    for token in tokenize(phrase)} - generic
@@ -93,21 +93,21 @@ def _words(rng: np.random.Generator, pool, low: int, high: int) -> list[str]:
     return [_pick(rng, pool) for _ in range(count)]
 
 
-def _matching_phrases(phrases, lexicons: LexiconSet) -> list[str]:
+def _matching_phrases(lexicons: LexiconSet) -> list[str]:
     """Indicator phrases that also trip a fakeness regex (e.g. contain 'fake')."""
-    return [p for p in phrases
+    return [p for p in lexicons.fakeness_phrases
             if any(pat.search(p) for pat in lexicons.fakeness_patterns)]
 
 
 def _make_comment(rng, pool, video_id, index, fake: bool, plant_phrase: bool,
-                  phrases, lexicons: LexiconSet) -> Comment:
+                  lexicons: LexiconSet) -> Comment:
     words = _words(rng, pool, 3, 9)
     if plant_phrase:
-        matching = _matching_phrases(phrases, lexicons)
+        matching = _matching_phrases(lexicons)
         if matching and rng.random() < 0.75:
             phrase = _pick(rng, matching)
         else:
-            phrase = _pick(rng, phrases)
+            phrase = _pick(rng, lexicons.fakeness_phrases)
         style = rng.random()
         if style < 0.4:
             # skeptical comments are often just the phrase itself
@@ -148,7 +148,7 @@ def _make_title(rng, pool, fake: bool, lexicons: LexiconSet) -> str:
     return " ".join(words)
 
 
-def _make_video(rng, pool, index: int, fake: bool, phrases,
+def _make_video(rng, pool, index: int, fake: bool,
                 lexicons: LexiconSet) -> VideoRecord:
     video_id = f"vid{index:04d}"
     n_comments = int(rng.integers(6, 13))
@@ -161,8 +161,7 @@ def _make_video(rng, pool, index: int, fake: bool, phrases,
     else:
         planted = {i for i in range(n_comments) if rng.random() < 0.01}
     comments = tuple(
-        _make_comment(rng, pool, video_id, i, fake, i in planted, phrases,
-                      lexicons)
+        _make_comment(rng, pool, video_id, i, fake, i in planted, lexicons)
         for i in range(n_comments))
 
     likes = int(rng.integers(50, 2000))
@@ -188,14 +187,13 @@ def make_synthetic_corpus(n_videos: int = 200, seed: int = 7,
     if n_videos < 2:
         raise ValueError("need at least 2 videos")
     lexicons = lexicons if lexicons is not None else LexiconSet.default()
-    phrases = load_fakeness_phrases()
-    pool = _generic_words(phrases)
+    pool = _generic_words(lexicons.fakeness_phrases)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     n_fake = n_videos // 2
     records = []
     for index in range(n_videos):
         fake = index < n_fake
-        records.append(_make_video(rng, pool, index, fake, phrases, lexicons))
+        records.append(_make_video(rng, pool, index, fake, lexicons))
     return Dataset(name=f"synthetic-{n_videos}-seed{seed}", records=tuple(records))
 
 
@@ -203,7 +201,7 @@ def make_labeled_titles(n_titles: int = 240, seed: int = 7,
                         lexicons: LexiconSet | None = None) -> list[tuple[str, str]]:
     """Separable (title, label) pairs for training the title scorer."""
     lexicons = lexicons if lexicons is not None else LexiconSet.default()
-    pool = _generic_words(load_fakeness_phrases())
+    pool = _generic_words(lexicons.fakeness_phrases)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     titles = []
     for i in range(n_titles):

@@ -188,7 +188,8 @@ class TestRandomForest:
         assert np.array_equal(forest.predict_proba_fake(probe),
                               again.predict_proba_fake(probe))
 
-    @pytest.mark.parametrize("drop", ["tree1.threshold", "n_trees"])
+    @pytest.mark.parametrize("drop", ["tree1.threshold", "n_trees",
+                                      "max_depth", "min_samples_leaf"])
     def test_missing_entry_is_named(self, tmp_path, drop):
         rng = np.random.default_rng(6)
         X, y = separable_features(rng, 40)
@@ -321,3 +322,10 @@ class TestLogistic:
             serialize.save_tensors(path, tensors, {"kind": "logistic"})
             with pytest.raises(ValueError, match="logit.model: tensor"):
                 load_logistic(path)
+
+
+@pytest.mark.parametrize("train", [train_forest, train_tree, train_logistic])
+def test_no_feature_columns_refused(train):
+    y = np.array([0, 1] * 10)
+    with pytest.raises(ValueError, match="no feature columns"):
+        train(np.zeros((20, 0)), y)

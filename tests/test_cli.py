@@ -1,11 +1,16 @@
 import csv
+import hashlib
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ucnet import classic, cli, corpus, network
+from ucnet import classic, cli, corpus, evaluation, lexical, network
 from ucnet.cli import main
+from ucnet.embeddings import load_embeddings
 
 from conftest import make_comment, make_dataset, make_video
 
@@ -256,6 +261,24 @@ class TestPruneAndClassic:
         assert not model.exists()
         assert not (tmp_path / "tree.model.manifest.json").exists()
 
+    @pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
+    def test_empty_selection_is_refused(self, synthetic_dir, tmp_path, capsys,
+                                        kind):
+        features = run_features(synthetic_dir, tmp_path)
+        selected = tmp_path / "selected.json"
+        selected.write_text('{"selected_indices": []}')
+        model = tmp_path / "m.model"
+        predictions = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert main(["train-classic", "--features", str(features),
+                     "--model", kind, "--output", str(model),
+                     "--selected", str(selected),
+                     "--test-features", str(features),
+                     "--predictions", str(predictions)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {selected}: ")
+        assert not model.exists() and not predictions.exists()
+        assert not (tmp_path / "m.model.manifest.json").exists()
+
     def test_train_classic_determinism(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)
         outputs = []
@@ -315,13 +338,22 @@ class TestTrainUcnetCommand:
         assert main(self.ucnet_args(synthetic_dir, tmp_path / "m")) == 2
         assert "epoch 1, batch 1" in capsys.readouterr().err
 
-    def test_missing_phrases_file_is_data_error(self, synthetic_dir, tmp_path,
-                                                capsys):
+    @pytest.mark.parametrize("phrases", [None, "# only a comment\n\n"],
+                             ids=["missing", "empty"])
+    def test_lexicon_dir_without_phrases_is_data_error(
+            self, synthetic_dir, tmp_path, capsys, phrases):
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(lexical.default_lexicon_dir(), lexicons)
+        path = lexicons / "fakeness_phrases.txt"
+        if phrases is None:
+            path.unlink()
+        else:
+            path.write_text(phrases)
         out = tmp_path / "m.model"
-        missing = tmp_path / "no_phrases.txt"
-        args = self.ucnet_args(synthetic_dir, out) + ["--phrases", str(missing)]
+        args = self.ucnet_args(synthetic_dir, out) + [
+            "--lexicon-dir", str(lexicons)]
         assert main(args) == 2
-        assert str(missing) in capsys.readouterr().err
+        assert str(path) in capsys.readouterr().err
         assert not out.exists()
 
     def test_manifest_records_phrase_digests(self, synthetic_dir, tmp_path):
@@ -329,8 +361,29 @@ class TestTrainUcnetCommand:
         assert main(self.ucnet_args(synthetic_dir, out)) == 0
         manifest = json.loads((tmp_path / "m.model.manifest.json").read_text())
         assert manifest["seed"] == 5
-        assert "phrases" in manifest["inputs"]
+        assert sorted(manifest["lexicons"]) == sorted(lexical.LEXICON_FILES)
+        assert manifest["lexicons"]["fakeness_phrases.txt"] == hashlib.sha256(
+            (lexical.default_lexicon_dir() / "fakeness_phrases.txt")
+            .read_bytes()).hexdigest()
+        assert "phrases" not in manifest["inputs"]
         assert "embeddings" in manifest["inputs"]
+
+    def test_empty_selection_trains_a_comments_only_model(
+            self, synthetic_dir, tmp_path):
+        selected = tmp_path / "selected.json"
+        selected.write_text('{"selected_indices": []}')
+        out = tmp_path / "m.model"
+        args = self.ucnet_args(synthetic_dir, out)
+        args.remove("--all-features")
+        assert main(args + ["--selected", str(selected)]) == 0
+        assert network.UCNetModel.load(out).feature_names == ()
+
+    @pytest.mark.parametrize("command", ["train-ucnet", "pca"])
+    def test_phrases_flag_is_gone(self, tmp_path, capsys, command):
+        assert main([command, "--phrases", str(tmp_path / "p.txt"),
+                     "--embeddings", str(tmp_path / "e.txt"),
+                     "--output", str(tmp_path / "out")]) == 1
+        assert "unrecognized arguments: --phrases" in capsys.readouterr().err
 
 
 BAD_SELECTIONS = {
@@ -394,6 +447,35 @@ class TestPcaCommand:
                      "--output", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "video_id,pc1,pc2,label"
 
+    def test_pca_reads_the_phrase_list_from_the_model_file(
+            self, synthetic_dir, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.ENV_LEXICON_DIR, raising=False)
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(lexical.default_lexicon_dir(), lexicons)
+        with (lexicons / "fakeness_phrases.txt").open("a") as fh:
+            fh.write("totally staged\n")
+        model = tmp_path / "m.model"
+        args = TestTrainUcnetCommand().ucnet_args(synthetic_dir, model)
+        assert main(args + ["--lexicon-dir", str(lexicons)]) == 0
+        out = tmp_path / "unified.csv"
+        assert main(["pca", "--input", str(synthetic_dir / "corpus.jsonl"),
+                     "--model", str(model),
+                     "--embeddings", str(synthetic_dir / "embeddings.txt"),
+                     "--output", str(out)]) == 0
+
+        loaded = network.UCNetModel.load(model)
+        assert loaded.phrases == lexical.LexiconSet.from_directory(
+            lexicons).fakeness_phrases
+        assert loaded.phrases[-1] == "totally staged"
+        dataset = corpus.load_dataset(synthetic_dir / "corpus.jsonl", "s")
+        table = load_embeddings(synthetic_dir / "embeddings.txt", 8)
+        projected, _ = evaluation.pca_project(
+            network.extract_unified_embeddings(dataset, table, loaded), 2)
+        expected = tmp_path / "expected.csv"
+        evaluation.export_report(projected, expected, video_ids=dataset.ids(),
+                                 labels=[r.label for r in dataset])
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_pca_requires_a_source(self, tmp_path):
         assert main(["pca", "--output", str(tmp_path / "x.csv")]) == 2
 
@@ -416,7 +498,6 @@ class TestPcaCommand:
 
     @pytest.fixture()
     def model_file(self, tmp_path):
-        from ucnet import lexical
         phrases = lexical.load_fakeness_phrases()
         params = network.init_params(np.random.default_rng(0), 8, len(phrases),
                                      2, lstm_hidden=3)
@@ -437,7 +518,8 @@ class TestPcaCommand:
     @pytest.mark.parametrize("entry,value", [
         ("lstm.wx", np.zeros((12, 5))), ("output.bias", np.zeros(3)),
         ("epochs", "ten"), ("max_tokens_per_comment", "1.5"),
-        ("lstm.wx", np.full((12, 8), 1e300))])
+        ("lstm.wx", np.full((12, 8), 1e300)), ("phrases", "[]"),
+        ("phrases", '["fake", ""]')])
     def test_model_entry_that_does_not_fit_is_data_error(
             self, synthetic_dir, tmp_path, capsys, model_file, entry, value):
         from ucnet import serialize
@@ -492,8 +574,6 @@ class TestConfigFile:
 class TestLexiconDirEnv:
     def test_env_var_used_for_default_lexicons(self, synthetic_dir, tmp_path,
                                                monkeypatch):
-        import shutil
-        from ucnet import lexical
         custom = tmp_path / "lexicons"
         shutil.copytree(lexical.default_lexicon_dir(), custom)
         monkeypatch.setenv(cli.ENV_LEXICON_DIR, str(custom))
@@ -507,8 +587,6 @@ class TestLexiconDirEnv:
 
     def test_invalid_pattern_names_file_and_line(self, synthetic_dir, tmp_path,
                                                  capsys):
-        import shutil
-        from ucnet import lexical
         custom = tmp_path / "lexicons"
         shutil.copytree(lexical.default_lexicon_dir(), custom)
         patterns = custom / "fakeness_patterns.txt"
@@ -521,3 +599,33 @@ class TestLexiconDirEnv:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{patterns}: line {len(lines)}:" in err and "(unclosed" in err
+
+
+def readme_commands() -> list[str]:
+    """Every ``ucnet ...`` command of the README's ``sh`` blocks, with its
+    continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    commands, in_sh = [], False
+    for line in text.replace("\\\n", " ").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("ucnet "):
+            commands.append(" ".join(line.split()))
+    return commands
+
+
+def test_readme_shows_every_subcommand():
+    _, subs = cli._build_parser()
+    assert {command.split()[1] for command in readme_commands()} == set(subs)
+
+
+@pytest.mark.parametrize("command", readme_commands(), ids=lambda command:
+                         command.split()[1])
+def test_readme_command_parses(command):
+    parser, _ = cli._build_parser()
+    try:
+        args = parser.parse_args(shlex.split(command)[1:])
+    except SystemExit:
+        pytest.fail(f"README command does not parse: {command}")
+    assert callable(args.func)

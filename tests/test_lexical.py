@@ -1,4 +1,5 @@
 import re
+import shutil
 import unicodedata
 
 import numpy as np
@@ -12,7 +13,7 @@ from ucnet.lexical import (FEATURE_NAMES, FeatureVector, LexiconSet,
                            comments_inappropriateness, dislike_like_ratio,
                            extract_features, has_clickbait_phrase,
                            pearson_correlation, prune_correlated, ratio_caps,
-                           ratio_violent_words, title_fakeness_score, tokenize,
+                           ratio_violent_words, tokenize,
                            train_title_scorer)
 
 from conftest import make_comment, make_video
@@ -24,6 +25,32 @@ class TestTokenize:
         assert tokenize("fa--ke!! 100%real") == ["fa", "ke", "100", "real"]
         assert tokenize("") == []
         assert tokenize("!!!") == []
+
+
+class TestLexiconDirectory:
+    def test_reads_five_lists_with_phrases_as_written(self, tmp_path):
+        directory = tmp_path / "lexicons"
+        shutil.copytree(lexical.default_lexicon_dir(), directory)
+        (directory / "fakeness_phrases.txt").write_text(
+            "# comment\nSo FAKE\n\n  zebra hoax  \nAbsurd #1\n",
+            encoding="utf-8")
+        lex = LexiconSet.from_directory(directory)
+        assert lex.fakeness_phrases == ("So FAKE", "zebra hoax", "Absurd #1")
+        assert lex.clickbait_phrases == \
+            LexiconSet.default().clickbait_phrases
+
+    def test_default_phrases_are_the_bundled_list(self, lexicons, phrases):
+        assert lexicons.fakeness_phrases == phrases
+        assert len(phrases) == 30
+
+    def test_missing_file_is_named(self, tmp_path):
+        directory = tmp_path / "lexicons"
+        shutil.copytree(lexical.default_lexicon_dir(), directory)
+        for name in lexical.LEXICON_FILES:
+            (directory / name).rename(directory / "away")
+            with pytest.raises(OSError, match=name):
+                LexiconSet.from_directory(directory)
+            (directory / "away").rename(directory / name)
 
 
 class TestTitleFeatures:
@@ -44,14 +71,15 @@ class TestTitleFeatures:
         assert has_clickbait_phrase("BLOW YOUR MIND compilation", lexicons) == 1
 
     def test_violent_ratio_hand_tokenization(self):
-        lex = LexiconSet.from_entries(["x"], ["kill"], ["x"], ["x"])
+        lex = LexiconSet.from_entries(["x"], ["kill"], ["x"], ["x"], ["x"])
         assert ratio_violent_words("kill the lights", lex) == pytest.approx(1 / 3)
 
     def test_violent_ratio_empty_title(self, lexicons):
         assert ratio_violent_words("", lexicons) == 0.0
 
     def test_violent_ratio_all_tokens(self):
-        lex = LexiconSet.from_entries(["x"], ["hack", "chop", "kill"], ["x"], ["x"])
+        lex = LexiconSet.from_entries(["x"], ["hack", "chop", "kill"], ["x"],
+                                      ["x"], ["x"])
         assert ratio_violent_words("hack chop kill", lex) == 1.0
 
     def test_ratio_caps_hand_count(self):
@@ -157,7 +185,7 @@ class TestTitleScorer:
     def test_untrained_guard(self, lexicons):
         scorer = TitleScorer(lexicons)
         with pytest.raises(ValueError, match="train"):
-            title_fakeness_score("anything", scorer)
+            scorer.score("anything")
 
     def test_deterministic_scores(self, scorer):
         assert scorer.score("some title") == scorer.score("some title")
@@ -212,7 +240,7 @@ class TestTitleScorer:
         path = tmp_path / "scorer.model"
         scorer.save(path)
         other = LexiconSet.from_entries(["different phrase"], ["kill"],
-                                        ["fake"], ["damn"])
+                                        ["fake"], ["damn"], ["hoax"])
         with pytest.raises(ValueError, match="lexicons"):
             TitleScorer.load(path, other)
 

@@ -379,29 +379,28 @@ class TestModelIO:
                               lstm_hidden=8)
         path = tmp_path / "ucnet.model"
         model.save(path)
-        again = UCNetModel.load(path, model.phrases)
+        again = UCNetModel.load(path)
+        assert again.phrases == model.phrases == lexicons.fakeness_phrases
         for record in dataset:
             a = model.predict_record(record, table, lexicons, scorer)
             b = again.predict_record(record, table, lexicons, scorer)
             assert a == b
 
-    def test_phrase_digest_mismatch_refused(self, tmp_path):
-        lexicons, dataset, table, scorer = small_training_world(12, seed=8)
-        model = network.train(dataset, table, lexicons, scorer,
-                              TrainingConfig(epochs=0, seed=2), lstm_hidden=8)
+    def test_phrase_list_round_trips_in_order(self, tmp_path):
+        phrases = ("so fake", "trucage évident", 'a "quoted" one', "#1 hoax",
+                   "it's fake #lol", "back\\slash", "x", "fake  news", "嘘")
+        params = init_params(np.random.default_rng(0), 4, len(phrases), 2,
+                             lstm_hidden=3)
         path = tmp_path / "ucnet.model"
-        model.save(path)
-        tampered = list(model.phrases)
-        tampered[0] = "a different phrase"
-        with pytest.raises(ValueError, match="phrase"):
-            UCNetModel.load(path, tampered)
+        UCNetModel(params, phrases, ("a", "b"), 4).save(path)
+        assert UCNetModel.load(path).phrases == phrases
 
     def test_loaded_parameters_pass_gradient_check(self, phrases, tmp_path):
         rng = np.random.default_rng(3)
         params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
         path = tmp_path / "ucnet.model"
         UCNetModel(params, phrases, ("a", "b"), 8).save(path)
-        loaded = UCNetModel.load(path, phrases)
+        loaded = UCNetModel.load(path)
         model = UCNetModel(loaded.parameters(), loaded.phrases,
                            loaded.feature_names, loaded.embedding_dim,
                            loaded.config, dtype=np.float64)
@@ -414,7 +413,8 @@ class TestModelIO:
 
     @pytest.mark.parametrize("drop,kind", [("lstm.wx", "tensor"),
                                            ("output.bias", "tensor"),
-                                           ("epochs", "meta key")])
+                                           ("epochs", "meta key"),
+                                           ("phrases", "meta key")])
     def test_missing_entry_is_named(self, phrases, tmp_path, drop, kind):
         params = init_params(np.random.default_rng(0), 4, len(phrases), 2,
                              lstm_hidden=3)
@@ -425,7 +425,7 @@ class TestModelIO:
         meta.pop(drop, None)
         serialize.save_tensors(path, tensors, meta)
         with pytest.raises(ValueError) as info:
-            UCNetModel.load(path, phrases)
+            UCNetModel.load(path)
         assert f"{path}: no {kind} {drop!r}" in str(info.value)
 
 
@@ -445,6 +445,12 @@ class TestModelIO:
         ("max_comments_per_video", "0",
          "max_comments_per_video must be positive, got 0"),
         ("epochs", "-2", "epochs must be >= 0, got -2"),
+        *(("phrases", value, "meta 'phrases' is not a non-empty list of "
+           "non-empty strings") for value in (
+               "[fake", '"fake"', '{"fake": 1}', "[]", '["fake", ""]',
+               '["fake", 3]', '[["fake"]]', "null")),
+        ("phrases", '["fake"]', "tensor 'weight_head.weights' has shape "
+         "(1, 30), the model needs (1, 1)"),
     ])
     def test_bad_entry_is_named(self, phrases, tmp_path, tensor, value, entry):
         params = init_params(np.random.default_rng(0), 4, len(phrases), 2,
@@ -455,7 +461,7 @@ class TestModelIO:
         (meta if isinstance(value, str) else tensors)[tensor] = value
         serialize.save_tensors(path, tensors, meta)
         with pytest.raises(ValueError) as info:
-            UCNetModel.load(path, phrases)
+            UCNetModel.load(path)
         assert str(info.value).startswith(f"{path}: ")
         assert entry in str(info.value)
 
@@ -483,7 +489,8 @@ class TestLayout:
         model.save(path)
         tensors, _ = serialize.load_tensors(path)
         assert [(n, a.shape) for n, a in tensors.items()] == layout
-        loaded = UCNetModel.load(path, phrases)
+        loaded = UCNetModel.load(path)
+        assert loaded.phrases == phrases
         assert loaded.feature_names == names
         assert loaded.lstm_hidden == lstm_hidden
         assert [(n, a.shape) for n, a in loaded.parameters().items()] == layout
@@ -508,6 +515,7 @@ class TestLayout:
     REFUSALS = {
         "phrases": "tensor 'weight_head.weights' has shape (1, 5), "
                    "the model needs (1, 4)",
+        "no-phrases": "a model needs at least one fakeness phrase",
         "features": "tensor 'hidden.weights' has shape (4, 5), "
                     "the model needs (4, 6)",
         "embedding_dim": "tensor 'lstm.wx' has shape (12, 4), "
@@ -527,6 +535,8 @@ class TestLayout:
         phrases, names, embedding_dim = TOY_PHRASES, ("f0", "f1"), 4
         if change == "phrases":
             phrases = phrases[:4]
+        elif change == "no-phrases":
+            phrases = ()
         elif change == "features":
             names += ("f2",)
         elif change == "embedding_dim":

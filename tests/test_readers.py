@@ -96,13 +96,10 @@ class TestFuzzedReaders:
     def test_config_file(self, tmp_path_factory, content):
         parses_or_names_file(tmp_path_factory, content, cli._read_config_file)
 
-    LEXICONS = ("clickbait_phrases.txt", "violent_words.txt",
-                "fakeness_patterns.txt", "swear_words.txt")
-
     # Random patterns such as "[[" draw re's FutureWarning on nested sets.
     @pytest.mark.filterwarnings("ignore::FutureWarning")
     @settings(max_examples=150, deadline=None)
-    @given(name=st.sampled_from(LEXICONS),
+    @given(name=st.sampled_from(lexical.LEXICON_FILES),
            content=files(["fake", "(", ")", "[", "]", "\\", "\\b", "*", "+",
                           "?", "{2}", "{99999999999}", "|", "(?P<", ">",
                           "(?<=", "a+"]))
