@@ -31,7 +31,7 @@ for epoch, loss in enumerate(model.loss_history, start=1):
     print(f"    epoch {epoch:2d}  {loss:.4f}  {bar}")
 
 y_true = [record.label for record in test_set]
-y_pred = [classify(model.predict_record(record, table, lexicons, scorer))
+y_pred = [classify(model.predict_record(record, table, lexicons, scorer).p_fake)
           for record in test_set]
 report = evaluate(y_true, y_pred)
 print("\nheld-out report")

@@ -25,6 +25,7 @@ from .embeddings import EmbeddingTable, embed_comment, load_embeddings, save_emb
 from .evaluation import (
     ConfusionMatrix,
     EvaluationReport,
+    classify,
     evaluate,
     export_report,
     pca_project,
@@ -53,7 +54,6 @@ from .network import (
     Prediction,
     TrainingConfig,
     UCNetModel,
-    classify,
     comment_weight,
     extract_unified_embeddings,
     fakeness_vector,

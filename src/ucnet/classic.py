@@ -1,7 +1,11 @@
 """Baseline classifiers: CART decision tree, random forest, logistic regression.
 
-Class indices follow the package convention: 0 = real, 1 = fake. Prediction
-ties always go to fake (conservative flagging).
+Class indices follow the package convention: 0 = real, 1 = fake. Each
+model's one prediction method is ``predict_proba_fake(X)``; a forest's is the
+share of its trees read as fake by :func:`ucnet.evaluation.classify`, which
+gives ties to fake. :func:`save_model` writes any of the three models, and
+:func:`load_model` reads one back by the file's meta ``kind``, refusing node
+arrays a tree cannot use.
 """
 
 from __future__ import annotations
@@ -41,9 +45,10 @@ class DecisionTree:
     max_depth: int
     min_samples_leaf: int
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
+        """Each row's probability of fake: the fake share of its leaf."""
         X = np.asarray(X, dtype=np.float64)
-        out = np.zeros((X.shape[0], 2))
+        out = np.zeros(X.shape[0])
         for row in range(X.shape[0]):
             node = 0
             while self.feature[node] >= 0:
@@ -51,15 +56,8 @@ class DecisionTree:
                     node = self.left[node]
                 else:
                     node = self.right[node]
-            out[row] = self.class_probs[node]
+            out[row] = self.class_probs[node, 1]
         return out
-
-    def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X)[:, 1]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        probs = self.predict_proba(X)
-        return (probs[:, 1] >= probs[:, 0]).astype(np.int64)
 
 
 class _TreeBuilder:
@@ -196,17 +194,11 @@ class RandomForest:
         if not self.trees:
             raise ValueError("a forest needs at least one tree")
 
-    def tree_votes(self, X: np.ndarray) -> np.ndarray:
-        """Per-tree class votes, shape (n_trees, n_rows)."""
-        return np.stack([tree.predict(np.asarray(X, dtype=np.float64))
-                         for tree in self.trees])
-
     def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
-        return self.tree_votes(X).mean(axis=0)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        votes = self.tree_votes(X).sum(axis=0)
-        return (2 * votes >= len(self.trees)).astype(np.int64)
+        """Each row's share of trees whose own probability of fake is >= 0.5."""
+        X = np.asarray(X, dtype=np.float64)
+        return np.stack([tree.predict_proba_fake(X) >= 0.5
+                         for tree in self.trees]).mean(axis=0)
 
 
 def train_forest(X, y, n_trees: int = 100, max_depth: int = 8,
@@ -271,12 +263,13 @@ class LogisticModel:
 
     def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)  # see _validate_xy
-        z = X @ self.weights + self.intercept
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return _sigmoid(X @ self.weights + self.intercept)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba_fake(X) >= 0.5).astype(np.int64)
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function that exponentiates only -|z|, so it never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logistic_loss_and_gradient(weights: np.ndarray, intercept: float,
@@ -284,9 +277,7 @@ def logistic_loss_and_gradient(weights: np.ndarray, intercept: float,
     """Mean cross-entropy of the logistic model and its analytic gradient."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    z = X @ weights + intercept
-    e = np.exp(-np.abs(z))
-    p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    p = _sigmoid(X @ weights + intercept)
     eps = 1e-12
     loss = float(-np.mean(y * np.log(np.clip(p, eps, None))
                           + (1.0 - y) * np.log(np.clip(1.0 - p, eps, None))))
@@ -309,6 +300,10 @@ def train_logistic(X, y, learning_rate: float = 0.1,
     return LogisticModel(weights=weights, intercept=intercept)
 
 
+# Node indices are stored as float64, which holds every integer below 2**53.
+_MAX_INDEX = 2 ** 53
+
+
 def _tree_tensors(tree: DecisionTree, prefix: str) -> dict[str, np.ndarray]:
     return {
         f"{prefix}.feature": tree.feature.astype(np.float64),
@@ -321,85 +316,105 @@ def _tree_tensors(tree: DecisionTree, prefix: str) -> dict[str, np.ndarray]:
     }
 
 
+def _node_integers(tensors, name: str, n_nodes: int, low: int,
+                   high: int) -> np.ndarray:
+    """Tensor ``name`` as int64, refusing a value that is not a whole number
+    in [low, high)."""
+    values = tensors.shaped(name, n_nodes)
+    bad = (values != np.floor(values)) | (values < low) | (values >= high)
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise ValueError(f"{tensors.path}: tensor {name!r} holds "
+                         f"{float(values[node])!r} at node {node}, the model "
+                         f"needs a whole number in [{low}, {high})")
+    return values.astype(np.int64)
+
+
 def _tree_from_tensors(tensors, prefix: str, max_depth: int,
-                       min_samples_leaf: int) -> DecisionTree:
-    feature = tensors.shaped(f"{prefix}.feature", None)
-    n_nodes = feature.shape[0]
+                       min_samples_leaf: int,
+                       n_features: int = _MAX_INDEX) -> DecisionTree:
+    """The tree under ``prefix``; as the builder numbers them, children come
+    after their parent, which also rules out cycles."""
+    n_nodes = tensors.shaped(f"{prefix}.feature", None).shape[0]
+    if n_nodes == 0:
+        raise ValueError(f"{tensors.path}: tensor '{prefix}.feature' has "
+                         "no nodes, the model needs a root")
+    feature = _node_integers(tensors, f"{prefix}.feature", n_nodes, -1,
+                             n_features)
+    leaf = feature == -1
+    children = []
+    for name in (f"{prefix}.left", f"{prefix}.right"):
+        child = _node_integers(tensors, name, n_nodes, -1, n_nodes)
+        bad = np.where(leaf, child != -1, child <= np.arange(n_nodes))
+        if bad.any():
+            node = int(np.argmax(bad))
+            need = "-1 at a leaf" if leaf[node] else \
+                f"a child in ({node}, {n_nodes})"
+            raise ValueError(f"{tensors.path}: tensor {name!r} holds "
+                             f"{child[node]} at node {node}, the model "
+                             f"needs {need}")
+        children.append(child)
     return DecisionTree(
-        feature=feature.astype(np.int64),
+        feature=feature,
         threshold=tensors.shaped(f"{prefix}.threshold", n_nodes),
-        left=tensors.shaped(f"{prefix}.left", n_nodes).astype(np.int64),
-        right=tensors.shaped(f"{prefix}.right", n_nodes).astype(np.int64),
+        left=children[0],
+        right=children[1],
         impurity=tensors.shaped(f"{prefix}.impurity", n_nodes),
-        n_samples=tensors.shaped(f"{prefix}.n_samples",
-                                 n_nodes).astype(np.int64),
+        n_samples=_node_integers(tensors, f"{prefix}.n_samples", n_nodes, 1,
+                                 _MAX_INDEX),
         class_probs=tensors.shaped(f"{prefix}.class_probs", n_nodes, 2),
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
     )
 
 
-def save_forest(forest: RandomForest, path) -> None:
-    tensors: dict[str, np.ndarray] = {
-        "tree_seeds": np.array(forest.tree_seeds, dtype=np.float64),
-    }
-    for i, tree in enumerate(forest.trees):
-        tensors.update(_tree_tensors(tree, f"tree{i}"))
-    meta = {
-        "kind": "random-forest",
-        "n_trees": str(len(forest.trees)),
-        "features_per_split": str(forest.features_per_split),
-        "n_features": str(forest.n_features),
-        "max_depth": str(forest.trees[0].max_depth),
-        "min_samples_leaf": str(forest.trees[0].min_samples_leaf),
-    }
+def save_model(model: DecisionTree | RandomForest | LogisticModel,
+               path) -> None:
+    """Write ``model`` to ``path``; the meta ``kind`` records its type."""
+    if isinstance(model, LogisticModel):
+        tensors = {"weights": model.weights,
+                   "intercept": np.array([model.intercept])}
+        serialize.save_tensors(path, tensors, {"kind": "logistic"})
+        return
+    if isinstance(model, RandomForest):
+        tensors = {"tree_seeds": np.array(model.tree_seeds, dtype=np.float64)}
+        for i, tree in enumerate(model.trees):
+            tensors.update(_tree_tensors(tree, f"tree{i}"))
+        meta = {
+            "kind": "random-forest",
+            "n_trees": str(len(model.trees)),
+            "features_per_split": str(model.features_per_split),
+            "n_features": str(model.n_features),
+        }
+        tree = model.trees[0]
+    else:
+        tensors = _tree_tensors(model, "tree")
+        meta = {"kind": "decision-tree"}
+        tree = model
+    meta["max_depth"] = str(tree.max_depth)
+    meta["min_samples_leaf"] = str(tree.min_samples_leaf)
     serialize.save_tensors(path, tensors, meta)
 
 
-def load_forest(path) -> RandomForest:
+def load_model(path) -> DecisionTree | RandomForest | LogisticModel:
+    """The classic model saved at ``path``, of the type its meta ``kind``
+    names; a file of any other kind is refused."""
     tensors, meta = serialize.load_tensors(path)
-    if meta.get("kind") != "random-forest":
-        raise ValueError(f"{path}: not a random-forest file")
-    n_trees = meta.integer("n_trees")
+    kind = meta.get("kind")
+    if kind == "logistic":
+        return LogisticModel(weights=tensors.shaped("weights", None),
+                             intercept=float(tensors.shaped("intercept", 1)[0]))
+    if kind not in ("random-forest", "decision-tree"):
+        raise ValueError(f"{path}: not a classic model file (kind {kind!r})")
     max_depth = meta.integer("max_depth")
     min_leaf = meta.integer("min_samples_leaf")
-    trees = tuple(_tree_from_tensors(tensors, f"tree{i}", max_depth, min_leaf)
-                  for i in range(n_trees))
+    if kind == "decision-tree":
+        return _tree_from_tensors(tensors, "tree", max_depth, min_leaf)
+    n_trees = meta.integer("n_trees")
+    n_features = meta.integer("n_features")
+    trees = tuple(_tree_from_tensors(tensors, f"tree{i}", max_depth, min_leaf,
+                                     n_features) for i in range(n_trees))
     seeds = tuple(int(s) for s in tensors.shaped("tree_seeds", n_trees))
     return RandomForest(trees=trees, tree_seeds=seeds,
                         features_per_split=meta.integer("features_per_split"),
-                        n_features=meta.integer("n_features"))
-
-
-def save_tree(tree: DecisionTree, path) -> None:
-    meta = {
-        "kind": "decision-tree",
-        "max_depth": str(tree.max_depth),
-        "min_samples_leaf": str(tree.min_samples_leaf),
-    }
-    serialize.save_tensors(path, _tree_tensors(tree, "tree"), meta)
-
-
-def load_tree(path) -> DecisionTree:
-    tensors, meta = serialize.load_tensors(path)
-    if meta.get("kind") != "decision-tree":
-        raise ValueError(f"{path}: not a decision-tree file")
-    return _tree_from_tensors(tensors, "tree", meta.integer("max_depth"),
-                              meta.integer("min_samples_leaf"))
-
-
-def save_logistic(model: LogisticModel, path) -> None:
-    serialize.save_tensors(
-        path,
-        {"weights": model.weights,
-         "intercept": np.array([model.intercept])},
-        {"kind": "logistic"},
-    )
-
-
-def load_logistic(path) -> LogisticModel:
-    tensors, meta = serialize.load_tensors(path)
-    if meta.get("kind") != "logistic":
-        raise ValueError(f"{path}: not a logistic-model file")
-    return LogisticModel(weights=tensors.shaped("weights", None),
-                         intercept=float(tensors.shaped("intercept", 1)[0]))
+                        n_features=n_features)

@@ -80,9 +80,7 @@ def _write_manifest(primary_output, args, inputs: dict, lexicons: dict,
 
 def _load_labeled_titles(path) -> list[tuple[str, str]]:
     titles = []
-    for lineno, line in enumerate(corpus.read_utf8(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in corpus.content_lines(path):
         parts = line.split("\t", 1)
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected label<TAB>title")
@@ -281,23 +279,16 @@ def _cmd_train_classic(args) -> int:
         raise ValueError(f"{args.selected}: selects no features; a "
                          f"{args.model} model needs at least one")
     X = matrix[:, indices]
-    # kind -> (train, save), built per call so each `classic.` name is looked
-    # up when it runs (a tracer may have replaced it).
-    train, save = {
-        "forest": (lambda: classic.train_forest(
-                       X, y, n_trees=args.trees, max_depth=args.max_depth,
-                       features_per_split=args.features_per_split,
-                       seed=args.seed),
-                   classic.save_forest),
-        "tree": (lambda: classic.train_tree(X, y, max_depth=args.max_depth),
-                 classic.save_tree),
-        "logistic": (lambda: classic.train_logistic(
-                         X, y, learning_rate=args.learning_rate,
-                         epochs=args.epochs),
-                     classic.save_logistic),
+    train = {
+        "forest": lambda: classic.train_forest(
+            X, y, n_trees=args.trees, max_depth=args.max_depth,
+            features_per_split=args.features_per_split, seed=args.seed),
+        "tree": lambda: classic.train_tree(X, y, max_depth=args.max_depth),
+        "logistic": lambda: classic.train_logistic(
+            X, y, learning_rate=args.learning_rate, epochs=args.epochs),
     }[args.model]
     model = train()
-    save(model, args.output)
+    classic.save_model(model, args.output)
     inputs = {"features": args.features}
     if args.selected:
         inputs["selected"] = args.selected
@@ -305,8 +296,8 @@ def _cmd_train_classic(args) -> int:
     if args.test_features:
         test_ids, test_matrix, _ = _read_features_csv(args.test_features)
         p_fake = model.predict_proba_fake(test_matrix[:, indices])
-        predicted = ["fake" if p >= 0.5 else "real" for p in p_fake]
-        _write_predictions_csv(args.predictions, test_ids, predicted, p_fake)
+        _write_predictions_csv(args.predictions, test_ids,
+                               [evaluation.classify(p) for p in p_fake], p_fake)
         inputs["test_features"] = args.test_features
         outputs.append(args.predictions)
     _write_manifest(args.output, args, inputs, {}, outputs)
@@ -358,16 +349,13 @@ def _cmd_train_ucnet(args) -> int:
     outputs = [args.output]
 
     if test_set is not None and args.predictions:
-        rows = []
-        for record in test_set:
-            prediction = model.predict_record(record, table, lexicons, scorer)
-            rows.append((record.id, network.classify(prediction),
-                         prediction.p_fake))
-        _write_predictions_csv(args.predictions, [r[0] for r in rows],
-                               [r[1] for r in rows], [r[2] for r in rows])
+        p_fake = [model.predict_record(record, table, lexicons, scorer).p_fake
+                  for record in test_set]
+        _write_predictions_csv(args.predictions, test_set.ids(),
+                               [evaluation.classify(p) for p in p_fake], p_fake)
         outputs.append(args.predictions)
         if args.truth_out:
-            _write_predictions_csv(args.truth_out, [r.id for r in test_set],
+            _write_predictions_csv(args.truth_out, test_set.ids(),
                                    [r.label for r in test_set],
                                    [float("nan")] * len(test_set))
             outputs.append(args.truth_out)
@@ -569,13 +557,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 def _read_config_file(path) -> dict[str, str]:
     overrides = {}
-    for lineno, line in enumerate(corpus.read_utf8(path).splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
+    for lineno, line in corpus.content_lines(path):
+        if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, value = stripped.split("=", 1)
+        key, value = line.split("=", 1)
         overrides[key.strip().replace("-", "_")] = value.strip()
     return overrides
 

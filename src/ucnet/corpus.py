@@ -39,6 +39,15 @@ def read_utf8(path) -> str:
         raise ValueError(f"{path}: line {lineno}: not UTF-8 text") from None
 
 
+def content_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of a UTF-8 text file that is not
+    blank or a '#' comment; the line keeps its whitespace."""
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, line
+
+
 def nfc(text: str) -> str:
     """Unicode NFC normalization used before any phrase matching."""
     return unicodedata.normalize("NFC", text)
@@ -364,9 +373,7 @@ def load_annotation_round(path) -> dict[str, str]:
     """Read a `video_id<TAB>label` annotation file into a mapping."""
     path = Path(path)
     round_: dict[str, str] = {}
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in content_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected video_id<TAB>label")

@@ -1,4 +1,4 @@
-"""Confusion counts, macro-averaged precision/recall/F1 and 2-D PCA.
+"""Fake/real readout, confusion counts, macro precision/recall/F1 and 2-D PCA.
 
 Macro averages are unweighted means of the two per-class values, and F1 is
 averaged per class (not recomputed from mean P and R). Zero-denominator
@@ -18,6 +18,12 @@ import numpy as np
 from .corpus import read_utf8
 
 EVAL_LABELS = ("fake", "real")
+
+
+def classify(p_fake: float) -> str:
+    """The label for a probability of fake, for the network and the classic
+    models alike; the 0.5 tie goes to fake (conservative flagging)."""
+    return "fake" if p_fake >= 0.5 else "real"
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .corpus import Comment, VideoRecord, nfc, read_utf8
+from .corpus import Comment, VideoRecord, content_lines, nfc
 
 DISLIKE_RATIO_CAP = 1000.0
 
@@ -49,19 +49,9 @@ def _fold(text: str) -> str:
     return nfc(text).casefold()
 
 
-def _numbered_entries(path) -> list[tuple[int, str]]:
-    """(line number, entry) of each line that is not blank or a '#' comment."""
-    entries = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            entries.append((lineno, stripped))
-    return entries
-
-
 def load_lexicon_lines(path) -> tuple[str, ...]:
     """One entry per line; blank lines and '#' comment lines are skipped."""
-    return tuple(entry for _, entry in _numbered_entries(path))
+    return tuple(line.strip() for _, line in content_lines(path))
 
 
 def _compile_pattern(pattern: str) -> re.Pattern:
@@ -112,7 +102,8 @@ class LexiconSet:
     def from_directory(cls, directory) -> "LexiconSet":
         """The five lists of ``LEXICON_FILES``, all read from ``directory``."""
         directory = Path(directory)
-        lists = {name: _numbered_entries(directory / name)
+        lists = {name: [(lineno, line.strip()) for lineno, line
+                        in content_lines(directory / name)]
                  for name in LEXICON_FILES}
         patterns = directory / "fakeness_patterns.txt"
         for lineno, pattern in lists[patterns.name]:

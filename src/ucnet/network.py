@@ -40,7 +40,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -68,6 +68,9 @@ def fakeness_vector(comment_text: str, phrases: Sequence[str]) -> np.ndarray:
 
 @dataclass
 class TrainingConfig:
+    """Training settings. A model file's meta records every field by its
+    annotated type: a float in ``.17g``, an int in decimal."""
+
     learning_rate: float = 1e-4
     epochs: int = 30
     batch_size: int = 16
@@ -147,11 +150,6 @@ class Prediction:
     def __post_init__(self) -> None:
         if abs(self.p_real + self.p_fake - 1.0) > 1e-12:
             raise ValueError("class probabilities must sum to 1")
-
-
-def classify(prediction: Prediction) -> str:
-    """Argmax readout; the 0.5 tie goes to fake (conservative flagging)."""
-    return "fake" if prediction.p_fake >= 0.5 else "real"
 
 
 @dataclass
@@ -400,13 +398,11 @@ class UCNetModel:
             "lstm_hidden": str(self.lstm_hidden),
             "phrases": json.dumps(self.phrases, ensure_ascii=False),
             "feature_names": ",".join(self.feature_names),
-            "learning_rate": f"{self.config.learning_rate:.17g}",
-            "epochs": str(self.config.epochs),
-            "batch_size": str(self.config.batch_size),
-            "seed": str(self.config.seed),
-            "max_comments_per_video": str(self.config.max_comments_per_video),
-            "max_tokens_per_comment": str(self.config.max_tokens_per_comment),
         }
+        for field in fields(TrainingConfig):
+            value = getattr(self.config, field.name)
+            meta[field.name] = f"{value:.17g}" if field.type == "float" \
+                else str(value)
         serialize.save_tensors(path, tensors, meta)
 
     @classmethod
@@ -424,13 +420,9 @@ class UCNetModel:
                          meta.integer("lstm_hidden"), units)
         params = {name: tensors.shaped(name, *shape)
                   for name, shape in layout.items()}
-        settings = dict(
-            learning_rate=meta.real("learning_rate"),
-            epochs=meta.integer("epochs"),
-            batch_size=meta.integer("batch_size"),
-            seed=meta.integer("seed"),
-            max_comments_per_video=meta.integer("max_comments_per_video"),
-            max_tokens_per_comment=meta.integer("max_tokens_per_comment"))
+        settings = {field.name: meta.real(field.name) if field.type == "float"
+                    else meta.integer(field.name)
+                    for field in fields(TrainingConfig)}
         try:
             return cls(params, phrases, feature_names, embedding_dim,
                        TrainingConfig(**settings))

@@ -103,15 +103,17 @@ def test_criterion_4_end_to_end_separability(lexicons):
     history = model.loss_history
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
     y_true = [r.label for r in test_set]
-    y_pred = [network.classify(model.predict_record(r, table, lexicons, scorer))
-              for r in test_set]
+    y_pred = [evaluation.classify(
+        model.predict_record(r, table, lexicons, scorer).p_fake)
+        for r in test_set]
     ucnet_report = evaluation.evaluate(y_true, y_pred)
 
     X_train = lexical.feature_matrix(list(train_set), lexicons, scorer)
     y_train = np.array([1 if r.label == "fake" else 0 for r in train_set])
     X_test = lexical.feature_matrix(list(test_set), lexicons, scorer)
     forest = classic.train_forest(X_train, y_train, seed=0)
-    forest_pred = ["fake" if v else "real" for v in forest.predict(X_test)]
+    forest_pred = [evaluation.classify(p)
+                   for p in forest.predict_proba_fake(X_test)]
     forest_report = evaluation.evaluate(y_true, forest_pred)
 
     elapsed = time.monotonic() - started
@@ -160,9 +162,11 @@ def test_criterion_5_oracle_equivalence(lexicons):
     y = (X[:, 1] > 0).astype(np.int64)
     forest = classic.train_forest(X[:60], y[:60], n_trees=11, seed=1)
     probe = X[60:]
-    votes = np.stack([t.predict(probe) for t in forest.trees]).sum(axis=0)
-    assert np.array_equal(forest.predict(probe),
-                          (2 * votes >= 11).astype(np.int64))
+    votes = np.stack([[evaluation.classify(p) == "fake"
+                       for p in t.predict_proba_fake(probe)]
+                      for t in forest.trees]).sum(axis=0)
+    assert [evaluation.classify(p) for p in forest.predict_proba_fake(probe)] \
+        == ["fake" if 2 * v >= 11 else "real" for v in votes]
     report(5, "features, mining and forest votes match brute-force oracles")
 
 

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from ucnet import classic, serialize
-from ucnet.classic import (feature_importances, gini, load_forest,
-                           load_logistic, load_tree,
-                           logistic_loss_and_gradient, save_forest,
-                           save_logistic, save_tree, train_forest,
-                           train_logistic, train_tree)
+from ucnet import serialize
+from ucnet.classic import (DecisionTree, LogisticModel, RandomForest,
+                           feature_importances, gini, load_model,
+                           logistic_loss_and_gradient, save_model,
+                           train_forest, train_logistic, train_tree)
+from ucnet.evaluation import classify
+
+from test_network import TOY_PHRASES, tiny_params, toy_model
+
+
+def reads_fake(model, X) -> np.ndarray:
+    """1 where ``classify`` reads the model's probability of fake as fake."""
+    return np.array([classify(p) == "fake" for p in model.predict_proba_fake(X)],
+                    dtype=np.int64)
 
 
 class TestGini:
@@ -52,7 +60,7 @@ class TestDecisionTree:
         assert tree.feature[0] == 0
         assert tree.feature[tree.left[0]] == -1
         assert tree.feature[tree.right[0]] == -1
-        assert np.array_equal(tree.predict(X), y)
+        assert np.array_equal(reads_fake(tree, X), y)
 
     def test_pure_input_is_single_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
@@ -81,40 +89,114 @@ class TestDecisionTree:
         X = np.array([[0.0], [0.0]])
         y = np.array([0, 1])
         tree = train_tree(X, y)  # unsplittable: leaf with 0.5 / 0.5
-        assert np.array_equal(tree.predict(np.array([[0.0]])), [1])
+        assert tree.predict_proba_fake(np.array([[0.0]])) == [0.5]
+        assert np.array_equal(reads_fake(tree, np.array([[0.0]])), [1])
 
-    def test_proba_fake_is_fake_column(self):
+    def test_proba_fake_is_the_fake_share_of_the_leaf(self):
+        def leaf_fake_share(tree, x, node=0):
+            if tree.feature[node] < 0:
+                return tree.class_probs[node, 1]
+            side = tree.left if x[tree.feature[node]] < tree.threshold[node] \
+                else tree.right
+            return leaf_fake_share(tree, x, side[node])
+
         rng = np.random.default_rng(7)
         X = rng.normal(size=(40, 3))
         tree = train_tree(X, (X[:, 0] + X[:, 2] > 0).astype(np.int64))
         probe = rng.normal(size=(25, 3))
         assert np.array_equal(tree.predict_proba_fake(probe),
-                              tree.predict_proba(probe)[:, 1])
+                              [leaf_fake_share(tree, x) for x in probe])
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 3))
         y = (X[:, 1] > 0).astype(np.int64)
         tree = train_tree(X, y)
-        save_tree(tree, tmp_path / "tree.model")
-        again = load_tree(tmp_path / "tree.model")
+        save_model(tree, tmp_path / "tree.model")
+        again = load_model(tmp_path / "tree.model")
+        assert isinstance(again, DecisionTree)
         probe = rng.normal(size=(25, 3))
-        assert np.array_equal(tree.predict_proba(probe),
-                              again.predict_proba(probe))
+        assert np.array_equal(tree.predict_proba_fake(probe),
+                              again.predict_proba_fake(probe))
 
     @pytest.mark.parametrize("entry,value", [
         ("tree.threshold", np.zeros(2)), ("tree.feature", np.zeros((1, 1))),
-        ("min_samples_leaf", "two")])
+        ("tree.feature", np.zeros(0)), ("min_samples_leaf", "two")])
     def test_bad_entry_is_named(self, tmp_path, entry, value):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 3))
         path = tmp_path / "tree.model"
-        save_tree(train_tree(X, (X[:, 1] > 0).astype(np.int64)), path)
+        save_model(train_tree(X, (X[:, 1] > 0).astype(np.int64)), path)
         tensors, meta = serialize.load_tensors(path)
         (meta if isinstance(value, str) else tensors)[entry] = value
         serialize.save_tensors(path, tensors, meta)
         with pytest.raises(ValueError, match=f"tree.model: .*'{entry}'"):
-            load_tree(path)
+            load_model(path)
+
+
+def five_node_tree() -> DecisionTree:
+    """Root 0 splits into node 1 and leaf 2; node 1 into leaves 3 and 4."""
+    return DecisionTree(
+        feature=np.array([0, 1, -1, -1, -1]),
+        threshold=np.array([0.5, 0.5, 0.0, 0.0, 0.0]),
+        left=np.array([1, 3, -1, -1, -1]),
+        right=np.array([2, 4, -1, -1, -1]),
+        impurity=np.array([0.5, 0.5, 0.0, 0.0, 0.0]),
+        n_samples=np.array([8, 4, 4, 2, 2]),
+        class_probs=np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0],
+                              [1.0, 0.0], [0.0, 1.0]]),
+        max_depth=8, min_samples_leaf=2)
+
+
+# (tensor, node, value written there, tensor the refusal names)
+MALFORMED_NODES = [
+    ("feature", 1, 0.5, "feature"),      # not a whole number
+    ("left", 0, 1.5, "left"),
+    ("right", 1, 1e300, "right"),
+    ("n_samples", 3, 2.5, "n_samples"),
+    ("n_samples", 3, 0.0, "n_samples"),  # a node no sample reached
+    ("feature", 1, -2.0, "feature"),     # below the leaf marker
+    ("left", 0, 0.0, "left"),            # its own child
+    ("left", 1, 0.0, "left"),            # back to its parent: a cycle
+    ("right", 0, 7.0, "right"),          # past the last node
+    ("left", 2, 3.0, "left"),            # a leaf with a child
+    ("right", 4, 1.0, "right"),
+    ("feature", 2, 0.0, "left"),         # an inner node without children
+]
+
+
+@pytest.mark.parametrize("kind,tensor,node,value,named", [
+    *[("tree", *case) for case in MALFORMED_NODES],
+    *[("forest", *case) for case in MALFORMED_NODES],
+    ("forest", "feature", 1, 2.0, "feature"),  # the forest has 2 features
+])
+def test_malformed_tree_file_is_refused(tmp_path, kind, tensor, node, value,
+                                        named):
+    tree = five_node_tree()
+    path = tmp_path / f"{kind}.model"
+    if kind == "tree":
+        save_model(tree, path)
+        prefix = "tree"
+    else:
+        save_model(RandomForest(trees=(tree,), tree_seeds=(1,),
+                                features_per_split=2, n_features=2), path)
+        prefix = "tree0"
+    tensors, meta = serialize.load_tensors(path)
+    tensors[f"{prefix}.{tensor}"][node] = value
+    serialize.save_tensors(path, tensors, meta)
+    with pytest.raises(ValueError,
+                       match=f"{kind}.model: tensor '{prefix}.{named}'"):
+        load_model(path)
+
+
+def test_load_model_refuses_other_model_files(tmp_path, scorer):
+    for name, model in (("ucnet.model",
+                         toy_model(tiny_params(n_phrases=len(TOY_PHRASES)))),
+                        ("scorer.model", scorer)):
+        model.save(tmp_path / name)
+        with pytest.raises(ValueError,
+                           match=f"{name}: not a classic model file"):
+            load_model(tmp_path / name)
 
 
 def separable_features(rng, n):
@@ -129,22 +211,22 @@ class TestRandomForest:
         X, y = separable_features(rng, 60)
         forest = train_forest(X, y, n_trees=1, features_per_split=4, seed=3)
         probe = rng.normal(size=(20, 4))
-        assert np.array_equal(forest.predict(probe),
-                              forest.trees[0].predict(probe))
+        assert np.array_equal(forest.predict_proba_fake(probe),
+                              reads_fake(forest.trees[0], probe))
 
     def test_same_seed_same_predictions(self):
         rng = np.random.default_rng(2)
         X, y = separable_features(rng, 80)
         probe = rng.normal(size=(30, 4))
-        a = train_forest(X, y, n_trees=15, seed=9).predict(probe)
-        b = train_forest(X, y, n_trees=15, seed=9).predict(probe)
+        a = train_forest(X, y, n_trees=15, seed=9).predict_proba_fake(probe)
+        b = train_forest(X, y, n_trees=15, seed=9).predict_proba_fake(probe)
         assert np.array_equal(a, b)
 
     def test_heldout_accuracy_on_separable_data(self):
         rng = np.random.default_rng(3)
         X, y = separable_features(rng, 300)
         forest = train_forest(X[:200], y[:200], n_trees=50, seed=0)
-        accuracy = (forest.predict(X[200:]) == y[200:]).mean()
+        accuracy = (reads_fake(forest, X[200:]) == y[200:]).mean()
         assert accuracy >= 0.9
 
     def test_majority_vote_matches_explicit_count(self):
@@ -152,27 +234,33 @@ class TestRandomForest:
         X, y = separable_features(rng, 60)
         forest = train_forest(X, y, n_trees=9, seed=5)
         probe = rng.normal(size=(40, 4))
-        votes = np.stack([t.predict(probe) for t in forest.trees]).sum(axis=0)
+        votes = np.stack([reads_fake(t, probe)
+                          for t in forest.trees]).sum(axis=0)
+        assert np.array_equal(forest.predict_proba_fake(probe), votes / 9)
         expected = (2 * votes >= 9).astype(np.int64)
-        assert np.array_equal(forest.predict(probe), expected)
+        assert np.array_equal(reads_fake(forest, probe), expected)
 
     def test_tie_goes_to_fake(self):
         rng = np.random.default_rng(12)
         X, y = separable_features(rng, 50)
         forest = train_forest(X, y, n_trees=2, seed=1)
         probe = rng.normal(size=(200, 4))
-        votes = np.stack([t.predict(probe) for t in forest.trees]).sum(axis=0)
-        predictions = forest.predict(probe)
-        assert np.all(predictions[votes == 1] == 1)
+        votes = np.stack([reads_fake(t, probe)
+                          for t in forest.trees]).sum(axis=0)
+        assert np.any(votes == 1)
+        assert np.all(forest.predict_proba_fake(probe)[votes == 1] == 0.5)
+        assert np.all(reads_fake(forest, probe)[votes == 1] == 1)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         X, y = separable_features(rng, 70)
         forest = train_forest(X, y, n_trees=5, seed=2)
-        save_forest(forest, tmp_path / "forest.model")
-        again = load_forest(tmp_path / "forest.model")
+        save_model(forest, tmp_path / "forest.model")
+        again = load_model(tmp_path / "forest.model")
+        assert isinstance(again, RandomForest)
         probe = rng.normal(size=(20, 4))
-        assert np.array_equal(forest.predict(probe), again.predict(probe))
+        assert np.array_equal(forest.predict_proba_fake(probe),
+                              again.predict_proba_fake(probe))
         assert np.array_equal(feature_importances(forest),
                               feature_importances(again))
 
@@ -180,8 +268,8 @@ class TestRandomForest:
         rng = np.random.default_rng(8)
         X, y = separable_features(rng, 70)
         forest = train_forest(X, y, n_trees=3, max_depth=2, seed=4)
-        save_forest(forest, tmp_path / "forest.model")
-        again = load_forest(tmp_path / "forest.model")
+        save_model(forest, tmp_path / "forest.model")
+        again = load_model(tmp_path / "forest.model")
         assert [t.max_depth for t in again.trees] == [2, 2, 2]
         assert [t.min_samples_leaf for t in again.trees] == [2, 2, 2]
         probe = rng.normal(size=(20, 4))
@@ -194,13 +282,13 @@ class TestRandomForest:
         rng = np.random.default_rng(6)
         X, y = separable_features(rng, 40)
         path = tmp_path / "forest.model"
-        save_forest(train_forest(X, y, n_trees=2, seed=2), path)
+        save_model(train_forest(X, y, n_trees=2, seed=2), path)
         tensors, meta = serialize.load_tensors(path)
         tensors.pop(drop, None)
         meta.pop(drop, None)
         serialize.save_tensors(path, tensors, meta)
         with pytest.raises(ValueError, match=f"forest.model: no .*'{drop}'"):
-            load_forest(path)
+            load_model(path)
 
     @pytest.mark.parametrize("entry,value", [
         ("tree1.left", np.zeros(1)), ("tree0.class_probs", np.zeros((1, 3))),
@@ -210,12 +298,12 @@ class TestRandomForest:
         rng = np.random.default_rng(6)
         X, y = separable_features(rng, 40)
         path = tmp_path / "forest.model"
-        save_forest(train_forest(X, y, n_trees=2, seed=2), path)
+        save_model(train_forest(X, y, n_trees=2, seed=2), path)
         tensors, meta = serialize.load_tensors(path)
         (meta if isinstance(value, str) else tensors)[entry] = value
         serialize.save_tensors(path, tensors, meta)
         with pytest.raises(ValueError, match=f"forest.model: .*'{entry}'"):
-            load_forest(path)
+            load_model(path)
 
 
 class TestFeatureImportances:
@@ -269,7 +357,7 @@ class TestLogistic:
         order = rng.permutation(120)
         X, y = X[order], y[order]
         model = train_logistic(X[:80], y[:80], learning_rate=0.5, epochs=400)
-        assert (model.predict(X[80:]) == y[80:]).mean() == 1.0
+        assert (reads_fake(model, X[80:]) == y[80:]).mean() == 1.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -310,8 +398,9 @@ class TestLogistic:
         X = rng.normal(size=(30, 2))
         y = (X[:, 0] > 0).astype(np.int64)
         model = train_logistic(X, y, learning_rate=0.3, epochs=100)
-        save_logistic(model, tmp_path / "logit.model")
-        again = load_logistic(tmp_path / "logit.model")
+        save_model(model, tmp_path / "logit.model")
+        again = load_model(tmp_path / "logit.model")
+        assert isinstance(again, LogisticModel)
         assert np.array_equal(model.predict_proba_fake(X),
                               again.predict_proba_fake(X))
 
@@ -321,7 +410,7 @@ class TestLogistic:
                         {"weights": np.zeros(2), "intercept": np.zeros(2)}):
             serialize.save_tensors(path, tensors, {"kind": "logistic"})
             with pytest.raises(ValueError, match="logit.model: tensor"):
-                load_logistic(path)
+                load_model(path)
 
 
 @pytest.mark.parametrize("train", [train_forest, train_tree, train_logistic])

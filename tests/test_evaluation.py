@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucnet.evaluation import (ConfusionMatrix, evaluate, export_report,
-                              pca_project, read_report)
+from ucnet.evaluation import (ConfusionMatrix, classify, evaluate,
+                              export_report, pca_project, read_report)
+
+
+class TestClassify:
+    def test_fake_majority(self):
+        assert classify(0.7) == "fake"
+
+    def test_real_majority(self):
+        assert classify(0.3) == "real"
+
+    def test_tie_goes_to_fake(self):
+        assert classify(0.5) == "fake"
+        assert classify(np.nextafter(0.5, 0.0)) == "real"
 
 
 class TestConfusionMatrix:

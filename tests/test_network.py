@@ -7,7 +7,7 @@ from ucnet import (corpus, evaluation, lexical, network, neural, serialize,
                    synthetic)
 from ucnet.embeddings import EmbeddingTable
 from ucnet.network import (Prediction, TrainingConfig, UCNetModel,
-                           classify, comment_weight, extract_unified_embeddings,
+                           comment_weight, extract_unified_embeddings,
                            fakeness_vector, init_params)
 
 from conftest import (lstm_cell, lstm_sequence, make_comment, make_dataset,
@@ -252,16 +252,7 @@ class TestForward:
                 toy_model(params).predict(video.comments, features, toy_table())
 
 
-class TestClassify:
-    def test_fake_majority(self):
-        assert classify(Prediction(0.3, 0.7)) == "fake"
-
-    def test_real_majority(self):
-        assert classify(Prediction(0.7, 0.3)) == "real"
-
-    def test_tie_goes_to_fake(self):
-        assert classify(Prediction(0.5, 0.5)) == "fake"
-
+class TestPrediction:
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
             Prediction(0.5, 0.6)
@@ -287,8 +278,9 @@ class TestTrain:
         model = network.train(train_set, table, lexicons, scorer, config,
                               lstm_hidden=16)
         y_true = [r.label for r in test_set]
-        y_pred = [classify(model.predict_record(r, table, lexicons, scorer))
-                  for r in test_set]
+        y_pred = [evaluation.classify(
+            model.predict_record(r, table, lexicons, scorer).p_fake)
+            for r in test_set]
         report = evaluation.evaluate(y_true, y_pred)
         assert report.macro_f1 >= 0.95
 
