@@ -317,16 +317,16 @@ def _tree_tensors(tree: DecisionTree, prefix: str) -> dict[str, np.ndarray]:
 
 
 def _node_integers(tensors, name: str, n_nodes: int, low: int,
-                   high: int) -> np.ndarray:
+                   high: int, item: str = "node") -> np.ndarray:
     """Tensor ``name`` as int64, refusing a value that is not a whole number
-    in [low, high)."""
+    in [low, high); the refusal names the ``item`` (node or tree) by index."""
     values = tensors.shaped(name, n_nodes)
     bad = (values != np.floor(values)) | (values < low) | (values >= high)
     if bad.any():
         node = int(np.argmax(bad))
         raise ValueError(f"{tensors.path}: tensor {name!r} holds "
-                         f"{float(values[node])!r} at node {node}, the model "
-                         f"needs a whole number in [{low}, {high})")
+                         f"{float(values[node])!r} at {item} {node}, the "
+                         f"model needs a whole number in [{low}, {high})")
     return values.astype(np.int64)
 
 
@@ -411,10 +411,15 @@ def load_model(path) -> DecisionTree | RandomForest | LogisticModel:
     if kind == "decision-tree":
         return _tree_from_tensors(tensors, "tree", max_depth, min_leaf)
     n_trees = meta.integer("n_trees")
+    if n_trees < 1:
+        raise ValueError(f"{path}: meta 'n_trees' is {n_trees}, a forest "
+                         "needs at least one tree")
     n_features = meta.integer("n_features")
     trees = tuple(_tree_from_tensors(tensors, f"tree{i}", max_depth, min_leaf,
                                      n_features) for i in range(n_trees))
-    seeds = tuple(int(s) for s in tensors.shaped("tree_seeds", n_trees))
+    # train_forest draws each tree's seed as a uint32.
+    seeds = tuple(int(s) for s in _node_integers(
+        tensors, "tree_seeds", n_trees, 0, 2 ** 32, item="tree"))
     return RandomForest(trees=trees, tree_seeds=seeds,
                         features_per_split=meta.integer("features_per_split"),
                         n_features=n_features)

@@ -13,8 +13,9 @@ There is one forward pass, ``_forward_batch`` over a ``_collate``d batch of
 prepared videos, and one backward pass, ``_backward_batch``. The weight
 head is ``_comment_weights``, and the classifier is a :class:`ucnet.neural.Mlp`
 over the layers ``hidden`` and ``output``. ``UCNetModel.batch_loss_and_gradients``
-chains them over labelled videos: ``train`` calls it on shuffled mini-batches
-and :func:`ucnet.neural.gradient_check` on any batch. Inference (``predict``,
+chains them over labelled videos: ``train`` calls it on shuffled mini-batches,
+whose LSTM caches reuse one workspace reserved for the run, and
+:func:`ucnet.neural.gradient_check` on any batch. Inference (``predict``,
 ``predict_record``, ``unified_embedding`` and so
 :func:`extract_unified_embeddings`) runs the forward pass on one video per
 call, so it holds the LSTM state of one video at a time.
@@ -36,6 +37,7 @@ Pooling, both dense heads and the softmax stay float64.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
@@ -243,7 +245,8 @@ def _forward_batch(model: UCNetModel, batch: _Batch):
     if batch.ids.shape[0]:
         cell = model._compute_cell()
         finals, lstm_cache = neural.lstm_forward_batch(
-            cell, batch.ids, batch.lengths, batch.matrix)
+            cell, batch.ids, batch.lengths, batch.matrix,
+            workspace=model._lstm_workspace)
         finals = finals.astype(np.float64, copy=False)
         weights = _comment_weights(batch.fvs, params["weight_head.weights"],
                                    params["weight_head.bias"])  # (n_comments, 1)
@@ -336,6 +339,7 @@ class UCNetModel:
         self.embedding_dim = embedding_dim
         self.config = config if config is not None else TrainingConfig()
         self.loss_history: list[float] = []
+        self._lstm_workspace: np.ndarray | None = None
 
     def parameters(self) -> dict[str, np.ndarray]:
         return dict(self.flat.params)
@@ -347,6 +351,22 @@ class UCNetModel:
         size = sum(math.prod(shape) for shape in self._lstm_shapes.values())
         cast = self.flat.vector[:size].astype(self.dtype, copy=False)
         return neural.LSTMCell(**neural.segment_views(cast, self._lstm_shapes))
+
+    @contextlib.contextmanager
+    def _lstm_buffers_for(self, videos: Sequence[PreparedVideo],
+                          batch_size: int):
+        """Within the block, forward passes over at most ``batch_size`` of
+        ``videos`` pack their LSTM caches into one workspace, sized for the
+        ``batch_size`` videos with the most real cells; on exit the model
+        drops it, so inference allocates per call as before."""
+        cells = sorted((sum(map(len, v.comment_ids)) for v in videos),
+                       reverse=True)
+        self._lstm_workspace = neural.lstm_workspace(
+            sum(cells[:batch_size]), self.lstm_hidden, self.dtype)
+        try:
+            yield
+        finally:
+            self._lstm_workspace = None
 
     def prepare(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable, label: int | None = None) -> PreparedVideo:
@@ -499,22 +519,24 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
     state = neural.AdamState.for_params(model.flat.vector,
                                         learning_rate=config.learning_rate)
     n = len(prepared)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            chunk = [prepared[i] for i in order[start:start + config.batch_size]]
-            loss, _ = model.batch_loss_and_gradients(chunk)
-            if not math.isfinite(loss):
-                raise ValueError(
-                    f"training loss is {loss} at epoch {epoch + 1}, batch "
-                    f"{start // config.batch_size + 1}; aborting")
-            neural.adam_step(model.flat.vector, model.flat.gradient, state)
-            epoch_loss += loss * len(chunk)
-        mean_loss = epoch_loss / n
-        model.loss_history.append(mean_loss)
-        logger.info("epoch %d/%d: mean loss %.6f", epoch + 1, config.epochs,
-                    mean_loss)
+    with model._lstm_buffers_for(prepared, config.batch_size):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                chunk = [prepared[i]
+                         for i in order[start:start + config.batch_size]]
+                loss, _ = model.batch_loss_and_gradients(chunk)
+                if not math.isfinite(loss):
+                    raise ValueError(
+                        f"training loss is {loss} at epoch {epoch + 1}, batch "
+                        f"{start // config.batch_size + 1}; aborting")
+                neural.adam_step(model.flat.vector, model.flat.gradient, state)
+                epoch_loss += loss * len(chunk)
+            mean_loss = epoch_loss / n
+            model.loss_history.append(mean_loss)
+            logger.info("epoch %d/%d: mean loss %.6f", epoch + 1,
+                        config.epochs, mean_loss)
     return model
 
 

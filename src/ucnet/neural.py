@@ -34,10 +34,20 @@ b_t. Only real (row, step) cells are stored, time-major: step t owns packed
 rows ``bounds[t]:bounds[t + 1]`` of every cache array. The input projection
 is one GEMM before the loop over the distinct ids among the real cells
 only, scattered to the cells by index, since a cell's projection depends
-only on its token; each step then adds ``h[:b_t] @ wh.T``. The backward
-pass fills one packed gate-gradient array in its reverse loop and then forms
-the weight gradients with three GEMMs over all cells, gathering the cells'
-input vectors from the distinct rows for ``wx``.
+only on its token; each step then adds ``h[:b_t] @ wh.T``, multiplying by a
+C-ordered copy of ``wh.T`` made once per pass: OpenBLAS is several times
+slower on the transposed view at small row counts, and gives the same bits
+on the copy. The packed arrays are fresh for each pass, or views of a
+workspace the caller reserves once and passes to every pass, as
+``network.train`` does for its mini-batches, so that a training step
+allocates no large array. The backward pass writes each step's gate gradients over
+that step's activated gates, so a cache is backpropagated at most once,
+and then forms the weight gradients with three GEMMs over all cells,
+gathering the cells' input vectors from the distinct rows for ``wx``; the
+``wh`` GEMM leaves out step 0, whose cells enter with ``h = 0``.
+
+:func:`adam_step` runs its element-wise passes block by block, so that a
+block stays in cache between passes.
 """
 
 from __future__ import annotations
@@ -155,6 +165,11 @@ class PackedLSTMCache:
     Rows are stable-sorted by descending length (``order``), so the rows
     still running at step t are the prefix of size ``bounds[t + 1] -
     bounds[t]``, and step t owns packed rows ``bounds[t]:bounds[t + 1]``.
+    ``gates``, ``h_prev``, ``c_prev`` and ``tanh_c`` are fresh for each
+    forward pass, or consecutive views of the caller's workspace
+    (:func:`lstm_workspace`), which the next pass over it overwrites.
+    :func:`lstm_backward_batch` overwrites ``gates`` with the gate
+    gradients, so a cache can be backpropagated once.
     """
 
     order: np.ndarray    # (n,) sorted position -> original row
@@ -167,8 +182,20 @@ class PackedLSTMCache:
     tanh_c: np.ndarray   # (P, hidden) tanh of the cell state leaving it
 
 
+# Width of each packed cache array, in multiples of the hidden size.
+_CACHE_WIDTHS = {"gates": 4, "h_prev": 1, "c_prev": 1, "tanh_c": 1}
+
+
+def lstm_workspace(cells: int, hidden_dim: int, dtype) -> np.ndarray:
+    """Room for the packed cache arrays of forward passes over up to
+    ``cells`` real cells; pass it to :func:`lstm_forward_batch` as
+    ``workspace``, with a cell of this hidden size and dtype."""
+    return np.empty(cells * sum(_CACHE_WIDTHS.values()) * hidden_dim, dtype)
+
+
 def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
-                       matrix: np.ndarray) -> tuple[np.ndarray, PackedLSTMCache]:
+                       matrix: np.ndarray, *, workspace: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, PackedLSTMCache]:
     """Run ``n`` padded token-id sequences through the recurrence at once.
 
     xs is an (n, t_max) integer array of row ids into matrix, a
@@ -176,10 +203,14 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     true length; ids past it are padding and never read. Only the real
     cells are computed: the input projection is one GEMM over the distinct
     ids among them, and each step multiplies the hidden states of the rows
-    still running by ``wh``. Returns the (n, hidden_dim) final states in
-    the caller's row order (zeros for empty rows) and the cache the
-    backward pass needs, both in the cell's dtype: the distinct input rows
-    are cast to it before the projection.
+    still running by a C-ordered copy of ``wh.T``, which BLAS multiplies
+    faster than the transposed view and to the same bits. Returns the
+    (n, hidden_dim) final states in the caller's row order (zeros for empty
+    rows) and the cache the backward pass needs, both in the cell's dtype:
+    the distinct input rows are cast to it before the projection. The
+    cache's packed arrays live in ``workspace`` when one is given (from
+    :func:`lstm_workspace`, large enough for the batch's real cells), and
+    in fresh arrays otherwise.
     """
     xs = np.asarray(xs)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -201,18 +232,31 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     ids = xs[order[rows], steps]
     if ids.size and (ids.min() < 0 or ids.max() >= matrix.shape[0]):
         raise ValueError(f"token ids must lie in [0, {matrix.shape[0]})")
+    shapes = {name: (ids.size, width * hidden)
+              for name, width in _CACHE_WIDTHS.items()}
+    if workspace is None:
+        # Separate arrays: one block of their total size, freed and drawn
+        # again per video at inference, measured a higher peak RSS.
+        packed = {name: np.empty(shape, dtype) for name, shape in shapes.items()}
+    elif workspace.dtype == dtype and \
+            workspace.size >= sum(map(math.prod, shapes.values())):
+        packed = segment_views(workspace, shapes)
+    else:
+        raise ValueError(f"a workspace of {workspace.size} {workspace.dtype} "
+                         f"entries cannot hold {ids.size} cells of hidden "
+                         f"size {hidden} in {dtype}")
+    gates, h_prev, c_prev, tanh_c = (packed[name] for name in _CACHE_WIDTHS)
     distinct, cell_of = np.unique(ids, return_inverse=True)
     inputs = matrix[distinct].astype(dtype, copy=False)
     projected = _rowwise_matmul(inputs, cell.wx.T)
     projected += cell.bias
-    gates = projected[cell_of]
-    p = gates.shape[0]
-    h_prev = np.empty((p, hidden), dtype)
-    c_prev = np.empty((p, hidden), dtype)
-    tanh_c = np.empty((p, hidden), dtype)
+    # cell_of indexes projected by construction; under the default
+    # mode="raise", take would fill a temporary and copy it into gates.
+    np.take(projected, cell_of, axis=0, out=gates, mode="clip")
+    del projected  # freed before the loop allocates wh_t and the states
     h = np.zeros((n, hidden), dtype)
     c = np.zeros((n, hidden), dtype)
-    wh_t = cell.wh.T
+    wh_t = np.ascontiguousarray(cell.wh.T)
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
@@ -240,34 +284,39 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
     """Backpropagation through time; returns gradients for wx, wh and bias
     in the cell's dtype.
 
-    The reverse loop writes each step's gate gradients into one packed
-    array; the weight gradients are then three GEMMs over all cells.
+    The reverse loop writes each step's gate gradients over that step's
+    rows of ``cache.gates``, so the cache cannot be backpropagated again;
+    the weight gradients are then three GEMMs over all cells. The ``wh``
+    GEMM skips step 0, whose cells enter with ``h = 0``.
     """
     hidden = cell.hidden_dim
     bounds = cache.bounds
     dh = np.asarray(dh_final, dtype=cell.wh.dtype)[cache.order]
     dc = np.zeros_like(dh)
-    dz_all = np.empty_like(cache.gates)
     for t in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
-        g = cache.gates[lo:hi]
-        gi, gf = g[:, :hidden], g[:, hidden:2 * hidden]
-        gg, go = g[:, 2 * hidden:3 * hidden], g[:, 3 * hidden:]
+        dz = cache.gates[lo:hi]
+        gi, gf = dz[:, :hidden], dz[:, hidden:2 * hidden]
+        gg, go = dz[:, 2 * hidden:3 * hidden], dz[:, 3 * hidden:]
         tanh_c = cache.tanh_c[lo:hi]
         dh_b = dh[:b]
         dc_cand = dc[:b] + dh_b * go * (1.0 - tanh_c ** 2)
-        dz = dz_all[lo:hi]
-        dz[:, :hidden] = dc_cand * gg * gi * (1.0 - gi)
-        dz[:, hidden:2 * hidden] = dc_cand * cache.c_prev[lo:hi] * gf * (1.0 - gf)
-        dz[:, 2 * hidden:3 * hidden] = dc_cand * gi * (1.0 - gg ** 2)
-        dz[:, 3 * hidden:] = dh_b * tanh_c * go * (1.0 - go)
+        # Each gate's gradient overwrites that gate once nothing reads it.
+        dz_i = dc_cand * gg * gi * (1.0 - gi)
+        gg[...] = dc_cand * gi * (1.0 - gg ** 2)
+        gi[...] = dz_i
+        if t:
+            dc[:b] = dc_cand * gf
+        gf[...] = dc_cand * cache.c_prev[lo:hi] * gf * (1.0 - gf)
+        go[...] = dh_b * tanh_c * go * (1.0 - go)
         if t:
             dh[:b] = dz @ cell.wh
-            dc[:b] = dc_cand * gf
-    return {"wx": dz_all.T @ cache.inputs[cache.cell_of],
-            "wh": dz_all.T @ cache.h_prev,
-            "bias": dz_all.sum(axis=0)}
+    dz = cache.gates
+    first = bounds[1] if len(bounds) > 1 else 0  # past step 0's rows
+    return {"wx": dz.T @ cache.inputs[cache.cell_of],
+            "wh": dz[first:].T @ cache.h_prev[first:],
+            "bias": dz.sum(axis=0)}
 
 
 def segment_views(vector: np.ndarray, shapes: Mapping[str, tuple[int, ...]]
@@ -377,11 +426,16 @@ class Mlp:
         return loss, self.flat.grads
 
 
+# Elements per block of an Adam step: a block's slices of the six vectors
+# it touches (1.5 MB) stay in cache through its 14 passes.
+_ADAM_BLOCK = 1 << 15
+
+
 @dataclass
 class AdamState:
     """Adam accumulators; ``m``/``v`` have the flat parameter vector's shape.
-    ``scratch`` holds two more such vectors, reused by every step so that
-    a step allocates nothing."""
+    ``scratch`` holds two more vectors of one step block each, reused by
+    every step so that a step allocates nothing."""
 
     learning_rate: float = 1e-4
     beta1: float = 0.9
@@ -400,7 +454,7 @@ class AdamState:
         return cls(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
                    epsilon=epsilon, t=0, m=np.zeros_like(vector),
                    v=np.zeros_like(vector),
-                   scratch=np.empty((2,) + np.shape(vector)))
+                   scratch=np.empty((2, min(np.size(vector), _ADAM_BLOCK))))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
@@ -410,30 +464,37 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     ``state.t``. Every element goes through the same operations, in the
     same order, as the textbook expressions
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-    ``p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``.
+    ``p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``. The passes
+    run block by block, which changes no element's result.
     """
-    if not (params.shape == grads.shape == state.m.shape == state.v.shape
-            == state.scratch.shape[1:]):
+    if not (params.ndim == 1
+            and params.shape == grads.shape == state.m.shape == state.v.shape
+            and state.scratch.shape[1] >= min(params.size, _ADAM_BLOCK)):
         raise ValueError(
-            f"parameter, gradient and moment shapes differ: {params.shape}, "
-            f"{grads.shape}, {state.m.shape}, {state.v.shape}")
+            f"parameter, gradient, moment and scratch shapes do not fit: "
+            f"{params.shape}, {grads.shape}, {state.m.shape}, "
+            f"{state.v.shape}, {state.scratch.shape}")
     state.t += 1
-    scratch, step = state.scratch
-    m, v = state.m, state.v
-    m *= state.beta1
-    np.multiply(grads, 1.0 - state.beta1, out=scratch)
-    m += scratch
-    v *= state.beta2
-    np.multiply(grads, 1.0 - state.beta2, out=scratch)
-    scratch *= grads
-    v += scratch
-    np.divide(v, 1.0 - state.beta2 ** state.t, out=scratch)
-    np.sqrt(scratch, out=scratch)
-    scratch += state.epsilon
-    np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
-    step *= state.learning_rate
-    step /= scratch
-    params -= step
+    m_correction = 1.0 - state.beta1 ** state.t
+    v_correction = 1.0 - state.beta2 ** state.t
+    for lo in range(0, params.size, _ADAM_BLOCK):
+        block = slice(lo, lo + _ADAM_BLOCK)
+        g, m, v = grads[block], state.m[block], state.v[block]
+        scratch, step = state.scratch[:, :g.size]
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=scratch)
+        m += scratch
+        v *= state.beta2
+        np.multiply(g, 1.0 - state.beta2, out=scratch)
+        scratch *= g
+        v += scratch
+        np.divide(v, v_correction, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.epsilon
+        np.divide(m, m_correction, out=step)
+        step *= state.learning_rate
+        step /= scratch
+        params[block] -= step
 
 
 def gradient_check(network, *batch, h: float = 1e-5) -> float:

@@ -189,6 +189,46 @@ def test_malformed_tree_file_is_refused(tmp_path, kind, tensor, node, value,
         load_model(path)
 
 
+def one_tree_forest_file(path, **changes):
+    """Save a one-tree forest to ``path``, then rewrite the tensors and meta
+    entries given in ``changes``."""
+    save_model(RandomForest(trees=(five_node_tree(),), tree_seeds=(1,),
+                            features_per_split=2, n_features=2), path)
+    tensors, meta = serialize.load_tensors(path)
+    for key, value in changes.items():
+        if key in tensors:
+            tensors[key] = value
+        else:
+            meta[key] = value
+    serialize.save_tensors(path, tensors, meta)
+
+
+@pytest.mark.parametrize("seed", [1.5, -1.0, 2.0 ** 32, 1e300])
+def test_forest_seed_must_be_a_uint32(tmp_path, seed):
+    path = tmp_path / "forest.model"
+    one_tree_forest_file(path, tree_seeds=np.array([seed]))
+    with pytest.raises(ValueError, match=r"forest.model: tensor 'tree_seeds' "
+                       r"holds .* at tree 0, the model needs a whole number "
+                       r"in \[0, 4294967296\)"):
+        load_model(path)
+
+
+def test_forest_seed_range_edges_load(tmp_path):
+    path = tmp_path / "forest.model"
+    for seed in (0, 2 ** 32 - 1):
+        one_tree_forest_file(path, tree_seeds=np.array([float(seed)]))
+        assert load_model(path).tree_seeds == (seed,)
+
+
+@pytest.mark.parametrize("n_trees", ["0", "-1"])
+def test_forest_without_trees_is_refused_naming_the_file(tmp_path, n_trees):
+    path = tmp_path / "forest.model"
+    one_tree_forest_file(path, n_trees=n_trees, tree_seeds=np.zeros(0))
+    with pytest.raises(ValueError, match=f"forest.model: meta 'n_trees' is "
+                       f"{n_trees}, a forest needs at least one tree"):
+        load_model(path)
+
+
 def test_load_model_refuses_other_model_files(tmp_path, scorer):
     for name, model in (("ucnet.model",
                          toy_model(tiny_params(n_phrases=len(TOY_PHRASES)))),

@@ -580,6 +580,68 @@ class TestExtractUnifiedEmbeddings:
                 row, model.unified_embedding(video.comments, table))
 
 
+class TestTrainingBuffers:
+    """``train`` packs every batch's LSTM cache into one workspace, reserved
+    once for the run and dropped when it returns."""
+
+    @staticmethod
+    def spy_on_lstm(monkeypatch):
+        """Record the workspace and cache of every LSTM forward pass."""
+        calls = []
+        original = neural.lstm_forward_batch
+
+        def spy(*args, **kwargs):
+            finals, cache = original(*args, **kwargs)
+            calls.append((kwargs.get("workspace"), cache))
+            return finals, cache
+
+        monkeypatch.setattr(neural, "lstm_forward_batch", spy)
+        return calls
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_buffers_give_the_same_bytes(self, phrases, monkeypatch,
+                                                dtype):
+        reference, videos = TestGradientCheckFullModel.ragged_batch(
+            phrases, 9, (((4, 1, 6), 1), ((2,), 0), ((7, 5, 3, 6), 1),
+                         ((3, 3), 0), ((), 1)))
+        model = UCNetModel(reference.parameters(), phrases, ("a", "b"), 8,
+                           dtype=dtype)
+        small, large = videos[:2], videos[1:]
+        fresh = copied(model.batch_loss_and_gradients(small))
+        calls = self.spy_on_lstm(monkeypatch)
+        with model._lstm_buffers_for(videos, len(large)):
+            first = copied(model.batch_loss_and_gradients(small))
+            model.batch_loss_and_gradients(large)
+            again = copied(model.batch_loss_and_gradients(small))
+            workspace = model._lstm_workspace
+        assert model._lstm_workspace is None
+        assert [w is workspace for w, _ in calls] == [True] * 3
+        assert all(np.shares_memory(cache.gates, workspace)
+                   for _, cache in calls)
+        for loss, grads in (first, again):
+            assert loss == fresh[0]
+            for name, grad in grads.items():
+                assert grad.tobytes() == fresh[1][name].tobytes(), name
+
+    def test_trained_model_keeps_no_buffers(self, monkeypatch, tmp_path):
+        lexicons, dataset, table, scorer = small_training_world(12, seed=8)
+        calls = self.spy_on_lstm(monkeypatch)
+        model = network.train(dataset, table, lexicons, scorer,
+                              TrainingConfig(epochs=2, batch_size=4, seed=2),
+                              lstm_hidden=8)
+        assert calls and all(w is not None for w, _ in calls)
+        assert model._lstm_workspace is None
+        model.save(tmp_path / "ucnet.model")
+        again = UCNetModel.load(tmp_path / "ucnet.model")
+        calls.clear()
+        for record in dataset:
+            a = model.predict_record(record, table, lexicons, scorer)
+            b = again.predict_record(record, table, lexicons, scorer)
+            assert np.array([a.p_real, a.p_fake]).tobytes() == \
+                np.array([b.p_real, b.p_fake]).tobytes()
+        assert calls and all(w is None for w, _ in calls)
+
+
 class TestGradientCheckFullModel:
     def test_reduced_network_passes(self, phrases):
         rng = np.random.default_rng(3)

@@ -320,6 +320,30 @@ class TestLstm:
             bound = 1e-5 * np.abs(grads[name]).max(initial=0.0)
             assert np.abs(grads32[name] - grads[name]).max(initial=0.0) <= bound
 
+    def test_workspace_reuse_matches_fresh_buffers(self):
+        rng = np.random.default_rng(43)
+        for dtype in (np.float64, np.float32):
+            cell = cast_cell(init_lstm(rng, 3, 4), dtype)
+            matrix = rng.normal(size=(6, 3))
+            big = padded_ids([rng.integers(0, 6, size=t) for t in (5, 3, 6)])
+            small = padded_ids([rng.integers(0, 6, size=t) for t in (2, 0, 4)])
+            workspace = neural.lstm_workspace(14, 4, dtype)
+            probe = rng.normal(size=(3, 4))
+            for batch in (small, big, small):
+                fresh = lstm_forward_batch(cell, *batch, matrix)
+                reused = lstm_forward_batch(cell, *batch, matrix,
+                                            workspace=workspace)
+                assert np.shares_memory(reused[1].gates, workspace)
+                assert fresh[0].tobytes() == reused[0].tobytes()
+                fresh_grads = lstm_backward_batch(cell, fresh[1], probe)
+                grads = lstm_backward_batch(cell, reused[1], probe)
+                for name in ("wx", "wh", "bias"):
+                    assert grads[name].tobytes() == fresh_grads[name].tobytes()
+            for bad in (neural.lstm_workspace(13, 4, dtype),
+                        neural.lstm_workspace(14, 4, np.float16)):
+                with pytest.raises(ValueError, match="cannot hold 14 cells"):
+                    lstm_forward_batch(cell, *big, matrix, workspace=bad)
+
     def test_lengths_outside_padding_rejected(self):
         cell = init_lstm(np.random.default_rng(0), 2, 3)
         xs = np.zeros((2, 3), dtype=np.int64)
@@ -535,6 +559,22 @@ class TestAdam:
             adam_step(params, grads, state)
             ref_p, ref_m, ref_v = pure_adam(ref_p, grads, ref_m, ref_v, t, 3e-4)
             assert state.t == t
+            for got, want in ((params, ref_p), (state.m, ref_m), (state.v, ref_v)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_blocked_update_matches_pure_formula_bit_for_bit(self):
+        # three whole blocks and a ragged tail
+        size = 3 * neural._ADAM_BLOCK + 17
+        rng = np.random.default_rng(23)
+        params = rng.normal(size=size)
+        scales = np.array([1e-300, 1e-8, 1.0, 1e6])[rng.integers(0, 4, size)]
+        ref_p, ref_m, ref_v = params.copy(), np.zeros(size), np.zeros(size)
+        state = AdamState.for_params(params, learning_rate=3e-4)
+        for t in range(1, 8):
+            grads = rng.normal(size=size) * scales
+            grads[rng.random(size) < 0.1] = 0.0
+            adam_step(params, grads, state)
+            ref_p, ref_m, ref_v = pure_adam(ref_p, grads, ref_m, ref_v, t, 3e-4)
             for got, want in ((params, ref_p), (state.m, ref_m), (state.v, ref_v)):
                 assert got.tobytes() == want.tobytes()
 
