@@ -10,8 +10,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -48,6 +50,32 @@ def content_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+_TIMESTAMP = re.compile(
+    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,6}))?"
+    r"(?:Z|([+-])(\d{2}):([0-5]\d))?", re.ASCII)
+
+
+def parse_timestamp(text: str) -> datetime:
+    """The instant an ISO-8601 ``YYYY-MM-DDTHH:MM:SS[.ffffff]`` stamp names,
+    as an aware datetime: a ``Z`` or ``+hh:mm``/``-hh:mm`` suffix gives the
+    offset from UTC, and a stamp without one is read as UTC. Anything else
+    raises a ValueError."""
+    match = _TIMESTAMP.fullmatch(text)
+    if match:
+        *fields, fraction, sign, off_h, off_m = match.groups()
+        try:
+            zone = timezone.utc
+            if sign:
+                offset = timedelta(hours=int(off_h), minutes=int(off_m))
+                zone = timezone(-offset if sign == "-" else offset)
+            micros = int(fraction.ljust(6, "0")) if fraction else 0
+            return datetime(*map(int, fields), micros, zone)
+        except ValueError:
+            pass
+    raise ValueError(f"published_at {text!r} is not an ISO-8601 timestamp "
+                     f"(YYYY-MM-DDTHH:MM:SS[.ffffff][Z|+hh:mm|-hh:mm])")
+
+
 def nfc(text: str) -> str:
     """Unicode NFC normalization used before any phrase matching."""
     return unicodedata.normalize("NFC", text)
@@ -55,13 +83,23 @@ def nfc(text: str) -> str:
 
 @dataclass(frozen=True)
 class Comment:
+    """One comment; ``instant`` is ``published_at`` parsed by
+    :func:`parse_timestamp`, so a comment with a malformed stamp cannot be
+    built."""
+
     id: str
     text: str
     like_count: int
     reply_count: int
     published_at: str
+    instant: datetime = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "instant",
+                               parse_timestamp(self.published_at))
+        except ValueError as exc:
+            raise ValueError(f"comment {self.id!r}: {exc}") from None
         if self.like_count < 0:
             raise ValueError(f"comment {self.id!r}: like_count must be >= 0")
         if self.reply_count < 0:

@@ -10,7 +10,12 @@ which is concatenated with the selected simple features and classified by a
 ReLU dense layer into a 2-way softmax over (real, fake).
 
 There is one forward pass, ``_forward_batch`` over a ``_collate``d batch of
-prepared videos, and one backward pass, ``_backward_batch``. The weight
+prepared videos, and one backward pass, ``_backward_batch``. The forward
+pass pools the whole batch with one call, ``_exact_segment_sums``: each
+video's column sums of its weight-scaled embeddings are rounded once from
+the exact sum, equal to ``math.fsum`` per column but vectorized over the
+batch, so a unified embedding does not depend on the order of the comments
+or on their duplication. The weight
 head is ``_comment_weights``, and the classifier is a :class:`ucnet.neural.Mlp`
 over the layers ``hidden`` and ``output``. ``UCNetModel.batch_loss_and_gradients``
 chains them over labelled videos: ``train`` calls it on shuffled mini-batches,
@@ -169,8 +174,8 @@ def _select_comments(comments: Sequence[Comment],
                      max_comments: int) -> Sequence[Comment]:
     if len(comments) <= max_comments:
         return comments
-    # Keep the most recent comments; ISO-8601 strings sort chronologically.
-    ranked = sorted(comments, key=lambda c: (c.published_at, c.id), reverse=True)
+    # Keep the most recent comments by instant, then by id.
+    ranked = sorted(comments, key=lambda c: (c.instant, c.id), reverse=True)
     return ranked[:max_comments]
 
 
@@ -225,11 +230,83 @@ def _collate(videos: Sequence[PreparedVideo], n_phrases: int) -> _Batch:
                   offsets=offsets, features=features, labels=labels)
 
 
-def _exact_mean(rows: np.ndarray) -> np.ndarray:
-    """Column means via exactly-rounded summation, so the result is
-    invariant under row permutation and duplication."""
-    k, width = rows.shape
-    return np.fromiter(map(math.fsum, rows.T.tolist()), np.float64, width) / k
+def _exact_segment_sums(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Column sums of each segment ``rows[offsets[s]:offsets[s + 1]]``, each
+    rounded once from the exact sum, so they equal ``math.fsum`` per column
+    (a zero sum is +0.0) and do not depend on the order of the rows or the
+    other segments. An empty segment sums to zeros.
+
+    The segments are zero-padded to one ``(segments, k_max, columns)``
+    array; zeros leave an exact sum unchanged. Then error-free extraction
+    (Rump, Ogita and Oishi 2008, "Accurate floating-point summation"): with
+    ``sigma = 2**(e + M)`` per segment and column, where ``2**e`` bounds the
+    column's magnitudes and ``2**M > k_max + 2``, ``q = (sigma + x) - sigma``
+    splits each x into a high part q, whose sum over the segment is exact in
+    any order, and an exact residual ``x - q`` below ``2**-53 sigma``.
+    Repeating on the residuals until they are all zero gives a short
+    expansion of exact level sums, which is made nonoverlapping with
+    two-sums (Shewchuk 1997) and rounded to nearest, ties to even, as
+    ``math.fsum`` rounds its partials.
+    """
+    counts = np.diff(offsets)
+    k_max = int(counts.max(initial=0))
+    residual = np.zeros((counts.size, k_max, rows.shape[1]))
+    # Row-major order of the mask is the order of the segments' rows.
+    residual[np.arange(k_max) < counts[:, None]] = rows
+    extra = (k_max + 2).bit_length()  # M, so that 2**M > k_max + 2
+    high = np.empty_like(residual)
+    levels = []
+    while residual.any():
+        np.abs(residual, out=high)
+        bound = high.max(axis=1)
+        exponent = np.frexp(bound)[1]  # bound < 2**exponent
+        if not np.isfinite(bound).all() or exponent.max() + extra > 1023:
+            raise ValueError("exact pooling needs finite values below "
+                             f"2**{1023 - extra}")
+        sigma = np.ldexp(1.0, exponent + extra)[:, None, :]
+        np.add(sigma, residual, out=high)
+        high -= sigma
+        residual -= high
+        levels.append(high.sum(axis=1))
+    if not levels:
+        return np.zeros((counts.size, rows.shape[1]))
+    return _round_expansion(levels)
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def _round_expansion(terms: Sequence[np.ndarray]) -> np.ndarray:
+    """The sum of one or more same-shaped arrays, rounded to nearest once
+    per element."""
+    parts: list[np.ndarray] = []  # nonoverlapping, increasing; zeros allowed
+    for x in reversed(terms):
+        for i, part in enumerate(parts):
+            x, parts[i] = _two_sum(x, part)
+        parts.append(x)
+    # Add from the top until an addition rounds (math.fsum's final loop);
+    # below that, only the sign of the next nonzero part can still matter.
+    high = parts[-1]
+    low = np.zeros_like(high)
+    rounded = np.zeros(high.shape, dtype=bool)
+    below = np.zeros_like(high)  # sign of the first nonzero part past it
+    for part in reversed(parts[:-1]):
+        below = np.where(rounded & (below == 0), np.sign(part), below)
+        total = high + part
+        error = part - (total - high)
+        high = np.where(rounded, high, total)
+        low = np.where(rounded, low, error)
+        rounded |= error != 0
+    # A tie (low is half an ulp of high) breaks away from high when the
+    # rest of the expansion has low's sign.
+    doubled = 2.0 * low
+    away = high + doubled
+    tie = (below != 0) & (np.sign(low) == below) & (away - high == doubled)
+    return np.where(tie, away, high) + 0.0
 
 
 def _comment_weights(fvs: np.ndarray, weights: np.ndarray,
@@ -256,11 +333,9 @@ def _forward_batch(model: UCNetModel, batch: _Batch):
         finals = np.zeros((0, hidden_dim))
         weights = np.zeros((0, 1))
         weighted = finals
-    unified = np.zeros((n_videos, hidden_dim))
-    for v in range(n_videos):
-        start, end = batch.offsets[v], batch.offsets[v + 1]
-        if end > start:
-            unified[v] = _exact_mean(weighted[start:end])
+    unified = _exact_segment_sums(weighted, batch.offsets)
+    counts = np.diff(batch.offsets)
+    np.divide(unified, counts[:, None], out=unified, where=counts[:, None] > 0)
     x = np.concatenate([unified, batch.features], axis=1)
     probs, head_inputs = model.head._forward_cached(x)
     cache = (cell, lstm_cache, finals, weights, head_inputs)
@@ -283,8 +358,8 @@ def _backward_batch(model: UCNetModel, batch: _Batch, cache,
         if end > start:
             d_weighted[start:end] = d_unified[v] / (end - start)
     if finals.shape[0]:
-        d_finals = weights * d_weighted
         d_w = (finals * d_weighted).sum(axis=1, keepdims=True)
+        d_finals = np.multiply(weights, d_weighted, out=d_weighted)
         d_pre = d_w * weights * (1.0 - weights)
         np.matmul(d_pre.T, batch.fvs, out=grads["weight_head.weights"])
         d_pre.sum(axis=0, out=grads["weight_head.bias"])

@@ -31,20 +31,29 @@ packed recurrence (sequence packing and input-projection hoisting, as in
 Appleyard et al. 2016, arXiv:1604.01946). Rows are stable-sorted by
 descending length, so the rows still running at step t are a prefix of size
 b_t. Only real (row, step) cells are stored, time-major: step t owns packed
-rows ``bounds[t]:bounds[t + 1]`` of every cache array. The input projection
-is one GEMM before the loop over the distinct ids among the real cells
-only, scattered to the cells by index, since a cell's projection depends
-only on its token; each step then adds ``h[:b_t] @ wh.T``, multiplying by a
-C-ordered copy of ``wh.T`` made once per pass: OpenBLAS is several times
-slower on the transposed view at small row counts, and gives the same bits
-on the copy. The packed arrays are fresh for each pass, or views of a
-workspace the caller reserves once and passes to every pass, as
-``network.train`` does for its mini-batches, so that a training step
-allocates no large array. The backward pass writes each step's gate gradients over
-that step's activated gates, so a cache is backpropagated at most once,
-and then forms the weight gradients with three GEMMs over all cells,
-gathering the cells' input vectors from the distinct rows for ``wx``; the
-``wh`` GEMM leaves out step 0, whose cells enter with ``h = 0``.
+rows ``bounds[t]:bounds[t + 1]`` of every cache array. The gates are stored
+gate-planar, ``(4, cells, hidden)``, so each gate of each step is one
+contiguous ``(b_t, hidden)`` block: numpy runs element-wise passes two to
+four times faster on such blocks than on column slices of a ``(cells, 4 *
+hidden)`` array. The input projection is one GEMM before the loop over the
+distinct ids among the real cells only, whose rows are gathered straight
+into the compute dtype, and is scattered gate by gate to the cells by
+index, since a cell's projection depends only on its token; each step then
+multiplies ``h[:b_t]`` by a C-ordered copy of ``wh.T`` made once per pass
+(OpenBLAS is several times slower on the transposed view at small row
+counts, and gives the same bits on the copy) and adds each gate's columns to
+its plane. The packed arrays, and a step scratch that both passes reuse for
+their temporaries, are fresh for each pass, or views of a workspace the
+caller reserves once and passes to every pass, as ``network.train`` does for
+its mini-batches, so that a training step allocates no large array. The
+backward pass writes each step's gate gradients over that step's activated
+gates, so a cache is backpropagated at most once, with the same operations
+per element as the textbook expressions; it then forms the weight gradients
+with stacked per-gate GEMMs over all cells, gathering the cells' input
+vectors from the distinct rows for ``wx``; the ``wh`` GEMM leaves out step
+0, whose cells enter with ``h = 0``. The layout changes no bits: every
+GEMM and element-wise operation computes what it would on a row-major
+``(cells, 4 * hidden)`` cache.
 
 :func:`adam_step` runs its element-wise passes block by block, so that a
 block stays in cache between passes.
@@ -145,8 +154,10 @@ def init_lstm(rng: np.random.Generator, input_dim: int,
     return LSTMCell(wx, wh, bias)
 
 
-def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` with each output row's bits independent of the other rows.
+def _rowwise_matmul(a: np.ndarray, b: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` with each output row's bits independent of the other rows,
+    written into ``out`` when given.
 
     numpy hands a one-row product to BLAS gemv, which sums in a different
     order from gemm, so a row computed alone would not match the same row
@@ -154,8 +165,12 @@ def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     permutation and duplication invariance.
     """
     if a.shape[0] == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
-    return a @ b
+        product = (np.concatenate([a, a]) @ b)[:1]
+        if out is None:
+            return product
+        out[...] = product
+        return out
+    return np.matmul(a, b, out=out)
 
 
 @dataclass
@@ -165,32 +180,53 @@ class PackedLSTMCache:
     Rows are stable-sorted by descending length (``order``), so the rows
     still running at step t are the prefix of size ``bounds[t + 1] -
     bounds[t]``, and step t owns packed rows ``bounds[t]:bounds[t + 1]``.
-    ``gates``, ``h_prev``, ``c_prev`` and ``tanh_c`` are fresh for each
-    forward pass, or consecutive views of the caller's workspace
-    (:func:`lstm_workspace`), which the next pass over it overwrites.
-    :func:`lstm_backward_batch` overwrites ``gates`` with the gate
-    gradients, so a cache can be backpropagated once.
+    ``gates`` is gate-planar, ``(4, cells, hidden)``, so each gate of each
+    step is one contiguous ``(b_t, hidden)`` block. ``gates``, ``h_prev``,
+    ``c_prev``, ``tanh_c`` and ``scratch`` are fresh for each forward pass,
+    or consecutive views of the caller's workspace (:func:`lstm_workspace`),
+    which the next pass over it overwrites. ``scratch`` holds no state: both
+    passes write each step's temporaries into it. :func:`lstm_backward_batch`
+    overwrites ``gates`` with the gate gradients, so a cache can be
+    backpropagated once.
     """
 
     order: np.ndarray    # (n,) sorted position -> original row
     bounds: np.ndarray   # (t_real + 1,) packed offset of each step
     cell_of: np.ndarray  # (P,) row of ``inputs`` each cell reads
     inputs: np.ndarray   # (U, input_dim) distinct input vectors, compute dtype
-    gates: np.ndarray    # (P, 4 * hidden) activated i, f, g, o
+    gates: np.ndarray    # (4, P, hidden) activated i, f, g, o
     h_prev: np.ndarray   # (P, hidden) hidden state entering the step
     c_prev: np.ndarray   # (P, hidden) cell state entering the step
     tanh_c: np.ndarray   # (P, hidden) tanh of the cell state leaving it
+    scratch: np.ndarray  # (4 * b_0 * hidden,) step buffers, b_0 = bounds[1]
 
 
-# Width of each packed cache array, in multiples of the hidden size.
-_CACHE_WIDTHS = {"gates": 4, "h_prev": 1, "c_prev": 1, "tanh_c": 1}
+# Entries each real cell needs in a workspace, in multiples of the hidden
+# size: the packed cache arrays, then the step scratch, sized for the worst
+# case of one cell per row.
+_WORKSPACE_WIDTH = 4 + 1 + 1 + 1 + 4
+
+# Rows of the embedding matrix gathered into the compute dtype at a time:
+# bounds the float64 temporary of the gather at 256 KB.
+_GATHER_ELEMENTS = 1 << 15
 
 
 def lstm_workspace(cells: int, hidden_dim: int, dtype) -> np.ndarray:
-    """Room for the packed cache arrays of forward passes over up to
-    ``cells`` real cells; pass it to :func:`lstm_forward_batch` as
-    ``workspace``, with a cell of this hidden size and dtype."""
-    return np.empty(cells * sum(_CACHE_WIDTHS.values()) * hidden_dim, dtype)
+    """Room for the packed cache arrays and the step scratch of forward and
+    backward passes over up to ``cells`` real cells; pass it to
+    :func:`lstm_forward_batch` as ``workspace``, with a cell of this hidden
+    size and dtype. Only the part a pass uses is ever written."""
+    return np.empty(cells * _WORKSPACE_WIDTH * hidden_dim, dtype)
+
+
+def _gather_rows(matrix: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
+    """``matrix[rows].astype(dtype)``, gathered in chunks of at most
+    ``_GATHER_ELEMENTS`` entries so that no full-size float64 copy is made."""
+    out = np.empty((rows.size, matrix.shape[1]), dtype)
+    step = max(1, _GATHER_ELEMENTS // max(matrix.shape[1], 1))
+    for lo in range(0, rows.size, step):
+        out[lo:lo + step] = matrix[rows[lo:lo + step]]
+    return out
 
 
 def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
@@ -202,15 +238,16 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     (V, input_dim) array of input vectors, and lengths gives each row's
     true length; ids past it are padding and never read. Only the real
     cells are computed: the input projection is one GEMM over the distinct
-    ids among them, and each step multiplies the hidden states of the rows
-    still running by a C-ordered copy of ``wh.T``, which BLAS multiplies
-    faster than the transposed view and to the same bits. Returns the
-    (n, hidden_dim) final states in the caller's row order (zeros for empty
-    rows) and the cache the backward pass needs, both in the cell's dtype:
-    the distinct input rows are cast to it before the projection. The
-    cache's packed arrays live in ``workspace`` when one is given (from
-    :func:`lstm_workspace`, large enough for the batch's real cells), and
-    in fresh arrays otherwise.
+    ids among them, taken gate by gate into the planes of ``gates``, and
+    each step multiplies the hidden states of the rows still running by a
+    C-ordered copy of ``wh.T``, which BLAS multiplies faster than the
+    transposed view and to the same bits, into the step scratch, and adds
+    each gate's columns to its plane. Returns the (n, hidden_dim) final
+    states in the caller's row order (zeros for empty rows) and the cache
+    the backward pass needs, both in the cell's dtype: the distinct input
+    rows are gathered straight into it. The cache's arrays live in
+    ``workspace`` when one is given (from :func:`lstm_workspace`, large
+    enough for the batch's real cells), and in fresh arrays otherwise.
     """
     xs = np.asarray(xs)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -232,27 +269,31 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     ids = xs[order[rows], steps]
     if ids.size and (ids.min() < 0 or ids.max() >= matrix.shape[0]):
         raise ValueError(f"token ids must lie in [0, {matrix.shape[0]})")
-    shapes = {name: (ids.size, width * hidden)
-              for name, width in _CACHE_WIDTHS.items()}
+    cells, first = ids.size, int(bounds[1]) if t_real else 0
+    shapes = {"gates": (4, cells, hidden), "h_prev": (cells, hidden),
+              "c_prev": (cells, hidden), "tanh_c": (cells, hidden),
+              "scratch": (4 * first * hidden,)}
     if workspace is None:
         # Separate arrays: one block of their total size, freed and drawn
         # again per video at inference, measured a higher peak RSS.
         packed = {name: np.empty(shape, dtype) for name, shape in shapes.items()}
     elif workspace.dtype == dtype and \
-            workspace.size >= sum(map(math.prod, shapes.values())):
+            workspace.size >= cells * _WORKSPACE_WIDTH * hidden:
         packed = segment_views(workspace, shapes)
     else:
         raise ValueError(f"a workspace of {workspace.size} {workspace.dtype} "
-                         f"entries cannot hold {ids.size} cells of hidden "
+                         f"entries cannot hold {cells} cells of hidden "
                          f"size {hidden} in {dtype}")
-    gates, h_prev, c_prev, tanh_c = (packed[name] for name in _CACHE_WIDTHS)
+    gates, h_prev, c_prev, tanh_c, scratch = packed.values()
     distinct, cell_of = np.unique(ids, return_inverse=True)
-    inputs = matrix[distinct].astype(dtype, copy=False)
+    inputs = _gather_rows(matrix, distinct, dtype)
     projected = _rowwise_matmul(inputs, cell.wx.T)
     projected += cell.bias
-    # cell_of indexes projected by construction; under the default
-    # mode="raise", take would fill a temporary and copy it into gates.
-    np.take(projected, cell_of, axis=0, out=gates, mode="clip")
+    for k in range(4):
+        # cell_of indexes projected by construction; under the default
+        # mode="raise", take would fill a temporary and copy it into gates.
+        np.take(projected[:, k * hidden:(k + 1) * hidden], cell_of, axis=0,
+                out=gates[k], mode="clip")
     del projected  # freed before the loop allocates wh_t and the states
     h = np.zeros((n, hidden), dtype)
     c = np.zeros((n, hidden), dtype)
@@ -262,21 +303,27 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
         b = hi - lo
         h_prev[lo:hi] = h[:b]
         c_prev[lo:hi] = c[:b]
-        z = gates[lo:hi]
+        z = gates[:, lo:hi]
         if t:
-            z += _rowwise_matmul(h[:b], wh_t)
-        _sigmoid_inplace(z[:, :2 * hidden])
-        np.tanh(z[:, 2 * hidden:3 * hidden], out=z[:, 2 * hidden:3 * hidden])
-        _sigmoid_inplace(z[:, 3 * hidden:])
-        gi, gf = z[:, :hidden], z[:, hidden:2 * hidden]
-        gg, go = z[:, 2 * hidden:3 * hidden], z[:, 3 * hidden:]
-        c[:b] = gf * c[:b] + gi * gg
+            recurrent = scratch[:4 * b * hidden].reshape(b, 4 * hidden)
+            _rowwise_matmul(h[:b], wh_t, out=recurrent)
+            for k in range(4):
+                z[k] += recurrent[:, k * hidden:(k + 1) * hidden]
+        _sigmoid_inplace(z[:2])
+        np.tanh(z[2], out=z[2])
+        _sigmoid_inplace(z[3])
+        gi, gf, gg, go = z
+        # c = gf * c + gi * gg, one rounding per operation as written
+        product = scratch[:b * hidden].reshape(b, hidden)
+        np.multiply(gf, c[:b], out=c[:b])
+        np.multiply(gi, gg, out=product)
+        c[:b] += product
         np.tanh(c[:b], out=tanh_c[lo:hi])
         np.multiply(go, tanh_c[lo:hi], out=h[:b])
     finals = np.empty((n, hidden), dtype)
     finals[order] = h
     return finals, PackedLSTMCache(order, bounds, cell_of, inputs, gates,
-                                   h_prev, c_prev, tanh_c)
+                                   h_prev, c_prev, tanh_c, scratch)
 
 
 def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
@@ -285,38 +332,64 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
     in the cell's dtype.
 
     The reverse loop writes each step's gate gradients over that step's
-    rows of ``cache.gates``, so the cache cannot be backpropagated again;
-    the weight gradients are then three GEMMs over all cells. The ``wh``
-    GEMM skips step 0, whose cells enter with ``h = 0``.
+    blocks of ``cache.gates``, so the cache cannot be backpropagated again;
+    every element goes through the operations of the textbook expressions,
+    in their order, with the temporaries in ``cache.scratch``. The step's
+    ``dh`` is one GEMM of the gate gradients, copied side by side into the
+    scratch, by ``wh``. The weight gradients are then stacked per-gate GEMMs
+    over all cells; the ``wh`` GEMM skips step 0, whose cells enter with
+    ``h = 0``.
     """
     hidden = cell.hidden_dim
-    bounds = cache.bounds
+    bounds, gates, scratch = cache.bounds, cache.gates, cache.scratch
     dh = np.asarray(dh_final, dtype=cell.wh.dtype)[cache.order]
     dc = np.zeros_like(dh)
     for t in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
-        dz = cache.gates[lo:hi]
-        gi, gf = dz[:, :hidden], dz[:, hidden:2 * hidden]
-        gg, go = dz[:, 2 * hidden:3 * hidden], dz[:, 3 * hidden:]
-        tanh_c = cache.tanh_c[lo:hi]
-        dh_b = dh[:b]
-        dc_cand = dc[:b] + dh_b * go * (1.0 - tanh_c ** 2)
-        # Each gate's gradient overwrites that gate once nothing reads it.
-        dz_i = dc_cand * gg * gi * (1.0 - gi)
-        gg[...] = dc_cand * gi * (1.0 - gg ** 2)
-        gi[...] = dz_i
+        gi, gf, gg, go = gates[:, lo:hi]
+        tanh_c, c_prev = cache.tanh_c[lo:hi], cache.c_prev[lo:hi]
+        dh_b, dc_cand = dh[:b], dc[:b]
+        a, e = scratch[:2 * b * hidden].reshape(2, b, hidden)
+        # dc_cand = dc + dh * go * (1 - tanh_c ** 2), kept in dc
+        np.square(tanh_c, out=a)
+        np.subtract(1.0, a, out=a)
+        np.multiply(dh_b, go, out=e)
+        e *= a
+        dc_cand += e
+        # gg <- dc_cand * gi * (1 - gg ** 2), once dz_i has read gg;
+        # gi <- dz_i = dc_cand * gg * gi * (1 - gi)
+        np.square(gg, out=a)
+        np.subtract(1.0, a, out=a)
+        np.multiply(dc_cand, gg, out=e)
+        e *= gi
+        np.multiply(dc_cand, gi, out=gg)
+        gg *= a
+        np.subtract(1.0, gi, out=a)
+        np.multiply(e, a, out=gi)
+        # gf <- dc_cand * c_prev * gf * (1 - gf); dc <- dc_cand * gf first
+        np.multiply(dc_cand, c_prev, out=a)
+        a *= gf
+        np.subtract(1.0, gf, out=e)
         if t:
-            dc[:b] = dc_cand * gf
-        gf[...] = dc_cand * cache.c_prev[lo:hi] * gf * (1.0 - gf)
-        go[...] = dh_b * tanh_c * go * (1.0 - go)
+            dc_cand *= gf
+        np.multiply(a, e, out=gf)
+        # go <- dh * tanh_c * go * (1 - go)
+        np.multiply(dh_b, tanh_c, out=a)
+        a *= go
+        np.subtract(1.0, go, out=e)
+        np.multiply(a, e, out=go)
         if t:
-            dh[:b] = dz @ cell.wh
-    dz = cache.gates
+            dz = scratch[:4 * b * hidden].reshape(b, 4, hidden)
+            np.copyto(dz, gates[:, lo:hi].transpose(1, 0, 2))
+            np.matmul(dz.reshape(b, 4 * hidden), cell.wh, out=dh_b)
     first = bounds[1] if len(bounds) > 1 else 0  # past step 0's rows
-    return {"wx": dz.T @ cache.inputs[cache.cell_of],
-            "wh": dz[first:].T @ cache.h_prev[first:],
-            "bias": dz.sum(axis=0)}
+    dz_t = gates.transpose(0, 2, 1)  # (4, hidden, P)
+    return {"wx": np.matmul(dz_t, cache.inputs[cache.cell_of]).reshape(
+                4 * hidden, -1),
+            "wh": np.matmul(dz_t[:, :, first:], cache.h_prev[first:]).reshape(
+                4 * hidden, hidden),
+            "bias": gates.sum(axis=1).reshape(4 * hidden)}
 
 
 def segment_views(vector: np.ndarray, shapes: Mapping[str, tuple[int, ...]]

@@ -69,6 +69,19 @@ class TestExitCodes:
         assert main([paths.get(arg, arg) for arg in argv]) == 2
         assert f"{bad}: line 2: not UTF-8 text" in capsys.readouterr().err
 
+    def test_bad_timestamp_names_file_and_line(self, synthetic_dir, tmp_path,
+                                               capsys):
+        lines = (synthetic_dir / "corpus.jsonl").read_text().splitlines()
+        lines[1] = lines[1].replace('"published_at": "2015-',
+                                    '"published_at": "2015/', 1)
+        bad = tmp_path / "corpus.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["mine", "--input", str(bad),
+                     "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2: comment" in err
+        assert "is not an ISO-8601 timestamp" in err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 

@@ -1,4 +1,5 @@
 import json
+from datetime import timezone
 
 import numpy as np
 import pytest
@@ -87,6 +88,39 @@ class TestLoadDataset:
         again = load_dataset(path, ds.name)
         assert again.records == ds.records
 
+
+    def test_bad_timestamp_names_line(self, tmp_path):
+        obj = json.loads(record_line("b", comments=[("c1", "hi")]))
+        obj["comments"][0]["published_at"] = "2015-01-01T25:00:00Z"
+        path = tmp_path / "stamp.jsonl"
+        path.write_text(record_line("a") + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match=r"line 2: comment 'c1': "
+                                             r"published_at '2015-01-01T25"):
+            load_dataset(path, "stamp")
+
+
+class TestParseTimestamp:
+    @pytest.mark.parametrize("stamp, utc", [
+        ("2015-01-01T00:00:00Z", "2015-01-01T00:00:00+00:00"),
+        ("2015-01-01T10:00:00+05:00", "2015-01-01T05:00:00+00:00"),
+        ("2015-01-01T00:30:00-05:00", "2015-01-01T05:30:00+00:00"),
+        ("2015-01-01T05:00:00", "2015-01-01T05:00:00+00:00"),
+        ("2016-02-29T23:59:59.25+00:30", "2016-02-29T23:29:59.250000+00:00"),
+    ])
+    def test_offsets_name_one_instant(self, stamp, utc):
+        assert corpus.parse_timestamp(stamp).astimezone(
+            timezone.utc).isoformat() == utc
+
+    @pytest.mark.parametrize("stamp", [
+        "2015-01-01", "2015-01-01 00:00:00Z", "2015-01-01T00:00:00z",
+        "2015-13-01T00:00:00Z", "2015-02-29T00:00:00Z", "2015-01-01T24:00:00Z",
+        "2015-01-01T00:00:00+24:00", "2015-01-01T00:00:00+05:60",
+        "2015-01-01T00:00:00.1234567Z", "\u0662015-01-01T00:00:00Z", ""])
+    def test_malformed_stamps_rejected(self, stamp):
+        with pytest.raises(ValueError, match="not an ISO-8601 timestamp"):
+            corpus.parse_timestamp(stamp)
+        with pytest.raises(ValueError, match="comment 'c0'"):
+            make_comment(published=stamp)
 
 def labeled_dataset(n_fake, n_real):
     records = [make_video(f"f{i}", "fake") for i in range(n_fake)]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ucnet import (corpus, evaluation, lexical, network, neural, serialize,
                    synthetic)
@@ -167,6 +168,28 @@ class TestUnifiedEmbedding:
         newest_two = [comments[0], comments[1]]
         assert np.array_equal(
             capped, toy_model(params).unified_embedding(newest_two, table))
+
+    def test_comment_cap_orders_mixed_offsets_by_instant(self):
+        # As raw strings "T09:00:00+05:00" is the newest stamp; as an instant
+        # (04:00 UTC) it is the oldest. c and e name the same instant, so
+        # the id breaks the tie.
+        stamps = {"a": "2015-01-01T09:00:00+05:00",
+                  "b": "2015-01-01T06:00:00Z",
+                  "c": "2015-01-01T05:00:00",
+                  "d": "2015-01-01T00:30:00-05:00",
+                  "e": "2015-01-01T00:00:00-05:00"}
+        texts = ("fake video", "nice song", "the hoax ok", "so fake",
+                 "staged ok")
+        comments = [make_comment(cid, text, published=stamp)
+                    for (cid, stamp), text in zip(stamps.items(), texts)]
+        kept = network._select_comments(comments, 3)
+        assert [c.id for c in kept] == ["b", "d", "e"]
+        params = tiny_params(n_phrases=len(TOY_PHRASES))
+        table = toy_table()
+        capped = toy_model(params, max_comments=3).unified_embedding(comments,
+                                                                     table)
+        assert np.array_equal(capped,
+                              toy_model(params).unified_embedding(kept, table))
 
 
 class TestForward:
@@ -578,6 +601,88 @@ class TestExtractUnifiedEmbeddings:
         for row, video in zip(matrix, videos):
             assert np.array_equal(
                 row, model.unified_embedding(video.comments, table))
+
+
+def fsum_segments(rows, offsets, width):
+    """Per-segment column sums by ``math.fsum``, zeros for an empty segment:
+    the reference for the vectorized pooling."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, width).tolist()
+    return [[math.fsum(col) for col in zip(*rows[a:b])] if b > a
+            else [0.0] * width for a, b in zip(offsets, offsets[1:])]
+
+
+# Ties, cancellation, subnormals and magnitudes far apart; values stay
+# below 2**900 so that no sum nears the float64 range.
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0**-53, -2.0**-53, 2.0**-106,
+            3 * 2.0**-54, 2.0**-1022, -2.0**-1022, 5e-324, -5e-324, 2.0**900)
+_VALUES = st.one_of(
+    st.floats(-2.0**900, 2.0**900, allow_nan=False, allow_infinity=False),
+    st.sampled_from(_SPECIAL))
+
+
+class TestExactPooling:
+    """``_forward_batch`` pools a whole batch with one exactly rounded
+    segment sum, which must equal ``math.fsum`` column by column. Zero sums
+    compare with ``==``: the sign of zero ``math.fsum`` returns varies
+    across Python versions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_segment_sums_equal_fsum(self, data):
+        width = data.draw(st.integers(1, 3), label="width")
+        row = st.lists(_VALUES, min_size=width, max_size=width)
+        segments = data.draw(st.lists(st.lists(row, max_size=7), min_size=1,
+                                      max_size=4), label="segments")
+        if data.draw(st.booleans(), label="cancel"):
+            # each segment also holds its rows negated, in reverse order
+            segments = [seg + [[-v for v in r] for r in reversed(seg)]
+                        for seg in segments]
+        offsets = np.cumsum([0] + [len(seg) for seg in segments])
+        rows = np.array([r for seg in segments for r in seg],
+                        dtype=np.float64).reshape(-1, width)
+        sums = network._exact_segment_sums(rows, offsets)
+        assert sums.shape == (len(segments), width)
+        assert sums.tolist() == fsum_segments(rows, offsets, width)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0**-53],                  # a tie, to even: 1
+        [1.0, 2.0**-53, 2.0**-106],       # just past the tie: up
+        [-2.0**-106, 2.0**-53, 1.0],      # just short of it: 1
+        [1.0, 3 * 2.0**-53, 2.0**-53],    # exact in two levels
+        [0.1] * 10,
+        [1e300, 1.0, -1e300],
+        [5e-324, -2.0**-1022, 2.0**-1022, 5e-324],
+        [2.0**-60, -1.0, 1.0, -2.0**-60],
+    ])
+    def test_hard_cases_equal_fsum(self, values):
+        for rows in (values, values[::-1]):
+            got = network._exact_segment_sums(np.array(rows)[:, None],
+                                              np.array([0, len(rows)]))
+            assert got[0, 0] == math.fsum(values)
+
+    def test_non_finite_or_huge_values_rejected(self):
+        for bad in (np.inf, np.nan, 2.0**1020):
+            with pytest.raises(ValueError, match="finite values below"):
+                network._exact_segment_sums(np.array([[1.0], [bad]]),
+                                            np.array([0, 2]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_batch_pools_to_fsum_means(self, phrases, dtype):
+        # five videos with 3, 0, 4, 1 and 2 comments of unequal lengths
+        reference, videos = TestGradientCheckFullModel.ragged_batch(
+            phrases, 13, (((4, 1, 6), 1), ((), 0), ((2, 5, 3, 3), 1),
+                          ((7,), 0), ((1, 2), 1)))
+        model = UCNetModel(reference.parameters(), phrases, ("a", "b"), 8,
+                           dtype=dtype)
+        batch = network._collate(videos, len(phrases))
+        _, (_, _, finals, weights, (x, _)) = network._forward_batch(model,
+                                                                     batch)
+        hidden = model.lstm_hidden
+        sums = fsum_segments(weights * finals, batch.offsets, hidden)
+        counts = np.diff(batch.offsets)
+        want = np.array(sums) / np.maximum(counts, 1)[:, None]
+        assert x[:, :hidden].tobytes() == want.tobytes()
+        assert not x[1, :hidden].any()
 
 
 class TestTrainingBuffers:

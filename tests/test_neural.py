@@ -129,6 +129,54 @@ def padded(seqs, input_dim, t_max=None):
     return ids, lengths, matrix
 
 
+def row_major_lstm(cell: LSTMCell, xs, lengths, matrix, dh_final):
+    """The packed recurrence and its BPTT on a row-major ``(cells, 4 *
+    hidden)`` gate array, written with the textbook expressions. Returns the
+    final states in sorted row order and the gate gradients: the
+    gate-planar cache must reproduce both bit for bit."""
+    hidden, dtype = cell.hidden_dim, cell.wx.dtype
+    order = np.argsort(-lengths, kind="stable")
+    steps, rows = np.nonzero(
+        np.arange(lengths.max(initial=0))[:, None] < lengths[order])
+    bounds = np.searchsorted(steps, np.arange(lengths.max(initial=0) + 1))
+    inputs = matrix[xs[order[rows], steps]].astype(dtype)
+    gates = neural._rowwise_matmul(inputs, cell.wx.T) + cell.bias
+    h = np.zeros((len(lengths), hidden), dtype)
+    c = np.zeros_like(h)
+    c_prev, tanh_c = np.empty((2, len(steps), hidden), dtype)
+    wh_t = np.ascontiguousarray(cell.wh.T)
+    for t in range(len(bounds) - 1):
+        lo, hi = bounds[t], bounds[t + 1]
+        b = hi - lo
+        c_prev[lo:hi] = c[:b]
+        z = gates[lo:hi]
+        if t:
+            z += neural._rowwise_matmul(h[:b], wh_t)
+        for k in (0, 1, 3):
+            neural._sigmoid_inplace(z[:, k * hidden:(k + 1) * hidden])
+        z[:, 2 * hidden:3 * hidden] = np.tanh(z[:, 2 * hidden:3 * hidden])
+        gi, gf, gg, go = np.split(z, 4, axis=1)
+        c[:b] = gf * c[:b] + gi * gg
+        tanh_c[lo:hi] = np.tanh(c[:b])
+        h[:b] = go * tanh_c[lo:hi]
+    finals = h.copy()
+    dh = np.asarray(dh_final, dtype=dtype)[order]
+    dc = np.zeros_like(dh)
+    for t in range(len(bounds) - 2, -1, -1):
+        lo, hi = bounds[t], bounds[t + 1]
+        b = hi - lo
+        gi, gf, gg, go = np.split(gates[lo:hi].copy(), 4, axis=1)
+        dc_cand = dc[:b] + dh[:b] * go * (1.0 - tanh_c[lo:hi] ** 2)
+        dz = np.concatenate([dc_cand * gg * gi * (1.0 - gi),
+                             dc_cand * c_prev[lo:hi] * gf * (1.0 - gf),
+                             dc_cand * gi * (1.0 - gg ** 2),
+                             dh[:b] * tanh_c[lo:hi] * go * (1.0 - go)], axis=1)
+        gates[lo:hi] = dz
+        dc[:b] = dc_cand * gf
+        dh[:b] = dz @ cell.wh
+    return finals, gates
+
+
 def padded_vectors(ids, lengths, matrix):
     """The (n, t_max, input_dim) float tensor the ids stand for, zero-padded."""
     xs = matrix[ids] if len(matrix) else np.zeros(ids.shape + matrix.shape[1:])
@@ -320,6 +368,27 @@ class TestLstm:
             bound = 1e-5 * np.abs(grads[name]).max(initial=0.0)
             assert np.abs(grads32[name] - grads[name]).max(initial=0.0) <= bound
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gate_planar_cache_matches_row_major_bits(self, dtype):
+        # Same operations per element as the row-major layout: the finals
+        # and every gate gradient BPTT leaves in the cache are the same bits.
+        rng = np.random.default_rng(53)
+        for hidden, lengths in ((4, (5, 2, 0, 7, 2, 1)), (32, (1,)),
+                                (32, (9, 9, 3, 0, 12, 6, 1, 1))):
+            cell = cast_cell(init_lstm(rng, 6, hidden), dtype)
+            cell.bias[...] = rng.normal(size=cell.bias.shape)
+            matrix = rng.normal(size=(10, 6))
+            xs, lengths = padded_ids(
+                [rng.integers(0, 10, size=t) for t in lengths])
+            probe = rng.normal(size=(len(lengths), hidden))
+            finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+            lstm_backward_batch(cell, cache, probe)
+            want_finals, want_dz = row_major_lstm(cell, xs, lengths, matrix,
+                                                  probe)
+            assert finals[cache.order].tobytes() == want_finals.tobytes()
+            planar = cache.gates.transpose(1, 0, 2).reshape(-1, 4 * hidden)
+            assert planar.tobytes() == want_dz.tobytes()
+
     def test_workspace_reuse_matches_fresh_buffers(self):
         rng = np.random.default_rng(43)
         for dtype in (np.float64, np.float32):
@@ -343,6 +412,23 @@ class TestLstm:
                         neural.lstm_workspace(14, 4, np.float16)):
                 with pytest.raises(ValueError, match="cannot hold 14 cells"):
                     lstm_forward_batch(cell, *big, matrix, workspace=bad)
+
+    @pytest.mark.parametrize("chunk", [1 << 15, 7])
+    def test_gathered_inputs_equal_cast_rows(self, monkeypatch, chunk):
+        # The distinct rows are gathered into the compute dtype a chunk at
+        # a time; a 7-entry chunk holds two 3-d rows, so 5 distinct tokens
+        # take three chunks, the last one short.
+        monkeypatch.setattr(neural, "_GATHER_ELEMENTS", chunk)
+        rng = np.random.default_rng([47, chunk])
+        xs, lengths = padded_ids([[8, 1, 4], [4, 0], [], [6, 1, 8, 8]])
+        for dtype in (np.float32, np.float64):
+            # fresh values each time, so no stale buffer can hold them
+            matrix = rng.normal(size=(9, 3))
+            cell = cast_cell(init_lstm(rng, 3, 4), dtype)
+            _, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+            want = matrix[[0, 1, 4, 6, 8]].astype(dtype)
+            assert cache.inputs.dtype == dtype
+            assert cache.inputs.tobytes() == want.tobytes()
 
     def test_lengths_outside_padding_rejected(self):
         cell = init_lstm(np.random.default_rng(0), 2, 3)
