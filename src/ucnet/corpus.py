@@ -13,7 +13,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -50,9 +50,8 @@ def content_lines(path) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-_TIMESTAMP = re.compile(
-    r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,6}))?"
-    r"(?:Z|([+-])(\d{2}):([0-5]\d))?", re.ASCII)
+_TIMESTAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(?:\.(\d{1,6}))?"
+                        r"(?:Z|([+-])\d{2}:[0-5]\d)?", re.ASCII)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -62,15 +61,14 @@ def parse_timestamp(text: str) -> datetime:
     raises a ValueError."""
     match = _TIMESTAMP.fullmatch(text)
     if match:
-        *fields, fraction, sign, off_h, off_m = match.groups()
+        # The one form datetime.fromisoformat reads on every supported
+        # Python: six fraction digits, an explicit +hh:mm or -hh:mm offset.
+        fraction, sign = match.groups()
+        stamp = text[:19] + ("." + fraction.ljust(6, "0") if fraction else "")
         try:
-            zone = timezone.utc
-            if sign:
-                offset = timedelta(hours=int(off_h), minutes=int(off_m))
-                zone = timezone(-offset if sign == "-" else offset)
-            micros = int(fraction.ljust(6, "0")) if fraction else 0
-            return datetime(*map(int, fields), micros, zone)
-        except ValueError:
+            return datetime.fromisoformat(
+                stamp + (text[-6:] if sign else "+00:00"))
+        except ValueError:  # no such day or time, or an offset of 24 h+
             pass
     raise ValueError(f"published_at {text!r} is not an ISO-8601 timestamp "
                      f"(YYYY-MM-DDTHH:MM:SS[.ffffff][Z|+hh:mm|-hh:mm])")
