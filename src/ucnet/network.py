@@ -20,10 +20,12 @@ head is ``_comment_weights``, and the classifier is a :class:`ucnet.neural.Mlp`
 over the layers ``hidden`` and ``output``. ``UCNetModel.batch_loss_and_gradients``
 chains them over labelled videos: ``train`` calls it on shuffled mini-batches,
 whose LSTM caches reuse one workspace reserved for the run, and
-:func:`ucnet.neural.gradient_check` on any batch. Inference (``predict``,
-``predict_record``, ``unified_embedding`` and so
-:func:`extract_unified_embeddings`) runs the forward pass on one video per
-call, so it holds the LSTM state of one video at a time.
+:func:`ucnet.neural.gradient_check` on any batch, for which it reserves a
+workspace of the batch's size. Inference (``predict``, ``predict_record``,
+``unified_embedding`` and so :func:`extract_unified_embeddings`) runs the
+forward pass on one video per call and without a workspace, so the LSTM
+keeps no backpropagation cache and holds one time step of state; its
+outputs are the bits the cached pass gives.
 
 The model's nine tensors, their names, shapes and order, are set in one
 place, ``_layout``: ``init_params`` draws them in that order, the
@@ -315,15 +317,17 @@ def _comment_weights(fvs: np.ndarray, weights: np.ndarray,
     return neural.sigmoid(fvs @ weights.T + bias)
 
 
-def _forward_batch(model: UCNetModel, batch: _Batch):
+def _forward_batch(model: UCNetModel, batch: _Batch,
+                   workspace: np.ndarray | None = None):
+    """Class probabilities of the batch's videos and the cache
+    ``_backward_batch`` reads; only a pass given an LSTM ``workspace``
+    keeps the LSTM's part of it."""
     params = model.flat.params
     hidden_dim = model.lstm_hidden
-    n_videos = batch.features.shape[0]
     if batch.ids.shape[0]:
         cell = model._compute_cell()
         finals, lstm_cache = neural.lstm_forward_batch(
-            cell, batch.ids, batch.lengths, batch.matrix,
-            workspace=model._lstm_workspace)
+            cell, batch.ids, batch.lengths, batch.matrix, workspace=workspace)
         finals = finals.astype(np.float64, copy=False)
         weights = _comment_weights(batch.fvs, params["weight_head.weights"],
                                    params["weight_head.bias"])  # (n_comments, 1)
@@ -422,22 +426,29 @@ class UCNetModel:
     def _compute_cell(self) -> neural.LSTMCell:
         """The LSTM cell in the compute dtype, built from views of one cast
         copy of the LSTM prefix of the flat vector (the master weights
-        themselves at float64)."""
+        themselves at float64). Inference casts on every call too: keeping
+        the cast cell on the model measured a 5 MB higher peak RSS where two
+        models are alive at once, as in the long-threads benchmark."""
         size = sum(math.prod(shape) for shape in self._lstm_shapes.values())
         cast = self.flat.vector[:size].astype(self.dtype, copy=False)
         return neural.LSTMCell(**neural.segment_views(cast, self._lstm_shapes))
 
+    def _workspace_for(self, videos: Sequence[PreparedVideo],
+                       batch_size: int) -> np.ndarray:
+        """An LSTM workspace for passes over at most ``batch_size`` of
+        ``videos``, sized for the ``batch_size`` with the most real cells."""
+        cells = sorted((sum(map(len, v.comment_ids)) for v in videos),
+                       reverse=True)
+        return neural.lstm_workspace(sum(cells[:batch_size]),
+                                     self.lstm_hidden, self.dtype)
+
     @contextlib.contextmanager
     def _lstm_buffers_for(self, videos: Sequence[PreparedVideo],
                           batch_size: int):
-        """Within the block, forward passes over at most ``batch_size`` of
-        ``videos`` pack their LSTM caches into one workspace, sized for the
-        ``batch_size`` videos with the most real cells; on exit the model
-        drops it, so inference allocates per call as before."""
-        cells = sorted((sum(map(len, v.comment_ids)) for v in videos),
-                       reverse=True)
-        self._lstm_workspace = neural.lstm_workspace(
-            sum(cells[:batch_size]), self.lstm_hidden, self.dtype)
+        """Within the block, ``batch_loss_and_gradients`` over at most
+        ``batch_size`` of ``videos`` packs its LSTM caches into one
+        workspace; on exit the model drops it."""
+        self._lstm_workspace = self._workspace_for(videos, batch_size)
         try:
             yield
         finally:
@@ -453,14 +464,20 @@ class UCNetModel:
                              self.config.max_comments_per_video,
                              self.config.max_tokens_per_comment, label)
 
-    def _forward(self, videos: Sequence[PreparedVideo]):
+    def _forward(self, videos: Sequence[PreparedVideo],
+                 workspace: np.ndarray | None = None):
         batch = _collate(videos, len(self.phrases))
-        probs, cache = _forward_batch(self, batch)
+        probs, cache = _forward_batch(self, batch, workspace)
         return batch, probs, cache
 
     def batch_loss_and_gradients(self, videos: Sequence[PreparedVideo]):
-        """Mean cross-entropy over labelled videos and its gradients."""
-        batch, probs, cache = self._forward(videos)
+        """Mean cross-entropy over labelled videos and its gradients. The
+        LSTM caches into the model's workspace, or into one reserved for
+        this batch when the model holds none."""
+        workspace = self._lstm_workspace
+        if workspace is None:
+            workspace = self._workspace_for(videos, len(videos))
+        batch, probs, cache = self._forward(videos, workspace)
         if batch.labels is None:
             raise ValueError("every video in a loss batch needs a label")
         loss, delta = neural.softmax_cross_entropy(probs, batch.labels)

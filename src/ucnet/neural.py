@@ -26,34 +26,38 @@ Everything else computes in float64.
 
 The batched LSTM reads token ids, not vectors: its input is a padded
 ``(n, t_max)`` integer array of row ids into a ``(V, input_dim)`` float64
-matrix (an embedding table's), plus each row's true length. It runs a
-packed recurrence (sequence packing and input-projection hoisting, as in
-Appleyard et al. 2016, arXiv:1604.01946). Rows are stable-sorted by
-descending length, so the rows still running at step t are a prefix of size
-b_t. Only real (row, step) cells are stored, time-major: step t owns packed
-rows ``bounds[t]:bounds[t + 1]`` of every cache array. The gates are stored
+matrix (an embedding table's), plus each row's true length. It runs a packed
+recurrence (sequence packing and input-projection hoisting, as in Appleyard
+et al. 2016, arXiv:1604.01946). Rows are stable-sorted by descending
+length, so the rows still running at step t are a prefix of size b_t. Only
+real (row, step) cells are stored, time-major: step t owns packed rows
+``bounds[t]:bounds[t + 1]`` of every cache array. The gates are stored
 gate-planar, ``(4, cells, hidden)``, so each gate of each step is one
 contiguous ``(b_t, hidden)`` block: numpy runs element-wise passes two to
 four times faster on such blocks than on column slices of a ``(cells, 4 *
 hidden)`` array. The input projection is one GEMM before the loop over the
 distinct ids among the real cells only, whose rows are gathered straight
-into the compute dtype, and is scattered gate by gate to the cells by
-index, since a cell's projection depends only on its token; each step then
-multiplies ``h[:b_t]`` by a C-ordered copy of ``wh.T`` made once per pass
-(OpenBLAS is several times slower on the transposed view at small row
-counts, and gives the same bits on the copy) and adds each gate's columns to
-its plane. The packed arrays, and a step scratch that both passes reuse for
-their temporaries, are fresh for each pass, or views of a workspace the
-caller reserves once and passes to every pass, as ``network.train`` does for
-its mini-batches, so that a training step allocates no large array. The
-backward pass writes each step's gate gradients over that step's activated
-gates, so a cache is backpropagated at most once, with the same operations
-per element as the textbook expressions; it then forms the weight gradients
-with stacked per-gate GEMMs over all cells, gathering the cells' input
-vectors from the distinct rows for ``wx``; the ``wh`` GEMM leaves out step
-0, whose cells enter with ``h = 0``. The layout changes no bits: every
-GEMM and element-wise operation computes what it would on a row-major
-``(cells, 4 * hidden)`` cache.
+into the compute dtype, laid out gate-planar, ``(4, U, hidden)``; each step
+takes its cells' rows of it by index, gate by gate, since a cell's
+projection depends only on its token, then multiplies ``h[:b_t]`` by a
+C-ordered copy of ``wh.T`` made once per pass (OpenBLAS is several times
+slower on the transposed view at small row counts, and gives the same bits
+on the copy) and adds each gate's columns to its plane. Only a pass that a
+backward pass will follow keeps this cache: one given a workspace, which
+the caller reserves once and passes to every pass, as ``network.train``
+does for its mini-batches, so that a training step allocates no large
+array. A pass without a workspace is an inference pass: it writes each
+step's gates and ``tanh(c)`` into fresh buffers of ``b_0`` rows, which the
+next step overwrites, and returns no cache, so its memory does not grow
+with the number of cells. Both kinds run one loop and give the same finals,
+bit for bit. The backward pass writes each step's gate gradients over that
+step's activated gates, so a cache is backpropagated at most once, with the
+same operations per element as the textbook expressions; it then forms the
+weight gradients with stacked per-gate GEMMs over all cells, gathering the
+cells' input vectors from the distinct rows for ``wx``; the ``wh`` GEMM
+leaves out step 0, whose cells enter with ``h = 0``. The layout changes no
+bits: every GEMM and element-wise operation computes what it would on a
+row-major ``(cells, 4 * hidden)`` cache.
 
 :func:`adam_step` runs its element-wise passes block by block, so that a
 block stays in cache between passes.
@@ -181,13 +185,13 @@ class PackedLSTMCache:
     still running at step t are the prefix of size ``bounds[t + 1] -
     bounds[t]``, and step t owns packed rows ``bounds[t]:bounds[t + 1]``.
     ``gates`` is gate-planar, ``(4, cells, hidden)``, so each gate of each
-    step is one contiguous ``(b_t, hidden)`` block. ``gates``, ``h_prev``,
-    ``c_prev``, ``tanh_c`` and ``scratch`` are fresh for each forward pass,
-    or consecutive views of the caller's workspace (:func:`lstm_workspace`),
-    which the next pass over it overwrites. ``scratch`` holds no state: both
-    passes write each step's temporaries into it. :func:`lstm_backward_batch`
-    overwrites ``gates`` with the gate gradients, so a cache can be
-    backpropagated once.
+    step is one contiguous ``(b_t, hidden)`` block. Only a forward pass
+    given a workspace (:func:`lstm_workspace`) makes a cache: ``gates``,
+    ``h_prev``, ``c_prev``, ``tanh_c`` and ``scratch`` are consecutive views
+    of it, which the next pass over it overwrites. ``scratch`` holds no
+    state: both passes write each step's temporaries into it.
+    :func:`lstm_backward_batch` overwrites ``gates`` with the gate
+    gradients, so a cache can be backpropagated once.
     """
 
     order: np.ndarray    # (n,) sorted position -> original row
@@ -231,23 +235,29 @@ def _gather_rows(matrix: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
 
 def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
                        matrix: np.ndarray, *, workspace: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, PackedLSTMCache]:
+                       ) -> tuple[np.ndarray, PackedLSTMCache | None]:
     """Run ``n`` padded token-id sequences through the recurrence at once.
 
     xs is an (n, t_max) integer array of row ids into matrix, a
     (V, input_dim) array of input vectors, and lengths gives each row's
     true length; ids past it are padding and never read. Only the real
     cells are computed: the input projection is one GEMM over the distinct
-    ids among them, taken gate by gate into the planes of ``gates``, and
-    each step multiplies the hidden states of the rows still running by a
-    C-ordered copy of ``wh.T``, which BLAS multiplies faster than the
-    transposed view and to the same bits, into the step scratch, and adds
-    each gate's columns to its plane. Returns the (n, hidden_dim) final
-    states in the caller's row order (zeros for empty rows) and the cache
-    the backward pass needs, both in the cell's dtype: the distinct input
-    rows are gathered straight into it. The cache's arrays live in
-    ``workspace`` when one is given (from :func:`lstm_workspace`, large
-    enough for the batch's real cells), and in fresh arrays otherwise.
+    ids among them, laid out gate-planar, ``(4, U, hidden)``, and each step
+    takes its cells' rows of it into the step's gate block, multiplies the
+    hidden states of the rows still running by a C-ordered copy of
+    ``wh.T``, which BLAS multiplies faster than the transposed view and to
+    the same bits, into the step scratch, and adds each gate's columns to
+    its plane. Returns the (n, hidden_dim) final states in the caller's row
+    order (zeros for empty rows), in the cell's dtype, and the cache the
+    backward pass needs.
+
+    A pass given a ``workspace`` (from :func:`lstm_workspace`, large enough
+    for the batch's real cells) keeps that cache, in views of it: step t's
+    gates and states land in packed rows ``bounds[t]:bounds[t + 1]``. A
+    pass without one keeps none and returns None for it: step t's gates
+    and ``tanh(c)`` land in rows ``0:b_t`` of buffers sized for step 0,
+    which the next step overwrites, so inference holds one step of state
+    rather than every cell's. Both give the same finals, bit for bit.
     """
     xs = np.asarray(xs)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -270,12 +280,15 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     if ids.size and (ids.min() < 0 or ids.max() >= matrix.shape[0]):
         raise ValueError(f"token ids must lie in [0, {matrix.shape[0]})")
     cells, first = ids.size, int(bounds[1]) if t_real else 0
-    shapes = {"gates": (4, cells, hidden), "h_prev": (cells, hidden),
-              "c_prev": (cells, hidden), "tanh_c": (cells, hidden),
+    # A kept cache holds every cell. Without one, the gate planes and
+    # tanh_c hold step 0's rows, which every later step overwrites, and
+    # h_prev and c_prev are empty: no backward pass will read them.
+    keep = workspace is not None
+    held, states = (cells, cells) if keep else (first, 0)
+    shapes = {"gates": (4, held, hidden), "h_prev": (states, hidden),
+              "c_prev": (states, hidden), "tanh_c": (held, hidden),
               "scratch": (4 * first * hidden,)}
-    if workspace is None:
-        # Separate arrays: one block of their total size, freed and drawn
-        # again per video at inference, measured a higher peak RSS.
+    if not keep:
         packed = {name: np.empty(shape, dtype) for name, shape in shapes.items()}
     elif workspace.dtype == dtype and \
             workspace.size >= cells * _WORKSPACE_WIDTH * hidden:
@@ -287,23 +300,29 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     gates, h_prev, c_prev, tanh_c, scratch = packed.values()
     distinct, cell_of = np.unique(ids, return_inverse=True)
     inputs = _gather_rows(matrix, distinct, dtype)
-    projected = _rowwise_matmul(inputs, cell.wx.T)
-    projected += cell.bias
-    for k in range(4):
-        # cell_of indexes projected by construction; under the default
-        # mode="raise", take would fill a temporary and copy it into gates.
-        np.take(projected[:, k * hidden:(k + 1) * hidden], cell_of, axis=0,
-                out=gates[k], mode="clip")
-    del projected  # freed before the loop allocates wh_t and the states
+    wide = _rowwise_matmul(inputs, cell.wx.T).reshape(-1, 4, hidden)
+    # Gate-planar, with the bias added on the way, so that each step takes
+    # its rows from contiguous tables: np.take copies a non-contiguous
+    # source whole on every call.
+    projected = np.empty((4, distinct.size, hidden), dtype)
+    np.add(wide.transpose(1, 0, 2), cell.bias.reshape(4, 1, hidden),
+           out=projected)
+    del wide
     h = np.zeros((n, hidden), dtype)
     c = np.zeros((n, hidden), dtype)
     wh_t = np.ascontiguousarray(cell.wh.T)
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
-        h_prev[lo:hi] = h[:b]
-        c_prev[lo:hi] = c[:b]
-        z = gates[:, lo:hi]
+        at = slice(lo, hi) if keep else slice(0, b)  # where step t's rows land
+        if keep:
+            h_prev[at] = h[:b]
+            c_prev[at] = c[:b]
+        z = gates[:, at]
+        for k in range(4):
+            # cell_of indexes projected by construction; under the default
+            # mode="raise", take would fill a temporary and copy it into z.
+            np.take(projected[k], cell_of[lo:hi], axis=0, out=z[k], mode="clip")
         if t:
             recurrent = scratch[:4 * b * hidden].reshape(b, 4 * hidden)
             _rowwise_matmul(h[:b], wh_t, out=recurrent)
@@ -318,15 +337,17 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
         np.multiply(gf, c[:b], out=c[:b])
         np.multiply(gi, gg, out=product)
         c[:b] += product
-        np.tanh(c[:b], out=tanh_c[lo:hi])
-        np.multiply(go, tanh_c[lo:hi], out=h[:b])
+        np.tanh(c[:b], out=tanh_c[at])
+        np.multiply(go, tanh_c[at], out=h[:b])
     finals = np.empty((n, hidden), dtype)
     finals[order] = h
+    if not keep:
+        return finals, None
     return finals, PackedLSTMCache(order, bounds, cell_of, inputs, gates,
                                    h_prev, c_prev, tanh_c, scratch)
 
 
-def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
+def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache | None,
                         dh_final: np.ndarray) -> dict[str, np.ndarray]:
     """Backpropagation through time; returns gradients for wx, wh and bias
     in the cell's dtype.
@@ -340,6 +361,9 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache,
     over all cells; the ``wh`` GEMM skips step 0, whose cells enter with
     ``h = 0``.
     """
+    if cache is None:
+        raise ValueError("no LSTM cache to backpropagate: the forward pass "
+                         "ran without a workspace, so it kept none")
     hidden = cell.hidden_dim
     bounds, gates, scratch = cache.bounds, cache.gates, cache.scratch
     dh = np.asarray(dh_final, dtype=cell.wh.dtype)[cache.order]

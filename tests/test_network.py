@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -745,6 +746,82 @@ class TestTrainingBuffers:
             assert np.array([a.p_real, a.p_fake]).tobytes() == \
                 np.array([b.p_real, b.p_fake]).tobytes()
         assert calls and all(w is None for w, _ in calls)
+
+
+class TestInference:
+    """Inference runs the LSTM without a workspace, so it keeps no BPTT
+    cache; it must still give the training path's bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inference_forward_equals_the_cached_path(self, phrases, dtype):
+        # 3, 0, 4 and 1 comments; the second video has none
+        reference, videos = TestGradientCheckFullModel.ragged_batch(
+            phrases, 17, (((4, 1, 6), 1), ((), 0), ((3, 3, 3, 3), 1),
+                          ((7,), 0)))
+        model = UCNetModel(reference.parameters(), phrases, ("a", "b"), 8,
+                           dtype=dtype)
+        # the second video alone never reaches the LSTM
+        for chosen, runs_lstm in ((videos, True), (videos[1:2], False)):
+            batch = network._collate(chosen, len(phrases))
+            probs, cache = network._forward_batch(model, batch)
+            want, want_cache = network._forward_batch(
+                model, batch, model._workspace_for(chosen, len(chosen)))
+            assert cache[1] is None
+            assert (want_cache[1] is not None) == runs_lstm
+            assert probs.tobytes() == want.tobytes()
+            for got, expected in zip(cache[2:4], want_cache[2:4]):
+                assert got.tobytes() == expected.tobytes()
+
+    def test_predict_after_a_training_step_reads_the_new_weights(self,
+                                                                 tmp_path):
+        # The unified embedding is compared too: it reads the LSTM, which
+        # this small model's classifier head may ignore (dead ReLUs).
+        lexicons, dataset, table, scorer = small_training_world(12, seed=8)
+        model = network.train(dataset, table, lexicons, scorer,
+                              TrainingConfig(epochs=1, batch_size=4, seed=2),
+                              lstm_hidden=8)
+        record = dataset.records[0]
+
+        def outputs(m):
+            p = m.predict_record(record, table, lexicons, scorer)
+            return (np.array([p.p_real, p.p_fake]).tobytes(),
+                    m.unified_embedding(record.comments, table).tobytes())
+
+        before = outputs(model)
+        features = network._select_features(record, lexicons, scorer,
+                                            model.feature_names)
+        video = model.prepare(record.comments, features, table,
+                              int(record.label == "fake"))
+        state = neural.AdamState.for_params(model.flat.vector,
+                                            learning_rate=0.05)
+        model.batch_loss_and_gradients([video])
+        neural.adam_step(model.flat.vector, model.flat.gradient, state)
+        after = outputs(model)
+        model.save(tmp_path / "ucnet.model")
+        assert after == outputs(UCNetModel.load(tmp_path / "ucnet.model"))
+        assert after[1] != before[1]
+
+    def test_predict_memory_stays_below_one_cache_plane(self):
+        # A long thread at hidden 300: 200 comments, a third of them at the
+        # 100-token cap. A BPTT cache holds seven (cells, hidden) planes.
+        rng = np.random.default_rng(61)
+        words = [f"w{i}" for i in range(200)]
+        table = EmbeddingTable(dimension=16, vectors={
+            w: rng.normal(size=16) for w in words})
+        lengths = np.where(rng.random(200) < 1 / 3, 100,
+                           rng.integers(1, 40, size=200))
+        comments = [make_comment(f"c{i}", " ".join(rng.choice(words, size=t)))
+                    for i, t in enumerate(lengths)]
+        model = toy_model(init_params(rng, 16, len(TOY_PHRASES), 2,
+                                      lstm_hidden=300))
+        plane = int(lengths.sum()) * 300 * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            model.predict(comments, np.zeros(2), table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < plane
 
 
 class TestGradientCheckFullModel:

@@ -108,6 +108,14 @@ def cast_cell(cell: LSTMCell, dtype) -> LSTMCell:
     return LSTMCell(*(a.astype(dtype) for a in (cell.wx, cell.wh, cell.bias)))
 
 
+def caching_forward(cell: LSTMCell, xs, lengths, matrix):
+    """``lstm_forward_batch`` with a workspace sized for the batch, so that
+    it keeps the cache ``lstm_backward_batch`` reads."""
+    workspace = neural.lstm_workspace(int(np.sum(lengths)), cell.hidden_dim,
+                                      cell.wx.dtype)
+    return lstm_forward_batch(cell, xs, lengths, matrix, workspace=workspace)
+
+
 def padded_ids(id_seqs, t_max=None):
     """(n, t_max) int64 ids, zero past each length, and the lengths."""
     if t_max is None:
@@ -236,7 +244,7 @@ class TestLstm:
                 finals, _ = lstm_forward_batch(cell, xs, lengths, matrix)
                 return float((finals * probe).sum())
 
-            finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+            finals, cache = caching_forward(cell, xs, lengths, matrix)
             grads = lstm_backward_batch(cell, cache, probe)
             h = 1e-6
             for name, array in (("wx", cell.wx), ("wh", cell.wh),
@@ -277,7 +285,7 @@ class TestLstm:
             xs, lengths, matrix = padded(
                 [rng.normal(size=(t, 3)) for t in lengths], 3, t_max)
 
-        finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+        finals, cache = caching_forward(cell, xs, lengths, matrix)
         ref_finals, ref_cache = masked_lstm_forward(
             cell, padded_vectors(xs, lengths, matrix), lengths)
         assert np.allclose(finals, ref_finals, rtol=0, atol=1e-12)
@@ -298,10 +306,9 @@ class TestLstm:
             matrix = rng.normal(size=(vocab, input_dim))
             xs, lengths = padded_ids(
                 [rng.integers(0, vocab, size=t) for t in (5, 2, 0, 7, 2, 1)])
-            finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+            finals, cache = caching_forward(cell, xs, lengths, matrix)
             copies = [matrix[xs[row, :t]] for row, t in enumerate(lengths)]
-            once, once_cache = lstm_forward_batch(
-                cell, *padded(copies, input_dim))
+            once, once_cache = caching_forward(cell, *padded(copies, input_dim))
             assert np.array_equal(finals, once)
             probe = rng.normal(size=finals.shape)
             grads = lstm_backward_batch(cell, cache, probe)
@@ -355,8 +362,8 @@ class TestLstm:
         xs, lengths = padded_ids(
             [rng.integers(0, vocab, size=t) for t in lengths], t_max)
 
-        finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
-        finals32, cache32 = lstm_forward_batch(single, xs, lengths, matrix)
+        finals, cache = caching_forward(cell, xs, lengths, matrix)
+        finals32, cache32 = caching_forward(single, xs, lengths, matrix)
         assert finals32.dtype == np.float32
         assert np.allclose(finals32, finals, rtol=0, atol=1e-5)
 
@@ -381,13 +388,45 @@ class TestLstm:
             xs, lengths = padded_ids(
                 [rng.integers(0, 10, size=t) for t in lengths])
             probe = rng.normal(size=(len(lengths), hidden))
-            finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+            finals, cache = caching_forward(cell, xs, lengths, matrix)
             lstm_backward_batch(cell, cache, probe)
             want_finals, want_dz = row_major_lstm(cell, xs, lengths, matrix,
                                                   probe)
             assert finals[cache.order].tobytes() == want_finals.tobytes()
             planar = cache.gates.transpose(1, 0, 2).reshape(-1, 4 * hidden)
             assert planar.tobytes() == want_dz.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hidden,lengths", [
+        (4, (5, 2, 0, 7, 2, 1)),   # ragged, with an empty row
+        (4, (0, 0, 0)),            # only empty rows
+        (4, (7,)),                 # one row: every step a one-row GEMM
+        (4, (6, 1, 3)),            # steps 3 to 5 run one row
+        (32, (4, 4, 4, 4)),        # equal lengths
+        (4, ()),                   # no rows at all
+        (300, (9, 3, 0, 12, 1)),   # the model's default width
+    ])
+    def test_inference_pass_gives_the_cached_finals(self, dtype, hidden,
+                                                    lengths):
+        # A pass without a workspace keeps no cache; only where each step's
+        # rows land differs, so its finals are the cached pass's bits.
+        rng = np.random.default_rng([59, hidden, len(lengths)])
+        cell = cast_cell(init_lstm(rng, 6, hidden), dtype)
+        cell.bias[...] = rng.normal(size=cell.bias.shape)
+        matrix = rng.normal(size=(10, 6))
+        xs, lengths = padded_ids([rng.integers(0, 10, size=t) for t in lengths])
+        finals, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+        want, want_cache = caching_forward(cell, xs, lengths, matrix)
+        assert cache is None and want_cache is not None
+        assert finals.dtype == dtype and finals.shape == (len(lengths), hidden)
+        assert finals.tobytes() == want.tobytes()
+
+    def test_backward_without_a_cache_says_why(self):
+        cell = init_lstm(np.random.default_rng(0), 2, 3)
+        xs, lengths = padded_ids([[0, 1], [1]])
+        finals, cache = lstm_forward_batch(cell, xs, lengths, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="ran without a workspace"):
+            lstm_backward_batch(cell, cache, np.ones_like(finals))
 
     def test_workspace_reuse_matches_fresh_buffers(self):
         rng = np.random.default_rng(43)
@@ -399,7 +438,7 @@ class TestLstm:
             workspace = neural.lstm_workspace(14, 4, dtype)
             probe = rng.normal(size=(3, 4))
             for batch in (small, big, small):
-                fresh = lstm_forward_batch(cell, *batch, matrix)
+                fresh = caching_forward(cell, *batch, matrix)
                 reused = lstm_forward_batch(cell, *batch, matrix,
                                             workspace=workspace)
                 assert np.shares_memory(reused[1].gates, workspace)
@@ -425,7 +464,7 @@ class TestLstm:
             # fresh values each time, so no stale buffer can hold them
             matrix = rng.normal(size=(9, 3))
             cell = cast_cell(init_lstm(rng, 3, 4), dtype)
-            _, cache = lstm_forward_batch(cell, xs, lengths, matrix)
+            _, cache = caching_forward(cell, xs, lengths, matrix)
             want = matrix[[0, 1, 4, 6, 8]].astype(dtype)
             assert cache.inputs.dtype == dtype
             assert cache.inputs.tobytes() == want.tobytes()
