@@ -9,9 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -108,69 +106,39 @@ def _get_scorer(args, lexicons: LexiconSet) -> tuple[TitleScorer, dict]:
     return scorer, inputs
 
 
-def _write_features_csv(path, ids, matrix, labels) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", *FEATURE_NAMES, "label"])
-        for vid, row, label in zip(ids, matrix, labels):
-            writer.writerow([vid] + [f"{v:.17g}" for v in row] + [label])
+_FEATURES_HEADER = ("video_id", *FEATURE_NAMES, "label")
 
 
 def _read_features_csv(path):
     ids, rows, labels = [], [], []
-    reader = csv.reader(io.StringIO(corpus.read_utf8(path), newline=""))
-    header = next(reader, None)
-    if header != ["video_id", *FEATURE_NAMES, "label"]:
-        raise ValueError(f"{path}: unexpected feature CSV header")
-    for row in reader:
-        if len(row) != len(header):
-            raise ValueError(f"{path}: line {reader.line_num}: expected "
-                             f"{len(header)} fields, got {len(row)}")
-        try:
-            rows.append([float(v) for v in row[1:-1]])
-        except ValueError:
-            raise ValueError(f"{path}: line {reader.line_num}: "
-                             "non-numeric feature value") from None
+    for where, row in corpus.read_csv(path, _FEATURES_HEADER):
         ids.append(row[0])
+        rows.append([corpus.csv_number(where, name, v)
+                     for name, v in zip(FEATURE_NAMES, row[1:-1])])
         labels.append(row[-1])
-    matrix = np.array(rows, dtype=np.float64) if rows else \
-        np.zeros((0, len(FEATURE_NAMES)))
+    matrix = np.array(rows, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
     return ids, matrix, labels
 
 
-def _write_predictions_csv(path, ids, labels, p_fake) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id", "label", "p_fake"])
-        for vid, label, p in zip(ids, labels, p_fake):
-            writer.writerow([vid, label, f"{p:.17g}"])
+def _write_predictions_csv(path, ids, p_fake) -> None:
+    corpus.write_csv(path, ("video_id", "label", "p_fake"),
+                     ((vid, evaluation.classify(p), p)
+                      for vid, p in zip(ids, p_fake)))
 
 
-def _read_predictions_csv(path):
-    ids, labels, p_fake = [], [], []
-    reader = csv.reader(io.StringIO(corpus.read_utf8(path), newline=""))
-    header = next(reader, None)
-    if header is None or header[:2] != ["video_id", "label"]:
-        raise ValueError(f"{path}: expected a video_id,label[,p_fake] CSV")
-    for row in reader:
-        if len(row) < len(header):
-            raise ValueError(f"{path}: line {reader.line_num}: expected "
-                             f"{len(header)} fields, got {len(row)}")
-        try:
-            p_fake.append(float(row[2]) if len(row) > 2 else float("nan"))
-        except ValueError:
-            raise ValueError(f"{path}: line {reader.line_num}: "
-                             "p_fake is not a number") from None
-        ids.append(row[0])
-        labels.append(row[1])
-    return ids, labels, p_fake
-
-
-def _classic_labels(labels, path) -> np.ndarray:
-    bad = sorted({lab for lab in labels if lab not in ("fake", "real")})
-    if bad:
-        raise ValueError(f"{path}: non fake/real labels present: {bad}")
-    return np.array([1 if lab == "fake" else 0 for lab in labels], dtype=np.int64)
+def _read_labels_csv(path) -> dict[str, str]:
+    """video_id -> label of a ``video_id,label`` CSV, or of a predictions
+    CSV whose ``p_fake`` values are then each a probability."""
+    labels = {}
+    for where, row in corpus.read_csv(path, ("video_id", "label"),
+                                      ("video_id", "label", "p_fake")):
+        if len(row) == 3 and not 0.0 <= corpus.csv_number(
+                where, "p_fake", row[2]) <= 1.0:
+            raise ValueError(f"{where}: p_fake {row[2][:40]!r} is outside "
+                             "[0, 1]")
+        corpus.fake_indicators(row[1:2], where)  # refuses another label
+        labels[row[0]] = row[1]
+    return labels
 
 
 def _cmd_mine(args) -> int:
@@ -198,11 +166,9 @@ def _cmd_agreement(args) -> int:
     round1 = corpus.load_annotation_round(args.round1)
     round2 = corpus.load_annotation_round(args.round2)
     matrix = corpus.agreement_matrix(round1, round2)
-    with Path(args.output).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["", *corpus.ANNOTATION_LABELS])
-        for i, label in enumerate(corpus.ANNOTATION_LABELS):
-            writer.writerow([label] + [int(v) for v in matrix[i]])
+    corpus.write_csv(args.output, ("", *corpus.ANNOTATION_LABELS),
+                     ([label, *row] for label, row
+                      in zip(corpus.ANNOTATION_LABELS, matrix.tolist())))
     _write_manifest(args.output, args,
                     {"round1": args.round1, "round2": args.round2}, {},
                     [args.output])
@@ -217,8 +183,8 @@ def _cmd_features(args) -> int:
     scorer, scorer_inputs = _get_scorer(args, lexicons)
     videos = list(dataset)
     matrix = lexical.feature_matrix(videos, lexicons, scorer)
-    _write_features_csv(args.output, dataset.ids(), matrix,
-                        [v.label for v in videos])
+    corpus.write_csv(args.output, _FEATURES_HEADER,
+                     ([v.id, *row, v.label] for v, row in zip(videos, matrix)))
     outputs = [args.output]
     if args.save_scorer:
         outputs.append(args.save_scorer)
@@ -230,7 +196,7 @@ def _cmd_features(args) -> int:
 
 def _cmd_prune(args) -> int:
     ids, matrix, labels = _read_features_csv(args.features)
-    y = _classic_labels(labels, args.features)
+    y = corpus.fake_indicators(labels, args.features)
     forest = classic.train_forest(matrix, y, n_trees=args.trees,
                                   max_depth=args.max_depth, seed=args.seed)
     importances = classic.feature_importances(forest)
@@ -272,7 +238,7 @@ def _cmd_train_classic(args) -> int:
     if args.test_features and not args.predictions:
         raise ValueError("--test-features requires --predictions")
     ids, matrix, labels = _read_features_csv(args.features)
-    y = _classic_labels(labels, args.features)
+    y = corpus.fake_indicators(labels, args.features)
     indices = _load_selected(args.selected) if args.selected else \
         tuple(range(len(FEATURE_NAMES)))
     if not indices:
@@ -296,8 +262,7 @@ def _cmd_train_classic(args) -> int:
     if args.test_features:
         test_ids, test_matrix, _ = _read_features_csv(args.test_features)
         p_fake = model.predict_proba_fake(test_matrix[:, indices])
-        _write_predictions_csv(args.predictions, test_ids,
-                               [evaluation.classify(p) for p in p_fake], p_fake)
+        _write_predictions_csv(args.predictions, test_ids, p_fake)
         inputs["test_features"] = args.test_features
         outputs.append(args.predictions)
     _write_manifest(args.output, args, inputs, {}, outputs)
@@ -351,13 +316,11 @@ def _cmd_train_ucnet(args) -> int:
     if test_set is not None and args.predictions:
         p_fake = [model.predict_record(record, table, lexicons, scorer).p_fake
                   for record in test_set]
-        _write_predictions_csv(args.predictions, test_set.ids(),
-                               [evaluation.classify(p) for p in p_fake], p_fake)
+        _write_predictions_csv(args.predictions, test_set.ids(), p_fake)
         outputs.append(args.predictions)
         if args.truth_out:
-            _write_predictions_csv(args.truth_out, test_set.ids(),
-                                   [r.label for r in test_set],
-                                   [float("nan")] * len(test_set))
+            corpus.write_csv(args.truth_out, ("video_id", "label"),
+                             ((r.id, r.label) for r in test_set))
             outputs.append(args.truth_out)
     _write_manifest(args.output, args, inputs,
                     _lexicon_digests(lexicon_dir), outputs)
@@ -368,14 +331,15 @@ def _cmd_train_ucnet(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pred_ids, pred_labels, _ = _read_predictions_csv(args.pred)
-    truth_ids, truth_labels, _ = _read_predictions_csv(args.truth)
-    truth = dict(zip(truth_ids, truth_labels))
-    missing = [vid for vid in pred_ids if vid not in truth]
+    predicted = _read_labels_csv(args.pred)
+    if not predicted:
+        raise ValueError(f"{args.pred}: no predictions")
+    truth = _read_labels_csv(args.truth)
+    missing = [vid for vid in predicted if vid not in truth]
     if missing:
         raise ValueError(f"{args.truth}: no ground truth for ids {missing[:5]}")
-    y_true = [truth[vid] for vid in pred_ids]
-    report = evaluation.evaluate(y_true, pred_labels)
+    report = evaluation.evaluate([truth[vid] for vid in predicted],
+                                 list(predicted.values()))
     evaluation.export_report(report, args.output)
     _write_manifest(args.output, args,
                     {"pred": args.pred, "truth": args.truth}, {},

@@ -7,6 +7,8 @@ are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import math
@@ -15,7 +17,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +50,65 @@ def content_lines(path) -> Iterator[tuple[int, str]]:
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, line
+
+
+def read_csv(path, *headers: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
+    """("<path>: line N", fields) of each row of a UTF-8 CSV file whose
+    first row is one of ``headers``. Every row has its header's field count
+    and a first field no earlier row has; any other file raises a
+    ValueError naming it and, past the header, the line."""
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    seen: set[str] = set()
+    try:
+        header = next(reader, None)
+        if header not in [list(h) for h in headers]:
+            expected = " or ".join(",".join(h) for h in headers)
+            raise ValueError(f"{path}: expected the header {expected}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, "
+                                 f"got {len(row)}")
+            if row[0] in seen:
+                raise ValueError(f"{where}: duplicate {header[0]} "
+                                 f"{row[0][:40]!r}")
+            seen.add(row[0])
+            yield where, row
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def csv_number(where: str, column: str, text: str, kind=float):
+    """``text`` as a finite ``kind`` (float or int); anything else raises a
+    ValueError that starts with ``where`` and names ``column``."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):  # an int beyond the float range overflows
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{where}: {column} {text[:40]!r} is not a finite "
+                     f"{kind.__name__}")
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV file with ``\\n`` line endings: the header, then
+    the rows. A float is written to 17 significant digits (``.17g``), which
+    read back to the same value."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+def fake_indicators(labels: Sequence[str], context: str) -> np.ndarray:
+    """1 for each "fake" label and 0 for each "real" one; any other label
+    raises a ValueError that starts with ``context``."""
+    bad = sorted(set(labels) - {"fake", "real"})
+    if bad:
+        raise ValueError(f"{context}: labels must be fake/real, got {bad[:5]}")
+    return np.array([label == "fake" for label in labels], dtype=np.int64)
 
 
 _TIMESTAMP = re.compile(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}(?:\.(\d{1,6}))?"

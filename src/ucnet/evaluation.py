@@ -7,17 +7,15 @@ precision/recall are defined as 0.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import read_utf8
+from .corpus import csv_number, read_csv, write_csv
 
 EVAL_LABELS = ("fake", "real")
+REPORT_HEADER = ("class", "precision", "recall", "f1", "support")
 
 
 def classify(p_fake: float) -> str:
@@ -146,18 +144,12 @@ def export_report(obj, path, video_ids: Sequence[str] | None = None,
     macro row; projections become `video_id,pc1,...,label` rows and then
     need video_ids and labels.
     """
-    path = Path(path)
     if isinstance(obj, EvaluationReport):
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["class", "precision", "recall", "f1", "support"])
-            for label in EVAL_LABELS:
-                m = obj.per_class(label)
-                writer.writerow([label, f"{m.precision:.17g}", f"{m.recall:.17g}",
-                                 f"{m.f1:.17g}", m.support])
-            writer.writerow(["macro", f"{obj.macro_precision:.17g}",
-                             f"{obj.macro_recall:.17g}", f"{obj.macro_f1:.17g}",
-                             obj.total_support])
+        rows = [[label, *astuple(obj.per_class(label))]
+                for label in EVAL_LABELS]
+        rows.append(["macro", obj.macro_precision, obj.macro_recall,
+                     obj.macro_f1, obj.total_support])
+        write_csv(path, REPORT_HEADER, rows)
         return
     projection = np.asarray(obj, dtype=np.float64)
     if projection.ndim != 2:
@@ -166,33 +158,20 @@ def export_report(obj, path, video_ids: Sequence[str] | None = None,
         raise ValueError("projection export needs video_ids and labels")
     if not len(video_ids) == len(labels) == projection.shape[0]:
         raise ValueError("projection rows, video_ids and labels must align")
-    k = projection.shape[1]
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["video_id"] + [f"pc{i + 1}" for i in range(k)] + ["label"])
-        for vid, row, label in zip(video_ids, projection, labels):
-            writer.writerow([vid] + [f"{v:.17g}" for v in row] + [label])
+    header = ["video_id", *(f"pc{i + 1}" for i in range(projection.shape[1])),
+              "label"]
+    write_csv(path, header, ([vid, *row, label] for vid, row, label
+                             in zip(video_ids, projection, labels)))
 
 
 def read_report(path) -> EvaluationReport:
     """Parse a report CSV written by export_report. A file that is not one
     raises ``ValueError`` naming it and, for a bad row, the line."""
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ValueError(f"{path}: empty report")
-    if header != ["class", "precision", "recall", "f1", "support"]:
-        raise ValueError(f"{path}: unexpected report header {header}")
     rows: dict[str, tuple[float, float, float, int]] = {}
-    for row in reader:
-        where = f"{path}: line {reader.line_num}"
-        if len(row) != 5:
-            raise ValueError(f"{where}: expected 5 fields, got {len(row)}")
-        try:
-            rows[row[0]] = (float(row[1]), float(row[2]), float(row[3]),
-                            int(row[4]))
-        except ValueError:
-            raise ValueError(f"{where}: non-numeric cell in {row}") from None
+    for where, row in read_csv(path, REPORT_HEADER):
+        rows[row[0]] = tuple(
+            csv_number(where, name, text, kind) for name, text, kind
+            in zip(REPORT_HEADER[1:], row[1:], (float, float, float, int)))
     for label in (*EVAL_LABELS, "macro"):
         if label not in rows:
             raise ValueError(f"{path}: no {label!r} row")

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .corpus import Comment, VideoRecord, content_lines, nfc
+from .corpus import Comment, VideoRecord, content_lines, fake_indicators, nfc
 
 DISLIKE_RATIO_CAP = 1000.0
 
@@ -282,14 +282,11 @@ def train_title_scorer(titles: Sequence[tuple[str, str]],
     config = config if config is not None else TitleScorerConfig()
     if not titles:
         raise ValueError("no training titles given")
-    labels = {label for _, label in titles}
-    if not labels <= {"fake", "real"}:
-        raise ValueError(f"title labels must be fake/real, got {sorted(labels)}")
-    if len(labels) < 2:
+    ys = fake_indicators([label for _, label in titles], "training titles")
+    if len(set(ys)) < 2:
         raise ValueError("training titles must contain both classes")
 
     xs = np.stack([title_linguistic_features(t, lexicons) for t, _ in titles])
-    ys = np.array([1 if label == "fake" else 0 for _, label in titles])
     scorer = TitleScorer(lexicons)
     scorer.mean = xs.mean(axis=0)
     std = xs.std(axis=0)

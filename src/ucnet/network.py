@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import neural, serialize
-from .corpus import Comment, Dataset, VideoRecord, nfc
+from .corpus import Comment, Dataset, VideoRecord, fake_indicators, nfc
 from .embeddings import EmbeddingTable, embed_comment
 from .lexical import FEATURE_NAMES, LexiconSet, TitleScorer, extract_features
 
@@ -589,11 +589,7 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
         feature_indices = tuple(range(len(FEATURE_NAMES)))
     feature_names = tuple(FEATURE_NAMES[i] for i in feature_indices)
 
-    bad = [r.label for r in train_set if r.label not in ("fake", "real")]
-    if bad:
-        raise ValueError(
-            f"training set contains {len(bad)} records without fake/real labels")
-    labels = [1 if r.label == "fake" else 0 for r in train_set]
+    labels = fake_indicators([r.label for r in train_set], "training set")
     if len(set(labels)) < 2:
         raise ValueError("training set must contain both classes")
 

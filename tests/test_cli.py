@@ -105,25 +105,51 @@ class TestEvaluateCommand:
         pred.write_text("video_id,label,p_fake\na,fake,0.9\nb,real,0.1\n")
         truth.write_text("video_id,label\na,fake\nb,real\n")
         out = tmp_path / "report.csv"
-        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth),
-                     "--output", str(out)])
-        assert code == 0
-        assert "macro_f1=1.0000" in capsys.readouterr().out
-        rows = out.read_text().splitlines()
-        assert rows[0] == "class,precision,recall,f1,support"
-        assert rows[-1].startswith("macro,1,1,1,")
+        for truth_file in (truth, pred):  # a predictions file serves as truth
+            code = main(["evaluate", "--pred", str(pred),
+                         "--truth", str(truth_file), "--output", str(out)])
+            assert code == 0
+            assert "macro_f1=1.0000" in capsys.readouterr().out
+            rows = out.read_text().splitlines()
+            assert rows[0] == "class,precision,recall,f1,support"
+            assert rows[-1].startswith("macro,1,1,1,")
 
-    @pytest.mark.parametrize("bad_row", ["", "b", "b,real,high"])
+    @pytest.mark.parametrize("bad_row", [
+        "", "b", "b,real,high", "a,real,0.1", "b,real,0.1,x", "b,real,nan",
+        "b,real,inf", "b,real,-inf", "b,real,1.5", "b,real,-0.5",
+        "b,real,HUGE", "b,maybe,0.1"])
     def test_blank_short_or_bad_row_names_file_and_line(self, tmp_path, capsys,
                                                          bad_row):
         pred = tmp_path / "p.csv"
         truth = tmp_path / "t.csv"
+        bad_row = bad_row.replace("HUGE", "0" * (csv.field_size_limit() + 1))
         pred.write_text(f"video_id,label,p_fake\na,fake,0.9\n{bad_row}\n")
         truth.write_text("video_id,label\na,fake\nb,real\n")
         code = main(["evaluate", "--pred", str(pred), "--truth", str(truth),
                      "--output", str(tmp_path / "r.csv")])
         assert code == 2
-        assert f"{pred}: line 3:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {pred}: line 3: ")
+
+    @pytest.mark.parametrize("bad_row", ["a,real", "c,real,0.5", "c,HUGE"])
+    def test_bad_truth_row_names_file_and_line(self, tmp_path, capsys,
+                                               bad_row):
+        pred = tmp_path / "p.csv"
+        truth = tmp_path / "t.csv"
+        bad_row = bad_row.replace("HUGE", "x" * (csv.field_size_limit() + 1))
+        pred.write_text("video_id,label,p_fake\na,fake,0.9\n")
+        truth.write_text(f"video_id,label\na,fake\nb,real\n{bad_row}\n")
+        code = main(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {truth}: line 4: ")
+
+    def test_empty_predictions_name_the_file(self, tmp_path, capsys):
+        pred = tmp_path / "p.csv"
+        pred.write_text("video_id,label,p_fake\n")
+        code = main(["evaluate", "--pred", str(pred), "--truth", str(pred),
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {pred}: no predictions\n"
 
     def test_missing_truth_id_is_data_error(self, tmp_path, capsys):
         pred = tmp_path / "p.csv"
@@ -198,21 +224,27 @@ class TestFeaturesCommand:
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("damage", ["blank", "short", "non-numeric"])
+    @pytest.mark.parametrize("damage", ["blank", "short", "non-numeric",
+                                        "nan", "inf", "-inf", "huge"])
     def test_bad_feature_row_names_file_and_line(self, synthetic_dir, tmp_path,
                                                  capsys, damage):
         features = run_features(synthetic_dir, tmp_path)
         lines = features.read_text().splitlines()
         fields = lines[2].split(",")
+        value = {"huge": "0" * (csv.field_size_limit() + 1)}.get(damage, damage)
         lines[2] = {"blank": "",
                     "short": ",".join(fields[:-2]),
                     "non-numeric": ",".join([fields[0], "x", *fields[2:]]),
-                    }[damage]
+                    }.get(damage, ",".join([fields[0], value, *fields[2:]]))
         features.write_text("\n".join(lines) + "\n")
-        code = main(["prune", "--features", str(features),
-                     "--output", str(tmp_path / "selected.json")])
-        assert code == 2
-        assert f"{features}: line 3:" in capsys.readouterr().err
+        out = str(tmp_path / "out")
+        for argv in (["prune", "--features", str(features), "--output", out],
+                     ["train-classic", "--features", str(features),
+                      "--output", out],
+                     ["pca", "--features", str(features), "--output", out]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: {features}: line 3: ")
 
 
 class TestPruneAndClassic:
@@ -254,11 +286,13 @@ class TestPruneAndClassic:
                      "--test-features", str(features),
                      "--predictions", str(predictions)]) == 0
         _, X, labels = cli._read_features_csv(features)
-        trained = train(X, cli._classic_labels(labels, features))
+        trained = train(X, corpus.fake_indicators(labels, features))
         expected = trained.predict_proba_fake(X)
-        _, predicted, p_fake = cli._read_predictions_csv(predictions)
-        assert np.array_equal(p_fake, expected)
-        assert predicted == [evaluation.classify(p) for p in expected]
+        rows = [row for _, row in corpus.read_csv(
+            predictions, ("video_id", "label", "p_fake"))]
+        assert np.array_equal([float(row[2]) for row in rows], expected)
+        assert [row[1] for row in rows] == \
+            [evaluation.classify(p) for p in expected]
         loaded = classic.load_model(model)
         assert type(loaded) is type(trained)
         assert np.array_equal(loaded.predict_proba_fake(X), expected)
@@ -333,6 +367,10 @@ class TestTrainUcnetCommand:
         args = self.ucnet_args(synthetic_dir, out) + [
             "--predictions", str(predictions), "--truth-out", str(truth)]
         assert main(args) == 0
+        test_set = corpus.split_dataset(
+            corpus.load_dataset(synthetic_dir / "corpus.jsonl", "s"), 0.3, 5)[1]
+        assert truth.read_text() == "video_id,label\n" + "".join(
+            f"{r.id},{r.label}\n" for r in test_set)
         report = tmp_path / "report.csv"
         assert main(["evaluate", "--pred", str(predictions),
                      "--truth", str(truth), "--output", str(report)]) == 0

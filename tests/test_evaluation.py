@@ -210,12 +210,17 @@ class TestExportReport:
         assert again == report
 
     @pytest.mark.parametrize("damage,message", [
-        ("empty", "empty report"),
+        ("empty", "expected the header class,precision,recall,f1,support"),
         ("header-only", "no 'fake' row"),
         ("no-macro", "no 'macro' row"),
         ("short-row", "line 2: expected 5 fields, got 4"),
-        ("non-numeric", "line 3: non-numeric cell"),
-        ("fractional-support", "line 4: non-numeric cell"),
+        ("non-numeric", "line 3: precision 'x' is not a finite float"),
+        ("nan", "line 3: recall 'nan' is not a finite float"),
+        ("inf", "line 4: f1 '-inf' is not a finite float"),
+        ("fractional-support", "line 4: support '2.5' is not a finite int"),
+        ("huge-support", "line 4: support '999"),
+        ("duplicate", "line 3: duplicate class 'fake'"),
+        ("huge-field", "line 3: field larger than field limit"),
     ])
     def test_broken_report_names_file(self, tmp_path, damage, message):
         path = tmp_path / "report.csv"
@@ -226,7 +231,13 @@ class TestExportReport:
                  "no-macro": lines[:3],
                  "short-row": [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]],
                  "non-numeric": [*lines[:2], "real,x,0,0,1", lines[3]],
+                 "nan": [*lines[:2], "real,0,nan,0,1", lines[3]],
+                 "inf": [*lines[:3], "macro,0.5,0.5,-inf,2"],
                  "fractional-support": [*lines[:3], lines[3] + ".5"],
+                 "huge-support": [*lines[:3], "macro,0.5,0.5,0.5," + "9" * 400],
+                 "duplicate": [*lines[:2], *lines[1:]],
+                 "huge-field": [*lines[:2], "real," + "0" * 131073 + ",0,0,1",
+                                lines[3]],
                  }[damage]
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(ValueError) as info:

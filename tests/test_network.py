@@ -401,6 +401,9 @@ class TestModelIO:
             a = model.predict_record(record, table, lexicons, scorer)
             b = again.predict_record(record, table, lexicons, scorer)
             assert a == b
+            # A dead ReLU layer can hide the LSTM from the prediction.
+            assert model.unified_embedding(record.comments, table).tobytes() \
+                == again.unified_embedding(record.comments, table).tobytes()
 
     def test_phrase_list_round_trips_in_order(self, tmp_path):
         phrases = ("so fake", "trucage évident", 'a "quoted" one', "#1 hoax",
@@ -745,6 +748,8 @@ class TestTrainingBuffers:
             b = again.predict_record(record, table, lexicons, scorer)
             assert np.array([a.p_real, a.p_fake]).tobytes() == \
                 np.array([b.p_real, b.p_fake]).tobytes()
+            assert model.unified_embedding(record.comments, table).tobytes() \
+                == again.unified_embedding(record.comments, table).tobytes()
         assert calls and all(w is None for w, _ in calls)
 
 

@@ -1,19 +1,22 @@
 """Fuzzed input files for the text readers: each file either parses or
 raises a ValueError that names it."""
 
+import csv
 import json
 import shutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucnet import cli, corpus, lexical
+from ucnet import cli, corpus, evaluation, lexical
 from ucnet.embeddings import load_embeddings
 
 # Separators and look-alikes that str.splitlines, int and float treat
 # specially, plus an integer too long for int() and deep JSON nesting.
 AWKWARD = ["\n", "\r", "\r\n", "\t", " ", "\u2028", "\x85", "\x0c", "#", "=",
            "\uff11", "1_0", "nan", "inf", "-0", "1e999", "9" * 5000, "[" * 3000]
+# CSV separators and a field longer than the csv module accepts.
+CSV_TOKENS = [",", '"', "0.5", "x" * (csv.field_size_limit() + 1)]
 
 
 @st.composite
@@ -27,6 +30,13 @@ def files(draw, tokens):
         content = content[:pos] + draw(st.binary(min_size=1, max_size=4)) \
             + content[pos:]
     return content
+
+
+@st.composite
+def csv_files(draw, header, tokens):
+    """A fuzzed file, often after a valid CSV header line."""
+    prefix = (",".join(header) + "\n").encode() if draw(st.booleans()) else b""
+    return prefix + draw(files(tokens + CSV_TOKENS))
 
 
 def parses_or_names_file(tmp_path_factory, content: bytes, read, name="fuzzed"):
@@ -111,3 +121,40 @@ class TestFuzzedReaders:
             tmp_path_factory, content,
             lambda path: lexical.LexiconSet.from_directory(path.parent),
             name=f"lexicons/{name}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=csv_files(cli._FEATURES_HEADER,
+                             ["v1", "v2", "fake", "real", "-1", "3e2",
+                              ",".join(["v3", *"12345678", "fake"])]))
+    def test_features_csv(self, tmp_path_factory, content):
+        parses_or_names_file(tmp_path_factory, content, cli._read_features_csv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(header=st.sampled_from([("video_id", "label"),
+                                   ("video_id", "label", "p_fake")]),
+           data=st.data())
+    def test_labels_csv(self, tmp_path_factory, header, data):
+        content = data.draw(csv_files(header, ["v1", "v2", "fake", "real",
+                                               "1", "1.5", "-0.5", "a,fake"]))
+        parses_or_names_file(tmp_path_factory, content, cli._read_labels_csv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=csv_files(evaluation.REPORT_HEADER,
+                             ["fake", "real", "macro", "1", "2", "-3", "1.5",
+                              "9" * 400,
+                              "fake,1,0.5,0.5,2"]))
+    def test_report(self, tmp_path_factory, content):
+        parses_or_names_file(tmp_path_factory, content, evaluation.read_report)
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=files(['{"selected_indices": ', "{", "}", "[", "]", ",",
+                          ":", '"x"', "0", "7", "8", "-1", "1.0", "true",
+                          "null"]))
+    def test_selected(self, tmp_path_factory, content):
+        parses_or_names_file(tmp_path_factory, content, cli._load_selected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=files(["fake", "real", "junk", "A title", "x"]))
+    def test_labeled_titles(self, tmp_path_factory, content):
+        parses_or_names_file(tmp_path_factory, content,
+                             cli._load_labeled_titles)
