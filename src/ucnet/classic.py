@@ -305,6 +305,10 @@ _MAX_INDEX = 2 ** 53
 
 
 def _tree_tensors(tree: DecisionTree, prefix: str) -> dict[str, np.ndarray]:
+    """The tree's node arrays as tensors. The integer arrays (feature,
+    children, sample counts) are stored as float64 too: format v2 holds only
+    ``<f8``, which represents every integer below 2**53 exactly, and
+    ``_node_integers`` refuses any other value on load."""
     return {
         f"{prefix}.feature": tree.feature.astype(np.float64),
         f"{prefix}.threshold": tree.threshold,

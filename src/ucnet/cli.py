@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classic, corpus, evaluation, lexical, network, synthetic
-from .embeddings import load_embeddings, save_embeddings
+from .embeddings import comment_vocabulary, load_embeddings, save_embeddings
 from .lexical import FEATURE_NAMES, LexiconSet, TitleScorer, train_title_scorer
 
 EXIT_OK = 0
@@ -120,6 +120,13 @@ def _read_features_csv(path):
     return ids, matrix, labels
 
 
+def _require_rows(path, ids, need: int, what: str) -> None:
+    """Refuse a table that parses but holds fewer than ``need`` rows."""
+    if len(ids) < need:
+        raise ValueError(f"{path}: {what} needs {need} or more rows, "
+                         f"got {len(ids)}")
+
+
 def _write_predictions_csv(path, ids, p_fake) -> None:
     corpus.write_csv(path, ("video_id", "label", "p_fake"),
                      ((vid, evaluation.classify(p), p)
@@ -139,6 +146,14 @@ def _read_labels_csv(path) -> dict[str, str]:
         corpus.fake_indicators(row[1:2], where)  # refuses another label
         labels[row[0]] = row[1]
     return labels
+
+
+def _comment_vocabulary(*datasets) -> set[str]:
+    """The embedding rows the comments of ``datasets`` can use."""
+    return comment_vocabulary(comment.text for dataset in datasets
+                              if dataset is not None
+                              for record in dataset
+                              for comment in record.comments)
 
 
 def _cmd_mine(args) -> int:
@@ -196,6 +211,7 @@ def _cmd_features(args) -> int:
 
 def _cmd_prune(args) -> int:
     ids, matrix, labels = _read_features_csv(args.features)
+    _require_rows(args.features, ids, 2, "prune")
     y = corpus.fake_indicators(labels, args.features)
     forest = classic.train_forest(matrix, y, n_trees=args.trees,
                                   max_depth=args.max_depth, seed=args.seed)
@@ -238,6 +254,10 @@ def _cmd_train_classic(args) -> int:
     if args.test_features and not args.predictions:
         raise ValueError("--test-features requires --predictions")
     ids, matrix, labels = _read_features_csv(args.features)
+    _require_rows(args.features, ids, 1, "training")
+    if args.model == "logistic" and len(set(labels)) < 2:
+        raise ValueError(f"{args.features}: logistic regression needs both "
+                         "classes present")
     y = corpus.fake_indicators(labels, args.features)
     indices = _load_selected(args.selected) if args.selected else \
         tuple(range(len(FEATURE_NAMES)))
@@ -275,7 +295,6 @@ def _cmd_train_ucnet(args) -> int:
     lexicons = LexiconSet.from_directory(lexicon_dir)
     if not lexicons.fakeness_phrases:
         raise ValueError(f"{lexicon_dir / 'fakeness_phrases.txt'}: no phrases")
-    table = load_embeddings(args.embeddings, args.embedding_dim)
     scorer, scorer_inputs = _get_scorer(args, lexicons)
 
     inputs = {"embeddings": args.embeddings, **scorer_inputs}
@@ -293,6 +312,8 @@ def _cmd_train_ucnet(args) -> int:
         inputs["input"] = args.input
     else:
         raise ValueError("either --train or --input is required")
+    table = load_embeddings(args.embeddings, args.embedding_dim,
+                            vocabulary=_comment_vocabulary(train_set, test_set))
 
     if args.all_features:
         indices = tuple(range(len(FEATURE_NAMES)))
@@ -353,11 +374,14 @@ def _cmd_evaluate(args) -> int:
 def _cmd_pca(args) -> int:
     if args.features:
         ids, matrix, labels = _read_features_csv(args.features)
+        _require_rows(args.features, ids, 2, "PCA")
         inputs = {"features": args.features}
     elif args.input and args.model and args.embeddings:
         dataset = corpus.load_dataset(args.input, Path(args.input).stem)
+        _require_rows(args.input, dataset, 2, "PCA")
         model = network.UCNetModel.load(args.model)
-        table = load_embeddings(args.embeddings, model.embedding_dim)
+        table = load_embeddings(args.embeddings, model.embedding_dim,
+                                vocabulary=_comment_vocabulary(dataset))
         matrix = network.extract_unified_embeddings(dataset, table, model)
         ids = dataset.ids()
         labels = [r.label for r in dataset]

@@ -11,16 +11,22 @@ The on-disk format is textual: a `<vocab_size> <dimension>` header line,
 then one token per line followed by its components. The test suite and the
 synthetic corpus ship small tables; real word2vec dumps can be converted to
 this format offline.
+
+:func:`load_embeddings` streams the file, parsing numbers only for the rows
+it keeps, and writes them straight into the table's matrix. Given the
+vocabulary of a corpus, it keeps only those tokens' rows, so a table far
+larger than the corpus costs about the corpus's rows in memory. The LSTM
+gathers the distinct rows a batch uses in row order, which a filtered load
+keeps, so a model computes the same bits from either table.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .corpus import read_utf8
 from .lexical import tokenize
 from .serialize import valid_name
 
@@ -82,46 +88,70 @@ def _first_non_finite_row(matrix: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
-def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
+def load_embeddings(path, expected_dim: int,
+                    vocabulary: Collection[str] | None = None) -> EmbeddingTable:
+    """The table stored at ``path``, read one line at a time.
+
+    With a ``vocabulary``, only the rows of its tokens are kept, in file
+    order, so a row's id is its rank among the kept tokens; ids then differ
+    from an unfiltered load's but pick the same vectors in the same
+    relative order. Every line is checked for its field count and for a
+    duplicate token, and the header's count against the number of lines;
+    the components of kept rows must also be finite numbers. Memory is the
+    kept rows' matrix, grown by a quarter at a time and trimmed at the end,
+    plus one line and the set of the file's tokens.
+    """
     if expected_dim <= 0:
         raise ValueError("embedding dimension must be positive")
     path = Path(path)
-    lines = read_utf8(path).splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty embedding file")
-    try:
-        vocab_size, dim = map(int, lines[0].split())
-    except ValueError:  # not two fields, or one is not an integer
-        raise ValueError(f"{path}: line 1: header must be '<vocab_size> "
-                         f"<dimension>', got {lines[0][:60]!r}") from None
-    if dim != expected_dim:
-        raise ValueError(
-            f"{path}: file dimension {dim} does not match expected {expected_dim}")
-    vocab: dict[str, int] = {}
-    linenos: list[int] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            continue
-        token = parts[0]
-        if token in vocab:
-            raise ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
-        if len(parts) - 1 != expected_dim:
-            raise ValueError(
-                f"{path}: line {lineno}: token {token!r} has {len(parts) - 1} "
-                f"values, expected {expected_dim}")
+    with path.open("rb") as fh:
+        lines = _numbered_lines(path, fh)
+        _, header = next(lines, (None, None))
+        if header is None:
+            raise ValueError(f"{path}: empty embedding file")
         try:
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: token {token!r} has a "
-                             "component that is not a number") from None
-        vocab[token] = len(linenos)
-        linenos.append(lineno)
-    if len(vocab) != vocab_size:
+            vocab_size, dim = map(int, header.split())
+        except ValueError:  # not two fields, or one is not an integer
+            raise ValueError(f"{path}: line 1: header must be '<vocab_size> "
+                             f"<dimension>', got {header[:60]!r}") from None
+        if dim != expected_dim:
+            raise ValueError(f"{path}: file dimension {dim} does not match "
+                             f"expected {expected_dim}")
+        seen: set[str] = set()
+        vocab: dict[str, int] = {}
+        linenos: list[int] = []
+        # Grown as rows arrive, never sized from the header's count.
+        matrix = np.empty((max(1, 65536 // (8 * dim)), dim))
+        for lineno, line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            token = parts[0]
+            if token in seen:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate token {token!r}")
+            seen.add(token)
+            if len(parts) - 1 != expected_dim:
+                raise ValueError(
+                    f"{path}: line {lineno}: token {token!r} has "
+                    f"{len(parts) - 1} values, expected {expected_dim}")
+            if vocabulary is not None and token not in vocabulary:
+                continue
+            try:
+                row = list(map(float, parts[1:]))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: token {token!r} has "
+                                 "a component that is not a number") from None
+            if len(vocab) == len(matrix):
+                # realloc: the old block is released as the new one is made
+                matrix.resize((len(matrix) * 5 // 4 + 1, dim), refcheck=False)
+            matrix[len(vocab)] = row
+            vocab[token] = len(linenos)
+            linenos.append(lineno)
+    if len(seen) != vocab_size:
         raise ValueError(
-            f"{path}: header promises {vocab_size} tokens, file has {len(vocab)}")
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), expected_dim)
+            f"{path}: header promises {vocab_size} tokens, file has {len(seen)}")
+    matrix.resize((len(vocab), dim), refcheck=False)
     bad = _first_non_finite_row(matrix)
     if bad is not None:
         raise ValueError(f"{path}: line {linenos[bad]}: token "
@@ -129,6 +159,24 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     table = EmbeddingTable.__new__(EmbeddingTable)
     table._adopt(vocab, matrix)
     return table
+
+
+def _numbered_lines(path: Path, fh) -> Iterator[tuple[int, str]]:
+    """(line number, line) of the open binary file ``fh``, numbered as
+    ``str.splitlines`` numbers its decoded text, decoding one ``\\n``-line
+    at a time; a line that is not UTF-8 raises a ValueError naming its
+    ``\\n``-line, the number ``corpus.read_utf8`` gives."""
+    lineno = 0
+    for newline_no, raw in enumerate(fh, 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(
+                f"{path}: line {newline_no}: not UTF-8 text") from None
+        # A '\n' ends a splitlines line too, so the numbers agree.
+        for line in text.splitlines():
+            lineno += 1
+            yield lineno, line
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
@@ -141,6 +189,12 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
         fh.write(f"{len(table)} {table.dimension}\n")
         for token, row in zip(table.vocab, table.matrix.tolist()):
             fh.write(token + " " + " ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def comment_vocabulary(texts: Iterable[str]) -> set[str]:
+    """Every token :func:`embed_comment` looks up in ``texts``: a table
+    loaded with this vocabulary embeds them as the whole table does."""
+    return {token.lower() for text in texts for token in tokenize(text)}
 
 
 def embed_comment(text: str, table: EmbeddingTable,

@@ -165,18 +165,34 @@ def export_report(obj, path, video_ids: Sequence[str] | None = None,
 
 
 def read_report(path) -> EvaluationReport:
-    """Parse a report CSV written by export_report. A file that is not one
-    raises ``ValueError`` naming it and, for a bad row, the line."""
-    rows: dict[str, tuple[float, float, float, int]] = {}
+    """Parse a report CSV written by export_report. A file that is not one,
+    or whose values no evaluation gives, raises ``ValueError`` naming it
+    and, for a bad row, the line: a precision, recall or F1 outside [0, 1],
+    a negative support, or a macro row that is not the class rows' mean
+    (exactly, as ``.17g`` round-trips) with their summed support."""
+    rows: dict[str, tuple[str, tuple[float, float, float, int]]] = {}
     for where, row in read_csv(path, REPORT_HEADER):
-        rows[row[0]] = tuple(
+        values = tuple(
             csv_number(where, name, text, kind) for name, text, kind
             in zip(REPORT_HEADER[1:], row[1:], (float, float, float, int)))
+        for name, value in zip(REPORT_HEADER[1:4], values):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{where}: {name} {value!r} is outside [0, 1]")
+        if values[3] < 0:
+            raise ValueError(f"{where}: support {values[3]} is negative")
+        rows[row[0]] = where, values
     for label in (*EVAL_LABELS, "macro"):
         if label not in rows:
             raise ValueError(f"{path}: no {label!r} row")
-    metrics = {label: ClassMetrics(*rows[label]) for label in EVAL_LABELS}
-    macro = rows["macro"]
-    return EvaluationReport(fake=metrics["fake"], real=metrics["real"],
+    (_, fake), (_, real) = rows["fake"], rows["real"]
+    where, macro = rows["macro"]
+    for name, f, r, m in zip(REPORT_HEADER[1:4], fake, real, macro):
+        if m != (f + r) / 2.0:
+            raise ValueError(f"{where}: macro {name} {m!r} is not the mean "
+                             f"of the class rows, {(f + r) / 2.0!r}")
+    if macro[3] != fake[3] + real[3]:
+        raise ValueError(f"{where}: macro support {macro[3]} is not the sum "
+                         f"of the class supports, {fake[3] + real[3]}")
+    return EvaluationReport(fake=ClassMetrics(*fake), real=ClassMetrics(*real),
                             macro_precision=macro[0], macro_recall=macro[1],
                             macro_f1=macro[2])

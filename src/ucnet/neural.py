@@ -430,7 +430,11 @@ def segment_views(vector: np.ndarray, shapes: Mapping[str, tuple[int, ...]]
 @dataclass
 class FlatParameters:
     """A model's float64 parameters as one contiguous vector, with a gradient
-    vector of the same layout; ``params`` and ``grads`` name views into them."""
+    vector of the same layout; ``params`` and ``grads`` name views into them.
+
+    The gradient is zero-filled lazily (calloc): its pages stay untouched,
+    and take no resident memory, until a backward pass writes them, so a
+    model that only predicts never makes its gradient resident."""
 
     vector: np.ndarray
     gradient: np.ndarray
@@ -448,7 +452,7 @@ class FlatParameters:
         if not np.isfinite(vector).all():
             bad = next(n for n, a in params.items() if not np.isfinite(a).all())
             raise ValueError(f"parameter {bad!r} is not finite")
-        gradient = np.zeros_like(vector)
+        gradient = np.zeros(vector.shape)  # not zeros_like, which writes pages
         return cls(vector, gradient, params, segment_views(gradient, shapes))
 
 

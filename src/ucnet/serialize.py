@@ -22,8 +22,11 @@ the all-text version 1 that preceded it, raises ``unsupported version``.
 Tensor names and meta keys are non-empty and contain no whitespace. A meta
 value is the rest of its line and may hold anything but ``\\n``. Loaded
 arrays are writable, C-contiguous and own their memory, and they are always
-finite. A malformed file raises ``ValueError`` naming the file and, where
-there is one, the line. Indexing a loaded mapping with a name it lacks also
+finite. The loader checks the payload's length against the file's size
+before it reads any of it, then reads each tensor's bytes straight into
+that tensor's own new array, so no part of the payload is held twice. A
+malformed file raises ``ValueError`` naming the file and, where there is
+one, the line. Indexing a loaded mapping with a name it lacks also
 raises ``ValueError`` naming the file, so model loaders report a missing
 tensor or meta key without checks of their own. Model loaders read tensors
 through :meth:`Tensors.shaped` and numeric meta values through
@@ -34,6 +37,7 @@ entry when a shape or a value is not what the model needs.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 from typing import Mapping
 
@@ -217,24 +221,21 @@ def _load_binary(path: Path, fh) -> tuple[Tensors, Meta]:
             raise ValueError(f"{path}: line {lineno}: unknown header line "
                              f"kind {kind[:40]!r}")
 
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    needed = PAYLOAD_DTYPE.itemsize * sum(sizes)
+    needed = PAYLOAD_DTYPE.itemsize * sum(map(math.prod, shapes.values()))
     if n_bytes != needed:
         raise ValueError(f"{path}: line {lineno}: data line declares "
                          f"{n_bytes} bytes, the tensors need {needed}")
-    payload = fh.read()
-    if len(payload) != n_bytes:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes, "
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if held != n_bytes:
+        raise ValueError(f"{path}: payload holds {held} bytes, "
                          f"the header declares {n_bytes}")
-    values = np.frombuffer(payload, dtype=PAYLOAD_DTYPE)
-    finite = bool(np.isfinite(values).all())
     tensors = Tensors(path)
-    offset = 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        block = values[offset:offset + size]
-        if not finite and not np.isfinite(block).all():
+    for name, shape in shapes.items():
+        array = np.empty(shape, dtype=PAYLOAD_DTYPE)
+        if fh.readinto(array) != array.nbytes:  # the file shrank meanwhile
+            raise ValueError(f"{path}: payload ends inside tensor {name!r}")
+        if not np.isfinite(array).all():
             raise ValueError(f"{path}: tensor {name!r} contains non-finite values")
-        # astype copies: the arrays own writable memory, not views of payload.
-        tensors[name] = block.reshape(shape).astype(np.float64)
-        offset += size
+        # No copy where <f8 is native: the array owns the bytes it read.
+        tensors[name] = array.astype(np.float64, copy=False)
     return tensors, meta

@@ -10,7 +10,8 @@ import pytest
 
 from ucnet import classic, cli, corpus, evaluation, lexical, network
 from ucnet.cli import main
-from ucnet.embeddings import load_embeddings
+from ucnet.embeddings import (EmbeddingTable, comment_vocabulary,
+                              load_embeddings, save_embeddings)
 
 from conftest import make_comment, make_dataset, make_video
 
@@ -246,6 +247,27 @@ class TestFeaturesCommand:
             assert capsys.readouterr().err.startswith(
                 f"error: {features}: line 3: ")
 
+    @pytest.mark.parametrize("rows,command,message", [
+        ("header-only", "prune", "prune needs 2 or more rows, got 0"),
+        ("one-row", "prune", "prune needs 2 or more rows, got 1"),
+        ("header-only", "train-classic", "training needs 1 or more rows, got 0"),
+        ("one-row", "pca", "PCA needs 2 or more rows, got 1"),
+        ("one-class", "train-classic",
+         "logistic regression needs both classes present"),
+    ])
+    def test_unusable_features_file_is_named(self, synthetic_dir, tmp_path,
+                                             capsys, rows, command, message):
+        features = run_features(synthetic_dir, tmp_path)
+        header, *body = features.read_text().splitlines()
+        body = {"header-only": [], "one-row": body[:1],
+                "one-class": [line for line in body
+                              if line.endswith(",fake")]}[rows]
+        features.write_text("".join(f"{line}\n" for line in [header, *body]))
+        extra = ["--model", "logistic"] if rows == "one-class" else []
+        assert main([command, "--features", str(features),
+                     "--output", str(tmp_path / "out"), *extra]) == 2
+        assert capsys.readouterr().err == f"error: {features}: {message}\n"
+
 
 class TestPruneAndClassic:
     def test_prune_then_train_forest(self, synthetic_dir, tmp_path):
@@ -375,6 +397,42 @@ class TestTrainUcnetCommand:
         assert main(["evaluate", "--pred", str(predictions),
                      "--truth", str(truth), "--output", str(report)]) == 0
         assert report.exists()
+
+    def test_filtered_embeddings_give_the_unfiltered_bytes(
+            self, synthetic_dir, tmp_path, monkeypatch):
+        # An unused row before each of the corpus's moves every row id.
+        table = load_embeddings(synthetic_dir / "embeddings.txt", 8)
+        rng = np.random.default_rng(0)
+        vectors = {}
+        for i, (token, vector) in enumerate(table.vectors.items()):
+            vectors[f"unused{i}"] = rng.normal(size=8)
+            vectors[token] = vector
+        wide = tmp_path / "wide.txt"
+        save_embeddings(EmbeddingTable(8, vectors), wide)
+        kept, outputs = [], {}
+        for vocabulary in ("corpus", "none"):
+            def load(path, dim, vocabulary=None, whole=vocabulary == "none"):
+                table = load_embeddings(path, dim,
+                                        None if whole else vocabulary)
+                kept.append((whole, len(table)))
+                return table
+            monkeypatch.setattr(cli, "load_embeddings", load)
+            out = tmp_path / vocabulary
+            out.mkdir()
+            args = self.ucnet_args(synthetic_dir, out / "ucnet.model")
+            args[args.index("--embeddings") + 1] = str(wide)
+            assert main([*args, "--predictions", str(out / "pred.csv")]) == 0
+            assert main(["pca", "--input", str(synthetic_dir / "corpus.jsonl"),
+                         "--model", str(out / "ucnet.model"),
+                         "--embeddings", str(wide),
+                         "--output", str(out / "pca.csv")]) == 0
+            outputs[vocabulary] = [(out / name).read_bytes() for name
+                                   in ("ucnet.model", "pred.csv", "pca.csv")]
+        assert outputs["corpus"] == outputs["none"]
+        dataset = corpus.load_dataset(synthetic_dir / "corpus.jsonl", "c")
+        used = comment_vocabulary(c.text for r in dataset for c in r.comments)
+        assert kept == [(False, len(used & set(table.vocab)))] * 2 \
+            + [(True, len(vectors))] * 2
 
     def test_requires_feature_selection_choice(self, synthetic_dir, tmp_path):
         args = self.ucnet_args(synthetic_dir, tmp_path / "m")
@@ -583,8 +641,9 @@ class TestPcaCommand:
         err = capsys.readouterr().err
         assert str(model_file) in err and entry in err
 
+    # Lines 2 and 3 hold "the" and "this", which the corpus's comments use.
     @pytest.mark.parametrize("line,bad", [
-        (1, "x 8"), (3, "tok 1 2 3 4 5 6 7 x"), (2, "tok nan 0 0 0 0 0 0 0")])
+        (1, "x 8"), (3, "this 1 2 3 4 5 6 7 x"), (2, "the nan 0 0 0 0 0 0 0")])
     def test_bad_embedding_file_is_data_error(self, synthetic_dir, tmp_path,
                                               capsys, model_file, line, bad):
         lines = (synthetic_dir / "embeddings.txt").read_text().splitlines()
@@ -594,6 +653,26 @@ class TestPcaCommand:
         assert self.run_pca(synthetic_dir, model_file, embeddings,
                             tmp_path) == 2
         assert f"{embeddings}: line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["1 2 3 4 5 6 7 x", "nan 0 0 0 0 0 0 0"])
+    def test_bad_values_in_a_row_the_corpus_never_uses_are_dropped(
+            self, synthetic_dir, tmp_path, model_file, values):
+        dataset = corpus.load_dataset(synthetic_dir / "corpus.jsonl", "c")
+        used = comment_vocabulary(c.text for r in dataset for c in r.comments)
+        lines = (synthetic_dir / "embeddings.txt").read_text().splitlines()
+        line = next(i for i, text in enumerate(lines[1:], 1)
+                    if text.split()[0] not in used)
+        lines[line] = lines[line].split()[0] + " " + values
+        embeddings = tmp_path / "unused.txt"
+        embeddings.write_text("\n".join(lines) + "\n")
+        assert self.run_pca(synthetic_dir, model_file, embeddings,
+                            tmp_path) == 0
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        assert self.run_pca(synthetic_dir, model_file,
+                            synthetic_dir / "embeddings.txt", clean) == 0
+        assert (tmp_path / "x.csv").read_bytes() == \
+            (clean / "x.csv").read_bytes()
 
 
 class TestConfigFile:

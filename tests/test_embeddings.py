@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +90,11 @@ class TestLoadEmbeddings:
         ("2 2 2\na 1 2\n", 1),              # header with three fields
         ("2 2\na 1 2\n\nb nan 0\n", 4),     # non-finite component
         ("2 2\na inf 2\nb 0 0\n", 2),
+        # Lines are numbered as str.splitlines numbers them.
+        ("2 2\na 1 2\x85b 1 x\n", 3),
+        ("2 2\u2028a 1 2\nb nan 0\n", 3),
+        ("2 2\x0ca 1 2\x1cb 1 2 3\n", 3),
+        ("3 2\r\na 1 2\r\n\r\nb 1 2\rb 3 4\n", 5),
     ])
     def test_bad_file_names_path_and_line(self, tmp_path, content, line):
         path = tmp_path / "vec.txt"
@@ -101,6 +108,13 @@ class TestLoadEmbeddings:
         path.write_bytes(b"1 2\n\xff 1 2\n")
         with pytest.raises(ValueError, match="line 2: not UTF-8"):
             load_embeddings(path, 2)
+
+    def test_non_utf8_line_is_counted_in_newlines(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_bytes("3 2\na 1 2\x85b 3 4\nc 5 6\n".encode() + b"\xff 1 2\n")
+        with pytest.raises(ValueError) as info:
+            load_embeddings(path, 2)
+        assert str(info.value) == f"{path}: line 4: not UTF-8 text"
 
     def test_matrix_is_contiguous_float64(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -120,6 +134,85 @@ class TestLoadEmbeddings:
             save_embeddings(table, path)
         assert f"token {token!r}" in str(info.value)
         assert not path.exists()
+
+
+ROWS = [("the", [1, 2]), ("Fake", [3, 4]), ("news", [5, 6]), ("zz", [7, 8])]
+
+
+class TestVocabularyFilter:
+    def test_keeps_the_vocabulary_rows_in_file_order(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        write_table(path, ROWS)
+        table = load_embeddings(path, 2,
+                                vocabulary={"zz", "absent", "fake", "the"})
+        assert table.vocab == {"the": 0, "zz": 1}
+        assert table.matrix.tobytes() == np.array([[1.0, 2], [7, 8]]).tobytes()
+        assert table.matrix.flags.c_contiguous and table.matrix.flags.owndata
+        assert load_embeddings(path, 2, vocabulary=set()).matrix.shape == (0, 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sets(st.sampled_from(["the", "Fake", "fake", "news", "zz", "x"])))
+    def test_filtered_rows_are_the_whole_tables(self, tmp_path_factory,
+                                                vocabulary):
+        path = tmp_path_factory.getbasetemp() / "vec.txt"
+        write_table(path, ROWS)
+        whole = load_embeddings(path, 2)
+        table = load_embeddings(path, 2, vocabulary)
+        assert list(table.vocab) == [t for t in whole.vocab if t in vocabulary]
+        for token in table.vocab:
+            assert table.lookup(token).tobytes() == whole.lookup(token).tobytes()
+
+    @pytest.mark.parametrize("content,message", [
+        ("4 2\nthe 1 2\nzz 1 2 3\nyy 1 2\nxx 3 4\n", "line 3: token 'zz' has 3 values, expected 2"),
+        ("3 2\nthe 1 2\nzz 1 2\nzz 1 2\n", "line 4: duplicate token 'zz'"),
+        ("5 2\nthe 1 2\nzz 1 2\n", "header promises 5 tokens, file has 2"),
+        ("2 2\nthe 1 2\n\xff 1 2\n", "line 3: not UTF-8 text"),
+    ])
+    def test_malformed_line_outside_the_vocabulary_still_raises(
+            self, tmp_path, content, message):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(content.encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            load_embeddings(path, 2, vocabulary={"the"})
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_bad_values_count_only_in_kept_rows(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("3 2\nthe 1 2\nzz nan x\nyy inf 0\n")
+        assert list(load_embeddings(path, 2, vocabulary={"the"}).vocab) == ["the"]
+        for token, message in (("zz", "line 3: token 'zz' has a component "
+                                      "that is not a number"),
+                               ("yy", "line 4: token 'yy' has non-finite "
+                                      "components")):
+            with pytest.raises(ValueError) as info:
+                load_embeddings(path, 2, vocabulary={"the", token})
+            assert str(info.value) == f"{path}: {message}"
+
+
+class TestLoadMemory:
+    """Peak traced memory of a load is about the matrix it keeps."""
+
+    @pytest.fixture(scope="class")
+    def table_file(self, tmp_path_factory):
+        rng = np.random.default_rng(0)
+        vectors = {f"tok{i}": rng.normal(size=100) for i in range(2000)}
+        path = tmp_path_factory.mktemp("table") / "vec.txt"
+        save_embeddings(EmbeddingTable(100, vectors), path)
+        return path
+
+    @pytest.mark.parametrize("vocabulary", [None, {f"tok{i}" for i in
+                                                   range(0, 2000, 10)}],
+                             ids=["whole", "filtered"])
+    def test_peak_stays_near_the_kept_matrix(self, table_file, vocabulary):
+        tracemalloc.start()
+        try:
+            table = load_embeddings(table_file, 100, vocabulary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == (2000 if vocabulary is None else 200)
+        assert peak <= 1.5 * table.matrix.nbytes + 2**20, \
+            (peak, table.matrix.nbytes)
 
 
 def toy_table():

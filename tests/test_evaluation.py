@@ -221,11 +221,23 @@ class TestExportReport:
         ("huge-support", "line 4: support '999"),
         ("duplicate", "line 3: duplicate class 'fake'"),
         ("huge-field", "line 3: field larger than field limit"),
+        ("precision-7", "line 2: precision 7.0 is outside [0, 1]"),
+        ("negative-recall", "line 3: recall -0.25 is outside [0, 1]"),
+        ("f1-above-one", "line 4: f1 1.5 is outside [0, 1]"),
+        ("negative-support", "line 3: support -3 is negative"),
+        ("macro-not-mean", "line 4: macro precision 0.5 is not the mean of "
+                           "the class rows, 0.25"),
+        # one ulp above the mean: exactly the mean is required
+        ("macro-f1-off", "line 4: macro f1 0.33333333333333337 is not the "
+                         "mean of the class rows, 0.3333333333333333"),
+        ("macro-support", "line 4: macro support 3 is not the sum of the "
+                          "class supports, 2"),
     ])
     def test_broken_report_names_file(self, tmp_path, damage, message):
         path = tmp_path / "report.csv"
         export_report(evaluate(["fake", "real"], ["fake", "fake"]), path)
         lines = path.read_text().splitlines()
+        m_f1 = lines[3].split(",")[3]  # the class rows' mean F1, 1/3
         lines = {"empty": [],
                  "header-only": lines[:1],
                  "no-macro": lines[:3],
@@ -238,6 +250,14 @@ class TestExportReport:
                  "duplicate": [*lines[:2], *lines[1:]],
                  "huge-field": [*lines[:2], "real," + "0" * 131073 + ",0,0,1",
                                 lines[3]],
+                 "precision-7": [lines[0], "fake,7,1,0.5,1", *lines[2:]],
+                 "negative-recall": [*lines[:2], "real,0,-0.25,0,1", lines[3]],
+                 "f1-above-one": [*lines[:3], "macro,0.25,0.5,1.5,2"],
+                 "negative-support": [*lines[:2], "real,0,0,0,-3", lines[3]],
+                 "macro-not-mean": [*lines[:3], "macro,0.5,0.5," + m_f1 + ",2"],
+                 "macro-f1-off": [*lines[:3],
+                                  "macro,0.25,0.5,0.33333333333333337,2"],
+                 "macro-support": [*lines[:3], "macro,0.25,0.5," + m_f1 + ",3"],
                  }[damage]
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(ValueError) as info:

@@ -96,10 +96,11 @@ class TestFuzzedReaders:
 
     @settings(max_examples=150, deadline=None)
     @given(content=files(["2", "1", "0", "-1", "tok", "a", "0.5", "-3e2",
-                          "x"]))
-    def test_embeddings(self, tmp_path_factory, content):
+                          "x"]),
+           vocabulary=st.none() | st.sets(st.sampled_from(["tok", "a", "x"])))
+    def test_embeddings(self, tmp_path_factory, content, vocabulary):
         parses_or_names_file(tmp_path_factory, content,
-                             lambda path: load_embeddings(path, 2))
+                             lambda path: load_embeddings(path, 2, vocabulary))
 
     @settings(max_examples=150, deadline=None)
     @given(content=files(["min-views", "rounds", "3", "x", "-"]))

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,3 +260,59 @@ class TestMalformedFiles:
         else:
             for array in tensors.values():
                 assert np.isfinite(array).all()
+
+
+class TestPayloadReads:
+    def test_zero_size_tensors_round_trip(self, tmp_path):
+        tensors = {"empty": np.zeros((0, 3)), "none": np.zeros(0),
+                   "one": np.array(2.5), "flat": np.zeros((4, 0, 2))}
+        for kept in (tensors, {k: v for k, v in tensors.items() if v.size == 0}):
+            path = tmp_path / "m.tensors"
+            save_tensors(path, kept)
+            loaded, _ = load_tensors(path)
+            assert list(loaded) == list(kept)
+            for name, array in kept.items():
+                got = loaded[name]
+                assert got.shape == array.shape
+                assert got.tobytes() == array.tobytes()
+                assert got.flags.writeable and got.flags.c_contiguous
+                assert got.flags.owndata
+
+    @pytest.mark.parametrize("payload,held", [(8, 8), (0, 0), (24, 24),
+                                              (17, 17)])
+    def test_payload_of_the_wrong_length_keeps_its_message(self, tmp_path,
+                                                           payload, held):
+        path = tmp_path / "m.tensors"
+        path.write_bytes(V2_HEAD + b"tensor a 1 2\ndata 16\n" + bytes(payload))
+        with pytest.raises(ValueError) as info:
+            load_tensors(path)
+        assert str(info.value) == (f"{path}: payload holds {held} bytes, "
+                                   "the header declares 16")
+
+    def test_first_non_finite_tensor_is_named(self, tmp_path):
+        path = tmp_path / "m.tensors"
+        path.write_bytes(V2_HEAD + b"tensor a 1 1\ntensor b 1 2\ntensor c 0\n"
+                         b"data 32\n" + struct.pack("<4d", 1.0, 2.0, float("nan"),
+                                                     float("inf")))
+        with pytest.raises(ValueError) as info:
+            load_tensors(path)
+        assert str(info.value) == (f"{path}: tensor 'b' contains non-finite "
+                                   "values")
+
+    def test_peak_memory_is_about_one_payload(self, tmp_path):
+        rng = np.random.default_rng(0)
+        tensors = {"big": rng.normal(size=(512, 600)), "mid": rng.normal(size=9000),
+                   "small": rng.normal(size=(3, 4)), "empty": np.zeros(0)}
+        path = tmp_path / "m.tensors"
+        save_tensors(path, tensors)
+        payload = sum(array.nbytes for array in tensors.values())
+        tracemalloc.start()
+        try:
+            loaded, _ = load_tensors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(loaded[name].tobytes() == array.tobytes()
+                   for name, array in tensors.items())
+        # the arrays themselves, plus one tensor's finiteness mask at most
+        assert peak <= 1.25 * payload + 64 * 1024, (peak, payload)
