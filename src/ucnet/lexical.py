@@ -1,8 +1,9 @@
-"""The eight metadata/comment features plus correlation-based pruning.
+r"""The eight metadata/comment features plus correlation-based pruning.
 
 Tokenization rule used throughout the package: a token is a maximal run of
 alphanumeric characters (str.isalnum), taken after Unicode NFC
-normalization. Phrase matching is case-insensitive substring matching.
+normalization. :func:`tokenize` finds the runs with one compiled pattern,
+``[^\W_]+``. Phrase matching is case-insensitive substring matching.
 
 A lexicon directory holds the five lists of ``LEXICON_FILES``: four for the
 features, and the fakeness-indicator phrases that the network trains on.
@@ -11,7 +12,6 @@ features, and the fakeness-indicator phrases that the network trains on.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import re
 import string
@@ -39,10 +39,19 @@ FEATURE_NAMES = (
 )
 
 
+_TOKEN = re.compile(r"[^\W_]+")
+
+
 def tokenize(text: str) -> list[str]:
-    """Maximal runs of alphanumeric characters, after NFC normalization."""
-    return ["".join(group) for is_alnum, group
-            in itertools.groupby(nfc(text), key=str.isalnum) if is_alnum]
+    r"""Maximal runs of alphanumeric characters (str.isalnum), after NFC
+    normalization.
+
+    One ``findall`` of the compiled ``[^\W_]+`` finds them: CPython's
+    ``\w`` in a str pattern matches the characters ``str.isalnum`` accepts
+    plus ``_``, so the class is ``str.isalnum`` itself, and the maximal runs
+    of one scan are the tokens of a character-by-character split.
+    """
+    return _TOKEN.findall(nfc(text))
 
 
 def _fold(text: str) -> str:
@@ -134,15 +143,21 @@ def has_clickbait_phrase(title: str, lex: LexiconSet) -> int:
 
 
 def ratio_violent_words(title: str, lex: LexiconSet) -> float:
-    tokens = tokenize(title)
+    return _violent_share(tokenize(title), lex)
+
+
+def ratio_caps(title: str) -> float:
+    return _caps_share(tokenize(title))
+
+
+def _violent_share(tokens: Sequence[str], lex: LexiconSet) -> float:
     if not tokens:
         return 0.0
     hits = sum(1 for t in tokens if t.casefold() in lex.violent_words)
     return hits / len(tokens)
 
 
-def ratio_caps(title: str) -> float:
-    tokens = tokenize(title)
+def _caps_share(tokens: Sequence[str]) -> float:
     if not tokens:
         return 0.0
     return sum(1 for t in tokens if t.isupper()) / len(tokens)
@@ -158,8 +173,9 @@ def dislike_like_ratio(video: VideoRecord) -> float:
 def comments_fakeness(comments: Sequence[Comment], lex: LexiconSet) -> float:
     if not comments:
         return 0.0
-    hits = sum(1 for c in comments
-               if any(p.search(nfc(c.text)) for p in lex.fakeness_patterns))
+    texts = [nfc(c.text) for c in comments]
+    hits = sum(1 for text in texts
+               if any(p.search(text) for p in lex.fakeness_patterns))
     return hits / len(comments)
 
 
@@ -190,12 +206,12 @@ def title_linguistic_features(title: str, lex: LexiconSet) -> np.ndarray:
     return np.array([
         len(tokens),
         len(title),
-        ratio_caps(title),
+        _caps_share(tokens),
         sum(1 for ch in title if ch in string.punctuation),
         title.count("?"),
         title.count("!"),
         has_clickbait_phrase(title, lex),
-        ratio_violent_words(title, lex),
+        _violent_share(tokens, lex),
     ], dtype=np.float64)
 
 
@@ -301,7 +317,7 @@ def train_title_scorer(titles: Sequence[tuple[str, str]],
         order = rng.permutation(len(xs))
         for start in range(0, len(xs), config.batch_size):
             batch = order[start:start + config.batch_size]
-            mlp.batch_loss_and_gradients(xs[batch], ys[batch])
+            mlp.gradients(xs[batch], ys[batch])
             neural.adam_step(mlp.flat.vector, mlp.flat.gradient, state)
     scorer.mlp = mlp
     return scorer

@@ -45,6 +45,7 @@ Pooling, both dense heads and the softmax stay float64.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -66,13 +67,25 @@ DEFAULT_HIDDEN_UNITS = 4
 N_CLASSES = 2  # (real, fake)
 
 
+@functools.lru_cache(maxsize=8)
+def _folded_phrases(phrases: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(nfc(p).casefold() for p in phrases)
+
+
 def fakeness_vector(comment_text: str, phrases: Sequence[str]) -> np.ndarray:
-    """Binary presence vector of the indicator phrases in one comment."""
+    """Binary presence vector of the indicator phrases in one comment.
+
+    Entry i is 1.0 when phrase i, NFC-normalized and case-folded, is a
+    substring of the comment normalized and folded the same way. The folded
+    phrases are computed once per distinct phrase list (cached by the list's
+    tuple, so a list and a tuple of the same phrases share them); a call
+    folds only the comment.
+    """
     if not phrases:
         raise ValueError("phrase list must be non-empty")
     folded = nfc(comment_text).casefold()
-    return np.array([1.0 if nfc(p).casefold() in folded else 0.0
-                     for p in phrases], dtype=np.float64)
+    return np.array([1.0 if p in folded else 0.0
+                     for p in _folded_phrases(tuple(phrases))], dtype=np.float64)
 
 
 @dataclass

@@ -89,8 +89,9 @@ def _sigmoid_inplace(z: np.ndarray) -> None:
 def softmax(logits):
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def softmax_cross_entropy(probs, labels) -> tuple[float, np.ndarray]:
@@ -104,10 +105,16 @@ def softmax_cross_entropy(probs, labels) -> tuple[float, np.ndarray]:
         raise IndexError(f"labels must be {n} class indices in [0, {k})")
     rows = np.arange(n)
     loss = float(-np.log(np.clip(probs[rows, labels], 1e-12, None)).mean())
-    delta = probs.copy()
-    delta[rows, labels] -= 1.0
-    delta /= n
-    return loss, delta
+    return loss, _cross_entropy_delta(probs.copy(), labels)
+
+
+def _cross_entropy_delta(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The gradient of :func:`softmax_cross_entropy`, written over ``probs``;
+    the labels are not checked."""
+    n = probs.shape[0]
+    probs[np.arange(n), labels] -= 1.0
+    probs /= n
+    return probs
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int,
@@ -463,7 +470,9 @@ class Mlp:
 
     Layer ``name`` is the affine map of the views ``name.weights`` and
     ``name.bias`` of ``flat``, into whose gradient vector the backward pass
-    writes.
+    writes. ``gradients`` runs the forward and backward pass of
+    ``batch_loss_and_gradients`` without the loss, for a training loop that
+    never reads it.
     """
 
     def __init__(self, flat: FlatParameters, names: Sequence[str]):
@@ -503,10 +512,11 @@ class Mlp:
             out = out @ params[f"{name}.weights"].T + params[f"{name}.bias"]
         return softmax(out), inputs
 
-    def _backward_from_delta(self, delta, inputs) -> np.ndarray:
-        """Write the parameter gradients into ``flat.grads`` and return the
-        input gradient, given the gradient with respect to the output
-        logits of a batch."""
+    def _backward_from_delta(self, delta, inputs, *,
+                             input_gradient: bool = True) -> np.ndarray | None:
+        """Write the parameter gradients into ``flat.grads``, given the
+        gradient with respect to the output logits of a batch, and return
+        the input gradient, or None when ``input_gradient`` is false."""
         params, grads = self.flat.params, self.flat.grads
         for i in range(len(self.names) - 1, -1, -1):
             name = self.names[i]
@@ -515,6 +525,8 @@ class Mlp:
                 delta = delta * (inputs[i + 1] > 0)
             np.matmul(delta.T, inputs[i], out=grads[f"{name}.weights"])
             delta.sum(axis=0, out=grads[f"{name}.bias"])
+            if i == 0 and not input_gradient:
+                return None
             delta = delta @ params[f"{name}.weights"]
         return delta
 
@@ -523,8 +535,17 @@ class Mlp:
         into ``flat.gradient``)."""
         out, inputs = self._forward_cached(xs)
         loss, delta = softmax_cross_entropy(out, ys)
-        self._backward_from_delta(delta, inputs)
+        self._backward_from_delta(delta, inputs, input_gradient=False)
         return loss, self.flat.grads
+
+    def gradients(self, xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
+        """The gradients of :meth:`batch_loss_and_gradients`, bit for bit,
+        without its loss or its label check: ``ys`` must be class indices.
+        For training loops that read only the gradient."""
+        out, inputs = self._forward_cached(xs)
+        self._backward_from_delta(_cross_entropy_delta(out, ys), inputs,
+                                  input_gradient=False)
+        return self.flat.grads
 
 
 # Elements per block of an Adam step: a block's slices of the six vectors

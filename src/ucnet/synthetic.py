@@ -10,6 +10,8 @@ fixed seed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .corpus import Comment, Dataset, VideoRecord
@@ -90,35 +92,54 @@ def _pick(rng: np.random.Generator, pool) -> str:
 
 def _words(rng: np.random.Generator, pool, low: int, high: int) -> list[str]:
     count = int(rng.integers(low, high + 1))
-    return [_pick(rng, pool) for _ in range(count)]
+    # One call draws what `count` scalar calls would, in the same order.
+    return [pool[i] for i in rng.integers(0, len(pool), size=count).tolist()]
 
 
-def _matching_phrases(lexicons: LexiconSet) -> list[str]:
-    """Indicator phrases that also trip a fakeness regex (e.g. contain 'fake')."""
-    return [p for p in lexicons.fakeness_phrases
-            if any(pat.search(p) for pat in lexicons.fakeness_patterns)]
+@dataclass(frozen=True)
+class _Pools:
+    """Every list the generator draws from, derived once per lexicon set."""
+
+    words: tuple[str, ...]      # filler vocabulary
+    phrases: tuple[str, ...]    # fakeness-indicator phrases, as written
+    matching: tuple[str, ...]   # the phrases that also trip a fakeness regex
+    clickbait: tuple[str, ...]
+    swear: tuple[str, ...]      # sorted
+    violent: tuple[str, ...]    # sorted
+
+    @classmethod
+    def of(cls, lexicons: LexiconSet) -> "_Pools":
+        phrases = lexicons.fakeness_phrases
+        return cls(
+            words=_generic_words(phrases),
+            phrases=phrases,
+            # e.g. phrases that contain 'fake'
+            matching=tuple(p for p in phrases if any(
+                pat.search(p) for pat in lexicons.fakeness_patterns)),
+            clickbait=lexicons.clickbait_phrases,
+            swear=tuple(sorted(lexicons.swear_words)),
+            violent=tuple(sorted(lexicons.violent_words)))
 
 
-def _make_comment(rng, pool, video_id, index, fake: bool, plant_phrase: bool,
-                  lexicons: LexiconSet) -> Comment:
-    words = _words(rng, pool, 3, 9)
+def _make_comment(rng, pools: _Pools, video_id, index, fake: bool,
+                  plant_phrase: bool) -> Comment:
+    words = _words(rng, pools.words, 3, 9)
     if plant_phrase:
-        matching = _matching_phrases(lexicons)
-        if matching and rng.random() < 0.75:
-            phrase = _pick(rng, matching)
+        if pools.matching and rng.random() < 0.75:
+            phrase = _pick(rng, pools.matching)
         else:
-            phrase = _pick(rng, lexicons.fakeness_phrases)
+            phrase = _pick(rng, pools.phrases)
         style = rng.random()
         if style < 0.4:
             # skeptical comments are often just the phrase itself
             words = [phrase]
         elif style < 0.7:
-            words = [phrase] + _words(rng, pool, 1, 4)
+            words = [phrase] + _words(rng, pools.words, 1, 4)
         else:
             words = words + [phrase]
     swear_rate = 0.3 if fake else 0.05
     if rng.random() < swear_rate:
-        words.append(_pick(rng, sorted(lexicons.swear_words)))
+        words.append(_pick(rng, pools.swear))
     reply_rate = 0.3 if fake else 0.8
     reply_count = int(rng.poisson(reply_rate))
     return Comment(
@@ -131,11 +152,11 @@ def _make_comment(rng, pool, video_id, index, fake: bool, plant_phrase: bool,
     )
 
 
-def _make_title(rng, pool, fake: bool, lexicons: LexiconSet) -> str:
-    words = _words(rng, pool, 4, 8)
+def _make_title(rng, pools: _Pools, fake: bool) -> str:
+    words = _words(rng, pools.words, 4, 8)
     clickbait_rate = 0.7 if fake else 0.05
     if rng.random() < clickbait_rate:
-        phrase = _pick(rng, lexicons.clickbait_phrases)
+        phrase = _pick(rng, pools.clickbait)
         slot = int(rng.integers(0, len(words) + 1))
         words = words[:slot] + [phrase] + words[slot:]
     caps_rate = 0.5 if fake else 0.1
@@ -144,12 +165,11 @@ def _make_title(rng, pool, fake: bool, lexicons: LexiconSet) -> str:
         words[pos] = words[pos].upper()
     violent_rate = 0.3 if fake else 0.05
     if rng.random() < violent_rate:
-        words.append(_pick(rng, sorted(lexicons.violent_words)))
+        words.append(_pick(rng, pools.violent))
     return " ".join(words)
 
 
-def _make_video(rng, pool, index: int, fake: bool,
-                lexicons: LexiconSet) -> VideoRecord:
+def _make_video(rng, pools: _Pools, index: int, fake: bool) -> VideoRecord:
     video_id = f"vid{index:04d}"
     n_comments = int(rng.integers(6, 13))
     if fake:
@@ -161,7 +181,7 @@ def _make_video(rng, pool, index: int, fake: bool,
     else:
         planted = {i for i in range(n_comments) if rng.random() < 0.01}
     comments = tuple(
-        _make_comment(rng, pool, video_id, i, fake, i in planted, lexicons)
+        _make_comment(rng, pools, video_id, i, fake, i in planted)
         for i in range(n_comments))
 
     likes = int(rng.integers(50, 2000))
@@ -169,9 +189,9 @@ def _make_video(rng, pool, index: int, fake: bool,
     dislikes = max(1, int(round(ratio * likes)))
     return VideoRecord(
         id=video_id,
-        title=_make_title(rng, pool, fake, lexicons),
-        description=" ".join(_words(rng, pool, 5, 15)),
-        tags=tuple(_words(rng, pool, 1, 4)),
+        title=_make_title(rng, pools, fake),
+        description=" ".join(_words(rng, pools.words, 5, 15)),
+        tags=tuple(_words(rng, pools.words, 1, 4)),
         view_count=int(rng.integers(15_000, 300_000)),
         like_count=likes,
         dislike_count=dislikes,
@@ -187,13 +207,13 @@ def make_synthetic_corpus(n_videos: int = 200, seed: int = 7,
     if n_videos < 2:
         raise ValueError("need at least 2 videos")
     lexicons = lexicons if lexicons is not None else LexiconSet.default()
-    pool = _generic_words(lexicons.fakeness_phrases)
+    pools = _Pools.of(lexicons)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     n_fake = n_videos // 2
     records = []
     for index in range(n_videos):
         fake = index < n_fake
-        records.append(_make_video(rng, pool, index, fake, lexicons))
+        records.append(_make_video(rng, pools, index, fake))
     return Dataset(name=f"synthetic-{n_videos}-seed{seed}", records=tuple(records))
 
 
@@ -201,11 +221,10 @@ def make_labeled_titles(n_titles: int = 240, seed: int = 7,
                         lexicons: LexiconSet | None = None) -> list[tuple[str, str]]:
     """Separable (title, label) pairs for training the title scorer."""
     lexicons = lexicons if lexicons is not None else LexiconSet.default()
-    pool = _generic_words(lexicons.fakeness_phrases)
+    pools = _Pools.of(lexicons)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
     titles = []
     for i in range(n_titles):
         fake = i % 2 == 0
-        titles.append((_make_title(rng, pool, fake, lexicons),
-                       "fake" if fake else "real"))
+        titles.append((_make_title(rng, pools, fake), "fake" if fake else "real"))
     return titles

@@ -1,12 +1,13 @@
 import re
 import shutil
+import sys
 import unicodedata
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucnet import lexical
+from ucnet import lexical, neural, synthetic
 from ucnet.lexical import (FEATURE_NAMES, FeatureVector, LexiconSet,
                            TitleScorer, TitleScorerConfig,
                            comments_conversation_ratio, comments_fakeness,
@@ -19,12 +20,48 @@ from ucnet.lexical import (FEATURE_NAMES, FeatureVector, LexiconSet,
 from conftest import make_comment, make_video
 
 
+# Characters where a regex word class and str.isalnum could part ways:
+# the underscore and other connector punctuation, combining marks and
+# sequences NFC composes, digits of other scripts, letter-like (Nl) and
+# other (No) numerics, CJK, Hangul jamo and non-ASCII spaces.
+TOKENIZER_EDGE_CHARS = (
+    "_", "\u203f", "\uff3f",            # connector punctuation (Pc)
+    "e", "\u0301", "\u0345", "\u20dd",  # combining marks
+    "\u212b", "A", "\u030a",            # NFC singleton and composition
+    "\u0660", "\u0966", "\uff19",       # other-script decimal digits
+    "\u2167", "\u3007", "\u16ee",       # Nl numerics
+    "\u00bd", "\u2460", "\u00b2",       # No numerics
+    "\u4e2d", "\u6587", "\u3042",       # CJK and kana
+    "\u1100", "\u1161",                 # Hangul jamo, composed by NFC
+    " ", "-", "\u3000", "\u00a0", "Z",
+)
+
+
 class TestTokenize:
     def test_splits_on_non_alphanumeric_runs(self):
         assert tokenize("kill the lights") == ["kill", "the", "lights"]
         assert tokenize("fa--ke!! 100%real") == ["fa", "ke", "100", "real"]
         assert tokenize("") == []
         assert tokenize("!!!") == []
+
+    def test_underscore_and_unicode_classes(self):
+        assert tokenize("so_fake") == ["so", "fake"]
+        assert tokenize("caf\u0065\u0301 \u2167\u00bd \u0966\u0967x") == \
+            ["caf\u00e9", "\u2167\u00bd", "\u0966\u0967x"]
+        assert tokenize("\u4e2d\u6587\u3000\u89c6\u9891") == \
+            ["\u4e2d\u6587", "\u89c6\u9891"]
+
+    def test_every_code_point_agrees_with_the_oracle(self):
+        # One string of all code points: a character the tokenizer classed
+        # differently from str.isalnum would split or merge a token here.
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert tokenize(text) == oracle_tokens(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(st.one_of(st.sampled_from(TOKENIZER_EDGE_CHARS),
+                             st.characters()), max_size=40))
+    def test_matches_the_character_loop_oracle(self, text):
+        assert tokenize(text) == oracle_tokens(text)
 
 
 class TestLexiconDirectory:
@@ -198,6 +235,19 @@ class TestTitleScorer:
         b = train_title_scorer(titles, lexicons, config)
         for key, value in a.mlp.parameters().items():
             assert np.array_equal(value, b.mlp.parameters()[key])
+
+    def test_training_takes_the_loss_paths_steps(self, lexicons, monkeypatch):
+        # Training reads gradients without the loss; a loop over the loss
+        # path must reach the same parameters, bit for bit.
+        titles = synthetic.make_labeled_titles(48, seed=3, lexicons=lexicons)
+        config = TitleScorerConfig(epochs=20, seed=2)
+        fast = train_title_scorer(titles, lexicons, config)
+        monkeypatch.setattr(
+            neural.Mlp, "gradients",
+            lambda mlp, xs, ys: mlp.batch_loss_and_gradients(xs, ys)[1])
+        slow = train_title_scorer(titles, lexicons, config)
+        for key, value in fast.mlp.parameters().items():
+            assert value.tobytes() == slow.mlp.parameters()[key].tobytes()
 
     def test_separable_titles_learned(self, lexicons):
         rng = np.random.default_rng(4)

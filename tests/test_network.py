@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import unicodedata
 
 import numpy as np
 import pytest
@@ -40,6 +41,44 @@ class TestFakenessVector:
     def test_empty_phrase_list_rejected(self):
         with pytest.raises(ValueError):
             fakeness_vector("anything", [])
+
+    def test_two_phrase_lists_in_one_process(self, phrases):
+        other = ("Caf\u0065\u0301", "STRASSE", "fake")
+        comments = ("so fake", "caf\u00e9 at the Stra\u00dfe", "hoax!", "")
+        for _ in range(2):  # alternate, so each list is folded from a cache
+            for comment in comments:
+                for phrase_list in (phrases, other):
+                    assert np.array_equal(fakeness_vector(comment, phrase_list),
+                                          uncached_fakeness_vector(comment,
+                                                                   phrase_list))
+
+    def test_non_nfc_and_mixed_case_phrases(self):
+        phrases = ["Caf\u0065\u0301", "\u212bngstr\u00f6m", "StRaSSe", "HoAx"]
+        for comment in ("CAF\u00c9 \u00c5NGSTR\u00d6M", "die stra\u00dfe",
+                        "cafe\u0301 hoax", "angstrom"):
+            fv = fakeness_vector(comment, phrases)
+            assert np.array_equal(fv, uncached_fakeness_vector(comment, phrases))
+        assert fakeness_vector("CAF\u00c9 \u00c5NGSTR\u00d6M",
+                               phrases).tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    def test_list_and_tuple_arguments_agree(self, phrases):
+        as_list = list(phrases)
+        for comment in ("This looks almost real", "so FAKE and staged"):
+            a = fakeness_vector(comment, as_list)
+            assert a.tobytes() == fakeness_vector(comment, tuple(phrases)).tobytes()
+            assert np.array_equal(a, uncached_fakeness_vector(comment, phrases))
+        # A list changed between calls is folded anew.
+        as_list[phrases.index("hoax")] = "staged"
+        fv = fakeness_vector("so FAKE and staged", as_list)
+        assert np.array_equal(fv, uncached_fakeness_vector("so FAKE and staged",
+                                                           as_list))
+
+
+def uncached_fakeness_vector(comment, phrases):
+    """Every phrase folded on every call: the definition, with no cache."""
+    def fold(text):
+        return unicodedata.normalize("NFC", text).casefold()
+    return np.array([1.0 if fold(p) in fold(comment) else 0.0 for p in phrases])
 
 
 def tiny_params(seed=0, embedding_dim=4, n_phrases=5, n_features=2,

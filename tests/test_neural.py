@@ -577,6 +577,30 @@ class TestBackward:
             mean_grad = np.mean([s[1][key] for s in per_sample], axis=0)
             assert np.allclose(batch_grads[key], mean_grad, atol=1e-12)
 
+    def test_gradients_without_the_loss_are_the_same_bits(self):
+        rng = np.random.default_rng(16)
+        net = Mlp.init(rng, [8, 8, 2])
+        xs = rng.normal(size=(16, 8))
+        ys = rng.integers(0, 2, size=16)
+        _, want = copied(net.batch_loss_and_gradients(xs, ys))
+        got = net.gradients(xs, ys)
+        assert got is net.flat.grads
+        for name, grad in want.items():
+            assert got[name].tobytes() == grad.tobytes()
+
+    def test_skipping_the_input_gradient_keeps_the_parameter_gradients(self):
+        rng = np.random.default_rng(17)
+        net = Mlp.init(rng, [4, 5, 2])
+        out, inputs = net._forward_cached(rng.normal(size=(3, 4)))
+        _, delta = softmax_cross_entropy(out, np.array([1, 0, 1]))
+        assert net._backward_from_delta(delta, inputs).shape == (3, 4)
+        want = {name: g.copy() for name, g in net.flat.grads.items()}
+        net.flat.gradient[:] = 0.0
+        assert net._backward_from_delta(delta, inputs,
+                                        input_gradient=False) is None
+        for name, grad in want.items():
+            assert net.flat.grads[name].tobytes() == grad.tobytes()
+
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         net = Mlp.init(rng, [4, 5, 2])
