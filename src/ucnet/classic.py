@@ -6,6 +6,11 @@ share of its trees read as fake by :func:`ucnet.evaluation.classify`, which
 gives ties to fake. :func:`save_model` writes any of the three models, and
 :func:`load_model` reads one back by the file's meta ``kind``, refusing node
 arrays a tree cannot use.
+
+A tree grows depth first, one node at a time. Each node sorts its candidate
+features once and scores every cut from cumulative class counts, with
+:func:`gini`'s operations; the first maximum wins, so ties go to the lowest
+feature, then the lowest threshold. All rows descend a tree together.
 """
 
 from __future__ import annotations
@@ -27,10 +32,6 @@ def gini(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def _class_counts(y: np.ndarray) -> np.ndarray:
-    return np.bincount(y, minlength=2).astype(np.float64)
-
-
 @dataclass
 class DecisionTree:
     """Flat-array CART tree; feature < 0 marks a leaf."""
@@ -48,115 +49,79 @@ class DecisionTree:
     def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
         """Each row's probability of fake: the fake share of its leaf."""
         X = np.asarray(X, dtype=np.float64)
-        out = np.zeros(X.shape[0])
-        for row in range(X.shape[0]):
-            node = 0
-            while self.feature[node] >= 0:
-                if X[row, self.feature[node]] < self.threshold[node]:
-                    node = self.left[node]
-                else:
-                    node = self.right[node]
-            out[row] = self.class_probs[node, 1]
-        return out
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while True:
+            inner = np.flatnonzero(self.feature[node] >= 0)
+            if inner.size == 0:
+                return self.class_probs[node, 1]
+            at = node[inner]
+            goes_left = X[inner, self.feature[at]] < self.threshold[at]
+            node[inner] = np.where(goes_left, self.left[at], self.right[at])
 
 
-class _TreeBuilder:
-    def __init__(self, X, y, max_depth, min_samples_leaf, rng, features_per_split):
-        self.X = X
-        self.y = y
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.rng = rng
-        self.features_per_split = features_per_split
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.impurity: list[float] = []
-        self.n_samples: list[int] = []
-        self.class_probs: list[np.ndarray] = []
+def _gini_of(fake, total):
+    """``gini((total - fake, fake))`` elementwise, in ``gini``'s operations."""
+    p_real = (total - fake) / total
+    p_fake = fake / total
+    return 1.0 - (p_real * p_real + p_fake * p_fake)
 
-    def _new_node(self, idx) -> int:
-        counts = _class_counts(self.y[idx])
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.impurity.append(gini(counts))
-        self.n_samples.append(len(idx))
-        self.class_probs.append(counts / counts.sum())
-        return node
 
-    def _candidate_features(self) -> np.ndarray:
-        n_features = self.X.shape[1]
-        if self.features_per_split is None or self.features_per_split >= n_features:
-            return np.arange(n_features)
-        chosen = self.rng.choice(n_features, size=self.features_per_split,
-                                 replace=False)
-        return np.sort(chosen)
+def _best_split(values, y, min_leaf: int, node_gini: float):
+    """(decrease, row of ``values``, threshold) of the node's best split, or
+    None; ``values`` holds a candidate feature a row, ``y`` the labels."""
+    n = len(y)
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    fakes = np.cumsum(y[order], axis=1)
+    k = np.arange(min_leaf, n - min_leaf + 1)
+    left_fakes = fakes[:, k - 1]
+    weighted = (k * _gini_of(left_fakes, k)
+                + (n - k) * _gini_of(fakes[:, -1:] - left_fakes, n - k)) / n
+    decrease = np.where(ordered[:, k] != ordered[:, k - 1],
+                        node_gini - weighted, 0.0)
+    column, cut = np.unravel_index(np.argmax(decrease), decrease.shape)
+    if decrease[column, cut] <= 0:
+        return None
+    below, above = ordered[column, k[cut] - 1], ordered[column, k[cut]]
+    return float(decrease[column, cut]), int(column), float((below + above) / 2.0)
 
-    def _best_split(self, idx):
-        """Highest Gini-decrease (feature, threshold); ties keep the lowest
-        feature index, then the lowest threshold."""
-        y_node = self.y[idx]
-        node_gini = gini(_class_counts(y_node))
-        n = len(idx)
-        best = None  # (decrease, feature, threshold, left_mask)
-        for f in self._candidate_features():
-            values = self.X[idx, f]
-            order = np.argsort(values, kind="stable")
-            v_sorted = values[order]
-            y_sorted = y_node[order]
-            ones = np.cumsum(y_sorted)
-            total_ones = ones[-1]
-            for k in range(self.min_samples_leaf, n - self.min_samples_leaf + 1):
-                if k >= n or v_sorted[k] == v_sorted[k - 1]:
-                    continue
-                left_ones = ones[k - 1]
-                left_counts = (k - left_ones, left_ones)
-                right_counts = ((n - k) - (total_ones - left_ones),
-                                total_ones - left_ones)
-                weighted = (k * gini(left_counts) + (n - k) * gini(right_counts)) / n
-                decrease = node_gini - weighted
-                if decrease <= 0:
-                    continue
-                if best is None or decrease > best[0]:
-                    thr = (v_sorted[k - 1] + v_sorted[k]) / 2.0
-                    best = (decrease, int(f), float(thr))
-        return best
 
-    def grow(self, idx, depth) -> int:
-        node = self._new_node(idx)
-        if depth >= self.max_depth or self.impurity[node] == 0.0 \
-                or len(idx) < 2 * self.min_samples_leaf:
-            return node
-        found = self._best_split(idx)
+def _grow(X, y, max_depth: int, min_leaf: int, rng,
+          features_per_split: int) -> DecisionTree:
+    """Greedy CART grown depth first, left before right, one row per node:
+    feature, threshold, left, right, impurity, n_samples, class shares.
+    Nodes draw their candidate features from ``rng`` in that order."""
+    rows = []
+    pending = [(np.arange(len(y)), 0, None)]  # (samples, depth, parent slot)
+    while pending:
+        idx, depth, slot = pending.pop()
+        if slot is not None:
+            rows[slot[0]][slot[1]] = len(rows)
+        counts = np.bincount(y[idx], minlength=2).astype(np.float64)
+        impurity = gini(counts)
+        rows.append([-1, 0.0, -1, -1, impurity, len(idx), *(counts / counts.sum())])
+        if depth >= max_depth or impurity == 0.0 or len(idx) < 2 * min_leaf:
+            continue
+        features = np.arange(X.shape[1])
+        if features_per_split < len(features):
+            features = np.sort(rng.choice(features, features_per_split,
+                                          replace=False))
+        found = _best_split(X.T[np.ix_(features, idx)], y[idx], min_leaf,
+                            impurity)
         if found is None:
-            return node
-        _, f, thr = found
-        mask = self.X[idx, f] < thr
-        left_id = self.grow(idx[mask], depth + 1)
-        right_id = self.grow(idx[~mask], depth + 1)
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = left_id
-        self.right[node] = right_id
-        return node
-
-    def build(self) -> DecisionTree:
-        self.grow(np.arange(self.X.shape[0]), 0)
-        return DecisionTree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            impurity=np.array(self.impurity, dtype=np.float64),
-            n_samples=np.array(self.n_samples, dtype=np.int64),
-            class_probs=np.stack(self.class_probs),
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-        )
+            continue
+        node = len(rows) - 1
+        feature, threshold = int(features[found[1]]), found[2]
+        rows[node][:2] = feature, threshold
+        goes_left = X[idx, feature] < threshold
+        pending.append((idx[~goes_left], depth + 1, (node, 3)))
+        pending.append((idx[goes_left], depth + 1, (node, 2)))
+    columns = np.array(rows, dtype=np.float64).T.copy()
+    feature, left, right, n_samples = columns[[0, 2, 3, 5]].astype(np.int64)
+    return DecisionTree(feature=feature, threshold=columns[1], left=left,
+                        right=right, impurity=columns[4], n_samples=n_samples,
+                        class_probs=columns[6:].T.copy(), max_depth=max_depth,
+                        min_samples_leaf=min_leaf)
 
 
 def _validate_xy(X, y):
@@ -175,12 +140,18 @@ def _validate_xy(X, y):
     return X, y
 
 
+def _require_positive(**arguments) -> None:
+    for name, value in arguments.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def train_tree(X, y, max_depth: int = 8,
                min_samples_leaf: int = 2) -> DecisionTree:
     """Greedy CART with Gini impurity over all features (deterministic)."""
     X, y = _validate_xy(X, y)
-    builder = _TreeBuilder(X, y, max_depth, max(1, min_samples_leaf), None, None)
-    return builder.build()
+    _require_positive(max_depth=max_depth)
+    return _grow(X, y, max_depth, max(1, min_samples_leaf), None, X.shape[1])
 
 
 @dataclass
@@ -195,8 +166,12 @@ class RandomForest:
             raise ValueError("a forest needs at least one tree")
 
     def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
-        """Each row's share of trees whose own probability of fake is >= 0.5."""
+        """Each row's share of trees whose own probability of fake is >= 0.5;
+        ``X`` needs the ``n_features`` columns the forest was trained on."""
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(f"X has shape {X.shape}, the forest needs "
+                             f"{self.n_features} columns")
         return np.stack([tree.predict_proba_fake(X) >= 0.5
                          for tree in self.trees]).mean(axis=0)
 
@@ -209,17 +184,16 @@ def train_forest(X, y, n_trees: int = 100, max_depth: int = 8,
     the same call is reproducible and trees could train in parallel.
     """
     X, y = _validate_xy(X, y)
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
+    _require_positive(n_trees=n_trees, max_depth=max_depth,
+                      features_per_split=features_per_split)
     tree_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(n_trees)]
     trees = []
     n = len(y)
     for tree_seed in tree_seeds:
         rng = np.random.default_rng(tree_seed)
         bootstrap = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(X[bootstrap], y[bootstrap], max_depth, 2,
-                               rng, features_per_split)
-        trees.append(builder.build())
+        trees.append(_grow(X[bootstrap], y[bootstrap], max_depth, 2, rng,
+                           features_per_split))
     return RandomForest(trees=tuple(trees), tree_seeds=tuple(tree_seeds),
                         features_per_split=features_per_split,
                         n_features=X.shape[1])
@@ -236,17 +210,13 @@ def feature_importances(forest: RandomForest) -> np.ndarray:
     n_features = forest.n_features
     totals = np.zeros(n_features)
     for tree in forest.trees:
-        per_tree = np.zeros(n_features)
-        root_n = tree.n_samples[0]
-        for node in range(len(tree.feature)):
-            f = tree.feature[node]
-            if f < 0:
-                continue
-            l, r = tree.left[node], tree.right[node]
-            decrease = (tree.n_samples[node] * tree.impurity[node]
-                        - tree.n_samples[l] * tree.impurity[l]
-                        - tree.n_samples[r] * tree.impurity[r]) / root_n
-            per_tree[f] += decrease
+        inner = np.flatnonzero(tree.feature >= 0)
+        mass = tree.n_samples * tree.impurity
+        decrease = (mass[inner] - mass[tree.left[inner]]
+                    - mass[tree.right[inner]]) / tree.n_samples[0]
+        # Summed in node order, as bincount adds its weights in input order.
+        per_tree = np.bincount(tree.feature[inner], weights=decrease,
+                               minlength=n_features)
         tree_total = per_tree.sum()
         if tree_total > 0:
             totals += per_tree / tree_total

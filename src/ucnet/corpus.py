@@ -410,7 +410,8 @@ def balance_subset(dataset: Dataset, seed: int) -> Dataset:
 
 
 def _dislike_like_ratio_unbounded(record: VideoRecord) -> float:
-    """Mining-side ratio: zero likes with any dislikes counts as infinite."""
+    """Mining-side ratio: zero likes with any dislikes counts as infinite;
+    ``lexical.dislike_like_ratio`` caps it for the features."""
     if record.like_count == 0:
         return math.inf if record.dislike_count > 0 else 0.0
     return record.dislike_count / record.like_count

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .corpus import Comment, VideoRecord, content_lines, fake_indicators, nfc
+from .corpus import (Comment, VideoRecord, _dislike_like_ratio_unbounded,
+                     content_lines, fake_indicators, nfc)
 
 DISLIKE_RATIO_CAP = 1000.0
 
@@ -164,10 +165,9 @@ def _caps_share(tokens: Sequence[str]) -> float:
 
 
 def dislike_like_ratio(video: VideoRecord) -> float:
-    """Dislike:like ratio capped at DISLIKE_RATIO_CAP so it stays finite."""
-    if video.like_count == 0:
-        return DISLIKE_RATIO_CAP if video.dislike_count > 0 else 0.0
-    return min(video.dislike_count / video.like_count, DISLIKE_RATIO_CAP)
+    """Mining's dislike:like ratio capped at DISLIKE_RATIO_CAP so it stays
+    finite: dislikes without likes give the cap, no votes at all give 0."""
+    return min(_dislike_like_ratio_unbounded(video), DISLIKE_RATIO_CAP)
 
 
 def comments_fakeness(comments: Sequence[Comment], lex: LexiconSet) -> float:

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ucnet import serialize
+from ucnet import lexical, serialize, synthetic
 from ucnet.classic import (DecisionTree, LogisticModel, RandomForest,
-                           feature_importances, gini, load_model,
+                           _best_split, feature_importances, gini, load_model,
                            logistic_loss_and_gradient, save_model,
                            train_forest, train_logistic, train_tree)
 from ucnet.evaluation import classify
@@ -458,3 +461,216 @@ def test_no_feature_columns_refused(train):
     y = np.array([0, 1] * 10)
     with pytest.raises(ValueError, match="no feature columns"):
         train(np.zeros((20, 0)), y)
+
+
+# Oracles: the scalar passes that the array code replaced, kept as they were.
+
+def loop_best_split(X, y, idx, min_samples_leaf, features):
+    """One Python step per threshold, calling the scalar ``gini``."""
+    y_node = y[idx]
+    node_gini = gini(np.bincount(y_node, minlength=2).astype(np.float64))
+    n = len(idx)
+    best = None  # (decrease, feature, threshold)
+    for f in features:
+        values = X[idx, f]
+        order = np.argsort(values, kind="stable")
+        v_sorted = values[order]
+        y_sorted = y_node[order]
+        ones = np.cumsum(y_sorted)
+        total_ones = ones[-1]
+        for k in range(min_samples_leaf, n - min_samples_leaf + 1):
+            if k >= n or v_sorted[k] == v_sorted[k - 1]:
+                continue
+            left_ones = ones[k - 1]
+            left_counts = (k - left_ones, left_ones)
+            right_counts = ((n - k) - (total_ones - left_ones),
+                            total_ones - left_ones)
+            weighted = (k * gini(left_counts) + (n - k) * gini(right_counts)) / n
+            decrease = node_gini - weighted
+            if decrease <= 0:
+                continue
+            if best is None or decrease > best[0]:
+                thr = (v_sorted[k - 1] + v_sorted[k]) / 2.0
+                best = (decrease, int(f), float(thr))
+    return best
+
+
+def descend_one_row_at_a_time(tree, X):
+    X = np.asarray(X, dtype=np.float64)
+    out = np.zeros(X.shape[0])
+    for row in range(X.shape[0]):
+        node = 0
+        while tree.feature[node] >= 0:
+            if X[row, tree.feature[node]] < tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        out[row] = tree.class_probs[node, 1]
+    return out
+
+
+def loop_feature_importances(forest):
+    totals = np.zeros(forest.n_features)
+    for tree in forest.trees:
+        per_tree = np.zeros(forest.n_features)
+        root_n = tree.n_samples[0]
+        for node in range(len(tree.feature)):
+            f = tree.feature[node]
+            if f < 0:
+                continue
+            l, r = tree.left[node], tree.right[node]
+            per_tree[f] += (tree.n_samples[node] * tree.impurity[node]
+                            - tree.n_samples[l] * tree.impurity[l]
+                            - tree.n_samples[r] * tree.impurity[r]) / root_n
+        tree_total = per_tree.sum()
+        if tree_total > 0:
+            totals += per_tree / tree_total
+    grand = totals.sum()
+    if grand == 0:
+        return np.full(forest.n_features, 1.0 / forest.n_features)
+    return totals / grand
+
+
+# Few distinct values, so columns tie; a column may be constant.
+TIED_VALUES = [-2.0, -0.5, 0.0, 0.1, 0.3, 1.0, 7.5]
+
+
+@st.composite
+def split_nodes(draw):
+    min_leaf = draw(st.sampled_from([1, 2, 5]))
+    n_rows = draw(st.integers(2, 14))
+    n_cols = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(n_cols):
+        if draw(st.booleans()):
+            columns.append([draw(st.sampled_from(TIED_VALUES))] * n_rows)
+        else:
+            columns.append(draw(st.lists(
+                st.sampled_from(TIED_VALUES)
+                | st.floats(-1e3, 1e3, allow_nan=False, width=32),
+                min_size=n_rows, max_size=n_rows)))
+    X = np.array(columns, dtype=np.float64).T
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n_rows,
+                               max_size=n_rows)), dtype=np.int64)
+    # A node's rows, repeats allowed as in a bootstrap sample.
+    idx = np.array(draw(st.lists(st.integers(0, n_rows - 1),
+                                 min_size=2 * min_leaf, max_size=20)))
+    features = sorted(draw(st.sets(st.integers(0, n_cols - 1), min_size=1)))
+    return X, y, idx, min_leaf, np.array(features)
+
+
+class TestArraySplitSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(split_nodes())
+    def test_matches_the_threshold_loop_bit_for_bit(self, node):
+        X, y, idx, min_leaf, features = node
+        expected = loop_best_split(X, y, idx, min_leaf, features)
+        node_gini = gini(np.bincount(y[idx], minlength=2).astype(np.float64))
+        found = _best_split(X.T[np.ix_(features, idx)], y[idx], min_leaf,
+                            node_gini)
+        if expected is None:
+            assert found is None
+            return
+        decrease, row, threshold = found
+        assert (float(expected[0]).hex(), expected[1], expected[2].hex()) == \
+            (decrease.hex(), int(features[row]), threshold.hex())
+
+    def test_ties_go_to_the_lowest_feature_then_threshold(self):
+        # Columns 1 and 2 are copies of column 0; each splits the labels
+        # equally well below 1.5 and below 3.5.
+        column = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        X = np.column_stack([column, column, column])
+        y = np.array([0, 0, 1, 1, 0, 0])
+        _, row, threshold = _best_split(X.T[[1, 2]], y, 1, gini([4, 2]))
+        assert (row, threshold) == (0, 1.5)
+        assert loop_best_split(X, y, np.arange(6), 1, [1, 2])[1:] == (1, 1.5)
+
+
+class TestArrayDescent:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40),
+           st.sampled_from([1, 2, 8]))
+    def test_matches_the_per_row_descent(self, seed, n_probe, max_depth):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-2, 3, size=(30, 3)).astype(np.float64)
+        y = (X[:, 0] + X[:, 1] + rng.normal(size=30) > 0).astype(np.int64)
+        tree = train_tree(X, y, max_depth=max_depth, min_samples_leaf=1)
+        probe = rng.integers(-3, 4, size=(n_probe, 3)).astype(np.float64)
+        assert tree.predict_proba_fake(probe).tobytes() == \
+            descend_one_row_at_a_time(tree, probe).tobytes()
+
+    def test_leaf_only_tree_and_zero_rows(self):
+        leaf = train_tree(np.zeros((4, 2)), np.array([0, 1, 1, 1]))
+        assert len(leaf.feature) == 1
+        for probe in (np.zeros((0, 2)), np.ones((3, 2))):
+            got = leaf.predict_proba_fake(probe)
+            assert got.dtype == np.float64
+            assert got.tobytes() == \
+                descend_one_row_at_a_time(leaf, probe).tobytes()
+        X, y = separable_features(np.random.default_rng(5), 40)
+        tree = train_tree(X, y)
+        assert len(tree.feature) > 1
+        assert tree.predict_proba_fake(np.zeros((0, 4))).shape == (0,)
+
+    def test_importances_match_the_node_loop(self):
+        for seed in range(5):
+            X, y = separable_features(np.random.default_rng(seed), 60)
+            forest = train_forest(X, y, n_trees=15, features_per_split=2,
+                                  seed=seed)
+            assert feature_importances(forest).tobytes() == \
+                loop_feature_importances(forest).tobytes()
+
+
+class TestDegenerateArguments:
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"max_depth": 0}, "max_depth"), ({"max_depth": -1}, "max_depth"),
+        ({"features_per_split": 0}, "features_per_split"),
+        ({"features_per_split": -1}, "features_per_split"),
+        ({"n_trees": 0}, "n_trees")])
+    def test_forest_refuses(self, kwargs, named):
+        X, y = separable_features(np.random.default_rng(1), 20)
+        with pytest.raises(ValueError, match=f"^{named} must be >= 1"):
+            train_forest(X, y, **kwargs)
+
+    @pytest.mark.parametrize("max_depth", [0, -3])
+    def test_tree_refuses(self, max_depth):
+        X, y = separable_features(np.random.default_rng(1), 20)
+        with pytest.raises(ValueError, match="^max_depth must be >= 1"):
+            train_tree(X, y, max_depth=max_depth)
+
+    @pytest.mark.parametrize("columns", [3, 5])
+    def test_forest_refuses_another_column_count(self, columns):
+        X, y = separable_features(np.random.default_rng(2), 30)
+        forest = train_forest(X, y, n_trees=3, seed=0)
+        with pytest.raises(ValueError, match="the forest needs 4 columns"):
+            forest.predict_proba_fake(np.zeros((2, columns)))
+
+
+# save_model(train_forest(...)) on the features of the seed-7 synthetic
+# corpus (200 videos, scorer trained on the seed-7 labeled titles), taken
+# before the split search became array code.
+FOREST_BYTES = {
+    "defaults": ({}, "dd37dcc90498e4e4e64bb3927c908a488584c060768351819e101d377c10516f"),
+    "all features": ({"n_trees": 20, "max_depth": 3, "features_per_split": 8,
+                      "seed": 5},
+                     "b41412567044b81b8961be929baa7d2a9277cad04255da806d4084b800f71941"),
+}
+
+
+@pytest.fixture(scope="module")
+def seed7_features():
+    lexicons = lexical.LexiconSet.default()
+    videos = list(synthetic.make_synthetic_corpus(200, seed=7,
+                                                  lexicons=lexicons))
+    scorer = lexical.train_title_scorer(
+        synthetic.make_labeled_titles(240, seed=7, lexicons=lexicons), lexicons)
+    X = lexical.feature_matrix(videos, lexicons, scorer)
+    return X, np.array([v.label == "fake" for v in videos], dtype=np.int64)
+
+
+@pytest.mark.parametrize("case", sorted(FOREST_BYTES))
+def test_forest_model_bytes(tmp_path, seed7_features, case):
+    kwargs, digest = FOREST_BYTES[case]
+    save_model(train_forest(*seed7_features, **kwargs), tmp_path / "f.model")
+    assert hashlib.sha256((tmp_path / "f.model").read_bytes()).hexdigest() \
+        == digest

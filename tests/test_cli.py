@@ -349,6 +349,24 @@ class TestPruneAndClassic:
         assert not model.exists() and not predictions.exists()
         assert not (tmp_path / "m.model.manifest.json").exists()
 
+    @pytest.mark.parametrize("argv,named", [
+        (["train-classic", "--features-per-split", "0"], "features_per_split"),
+        (["train-classic", "--features-per-split", "-1"], "features_per_split"),
+        (["train-classic", "--max-depth", "0"], "max_depth"),
+        (["train-classic", "--model", "tree", "--max-depth", "-1"],
+         "max_depth"),
+        (["prune", "--max-depth", "-1"], "max_depth")])
+    def test_degenerate_forest_argument_is_refused(
+            self, synthetic_dir, tmp_path, capsys, argv, named):
+        features = run_features(synthetic_dir, tmp_path)
+        output = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--features", str(features),
+                     "--output", str(output)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {named} must be >= 1, got ")
+        assert not output.exists()
+
     def test_train_classic_determinism(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)
         outputs = []
