@@ -15,6 +15,7 @@ feature, then the lowest threshold. All rows descend a tree together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,10 @@ def _best_split(values, y, min_leaf: int, node_gini: float):
     if decrease[column, cut] <= 0:
         return None
     below, above = ordered[column, k[cut] - 1], ordered[column, k[cut]]
-    return float(decrease[column, cut]), int(column), float((below + above) / 2.0)
+    threshold = (below + above) / 2.0
+    if threshold == below:  # adjacent doubles: no row lies below the midpoint
+        threshold = above
+    return float(decrease[column, cut]), int(column), float(threshold)
 
 
 def _grow(X, y, max_depth: int, min_leaf: int, rng,
@@ -258,6 +262,11 @@ def logistic_loss_and_gradient(weights: np.ndarray, intercept: float,
 def train_logistic(X, y, learning_rate: float = 0.1,
                    epochs: int = 500) -> LogisticModel:
     """Full-batch gradient descent on cross-entropy from zero initialization."""
+    if not 0.0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be a positive finite number, "
+                         f"got {learning_rate}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     X, y = _validate_xy(X, y)
     if len(set(y.tolist())) < 2:
         raise ValueError("logistic regression needs both classes present")

@@ -439,6 +439,9 @@ def mine_candidates(dataset: Dataset,
         raise ValueError("rounds must be >= 1")
     if min_views < 0 or min_comments < 0 or min_dislike_like_ratio < 0:
         raise ValueError("thresholds must be >= 0")
+    if not math.isfinite(min_dislike_like_ratio):
+        raise ValueError(f"min_dislike_like_ratio must be finite, got "
+                         f"{min_dislike_like_ratio}")
 
     pool = [rec for rec in dataset.records
             if rec.view_count >= min_views and len(rec.comments) >= min_comments]

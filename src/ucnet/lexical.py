@@ -402,6 +402,8 @@ def prune_correlated(features: np.ndarray, importances: Sequence[float],
         raise ValueError("one importance per feature column required")
     if not np.all(np.isfinite(imp)):
         raise ValueError("importances must be finite")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
 
     corr = pearson_correlation(x)
     marked: set[int] = set()

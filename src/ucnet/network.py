@@ -101,7 +101,10 @@ class TrainingConfig:
     max_tokens_per_comment: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("learning_rate", "batch_size", "max_comments_per_video",
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be a positive finite number, "
+                             f"got {self.learning_rate}")
+        for name in ("batch_size", "max_comments_per_video",
                      "max_tokens_per_comment"):
             if getattr(self, name) <= 0:
                 raise ValueError(
@@ -150,6 +153,10 @@ def init_params(rng: np.random.Generator, embedding_dim: int, n_phrases: int,
     """Initial tensors in layout order: the LSTM from
     :func:`ucnet.neural.init_lstm`, then each dense layer's Glorot-uniform
     weights and zero bias, drawn in that order from rng."""
+    for name, value in (("lstm_hidden", lstm_hidden),
+                        ("hidden_units", hidden_units)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     layout = _layout(embedding_dim, n_phrases, n_features, lstm_hidden,
                      hidden_units)
     lstm = neural.init_lstm(rng, embedding_dim, lstm_hidden)

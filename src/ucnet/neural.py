@@ -39,10 +39,24 @@ hidden)`` array. The input projection is one GEMM before the loop over the
 distinct ids among the real cells only, whose rows are gathered straight
 into the compute dtype, laid out gate-planar, ``(4, U, hidden)``; each step
 takes its cells' rows of it by index, gate by gate, since a cell's
-projection depends only on its token, then multiplies ``h[:b_t]`` by a
-C-ordered copy of ``wh.T`` made once per pass (OpenBLAS is several times
-slower on the transposed view at small row counts, and gives the same bits
-on the copy) and adds each gate's columns to its plane. Only a pass that a
+projection depends only on its token, then adds ``h[:b_t] @ wh.T``. Each
+pass copies ``wh.T`` once, C-ordered: OpenBLAS is several times slower on
+the transposed view at small row counts, and gives the same bits on the
+copy. A float32 pass copies it gate by gate, ``(4, hidden, hidden)``,
+multiplies ``h[:b_t]`` by each gate's block into that gate's plane of the
+step scratch and adds the scratch to the step's gates in one pass. Late in
+a long thread only a few rows still run, and there one gate's block (360
+KB at hidden 300) stays in a 2 MB L2 cache where the whole operand and
+BLAS's packed copy of it do not (the cache-resident panel of Goto and van
+de Geijn 2008, "Anatomy of High-Performance Matrix Multiplication"): the
+product takes a half to two thirds of the time at 3 to 11 rows, and the
+same from 12 rows up. At float32 every per-gate row equals the wide
+product's row bit for bit; ``tools/recurrent_gemm.py`` checks that on the
+BLAS at hand. A float64 pass keeps the one wide ``(hidden, 4 * hidden)``
+product: at float64 OpenBLAS multiplies a ``(b, hidden) @ (hidden,
+hidden)`` product of up to 11 rows with a small-matrix kernel whose rows
+differ from the other kernel's, so a row's bits would depend on how many
+batch mates it has, and pooling needs them not to. Only a pass that a
 backward pass will follow keeps this cache: one given a workspace, which
 the caller reserves once and passes to every pass, as ``network.train``
 does for its mini-batches, so that a training step allocates no large
@@ -168,7 +182,9 @@ def init_lstm(rng: np.random.Generator, input_dim: int,
 def _rowwise_matmul(a: np.ndarray, b: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` with each output row's bits independent of the other rows,
-    written into ``out`` when given.
+    written into ``out`` when given. ``b`` may be a stack of matrices,
+    ``(k, m, n)``: numpy multiplies ``a`` by each in turn with the GEMM a
+    single matrix gets, into ``out[k]``.
 
     numpy hands a one-row product to BLAS gemv, which sums in a different
     order from gemm, so a row computed alone would not match the same row
@@ -176,7 +192,7 @@ def _rowwise_matmul(a: np.ndarray, b: np.ndarray,
     permutation and duplication invariance.
     """
     if a.shape[0] == 1:
-        product = (np.concatenate([a, a]) @ b)[:1]
+        product = (np.concatenate([a, a]) @ b)[..., :1, :]
         if out is None:
             return product
         out[...] = product
@@ -252,11 +268,14 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     ids among them, laid out gate-planar, ``(4, U, hidden)``, and each step
     takes its cells' rows of it into the step's gate block, multiplies the
     hidden states of the rows still running by a C-ordered copy of
-    ``wh.T``, which BLAS multiplies faster than the transposed view and to
-    the same bits, into the step scratch, and adds each gate's columns to
-    its plane. Returns the (n, hidden_dim) final states in the caller's row
-    order (zeros for empty rows), in the cell's dtype, and the cache the
-    backward pass needs.
+    ``wh.T`` into the step scratch and adds that to the gates. A float32
+    cell's copy is gate-planar, ``(4, hidden, hidden)``, so the product is
+    one GEMM per gate, written into that gate's plane: faster at a few
+    rows, and the same bits. A float64 cell's is ``(hidden, 4 * hidden)``,
+    one wide GEMM, since its per-gate rows would depend on their batch
+    mates (see the module docstring). Returns the (n, hidden_dim) final
+    states in the caller's row order (zeros for empty rows), in the cell's
+    dtype, and the cache the backward pass needs.
 
     A pass given a ``workspace`` (from :func:`lstm_workspace`, large enough
     for the batch's real cells) keeps that cache, in views of it: step t's
@@ -317,7 +336,13 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     del wide
     h = np.zeros((n, hidden), dtype)
     c = np.zeros((n, hidden), dtype)
-    wh_t = np.ascontiguousarray(cell.wh.T)
+    # float32: gate k's block of wh.T in wh_t[k]; float64: one wide block.
+    per_gate = dtype == np.float32
+    if per_gate:
+        wh_t = np.ascontiguousarray(
+            cell.wh.reshape(4, hidden, hidden).transpose(0, 2, 1))
+    else:
+        wh_t = np.ascontiguousarray(cell.wh.T)
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
@@ -331,10 +356,14 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
             # mode="raise", take would fill a temporary and copy it into z.
             np.take(projected[k], cell_of[lo:hi], axis=0, out=z[k], mode="clip")
         if t:
-            recurrent = scratch[:4 * b * hidden].reshape(b, 4 * hidden)
-            _rowwise_matmul(h[:b], wh_t, out=recurrent)
-            for k in range(4):
-                z[k] += recurrent[:, k * hidden:(k + 1) * hidden]
+            if per_gate:
+                recurrent = scratch[:4 * b * hidden].reshape(4, b, hidden)
+                _rowwise_matmul(h[:b], wh_t, out=recurrent)
+            else:
+                by_row = scratch[:4 * b * hidden].reshape(b, 4 * hidden)
+                _rowwise_matmul(h[:b], wh_t, out=by_row)
+                recurrent = by_row.reshape(b, 4, hidden).transpose(1, 0, 2)
+            z += recurrent
         _sigmoid_inplace(z[:2])
         np.tanh(z[2], out=z[2])
         _sigmoid_inplace(z[3])

@@ -84,6 +84,15 @@ class TestDecisionTree:
         assert tree.feature[0] == feature
         assert tree.threshold[0] == pytest.approx(threshold)
 
+    def test_adjacent_values_split_into_two_nonempty_children(self):
+        # Their midpoint rounds down to the lower value, below which no row
+        # lies; the threshold is the upper value instead.
+        upper = np.nextafter(1.0, 2.0)
+        tree = train_tree([[1.0], [upper]], [0, 1], min_samples_leaf=1)
+        assert tree.threshold[0] == upper
+        assert tree.n_samples.tolist() == [2, 1, 1]
+        assert tree.predict_proba_fake([[1.0], [upper]]).tolist() == [0.0, 1.0]
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             train_tree(np.zeros((0, 2)), np.zeros(0, dtype=int))

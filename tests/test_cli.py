@@ -200,6 +200,17 @@ class TestMineCommand:
         assert "dataset" in manifest["inputs"]
         assert manifest["inputs"]["dataset"]["sha256"]
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_ratio_is_refused(self, tmp_path, capsys, ratio):
+        data = tmp_path / "pool.jsonl"
+        corpus.save_dataset(make_dataset([make_video("v")]), data)
+        out = tmp_path / "mined.jsonl"
+        assert main(["mine", "--input", str(data), "--output", str(out),
+                     "--min-dislike-ratio", ratio]) == 2
+        assert capsys.readouterr().err == (
+            f"error: min_dislike_like_ratio must be finite, got {ratio}\n")
+        assert not out.exists()
+
 
 class TestFeaturesCommand:
     def test_features_csv_shape_and_manifest(self, synthetic_dir, tmp_path):
@@ -367,6 +378,24 @@ class TestPruneAndClassic:
             f"error: {named} must be >= 1, got ")
         assert not output.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["train-classic", "--model", "logistic", "--epochs", "-1"],
+         "epochs must be >= 0, got -1"),
+        *((["train-classic", "--model", "logistic", "--learning-rate", rate],
+           f"learning_rate must be a positive finite number, got {rate}")
+          for rate in ("nan", "inf", "0.0", "-0.1")),
+        (["prune", "--threshold", "nan"], "threshold must be finite, got nan"),
+        (["prune", "--threshold", "inf"], "threshold must be finite, got inf")])
+    def test_numeric_argument_that_would_do_nothing_is_refused(
+            self, synthetic_dir, tmp_path, capsys, argv, message):
+        features = run_features(synthetic_dir, tmp_path)
+        output = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--features", str(features),
+                     "--output", str(output)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not output.exists()
+
     def test_train_classic_determinism(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)
         outputs = []
@@ -451,6 +480,20 @@ class TestTrainUcnetCommand:
         used = comment_vocabulary(c.text for r in dataset for c in r.comments)
         assert kept == [(False, len(used & set(table.vocab)))] * 2 \
             + [(True, len(vectors))] * 2
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--lstm-hidden", "0", "lstm_hidden must be >= 1, got 0"),
+        ("--lstm-hidden", "-2", "lstm_hidden must be >= 1, got -2"),
+        ("--learning-rate", "nan",
+         "learning_rate must be a positive finite number, got nan")])
+    def test_degenerate_argument_is_refused(self, synthetic_dir, tmp_path,
+                                            capsys, flag, value, message):
+        # the flag's last occurrence wins
+        args = [*self.ucnet_args(synthetic_dir, tmp_path / "m"), flag, value]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m").exists()
 
     def test_requires_feature_selection_choice(self, synthetic_dir, tmp_path):
         args = self.ucnet_args(synthetic_dir, tmp_path / "m")

@@ -340,6 +340,17 @@ class TestLstm:
                     mates = [seqs[i] for i in order + order[::2]]
                     shuffled, _ = lstm_forward_batch(cell, *batch(mates))
                     assert np.array_equal(shuffled[order.index(row)], finals[row])
+        # The lengths above keep every step at 9 rows or fewer. A step of 12
+        # or more rows takes another BLAS kernel than a row alone, on which a
+        # float64 product split by gate would give the row other bits.
+        for dtype in (np.float64, np.float32):
+            cell = cast_cell(init_lstm(rng, 300, 300), dtype)
+            seqs = [rng.normal(size=(t, 300)) for t in (4, 6, 5, 6, 3, 6, 6,
+                                                        2, 6, 5, 6, 6, 4, 6)]
+            finals, _ = lstm_forward_batch(cell, *padded(seqs, 300))
+            for row, seq in enumerate(seqs):
+                alone, _ = lstm_forward_batch(cell, *padded([seq], 300))
+                assert np.array_equal(alone[0], finals[row])
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
