@@ -84,7 +84,7 @@ def _best_split(values, y, min_leaf: int, node_gini: float):
     if decrease[column, cut] <= 0:
         return None
     below, above = ordered[column, k[cut] - 1], ordered[column, k[cut]]
-    threshold = (below + above) / 2.0
+    threshold = below / 2.0 + above / 2.0  # (below + above) / 2 can overflow
     if threshold == below:  # adjacent doubles: no row lies below the midpoint
         threshold = above
     return float(decrease[column, cut]), int(column), float(threshold)

@@ -107,6 +107,8 @@ def _get_scorer(args, lexicons: LexiconSet) -> tuple[TitleScorer, dict]:
 
 
 _FEATURES_HEADER = ("video_id", *FEATURE_NAMES, "label")
+_LABELS_HEADER = ("video_id", "label")
+_PREDICTIONS_HEADER = (*_LABELS_HEADER, "p_fake")
 
 
 def _read_features_csv(path):
@@ -128,7 +130,7 @@ def _require_rows(path, ids, need: int, what: str) -> None:
 
 
 def _write_predictions_csv(path, ids, p_fake) -> None:
-    corpus.write_csv(path, ("video_id", "label", "p_fake"),
+    corpus.write_csv(path, _PREDICTIONS_HEADER,
                      ((vid, evaluation.classify(p), p)
                       for vid, p in zip(ids, p_fake)))
 
@@ -137,8 +139,8 @@ def _read_labels_csv(path) -> dict[str, str]:
     """video_id -> label of a ``video_id,label`` CSV, or of a predictions
     CSV whose ``p_fake`` values are then each a probability."""
     labels = {}
-    for where, row in corpus.read_csv(path, ("video_id", "label"),
-                                      ("video_id", "label", "p_fake")):
+    for where, row in corpus.read_csv(path, _LABELS_HEADER,
+                                      _PREDICTIONS_HEADER):
         if len(row) == 3 and not 0.0 <= corpus.csv_number(
                 where, "p_fake", row[2]) <= 1.0:
             raise ValueError(f"{where}: p_fake {row[2][:40]!r} is outside "
@@ -340,7 +342,7 @@ def _cmd_train_ucnet(args) -> int:
         _write_predictions_csv(args.predictions, test_set.ids(), p_fake)
         outputs.append(args.predictions)
         if args.truth_out:
-            corpus.write_csv(args.truth_out, ("video_id", "label"),
+            corpus.write_csv(args.truth_out, _LABELS_HEADER,
                              ((r.id, r.label) for r in test_set))
             outputs.append(args.truth_out)
     _write_manifest(args.output, args, inputs,

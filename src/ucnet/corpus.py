@@ -3,6 +3,12 @@
 Records are ingested from line-delimited JSON files (one video per line);
 there is no network crawling anywhere in this package. All container types
 are immutable after construction and safe to share across workers.
+
+The JSON schema of a line is declared once, in ``_RECORD_KEYS`` and
+``_COMMENT_KEYS``: each key of a video and of a comment, with its JSON kind,
+in the order ``save_dataset`` writes them. ``load_dataset`` checks and
+reads a line, and ``save_dataset`` writes one, from those two tables; the
+keys are the ``init`` fields of ``VideoRecord`` and ``Comment``.
 """
 
 from __future__ import annotations
@@ -25,11 +31,14 @@ logger = logging.getLogger(__name__)
 
 LABELS = ("fake", "real", "not_sure", "unlabeled")
 ANNOTATION_LABELS = ("spam", "legitimate", "not_sure")
-_RECORD_KEYS = (
-    "id", "title", "description", "tags", "view_count", "like_count",
-    "dislike_count", "channel_subscriber_count", "comments", "label",
-)
-_COMMENT_KEYS = ("id", "text", "like_count", "reply_count", "published_at")
+# Key -> JSON kind of a video record and of a comment, in the written order.
+_RECORD_KEYS = {
+    "id": str, "title": str, "description": str, "tags": list,
+    "view_count": int, "like_count": int, "dislike_count": int,
+    "channel_subscriber_count": int, "comments": list, "label": str,
+}
+_COMMENT_KEYS = {"id": str, "text": str, "like_count": int,
+                 "reply_count": int, "published_at": str}
 
 
 def read_utf8(path) -> str:
@@ -231,44 +240,28 @@ def _require(obj: Mapping, key: str, kind, where: str):
     return value
 
 
-def _parse_comment(obj, where: str) -> Comment:
+def _fields(obj, keys: Mapping[str, type], where: str, key_name: str,
+            not_object: str) -> dict:
+    """The values of ``keys`` in a JSON object, each checked for its kind;
+    any other key is ignored with a warning."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: comment entries must be objects")
+        raise ValueError(f"{where}: {not_object}")
     for key in obj:
-        if key not in _COMMENT_KEYS:
-            logger.warning("%s: ignoring unknown comment key %r", where, key)
-    return Comment(
-        id=_require(obj, "id", str, where),
-        text=_require(obj, "text", str, where),
-        like_count=_require(obj, "like_count", int, where),
-        reply_count=_require(obj, "reply_count", int, where),
-        published_at=_require(obj, "published_at", str, where),
-    )
+        if key not in keys:
+            logger.warning("%s: ignoring unknown %s %r", where, key_name, key)
+    return {key: _require(obj, key, kind, where) for key, kind in keys.items()}
 
 
 def _parse_record(obj, where: str) -> VideoRecord:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: record must be a JSON object")
-    for key in obj:
-        if key not in _RECORD_KEYS:
-            logger.warning("%s: ignoring unknown key %r", where, key)
-    tags = _require(obj, "tags", list, where)
-    if not all(isinstance(t, str) for t in tags):
+    values = _fields(obj, _RECORD_KEYS, where, "key",
+                     "record must be a JSON object")
+    if not all(isinstance(t, str) for t in values["tags"]):
         raise ValueError(f"{where}: tags must be strings")
-    comments = _require(obj, "comments", list, where)
-    return VideoRecord(
-        id=_require(obj, "id", str, where),
-        title=_require(obj, "title", str, where),
-        description=_require(obj, "description", str, where),
-        tags=tuple(tags),
-        view_count=_require(obj, "view_count", int, where),
-        like_count=_require(obj, "like_count", int, where),
-        dislike_count=_require(obj, "dislike_count", int, where),
-        channel_subscriber_count=_require(
-            obj, "channel_subscriber_count", int, where),
-        comments=tuple(_parse_comment(c, where) for c in comments),
-        label=_require(obj, "label", str, where),
-    )
+    values["comments"] = [
+        Comment(**_fields(c, _COMMENT_KEYS, where, "comment key",
+                          "comment entries must be objects"))
+        for c in values["comments"]]
+    return VideoRecord(**values)
 
 
 def load_dataset(path, name: str) -> Dataset:
@@ -309,27 +302,10 @@ def save_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for rec in dataset.records:
-            obj = {
-                "id": rec.id,
-                "title": rec.title,
-                "description": rec.description,
-                "tags": list(rec.tags),
-                "view_count": rec.view_count,
-                "like_count": rec.like_count,
-                "dislike_count": rec.dislike_count,
-                "channel_subscriber_count": rec.channel_subscriber_count,
-                "comments": [
-                    {
-                        "id": c.id,
-                        "text": c.text,
-                        "like_count": c.like_count,
-                        "reply_count": c.reply_count,
-                        "published_at": c.published_at,
-                    }
-                    for c in rec.comments
-                ],
-                "label": rec.label,
-            }
+            # json writes the tags tuple as a list; comments become objects.
+            obj = {key: getattr(rec, key) for key in _RECORD_KEYS}
+            obj["comments"] = [{key: getattr(c, key) for key in _COMMENT_KEYS}
+                               for c in rec.comments]
             fh.write(json.dumps(obj, ensure_ascii=True) + "\n")
 
 
@@ -410,11 +386,15 @@ def balance_subset(dataset: Dataset, seed: int) -> Dataset:
 
 
 def _dislike_like_ratio_unbounded(record: VideoRecord) -> float:
-    """Mining-side ratio: zero likes with any dislikes counts as infinite;
-    ``lexical.dislike_like_ratio`` caps it for the features."""
+    """Mining-side ratio: zero likes with any dislikes, or a quotient beyond
+    the float range, counts as infinite; ``lexical.dislike_like_ratio``
+    caps it for the features."""
     if record.like_count == 0:
         return math.inf if record.dislike_count > 0 else 0.0
-    return record.dislike_count / record.like_count
+    try:
+        return record.dislike_count / record.like_count
+    except OverflowError:
+        return math.inf
 
 
 def mine_candidates(dataset: Dataset,

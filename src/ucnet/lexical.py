@@ -15,7 +15,7 @@ import hashlib
 import math
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -27,17 +27,6 @@ from .corpus import (Comment, VideoRecord, _dislike_like_ratio_unbounded,
                      content_lines, fake_indicators, nfc)
 
 DISLIKE_RATIO_CAP = 1000.0
-
-FEATURE_NAMES = (
-    "has_clickbait_phrase",
-    "ratio_violent_words",
-    "ratio_caps",
-    "title_fakeness_score",
-    "dislike_like_ratio",
-    "comments_fakeness",
-    "comments_inappropriateness",
-    "comments_conversation_ratio",
-)
 
 
 _TOKEN = re.compile(r"[^\W_]+")
@@ -75,12 +64,6 @@ def _compile_pattern(pattern: str) -> re.Pattern:
 def lexicon_digest(entries: Sequence[str]) -> str:
     joined = "\n".join(_fold(e) for e in entries)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
-
-
-# The files of a lexicon directory, in the order of LexiconSet's fields.
-LEXICON_FILES = ("clickbait_phrases.txt", "violent_words.txt",
-                 "fakeness_patterns.txt", "swear_words.txt",
-                 "fakeness_phrases.txt")
 
 
 @dataclass(frozen=True)
@@ -127,6 +110,10 @@ class LexiconSet:
     @classmethod
     def default(cls) -> "LexiconSet":
         return cls.from_directory(default_lexicon_dir())
+
+
+# The files of a lexicon directory, one per field of LexiconSet.
+LEXICON_FILES = tuple(f"{f.name}.txt" for f in fields(LexiconSet))
 
 
 def default_lexicon_dir() -> Path:
@@ -352,6 +339,9 @@ class FeatureVector:
                         dtype=np.float64)
 
 
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+
+
 def extract_features(video: VideoRecord, lex: LexiconSet,
                      scorer: TitleScorer) -> FeatureVector:
     """All eight simple features for one video."""
@@ -374,8 +364,14 @@ def feature_matrix(videos: Sequence[VideoRecord], lex: LexiconSet,
 
 
 def pearson_correlation(features: np.ndarray) -> np.ndarray:
-    """Pairwise Pearson r; zero-variance columns correlate as 0 by definition."""
+    """Pairwise Pearson r; zero-variance columns correlate as 0 by definition.
+
+    Each column is first scaled by the power of two that brings its largest
+    magnitude into [0.5, 1), so values near the float64 maximum cannot
+    overflow when squared; the scaling is exact and r does not depend on it.
+    """
     x = np.asarray(features, dtype=np.float64)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=0))[1])
     centered = x - x.mean(axis=0)
     std = centered.std(axis=0)
     denom = np.outer(std, std)

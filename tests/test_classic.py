@@ -93,6 +93,16 @@ class TestDecisionTree:
         assert tree.n_samples.tolist() == [2, 1, 1]
         assert tree.predict_proba_fake([[1.0], [upper]]).tolist() == [0.0, 1.0]
 
+    def test_midpoint_near_the_float_maximum_does_not_overflow(self):
+        # (below + above) / 2 overflows to inf here, with a RuntimeWarning
+        # (an error under the suite's filter).
+        m = np.finfo(np.float64).max / 2
+        upper = np.nextafter(m, np.inf)
+        tree = train_tree([[m], [upper]], [0, 1], min_samples_leaf=1)
+        assert tree.threshold[0] == upper
+        assert tree.n_samples.tolist() == [2, 1, 1]
+        assert tree.predict_proba_fake([[m], [upper]]).tolist() == [0.0, 1.0]
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             train_tree(np.zeros((0, 2)), np.zeros(0, dtype=int))

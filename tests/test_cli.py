@@ -200,6 +200,19 @@ class TestMineCommand:
         assert "dataset" in manifest["inputs"]
         assert manifest["inputs"]["dataset"]["sha256"]
 
+    def test_ratio_beyond_the_float_range_ranks_first(self, tmp_path):
+        comments = [make_comment("c", "fake fake fake")]
+        records = [make_video(vid, comments=comments, likes=likes,
+                              dislikes=dislikes)
+                   for vid, likes, dislikes in (("high", 10, 9),
+                                                ("huge", 1, 10**400))]
+        data = tmp_path / "pool.jsonl"
+        corpus.save_dataset(make_dataset(records), data)
+        out = tmp_path / "mined.jsonl"
+        assert main(["mine", "--input", str(data), "--output", str(out),
+                     "--min-views", "0", "--min-comments", "0"]) == 0
+        assert corpus.load_dataset(out, "mined").ids() == ("huge", "high")
+
     @pytest.mark.parametrize("ratio", ["nan", "inf"])
     def test_non_finite_ratio_is_refused(self, tmp_path, capsys, ratio):
         data = tmp_path / "pool.jsonl"
@@ -235,6 +248,18 @@ class TestFeaturesCommand:
                      "--output", str(second), "--scorer", str(saved)])
         assert code == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_ratio_beyond_the_float_range_reads_the_cap(self, synthetic_dir,
+                                                        tmp_path):
+        data = tmp_path / "huge.jsonl"
+        corpus.save_dataset(make_dataset([make_video(
+            "v", likes=1, dislikes=10**400)]), data)
+        out = tmp_path / "features.csv"
+        assert main(["features", "--input", str(data), "--output", str(out),
+                     "--train-titles", str(synthetic_dir / "titles.tsv")]) == 0
+        _, matrix, _ = cli._read_features_csv(out)
+        ratio = matrix[0, lexical.FEATURE_NAMES.index("dislike_like_ratio")]
+        assert ratio == lexical.DISLIKE_RATIO_CAP
 
     @pytest.mark.parametrize("damage", ["blank", "short", "non-numeric",
                                         "nan", "inf", "-inf", "huge"])

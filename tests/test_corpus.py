@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from datetime import timezone
 
 import numpy as np
@@ -97,6 +98,56 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=r"line 2: comment 'c1': "
                                              r"published_at '2015-01-01T25"):
             load_dataset(path, "stamp")
+
+
+class TestSchema:
+    def test_key_tables_are_the_init_fields(self):
+        for keys, cls in ((corpus._RECORD_KEYS, corpus.VideoRecord),
+                          (corpus._COMMENT_KEYS, corpus.Comment)):
+            assert list(keys) == [f.name for f in fields(cls) if f.init]
+
+    def test_saved_keys_follow_the_tables(self, tmp_path):
+        path = tmp_path / "one.jsonl"
+        save_dataset(make_dataset([make_video(
+            "x", comments=[make_comment()])]), path)
+        obj = json.loads(path.read_text())
+        assert list(obj) == list(corpus._RECORD_KEYS)
+        assert list(obj["comments"][0]) == list(corpus._COMMENT_KEYS)
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda obj: [obj], "record must be a JSON object"),
+        (lambda obj: {**obj, "comments": ["c"]},
+         "comment entries must be objects"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "label"},
+         "missing key 'label'"),
+        (lambda obj: {**obj, "comments": [{}]}, "missing key 'id'"),
+        (lambda obj: {**obj, "view_count": True},
+         "key 'view_count' must be an integer"),
+        (lambda obj: {**obj, "dislike_count": 1.0},
+         "key 'dislike_count' must be an integer"),
+        (lambda obj: {**obj, "tags": "t"}, "key 'tags' has wrong type"),
+        (lambda obj: {**obj, "tags": [1]}, "tags must be strings"),
+        (lambda obj: {**obj, "title": None}, "key 'title' has wrong type"),
+    ])
+    def test_error_texts(self, tmp_path, damage, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(damage(json.loads(record_line(
+            "a", comments=[("c1", "hi")])))) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_dataset(path, "bad")
+        assert str(info.value) == f"{path}: line 1: {message}"
+
+    def test_unknown_key_warning_texts(self, tmp_path, caplog):
+        obj = json.loads(record_line("a", comments=[("c1", "hi")]))
+        obj["extra"] = 1
+        obj["comments"][0]["more"] = 2
+        path = tmp_path / "extra.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with caplog.at_level("WARNING"):
+            load_dataset(path, "extra")
+        assert caplog.messages == [
+            f"{path}: line 1: ignoring unknown key 'extra'",
+            f"{path}: line 1: ignoring unknown comment key 'more'"]
 
 
 class TestParseTimestamp:

@@ -80,6 +80,11 @@ class TestLexiconDirectory:
         assert lexicons.fakeness_phrases == phrases
         assert len(phrases) == 30
 
+    def test_file_names_follow_the_fields(self):
+        assert lexical.LEXICON_FILES == (
+            "clickbait_phrases.txt", "violent_words.txt",
+            "fakeness_patterns.txt", "swear_words.txt", "fakeness_phrases.txt")
+
     def test_missing_file_is_named(self, tmp_path):
         directory = tmp_path / "lexicons"
         shutil.copytree(lexical.default_lexicon_dir(), directory)
@@ -414,6 +419,13 @@ class TestExtractFeatures:
         for i, name in enumerate(FEATURE_NAMES):
             assert arr[i] == getattr(fv, name)
 
+    def test_names_are_the_feature_columns(self):
+        # The names head the features CSV and name a model's inputs.
+        assert FEATURE_NAMES == (
+            "has_clickbait_phrase", "ratio_violent_words", "ratio_caps",
+            "title_fakeness_score", "dislike_like_ratio", "comments_fakeness",
+            "comments_inappropriateness", "comments_conversation_ratio")
+
 
 class TestPruneCorrelated:
     def test_duplicate_column_lower_importance_removed(self):
@@ -443,6 +455,14 @@ class TestPruneCorrelated:
         importances = [0.2, 0.5, 0.3]
         # pairs: (0,1) marks 0; (0,2) marks 0; (1,2) marks 2 -> keep {1}
         assert prune_correlated(features, importances, 0.2) == (1,)
+
+    def test_values_near_the_float_maximum_correlate(self):
+        # Squared unscaled, these overflow, with a RuntimeWarning (an error
+        # under the suite's filter), and r read -0.0.
+        features = np.array([[9e307, 1.0], [-9e307, 2.0], [8e307, 3.0]])
+        corr = pearson_correlation(features)
+        assert corr[0, 1] == corr[1, 0] == pytest.approx(-0.0494, abs=5e-5)
+        assert prune_correlated(features, [0.5, 0.2], 0.04) == (0,)
 
     def test_importance_tie_keeps_lower_index(self):
         base = np.linspace(0, 1, 10)
