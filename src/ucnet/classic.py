@@ -237,7 +237,7 @@ class LogisticModel:
 
     def predict_proba_fake(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X, dtype=np.float64)  # see _validate_xy
-        return _sigmoid(X @ self.weights + self.intercept)
+        return _fake_probabilities(X, self.weights, self.intercept)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -246,12 +246,28 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def _fake_probabilities(X: np.ndarray, weights: np.ndarray,
+                        intercept: float) -> np.ndarray:
+    """The sigmoid of the scores ``X @ weights + intercept``. A score beyond
+    the float64 range raises ``OverflowError`` instead of passing an
+    infinite or NaN score to the sigmoid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = X @ weights + intercept
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise OverflowError(
+            f"the logistic score of row {int(np.argmin(finite)) + 1} "
+            f"overflows float64; the features reach "
+            f"{np.abs(X).max():.3g} in magnitude")
+    return _sigmoid(z)
+
+
 def logistic_loss_and_gradient(weights: np.ndarray, intercept: float,
                                X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy of the logistic model and its analytic gradient."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    p = _sigmoid(X @ weights + intercept)
+    p = _fake_probabilities(X, weights, intercept)
     eps = 1e-12
     loss = float(-np.mean(y * np.log(np.clip(p, eps, None))
                           + (1.0 - y) * np.log(np.clip(1.0 - p, eps, None))))
@@ -272,10 +288,14 @@ def train_logistic(X, y, learning_rate: float = 0.1,
         raise ValueError("logistic regression needs both classes present")
     weights = np.zeros(X.shape[1])
     intercept = 0.0
-    for _ in range(epochs):
+    for epoch in range(epochs):
         _, grad_w, grad_b = logistic_loss_and_gradient(weights, intercept, X, y)
-        weights = weights - learning_rate * grad_w
+        with np.errstate(over="ignore"):
+            weights = weights - learning_rate * grad_w
         intercept = intercept - learning_rate * grad_b
+        if not (np.isfinite(weights).all() and math.isfinite(intercept)):
+            raise OverflowError(f"the logistic weights overflow float64 at "
+                                f"epoch {epoch + 1}")
     return LogisticModel(weights=weights, intercept=intercept)
 
 

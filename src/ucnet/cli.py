@@ -275,7 +275,10 @@ def _cmd_train_classic(args) -> int:
         "logistic": lambda: classic.train_logistic(
             X, y, learning_rate=args.learning_rate, epochs=args.epochs),
     }[args.model]
-    model = train()
+    try:
+        model = train()
+    except OverflowError as exc:
+        raise ValueError(f"{args.features}: {exc}") from None
     classic.save_model(model, args.output)
     inputs = {"features": args.features}
     if args.selected:
@@ -283,7 +286,10 @@ def _cmd_train_classic(args) -> int:
     outputs = [args.output]
     if args.test_features:
         test_ids, test_matrix, _ = _read_features_csv(args.test_features)
-        p_fake = model.predict_proba_fake(test_matrix[:, indices])
+        try:
+            p_fake = model.predict_proba_fake(test_matrix[:, indices])
+        except OverflowError as exc:
+            raise ValueError(f"{args.test_features}: {exc}") from None
         _write_predictions_csv(args.predictions, test_ids, p_fake)
         inputs["test_features"] = args.test_features
         outputs.append(args.predictions)
@@ -392,7 +398,10 @@ def _cmd_pca(args) -> int:
     else:
         raise ValueError(
             "pca needs --features, or --input with --model and --embeddings")
-    projected, variances = evaluation.pca_project(matrix, args.components)
+    try:
+        projected, variances = evaluation.pca_project(matrix, args.components)
+    except OverflowError as exc:
+        raise ValueError(f"{args.features or args.model}: {exc}") from None
     evaluation.export_report(projected, args.output, video_ids=ids, labels=labels)
     _write_manifest(args.output, args, inputs, {}, [args.output])
     print("explained variances: "

@@ -116,6 +116,12 @@ def pca_project(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     eigendecomposed, and eigenvalues come back in non-increasing order. The
     sign convention makes each axis's largest-magnitude component positive
     so projections are byte-stable across runs.
+
+    The whole matrix is first divided by one power of two (one for all
+    columns, as PCA is not scale-free per column), exactly, so that the
+    covariance's sums of squares stay finite; it is 1 unless the largest
+    magnitude nears 2**500, and the results are scaled back. A projection
+    or variance beyond the float64 range raises ``OverflowError``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -123,6 +129,13 @@ def pca_project(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n, d = X.shape
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
+    if not np.isfinite(X).all():
+        raise ValueError("PCA needs finite values")
+    # Centered values stay below 2**(exponent + 1), so the n squares a
+    # covariance entry sums stay below 2**1022.
+    exponent = int(np.frexp(np.abs(X).max())[1])
+    shift = max(exponent - (1020 - n.bit_length()) // 2, 0)
+    X = np.ldexp(X, -shift)
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
@@ -133,7 +146,13 @@ def pca_project(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         pivot = int(np.argmax(np.abs(vectors[:, col])))
         if vectors[pivot, col] < 0:
             vectors[:, col] = -vectors[:, col]
-    return centered @ vectors, values
+    with np.errstate(over="ignore"):
+        projected = np.ldexp(centered @ vectors, shift)
+        values = np.ldexp(values, 2 * shift)
+    if not (np.isfinite(projected).all() and np.isfinite(values).all()):
+        raise OverflowError("a principal component's projection or variance "
+                            "exceeds the float64 range")
+    return projected, values
 
 
 def export_report(obj, path, video_ids: Sequence[str] | None = None,

@@ -35,7 +35,9 @@ so the phrase list is part of the model: ``save`` writes it into the file's
 meta and ``load`` reads it back. A model keeps all its parameters, and
 their gradients, in one flat float64 vector each
 (:class:`ucnet.neural.FlatParameters`), which Adam updates in place; the
-LSTM's tensors come first, so they are a prefix of the vector. The LSTM
+LSTM's tensors come first, so they are a prefix of the vector. The
+gradient vector is allocated by the first backward pass, so a model that
+is loaded to predict or embed holds its parameters once. The LSTM
 runs in the model's compute dtype, float32 by default: each forward pass
 casts the LSTM's master weights once, the LSTM's final states are widened
 to float64, and its gradients are widened into the flat gradient vector.

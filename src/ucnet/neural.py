@@ -4,9 +4,11 @@ Model parameters and their gradients are float64 and live in one contiguous
 vector each (:class:`FlatParameters`); every parameter is exposed as a named
 view into it, so the Adam optimizer updates the whole model with a handful
 of in-place vector operations and the finite-difference gradient checker
-treats every architecture uniformly. :meth:`FlatParameters.pack` is where
-parameters enter a model, and the one place their finiteness is checked. A
-dense layer is a pair of views ``name.weights`` and ``name.bias``, read as the
+treats every architecture uniformly. The gradient vector is allocated by
+its first reader, a backward pass, so a model that only predicts holds its
+parameters once. :meth:`FlatParameters.pack` is where parameters enter a
+model, and the one place their finiteness is checked. A dense layer is a
+pair of views ``name.weights`` and ``name.bias``, read as the
 affine map ``x @ weights.T + bias``; its nonlinearity is fixed where it is
 used: :class:`Mlp` puts ReLU between its layers and a softmax on top. A
 "network" is any object with two methods::
@@ -79,6 +81,7 @@ block stays in cache between passes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -465,17 +468,16 @@ def segment_views(vector: np.ndarray, shapes: Mapping[str, tuple[int, ...]]
 
 @dataclass
 class FlatParameters:
-    """A model's float64 parameters as one contiguous vector, with a gradient
-    vector of the same layout; ``params`` and ``grads`` name views into them.
+    """A model's float64 parameters as one contiguous vector; ``params``
+    names views into it.
 
-    The gradient is zero-filled lazily (calloc): its pages stay untouched,
-    and take no resident memory, until a backward pass writes them, so a
-    model that only predicts never makes its gradient resident."""
+    ``gradient``, a vector of the same layout, and ``grads``, its named
+    views (the same dict on every access), are allocated zero-filled on
+    first access, which is a backward pass or an optimizer step: a model
+    that only loads and predicts never holds a gradient."""
 
     vector: np.ndarray
-    gradient: np.ndarray
     params: dict[str, np.ndarray]
-    grads: dict[str, np.ndarray]
 
     @classmethod
     def pack(cls, arrays: Mapping[str, np.ndarray]) -> "FlatParameters":
@@ -488,8 +490,16 @@ class FlatParameters:
         if not np.isfinite(vector).all():
             bad = next(n for n, a in params.items() if not np.isfinite(a).all())
             raise ValueError(f"parameter {bad!r} is not finite")
-        gradient = np.zeros(vector.shape)  # not zeros_like, which writes pages
-        return cls(vector, gradient, params, segment_views(gradient, shapes))
+        return cls(vector, params)
+
+    @functools.cached_property
+    def gradient(self) -> np.ndarray:
+        return np.zeros(self.vector.shape)
+
+    @functools.cached_property
+    def grads(self) -> dict[str, np.ndarray]:
+        return segment_views(self.gradient, {name: a.shape for name, a
+                                             in self.params.items()})
 
 
 class Mlp:

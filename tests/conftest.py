@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ucnet import lexical, neural, synthetic
 from ucnet.corpus import Comment, Dataset, VideoRecord
@@ -57,3 +58,8 @@ def lstm_cell(params) -> neural.LSTMCell:
     """The LSTM cell of a UCNet parameter mapping (``network.init_params``)."""
     return neural.LSTMCell(params["lstm.wx"], params["lstm.wh"],
                            params["lstm.bias"])
+
+
+# A larger, randomized run of tests/test_cli_fuzz.py, which CI loads with
+# --hypothesis-profile=cli-fuzz-deep.
+settings.register_profile("cli-fuzz-deep", max_examples=600, deadline=None)

@@ -455,6 +455,23 @@ class TestLogistic:
         assert np.array_equal(model.predict_proba_fake(X),
                               model.predict_proba_fake(np.asfortranarray(X)))
 
+    def test_a_score_beyond_the_float_range_raises(self):
+        X = np.array([[9e307, 1.0], [-9e307, 2.0], [8e307, 3.0], [1.0, 4.0]])
+        y = np.array([1, 0, 1, 0])
+        with pytest.raises(OverflowError, match="the logistic score of row 1 "
+                           "overflows float64; the features reach 9e"):
+            train_logistic(X, y)
+        model = LogisticModel(weights=np.array([2.0, 0.0]), intercept=0.0)
+        assert model.predict_proba_fake(np.array([[8e307, 1.0]]))[0] == 1.0
+        with pytest.raises(OverflowError, match="row 2 overflows"):
+            model.predict_proba_fake(np.array([[1.0, 0.0], [9e307, 0.0]]))
+
+    def test_weights_beyond_the_float_range_raise(self):
+        X = np.array([[10.0], [-10.0]])
+        with pytest.raises(OverflowError,
+                           match="logistic weights overflow float64 at epoch 1"):
+            train_logistic(X, np.array([1, 0]), learning_rate=1e308)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(30, 2))

@@ -305,6 +305,18 @@ class TestFeaturesCommand:
         assert capsys.readouterr().err == f"error: {features}: {message}\n"
 
 
+def extreme_features(synthetic_dir, tmp_path):
+    """The synthetic features with the first two columns set to +-9e307 and
+    +-1.7e308, alternating by row."""
+    path = run_features(synthetic_dir, tmp_path)
+    rows = list(csv.reader(path.open()))
+    for i, row in enumerate(rows[1:]):
+        sign = 1 if i % 2 == 0 else -1
+        row[1:3] = [repr(sign * 9e307), repr(sign * 1.7e308)]
+    corpus.write_csv(path, rows[0], rows[1:])
+    return path
+
+
 class TestPruneAndClassic:
     def test_prune_then_train_forest(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)
@@ -420,6 +432,39 @@ class TestPruneAndClassic:
                      "--output", str(output)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not output.exists()
+
+    def test_logistic_overflow_names_the_file(self, synthetic_dir, tmp_path,
+                                              capsys):
+        features = extreme_features(synthetic_dir, tmp_path)
+        model = tmp_path / "logit.model"
+        capsys.readouterr()
+        assert main(["train-classic", "--model", "logistic", "--features",
+                     str(features), "--output", str(model)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {features}: the logistic score of row 1 overflows "
+            "float64; the features reach 1.7e+308 in magnitude\n")
+        assert not model.exists()
+
+    def test_logistic_prediction_overflow_names_the_test_file(
+            self, synthetic_dir, tmp_path, capsys):
+        # Column 1 separates the training rows, so its weight exceeds 1.
+        rows = list(csv.reader(run_features(synthetic_dir, tmp_path).open()))
+        for row in rows[1:]:
+            row[2] = "1" if row[-1] == "fake" else "-1"
+        features = tmp_path / "train.csv"
+        corpus.write_csv(features, rows[0], rows[1:])
+        test = extreme_features(synthetic_dir, tmp_path)
+        selected = tmp_path / "selected.json"
+        selected.write_text('{"selected_indices": [1]}')
+        predictions = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert main(["train-classic", "--model", "logistic", "--features",
+                     str(features), "--selected", str(selected), "--output",
+                     str(tmp_path / "logit.model"), "--test-features",
+                     str(test), "--predictions", str(predictions)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {test}: the logistic score of row ")
+        assert not predictions.exists()
 
     def test_train_classic_determinism(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)
@@ -671,6 +716,18 @@ class TestPcaCommand:
         evaluation.export_report(projected, expected, video_ids=dataset.ids(),
                                  labels=[r.label for r in dataset])
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_pca_overflow_names_the_file(self, synthetic_dir, tmp_path,
+                                         capsys):
+        features = extreme_features(synthetic_dir, tmp_path)
+        out = tmp_path / "proj.csv"
+        capsys.readouterr()
+        assert main(["pca", "--features", str(features),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {features}: a principal component's projection or "
+            "variance exceeds the float64 range\n")
+        assert not out.exists()
 
     def test_pca_requires_a_source(self, tmp_path):
         assert main(["pca", "--output", str(tmp_path / "x.csv")]) == 2

@@ -1,6 +1,10 @@
 """Subcommands run through ``cli.main`` on files every reader accepts, with
 values at their edges. Each run exits 0 or 2 without a traceback or a
-RuntimeWarning, and an exit-0 output reads back through its own reader."""
+RuntimeWarning, and an exit-0 output reads back through its own reader.
+
+Tier-1 runs each test derandomized and short. CI runs this file again with
+``--hypothesis-profile=cli-fuzz-deep`` (registered in ``conftest.py``),
+whose larger, randomized runs the tests then take."""
 
 import contextlib
 import io
@@ -11,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucnet import cli, corpus
+from ucnet import classic, cli, corpus
+from ucnet.lexical import FEATURE_NAMES
 
 # Counts a JSON int may hold: an int64's overflow and one beyond the float
 # range, as well as the ordinary edges.
@@ -19,6 +24,22 @@ INT_EDGES = [0, 1, 2**63, 10**400]
 RECORD_INTS = [key for key, kind in corpus._RECORD_KEYS.items() if kind is int]
 COMMENT_INTS = [key for key, kind in corpus._COMMENT_KEYS.items()
                 if kind is int]
+
+
+# Feature values a CSV may hold: zeros of both signs, subnormals, the
+# smallest normal, ordinary values and values near the float64 maximum.
+MAX = float(np.finfo(np.float64).max)
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5,
+               -1.0, 3.0, 9e307, -9e307, 1.7e308, -1.7e308, MAX, -MAX]
+
+
+def fuzz_settings(max_examples: int) -> settings:
+    """Derandomized settings of ``max_examples`` examples, or the loaded
+    profile's when it is ``cli-fuzz-deep``."""
+    if settings.get_current_profile_name() == "cli-fuzz-deep":
+        return settings()
+    return settings(derandomize=True, max_examples=max_examples,
+                    deadline=None)
 
 
 def edge_counts(keys):
@@ -47,7 +68,7 @@ def run(argv) -> int:
 
 
 class TestEdgeCounts:
-    @settings(derandomize=True, max_examples=100, deadline=None)
+    @fuzz_settings(100)
     @given(counts=edge_counts(RECORD_INTS),
            comment_counts=edge_counts(COMMENT_INTS))
     def test_features_and_mine(self, workdir, counts, comment_counts):
@@ -69,3 +90,64 @@ class TestEdgeCounts:
         if run(["mine", "--input", str(data), "--output", str(mined),
                 "--min-views", "0", "--min-comments", "0"]) == 0:
             assert corpus.load_dataset(mined, "mined").ids() in ((), ("v1",))
+
+
+@st.composite
+def feature_tables(draw):
+    """(columns, labels) of a features CSV of 2-6 rows. The table draws a
+    few edge values; a column holds them cell by cell, one of them in every
+    row, or an earlier column's values."""
+    n = draw(st.integers(2, 6))
+    cells = st.sampled_from(draw(st.lists(st.sampled_from(FLOAT_EDGES),
+                                          min_size=1, max_size=4,
+                                          unique=True)))
+    columns = []
+    for _ in FEATURE_NAMES:
+        kind = draw(st.sampled_from(["cells", "constant", "duplicate"]))
+        if kind == "duplicate" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "constant":
+            columns.append([draw(cells)] * n)
+        else:
+            columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    labels = draw(st.lists(st.sampled_from(["fake", "real"]), min_size=n,
+                           max_size=n))
+    return columns, labels
+
+
+class TestEdgeFeatures:
+    @fuzz_settings(30)
+    @given(table=feature_tables())
+    def test_prune_train_classic_and_pca(self, workdir, table):
+        columns, labels = table
+        features = workdir / "edge-features.csv"
+        ids = [f"v{i}" for i in range(len(labels))]
+        corpus.write_csv(features, ("video_id", *FEATURE_NAMES, "label"),
+                         ([vid, *row, label] for vid, *row, label
+                          in zip(ids, *columns, labels)))
+        assert cli._read_features_csv(features)[0] == ids
+
+        selected = workdir / "selected.json"
+        if run(["prune", "--features", str(features), "--output",
+                str(selected), "--trees", "5"]) == 0:
+            cli._load_selected(selected)
+            importances = json.loads(selected.read_text())["importances"]
+            assert np.isfinite(importances).all()
+
+        model, predictions = workdir / "classic.model", workdir / "pred.csv"
+        for kind in ("forest", "tree", "logistic"):
+            if run(["train-classic", "--model", kind, "--features",
+                    str(features), "--test-features", str(features),
+                    "--predictions", str(predictions), "--output", str(model),
+                    "--trees", "5"]) == 0:
+                classic.load_model(model)
+                assert list(cli._read_labels_csv(predictions)) == ids
+
+        projection = workdir / "pca.csv"
+        if run(["pca", "--features", str(features), "--output",
+                str(projection)]) == 0:
+            header = ("video_id", "pc1", "pc2", "label")
+            rows = [[corpus.csv_number(where, name, text)
+                     for name, text in zip(header[1:3], row[1:3])]
+                    for where, row in corpus.read_csv(projection, header)]
+            assert len(rows) == len(ids)

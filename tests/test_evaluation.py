@@ -180,6 +180,29 @@ class TestPcaProject:
         b, _ = pca_project(X.copy(), 3)
         assert np.array_equal(a, b)
 
+    def test_a_mean_beyond_the_float_range_is_scaled_away(self):
+        # The constant column's sum, 20 * 2**1020, overflows unscaled.
+        a = np.random.default_rng(24).normal(size=20)
+        X = np.column_stack([np.ldexp(a, 400), np.full(20, 2.0 ** 1020)])
+        projected, variances = pca_project(X, 2)
+        assert np.allclose(np.ldexp(projected[:, 0], -400),
+                           np.abs(a - a.mean()) * np.sign(projected[:, 0]),
+                           rtol=1e-12, atol=0)
+        assert np.ldexp(variances[0], -800) == pytest.approx(np.var(a, ddof=1),
+                                                             rel=1e-12)
+        assert np.array_equal(projected[:, 1], np.zeros(20))
+        assert variances[1] == 0.0
+
+    def test_results_beyond_the_float_range_raise(self):
+        signs = np.tile([1.0, -1.0], 20)
+        X = np.column_stack([9e307 * signs, 1.7e308 * signs, np.ones(40)])
+        with pytest.raises(OverflowError, match="exceeds the float64 range"):
+            pca_project(X, 2)
+
+    def test_non_finite_values_are_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            pca_project(np.array([[1.0, np.nan], [2.0, 3.0]]), 1)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             pca_project(np.zeros((1, 3)), 1)

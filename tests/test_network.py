@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import unicodedata
@@ -444,6 +445,17 @@ class TestModelIO:
             assert model.unified_embedding(record.comments, table).tobytes() \
                 == again.unified_embedding(record.comments, table).tobytes()
 
+    def test_trained_model_bytes(self, tmp_path):
+        # Taken before the gradient vector was allocated on first use.
+        lexicons, dataset, table, scorer = small_training_world(16, seed=3)
+        model = network.train(dataset, table, lexicons, scorer,
+                              TrainingConfig(epochs=2, batch_size=4, seed=5),
+                              lstm_hidden=8)
+        model.save(tmp_path / "ucnet.model")
+        assert hashlib.sha256((tmp_path / "ucnet.model").read_bytes()
+                              ).hexdigest() == ("eda33a7922f5b8f214cbaa779c1104c6"
+                                                "de2c9560302faf59330ec4558f22d40c")
+
     def test_phrase_list_round_trips_in_order(self, tmp_path):
         phrases = ("so fake", "trucage évident", 'a "quoted" one', "#1 hoax",
                    "it's fake #lol", "back\\slash", "x", "fake  news", "嘘")
@@ -844,6 +856,25 @@ class TestInference:
         model.save(tmp_path / "ucnet.model")
         assert after == outputs(UCNetModel.load(tmp_path / "ucnet.model"))
         assert after[1] != before[1]
+
+    def test_a_loaded_model_holds_its_parameters_once(self, tmp_path):
+        # No gradient vector until a backward pass: after loading and
+        # predicting, little beyond the parameters themselves stays traced.
+        lexicons, dataset, table, scorer = small_training_world(4, seed=8)
+        params = init_params(np.random.default_rng(9), table.dimension,
+                             len(lexicons.fakeness_phrases), 2,
+                             lstm_hidden=300)
+        UCNetModel(params, lexicons.fakeness_phrases,
+                   lexical.FEATURE_NAMES[:2], table.dimension
+                   ).save(tmp_path / "ucnet.model")
+        tracemalloc.start()
+        try:
+            model = UCNetModel.load(tmp_path / "ucnet.model")
+            model.predict_record(dataset.records[0], table, lexicons, scorer)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * model.flat.vector.nbytes
 
     def test_predict_memory_stays_below_one_cache_plane(self):
         # A long thread at hidden 300: 200 comments, a third of them at the

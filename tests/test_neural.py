@@ -28,6 +28,15 @@ class TestDenseLayer:
                 FlatParameters.pack({"layer0.weights": np.ones((1, 2)),
                                      "layer0.bias": np.array([bad])})
 
+    def test_gradient_views_name_one_zeroed_vector(self):
+        flat = Mlp.init(np.random.default_rng(6), [3, 4, 2]).flat
+        assert flat.grads is flat.grads
+        assert flat.gradient.shape == flat.vector.shape
+        assert not flat.gradient.any()
+        for name, grad in flat.grads.items():
+            assert grad.shape == flat.params[name].shape
+            assert np.shares_memory(grad, flat.gradient)
+
 
 class TestSoftmax:
     @settings(max_examples=50, deadline=None)
