@@ -35,7 +35,6 @@ from .lexical import (
     FeatureVector,
     LexiconSet,
     TitleScorer,
-    TitleScorerConfig,
     extract_features,
     load_fakeness_phrases,
     prune_correlated,

@@ -96,8 +96,7 @@ def _get_scorer(args, lexicons: LexiconSet) -> tuple[TitleScorer, dict]:
         inputs["scorer"] = args.scorer
     elif getattr(args, "train_titles", None):
         titles = _load_labeled_titles(args.train_titles)
-        config = lexical.TitleScorerConfig(seed=getattr(args, "scorer_seed", 0))
-        scorer = train_title_scorer(titles, lexicons, config)
+        scorer = train_title_scorer(titles, lexicons, seed=args.scorer_seed)
         inputs["train_titles"] = args.train_titles
     else:
         raise ValueError("either --scorer or --train-titles is required")
@@ -267,6 +266,8 @@ def _cmd_train_classic(args) -> int:
         raise ValueError(f"{args.selected}: selects no features; a "
                          f"{args.model} model needs at least one")
     X = matrix[:, indices]
+    if args.test_features:
+        test_ids, test_matrix, _ = _read_features_csv(args.test_features)
     train = {
         "forest": lambda: classic.train_forest(
             X, y, n_trees=args.trees, max_depth=args.max_depth,
@@ -279,17 +280,19 @@ def _cmd_train_classic(args) -> int:
         model = train()
     except OverflowError as exc:
         raise ValueError(f"{args.features}: {exc}") from None
+    if args.test_features:
+        try:
+            p_fake = model.predict_proba_fake(test_matrix[:, indices])
+        except OverflowError as exc:
+            raise ValueError(f"{args.test_features}: {exc}") from None
+    # Nothing is written before every input is read and scored, so a run
+    # that exits 2 leaves no file behind.
     classic.save_model(model, args.output)
     inputs = {"features": args.features}
     if args.selected:
         inputs["selected"] = args.selected
     outputs = [args.output]
     if args.test_features:
-        test_ids, test_matrix, _ = _read_features_csv(args.test_features)
-        try:
-            p_fake = model.predict_proba_fake(test_matrix[:, indices])
-        except OverflowError as exc:
-            raise ValueError(f"{args.test_features}: {exc}") from None
         _write_predictions_csv(args.predictions, test_ids, p_fake)
         inputs["test_features"] = args.test_features
         outputs.append(args.predictions)
@@ -500,6 +503,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train_classic)
 
+    training = network.TrainingConfig()
     p = subs["train-ucnet"] = subparsers.add_parser(
         "train-ucnet", help="train the unified-comments network")
     p.add_argument("--train", default=None)
@@ -512,13 +516,17 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--lexicon-dir", default=None)
     p.add_argument("--selected", default=None)
     p.add_argument("--all-features", action="store_true")
-    p.add_argument("--learning-rate", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-comments", type=int, default=200)
-    p.add_argument("--max-tokens", type=int, default=100)
-    p.add_argument("--lstm-hidden", type=int, default=300)
+    p.add_argument("--learning-rate", type=float,
+                   default=training.learning_rate)
+    p.add_argument("--epochs", type=int, default=training.epochs)
+    p.add_argument("--batch-size", type=int, default=training.batch_size)
+    p.add_argument("--seed", type=int, default=training.seed)
+    p.add_argument("--max-comments", type=int,
+                   default=training.max_comments_per_video)
+    p.add_argument("--max-tokens", type=int,
+                   default=training.max_tokens_per_comment)
+    p.add_argument("--lstm-hidden", type=int,
+                   default=network.DEFAULT_LSTM_HIDDEN)
     p.add_argument("--output", required=True)
     p.add_argument("--predictions", default=None)
     p.add_argument("--truth-out", default=None,

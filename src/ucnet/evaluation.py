@@ -120,8 +120,9 @@ def pca_project(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     The whole matrix is first divided by one power of two (one for all
     columns, as PCA is not scale-free per column), exactly, so that the
     covariance's sums of squares stay finite; it is 1 unless the largest
-    magnitude nears 2**500, and the results are scaled back. A projection
-    or variance beyond the float64 range raises ``OverflowError``.
+    magnitude nears 2**500, and the results are scaled back. When it is
+    not 1, the columns are centred twice. A projection or variance beyond
+    the float64 range raises ``OverflowError``.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -137,6 +138,11 @@ def pca_project(X: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     shift = max(exponent - (1020 - n.bit_length()) // 2, 0)
     X = np.ldexp(X, -shift)
     centered = X - X.mean(axis=0)
+    if shift:
+        # A scaled column's mean can be off by an ulp of values near 2**500,
+        # a residue whose square overflows once scaled back; a second pass
+        # removes it (a constant column centres to zeros).
+        centered -= centered.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1][:k]

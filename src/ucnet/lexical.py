@@ -202,42 +202,35 @@ def title_linguistic_features(title: str, lex: LexiconSet) -> np.ndarray:
     ], dtype=np.float64)
 
 
-@dataclass
-class TitleScorerConfig:
-    hidden_dim: int = 8
-    learning_rate: float = 0.01
-    epochs: int = 300
-    batch_size: int = 16
-    seed: int = 0
+# The title scorer's hidden width and its training: mini-batch Adam at this
+# learning rate, epochs and batch size.
+_SCORER_HIDDEN = 8
+_SCORER_LEARNING_RATE = 0.01
+_SCORER_EPOCHS = 300
+_SCORER_BATCH = 16
 
 
 class TitleScorer:
-    """Feed-forward fakeness scorer over simple linguistic title features.
-
-    Inputs are standardized with the training-set mean/std; class order is
-    (real, fake) so score() returns the probability of the fake class.
+    """Feed-forward fakeness scorer over simple linguistic title features:
+    an :class:`ucnet.neural.Mlp` whose inputs are standardized with the
+    training set's ``mean`` and ``std``. Class order is (real, fake), so
+    score() returns the probability of the fake class. A scorer is built
+    trained, by :func:`train_title_scorer` or :meth:`load`.
     """
 
-    def __init__(self, lexicons: LexiconSet):
+    def __init__(self, lexicons: LexiconSet, mlp: neural.Mlp,
+                 mean: np.ndarray, std: np.ndarray):
         self.lexicons = lexicons
-        self.mlp: neural.Mlp | None = None
-        self.mean = np.zeros(len(TITLE_SCORER_FEATURES))
-        self.std = np.ones(len(TITLE_SCORER_FEATURES))
-
-    @property
-    def trained(self) -> bool:
-        return self.mlp is not None
+        self.mlp = mlp
+        self.mean = mean
+        self.std = std
 
     def score(self, title: str) -> float:
-        if not self.trained:
-            raise ValueError("title scorer has not been trained")
         x = (title_linguistic_features(title, self.lexicons) - self.mean) / self.std
         return float(self.mlp.forward(x)[1])
 
     def save(self, path) -> None:
         from .serialize import save_tensors
-        if not self.trained:
-            raise ValueError("cannot save an untrained title scorer")
         tensors = {"feature_mean": self.mean, "feature_std": self.std}
         tensors.update(self.mlp.parameters())
         meta = {
@@ -258,10 +251,9 @@ class TitleScorer:
                 or meta.get("violent_digest") != lexicon_digest(sorted(lexicons.violent_words)):
             raise ValueError(
                 f"{path}: lexicons differ from the ones the scorer was trained with")
-        scorer = cls(lexicons)
         n_inputs = len(TITLE_SCORER_FEATURES)
-        scorer.mean = tensors.shaped("feature_mean", n_inputs)
-        scorer.std = tensors.shaped("feature_std", n_inputs)
+        mean = tensors.shaped("feature_mean", n_inputs)
+        std = tensors.shaped("feature_std", n_inputs)
         weights = tensors.shaped("layer0.weights", None, n_inputs)
         units = weights.shape[0]
         flat = neural.FlatParameters.pack({
@@ -269,20 +261,18 @@ class TitleScorer:
             "layer0.bias": tensors.shaped("layer0.bias", units),
             "layer1.weights": tensors.shaped("layer1.weights", 2, units),
             "layer1.bias": tensors.shaped("layer1.bias", 2)})
-        scorer.mlp = neural.Mlp(flat, ("layer0", "layer1"))
-        return scorer
+        return cls(lexicons, neural.Mlp(flat, ("layer0", "layer1")), mean, std)
 
 
 def train_title_scorer(titles: Sequence[tuple[str, str]],
                        lexicons: LexiconSet | None = None,
-                       config: TitleScorerConfig | None = None) -> TitleScorer:
+                       seed: int = 0) -> TitleScorer:
     """Train the feed-forward title scorer on (title, label) pairs.
 
     Labels are "fake"/"real" and both classes must be present. Training is
     mini-batch Adam on cross-entropy and deterministic for a fixed seed.
     """
     lexicons = lexicons if lexicons is not None else LexiconSet.default()
-    config = config if config is not None else TitleScorerConfig()
     if not titles:
         raise ValueError("no training titles given")
     ys = fake_indicators([label for _, label in titles], "training titles")
@@ -290,24 +280,21 @@ def train_title_scorer(titles: Sequence[tuple[str, str]],
         raise ValueError("training titles must contain both classes")
 
     xs = np.stack([title_linguistic_features(t, lexicons) for t, _ in titles])
-    scorer = TitleScorer(lexicons)
-    scorer.mean = xs.mean(axis=0)
+    mean = xs.mean(axis=0)
     std = xs.std(axis=0)
-    scorer.std = np.where(std > 0, std, 1.0)
-    xs = (xs - scorer.mean) / scorer.std
+    std = np.where(std > 0, std, 1.0)
+    xs = (xs - mean) / std
 
-    rng = np.random.default_rng(config.seed)
-    mlp = neural.Mlp.init(rng, [xs.shape[1], config.hidden_dim, 2])
-    state = neural.AdamState.for_params(mlp.flat.vector,
-                                        learning_rate=config.learning_rate)
-    for _ in range(config.epochs):
+    rng = np.random.default_rng(seed)
+    mlp = neural.Mlp.init(rng, [xs.shape[1], _SCORER_HIDDEN, 2])
+    state = neural.AdamState(mlp.flat.vector, _SCORER_LEARNING_RATE)
+    for _ in range(_SCORER_EPOCHS):
         order = rng.permutation(len(xs))
-        for start in range(0, len(xs), config.batch_size):
-            batch = order[start:start + config.batch_size]
+        for start in range(0, len(xs), _SCORER_BATCH):
+            batch = order[start:start + _SCORER_BATCH]
             mlp.gradients(xs[batch], ys[batch])
             neural.adam_step(mlp.flat.vector, mlp.flat.gradient, state)
-    scorer.mlp = mlp
-    return scorer
+    return TitleScorer(lexicons, mlp, mean, std)
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,16 @@ batch, so a unified embedding does not depend on the order of the comments
 or on their duplication. The weight
 head is ``_comment_weights``, and the classifier is a :class:`ucnet.neural.Mlp`
 over the layers ``hidden`` and ``output``. ``UCNetModel.batch_loss_and_gradients``
-chains them over labelled videos: ``train`` calls it on shuffled mini-batches,
-whose LSTM caches reuse one workspace reserved for the run, and
-:func:`ucnet.neural.gradient_check` on any batch, for which it reserves a
-workspace of the batch's size. Inference (``predict``, ``predict_record``,
-``unified_embedding`` and so :func:`extract_unified_embeddings`) runs the
-forward pass on one video per call and without a workspace, so the LSTM
-keeps no backpropagation cache and holds one time step of state; its
-outputs are the bits the cached pass gives.
+chains them over labelled videos, with the LSTM caching into the workspace
+it is passed: ``train`` reserves one for the run and passes it with every
+shuffled mini-batch. Called without one, as
+:func:`ucnet.neural.gradient_check` calls it, the method reserves a
+workspace of the batch's size; the model itself holds none. Inference
+(``predict``, ``predict_record``, ``unified_embedding`` and so
+:func:`extract_unified_embeddings`) runs the forward pass on one video per
+call and without a workspace, so the LSTM keeps no backpropagation cache
+and holds one time step of state; its outputs are the bits the cached pass
+gives.
 
 The model's nine tensors, their names, shapes and order, are set in one
 place, ``_layout``: ``init_params`` draws them in that order, the
@@ -46,7 +48,6 @@ Pooling, both dense heads and the softmax stay float64.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -205,7 +206,7 @@ def _select_comments(comments: Sequence[Comment],
 
 def prepare_video(comments: Sequence[Comment], features: np.ndarray,
                   table: EmbeddingTable, phrases: Sequence[str],
-                  max_comments: int = 200, max_tokens: int = 100,
+                  max_comments: int, max_tokens: int,
                   label: int | None = None) -> PreparedVideo:
     chosen = _select_comments(comments, max_comments)
     ids = [embed_comment(c.text, table, max_tokens) for c in chosen]
@@ -443,7 +444,6 @@ class UCNetModel:
         self.embedding_dim = embedding_dim
         self.config = config if config is not None else TrainingConfig()
         self.loss_history: list[float] = []
-        self._lstm_workspace: np.ndarray | None = None
 
     def parameters(self) -> dict[str, np.ndarray]:
         return dict(self.flat.params)
@@ -467,18 +467,6 @@ class UCNetModel:
         return neural.lstm_workspace(sum(cells[:batch_size]),
                                      self.lstm_hidden, self.dtype)
 
-    @contextlib.contextmanager
-    def _lstm_buffers_for(self, videos: Sequence[PreparedVideo],
-                          batch_size: int):
-        """Within the block, ``batch_loss_and_gradients`` over at most
-        ``batch_size`` of ``videos`` packs its LSTM caches into one
-        workspace; on exit the model drops it."""
-        self._lstm_workspace = self._workspace_for(videos, batch_size)
-        try:
-            yield
-        finally:
-            self._lstm_workspace = None
-
     def prepare(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable, label: int | None = None) -> PreparedVideo:
         features = np.asarray(features, dtype=np.float64)
@@ -489,20 +477,16 @@ class UCNetModel:
                              self.config.max_comments_per_video,
                              self.config.max_tokens_per_comment, label)
 
-    def _forward(self, videos: Sequence[PreparedVideo],
-                 workspace: np.ndarray | None = None):
-        batch = _collate(videos, len(self.phrases))
-        probs, cache = _forward_batch(self, batch, workspace)
-        return batch, probs, cache
-
-    def batch_loss_and_gradients(self, videos: Sequence[PreparedVideo]):
+    def batch_loss_and_gradients(self, videos: Sequence[PreparedVideo],
+                                 workspace: np.ndarray | None = None):
         """Mean cross-entropy over labelled videos and its gradients. The
-        LSTM caches into the model's workspace, or into one reserved for
-        this batch when the model holds none."""
-        workspace = self._lstm_workspace
+        LSTM caches into ``workspace`` (from ``_workspace_for``, large
+        enough for the batch), or into one reserved for this batch when
+        none is given."""
         if workspace is None:
             workspace = self._workspace_for(videos, len(videos))
-        batch, probs, cache = self._forward(videos, workspace)
+        batch = _collate(videos, len(self.phrases))
+        probs, cache = _forward_batch(self, batch, workspace)
         if batch.labels is None:
             raise ValueError("every video in a loss batch needs a label")
         loss, delta = neural.softmax_cross_entropy(probs, batch.labels)
@@ -512,7 +496,9 @@ class UCNetModel:
     def predict(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable) -> Prediction:
         """Class probabilities for one video given its selected features."""
-        _, probs, _ = self._forward([self.prepare(comments, features, table)])
+        batch = _collate([self.prepare(comments, features, table)],
+                         len(self.phrases))
+        probs, _ = _forward_batch(self, batch)
         return Prediction(p_real=float(probs[0, 0]), p_fake=float(probs[0, 1]))
 
     def predict_record(self, record: VideoRecord, table: EmbeddingTable,
@@ -524,7 +510,8 @@ class UCNetModel:
                           table: EmbeddingTable) -> np.ndarray:
         """Mean of weight-scaled comment embeddings; zero vector for no comments."""
         prepared = self.prepare(comments, np.zeros(len(self.feature_names)), table)
-        _, _, (_, _, _, _, (x, _)) = self._forward([prepared])
+        _, (_, _, _, _, (x, _)) = _forward_batch(
+            self, _collate([prepared], len(self.phrases)))
         return x[0, :self.lstm_hidden].copy()
 
     def save(self, path) -> None:
@@ -599,15 +586,15 @@ def _select_features(record: VideoRecord, lexicons: LexiconSet,
 def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
           scorer: TitleScorer, config: TrainingConfig | None = None,
           feature_indices: Sequence[int] | None = None,
-          lstm_hidden: int = DEFAULT_LSTM_HIDDEN,
-          hidden_units: int = DEFAULT_HIDDEN_UNITS) -> UCNetModel:
+          lstm_hidden: int = DEFAULT_LSTM_HIDDEN) -> UCNetModel:
     """Mini-batch Adam training with cross-entropy over shuffled epochs.
 
     The fakeness vectors run over ``lexicons.fakeness_phrases``, which the
     model keeps as ``model.phrases``. feature_indices selects a subset of
     the eight simple features (the post-pruning selection); None feeds all
     eight. Deterministic for a fixed config seed; per-epoch mean loss lands
-    in model.loss_history.
+    in model.loss_history. The mini-batches' LSTM caches share one
+    workspace, reserved here for the run.
     """
     config = config if config is not None else TrainingConfig()
     if feature_indices is None:
@@ -621,7 +608,7 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
     rng = np.random.default_rng(config.seed)
     phrases = lexicons.fakeness_phrases
     params = init_params(rng, table.dimension, len(phrases), len(feature_names),
-                         lstm_hidden, hidden_units)
+                         lstm_hidden)
     model = UCNetModel(params, phrases, feature_names, table.dimension, config)
 
     prepared = []
@@ -629,27 +616,26 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
         features = _select_features(record, lexicons, scorer, feature_names)
         prepared.append(model.prepare(record.comments, features, table, label))
 
-    state = neural.AdamState.for_params(model.flat.vector,
-                                        learning_rate=config.learning_rate)
+    state = neural.AdamState(model.flat.vector, config.learning_rate)
+    workspace = model._workspace_for(prepared, config.batch_size)
     n = len(prepared)
-    with model._lstm_buffers_for(prepared, config.batch_size):
-        for epoch in range(config.epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            for start in range(0, n, config.batch_size):
-                chunk = [prepared[i]
-                         for i in order[start:start + config.batch_size]]
-                loss, _ = model.batch_loss_and_gradients(chunk)
-                if not math.isfinite(loss):
-                    raise ValueError(
-                        f"training loss is {loss} at epoch {epoch + 1}, batch "
-                        f"{start // config.batch_size + 1}; aborting")
-                neural.adam_step(model.flat.vector, model.flat.gradient, state)
-                epoch_loss += loss * len(chunk)
-            mean_loss = epoch_loss / n
-            model.loss_history.append(mean_loss)
-            logger.info("epoch %d/%d: mean loss %.6f", epoch + 1,
-                        config.epochs, mean_loss)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            chunk = [prepared[i]
+                     for i in order[start:start + config.batch_size]]
+            loss, _ = model.batch_loss_and_gradients(chunk, workspace)
+            if not math.isfinite(loss):
+                raise ValueError(
+                    f"training loss is {loss} at epoch {epoch + 1}, batch "
+                    f"{start // config.batch_size + 1}; aborting")
+            neural.adam_step(model.flat.vector, model.flat.gradient, state)
+            epoch_loss += loss * len(chunk)
+        mean_loss = epoch_loss / n
+        model.loss_history.append(mean_loss)
+        logger.info("epoch %d/%d: mean loss %.6f", epoch + 1,
+                    config.epochs, mean_loss)
     return model
 
 

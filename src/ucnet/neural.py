@@ -75,15 +75,17 @@ leaves out step 0, whose cells enter with ``h = 0``. The layout changes no
 bits: every GEMM and element-wise operation computes what it would on a
 row-major ``(cells, 4 * hidden)`` cache.
 
-:func:`adam_step` runs its element-wise passes block by block, so that a
-block stays in cache between passes.
+:class:`AdamState` is built for one parameter vector, with its moments and
+step scratch; Adam's β1, β2 and ε are module constants. :func:`adam_step`
+runs its element-wise passes block by block, so that a block stays in cache
+between passes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -591,31 +593,25 @@ class Mlp:
 # it touches (1.5 MB) stay in cache through its 14 passes.
 _ADAM_BLOCK = 1 << 15
 
+# Adam's decay rates and denominator floor, the defaults of Kingma and Ba
+# 2015 (arXiv:1412.6980); both trainers use them.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
-@dataclass
+
 class AdamState:
-    """Adam accumulators; ``m``/``v`` have the flat parameter vector's shape.
-    ``scratch`` holds two more vectors of one step block each, reused by
-    every step so that a step allocates nothing."""
+    """Adam's state for one flat parameter vector: the learning rate, the
+    step count ``t`` and the moments ``m`` and ``v``, zero-filled in the
+    vector's shape. ``scratch`` holds two more vectors of one step block
+    each, reused by every step so that a step allocates nothing."""
 
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    t: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)),
-                                repr=False)
-
-    @classmethod
-    def for_params(cls, vector: np.ndarray, learning_rate: float = 1e-4,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "AdamState":
-        return cls(learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                   epsilon=epsilon, t=0, m=np.zeros_like(vector),
-                   v=np.zeros_like(vector),
-                   scratch=np.empty((2, min(np.size(vector), _ADAM_BLOCK))))
+    def __init__(self, vector: np.ndarray, learning_rate: float):
+        self.learning_rate = learning_rate
+        self.t = 0
+        self.m = np.zeros_like(vector)
+        self.v = np.zeros_like(vector)
+        self.scratch = np.empty((2, min(np.size(vector), _ADAM_BLOCK)))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
@@ -625,33 +621,33 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     ``state.t``. Every element goes through the same operations, in the
     same order, as the textbook expressions
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-    ``p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``. The passes
-    run block by block, which changes no element's result.
+    ``p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)``, with ``b1``,
+    ``b2`` and ``eps`` the module's ``ADAM_BETA1``, ``ADAM_BETA2`` and
+    ``ADAM_EPSILON``. The passes run block by block, which changes no
+    element's result.
     """
     if not (params.ndim == 1
-            and params.shape == grads.shape == state.m.shape == state.v.shape
-            and state.scratch.shape[1] >= min(params.size, _ADAM_BLOCK)):
+            and params.shape == grads.shape == state.m.shape):
         raise ValueError(
-            f"parameter, gradient, moment and scratch shapes do not fit: "
-            f"{params.shape}, {grads.shape}, {state.m.shape}, "
-            f"{state.v.shape}, {state.scratch.shape}")
+            f"parameter, gradient and moment shapes do not fit: "
+            f"{params.shape}, {grads.shape}, {state.m.shape}")
     state.t += 1
-    m_correction = 1.0 - state.beta1 ** state.t
-    v_correction = 1.0 - state.beta2 ** state.t
+    m_correction = 1.0 - ADAM_BETA1 ** state.t
+    v_correction = 1.0 - ADAM_BETA2 ** state.t
     for lo in range(0, params.size, _ADAM_BLOCK):
         block = slice(lo, lo + _ADAM_BLOCK)
         g, m, v = grads[block], state.m[block], state.v[block]
         scratch, step = state.scratch[:, :g.size]
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=scratch)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
         m += scratch
-        v *= state.beta2
-        np.multiply(g, 1.0 - state.beta2, out=scratch)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
         scratch *= g
         v += scratch
         np.divide(v, v_correction, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += state.epsilon
+        scratch += ADAM_EPSILON
         np.divide(m, m_correction, out=step)
         step *= state.learning_rate
         step /= scratch

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import shlex
@@ -465,6 +466,23 @@ class TestPruneAndClassic:
         assert capsys.readouterr().err.startswith(
             f"error: {test}: the logistic score of row ")
         assert not predictions.exists()
+        assert not (tmp_path / "logit.model").exists()
+        assert not (tmp_path / "logit.model.manifest.json").exists()
+
+    def test_a_refused_test_file_leaves_no_file(self, synthetic_dir, tmp_path,
+                                                capsys):
+        features = run_features(synthetic_dir, tmp_path)
+        test = tmp_path / "bad.csv"
+        test.write_text("video_id,x\n")
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["train-classic", "--features", str(features),
+                     "--test-features", str(test), "--predictions",
+                     str(tmp_path / "p.csv"), "--output",
+                     str(tmp_path / "m.model"), "--trees", "5"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {test}: expected the header ")
+        assert set(tmp_path.iterdir()) == before
 
     def test_train_classic_determinism(self, synthetic_dir, tmp_path):
         features = run_features(synthetic_dir, tmp_path)
@@ -565,6 +583,18 @@ class TestTrainUcnetCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "m").exists()
 
+    def test_defaults_are_the_training_configs(self):
+        args = cli._build_parser()[1]["train-ucnet"].parse_args(
+            ["--embeddings", "e.txt", "--output", "m.model"])
+        config = network.TrainingConfig(
+            learning_rate=args.learning_rate, epochs=args.epochs,
+            batch_size=args.batch_size, seed=args.seed,
+            max_comments_per_video=args.max_comments,
+            max_tokens_per_comment=args.max_tokens)
+        assert dataclasses.astuple(config) == \
+            dataclasses.astuple(network.TrainingConfig())
+        assert args.lstm_hidden == network.DEFAULT_LSTM_HIDDEN
+
     def test_requires_feature_selection_choice(self, synthetic_dir, tmp_path):
         args = self.ucnet_args(synthetic_dir, tmp_path / "m")
         args.remove("--all-features")
@@ -575,7 +605,8 @@ class TestTrainUcnetCommand:
         original = network.UCNetModel.batch_loss_and_gradients
         monkeypatch.setattr(
             network.UCNetModel, "batch_loss_and_gradients",
-            lambda self, videos: (float("nan"), original(self, videos)[1]))
+            lambda self, videos, workspace=None: (
+                float("nan"), original(self, videos, workspace)[1]))
         assert main(self.ucnet_args(synthetic_dir, tmp_path / "m")) == 2
         assert "epoch 1, batch 1" in capsys.readouterr().err
 
@@ -728,6 +759,16 @@ class TestPcaCommand:
             f"error: {features}: a principal component's projection or "
             "variance exceeds the float64 range\n")
         assert not out.exists()
+
+    def test_pca_of_a_constant_column_near_the_float_maximum(
+            self, synthetic_dir, tmp_path):
+        path = run_features(synthetic_dir, tmp_path)
+        rows = list(csv.reader(path.open()))
+        for row in rows[1:]:
+            row[1] = "1.7e308"
+        corpus.write_csv(path, rows[0], rows[1:])
+        assert main(["pca", "--features", str(path),
+                     "--output", str(tmp_path / "proj.csv")]) == 0
 
     def test_pca_requires_a_source(self, tmp_path):
         assert main(["pca", "--output", str(tmp_path / "x.csv")]) == 2

@@ -9,13 +9,14 @@ whose larger, randomized runs the tests then take."""
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucnet import classic, cli, corpus
+from ucnet import classic, cli, corpus, evaluation
 from ucnet.lexical import FEATURE_NAMES
 
 # Counts a JSON int may hold: an int64's overflow and one beyond the float
@@ -151,3 +152,97 @@ class TestEdgeFeatures:
                      for name, text in zip(header[1:3], row[1:3])]
                     for where, row in corpus.read_csv(projection, header)]
             assert len(rows) == len(ids)
+
+
+# p_fake cells of a predictions CSV: both ends, the tie, the smallest
+# subnormal, a negative zero, the last double below 1 and the first above
+# it, a huge value and the non-finite words.
+P_FAKE_CELLS = ["0", "1", "0.5", "5e-324", "-0.0", repr(1 - 2**-53),
+                repr(math.nextafter(1.0, 2.0)), "1e308", "nan", "inf"]
+# Ids a file may hold, the empty one and one that differs from another only
+# by a space among them.
+IDS = ["v0", "v1", " v1", "", "v2", "v3"]
+# At most one defect an example: an id repeated, an id of one file missing
+# from the other or extra in it, an unknown label or a field holding a tab.
+# Four draws in nine have none, so exit-0 outputs get read back too.
+DEFECTS = ["none"] * 4 + ["duplicate", "missing", "extra", "label", "tab"]
+
+
+@st.composite
+def label_files(draw, labels, unknown, cells=(None, None)):
+    """Rows of two files over the same ids, with at most one defect. A row
+    is (id, label) where the file's entry of ``cells`` is None, and (id,
+    label, p_fake cell) otherwise, its cell drawn from a few of them."""
+    defect = draw(st.sampled_from(DEFECTS))
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=5,
+                        unique=True))
+    files = []
+    for file_cells in cells:
+        rows = [[vid, draw(st.sampled_from(labels))]
+                for vid in draw(st.permutations(ids))]
+        if file_cells is not None:
+            some = st.sampled_from(draw(st.lists(st.sampled_from(file_cells),
+                                                 min_size=1, max_size=2,
+                                                 unique=True)))
+            for row in rows:
+                row.append(draw(some))
+        files.append(rows)
+    rows = files[draw(st.integers(0, 1))]
+    row = draw(st.sampled_from(rows))
+    if defect == "duplicate":
+        rows.append(list(row))
+    elif defect == "missing":
+        rows.remove(row)
+    elif defect == "extra":
+        rows.append([f"{row[0]}x", *row[1:]])
+    elif defect == "label":
+        row[1] = unknown
+    elif defect == "tab":
+        row[draw(st.integers(0, 1))] += "\tv9"
+    return files
+
+
+@st.composite
+def prediction_files(draw):
+    """Predictions and truth CSV rows; the truth is a labels file or a
+    predictions file."""
+    truth_cells = draw(st.sampled_from([None, P_FAKE_CELLS]))
+    pred, truth = draw(label_files(["fake", "real"], "spam",
+                                   (P_FAKE_CELLS, truth_cells)))
+    header = ("video_id", "label", "p_fake")
+    return ([header, *pred],
+            [header[:2] if truth_cells is None else header, *truth])
+
+
+def csv_text(rows) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestEdgeLabels:
+    @fuzz_settings(40)
+    @given(files=prediction_files())
+    def test_evaluate(self, workdir, files):
+        pred, truth = workdir / "pred.csv", workdir / "truth.csv"
+        pred.write_text(csv_text(files[0]))
+        truth.write_text(csv_text(files[1]))
+        report = workdir / "report.csv"
+        if run(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                "--output", str(report)]) == 0:
+            read = evaluation.read_report(report)
+            assert read.total_support == len(cli._read_labels_csv(pred))
+
+    @fuzz_settings(40)
+    @given(rounds=label_files(list(corpus.ANNOTATION_LABELS), "fake"))
+    def test_agreement(self, workdir, rounds):
+        paths = [workdir / "round1.tsv", workdir / "round2.tsv"]
+        for path, rows in zip(paths, rounds):
+            path.write_text("".join("\t".join(row) + "\n" for row in rows))
+        matrix = workdir / "agreement.csv"
+        if run(["agreement", "--round1", str(paths[0]), "--round2",
+                str(paths[1]), "--output", str(matrix)]) == 0:
+            header = ("", *corpus.ANNOTATION_LABELS)
+            counts = [[corpus.csv_number(where, name, text, int)
+                       for name, text in zip(header[1:], row[1:])]
+                      for where, row in corpus.read_csv(matrix, header)]
+            assert sum(map(sum, counts)) == \
+                len(corpus.load_annotation_round(paths[0]))

@@ -193,6 +193,20 @@ class TestPcaProject:
         assert np.array_equal(projected[:, 1], np.zeros(20))
         assert variances[1] == 0.0
 
+    def test_a_constant_column_near_the_float_maximum_has_no_variance(self):
+        # Scaled by 2**-517, the column's mean is an ulp off; that residue's
+        # square would overflow once scaled back.
+        a = np.random.default_rng(25).normal(size=24)
+        X = np.column_stack([np.full(24, 1.7e308), np.ldexp(a, 400)])
+        projected, variances = pca_project(X, 2)
+        assert np.allclose(np.ldexp(projected[:, 0], -400),
+                           np.abs(a - a.mean()) * np.sign(projected[:, 0]),
+                           rtol=1e-12, atol=0)
+        assert np.ldexp(variances[0], -800) == pytest.approx(np.var(a, ddof=1),
+                                                             rel=1e-12)
+        assert np.array_equal(projected[:, 1], np.zeros(24))
+        assert variances[1] == 0.0
+
     def test_results_beyond_the_float_range_raise(self):
         signs = np.tile([1.0, -1.0], 20)
         X = np.column_stack([9e307 * signs, 1.7e308 * signs, np.ones(40)])

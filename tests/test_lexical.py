@@ -1,3 +1,4 @@
+import hashlib
 import re
 import shutil
 import sys
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ucnet import lexical, neural, synthetic
 from ucnet.lexical import (FEATURE_NAMES, FeatureVector, LexiconSet,
-                           TitleScorer, TitleScorerConfig,
+                           TitleScorer,
                            comments_conversation_ratio, comments_fakeness,
                            comments_inappropriateness, dislike_like_ratio,
                            extract_features, has_clickbait_phrase,
@@ -224,20 +225,14 @@ class TestCommentFeatures:
 
 
 class TestTitleScorer:
-    def test_untrained_guard(self, lexicons):
-        scorer = TitleScorer(lexicons)
-        with pytest.raises(ValueError, match="train"):
-            scorer.score("anything")
-
     def test_deterministic_scores(self, scorer):
         assert scorer.score("some title") == scorer.score("some title")
 
     def test_training_determinism(self, lexicons):
         titles = [("SHOCKING you won't believe", "fake"),
                   ("a calm cat video", "real")] * 8
-        config = TitleScorerConfig(epochs=40, seed=9)
-        a = train_title_scorer(titles, lexicons, config)
-        b = train_title_scorer(titles, lexicons, config)
+        a = train_title_scorer(titles, lexicons, seed=9)
+        b = train_title_scorer(titles, lexicons, seed=9)
         for key, value in a.mlp.parameters().items():
             assert np.array_equal(value, b.mlp.parameters()[key])
 
@@ -245,12 +240,11 @@ class TestTitleScorer:
         # Training reads gradients without the loss; a loop over the loss
         # path must reach the same parameters, bit for bit.
         titles = synthetic.make_labeled_titles(48, seed=3, lexicons=lexicons)
-        config = TitleScorerConfig(epochs=20, seed=2)
-        fast = train_title_scorer(titles, lexicons, config)
+        fast = train_title_scorer(titles, lexicons, seed=2)
         monkeypatch.setattr(
             neural.Mlp, "gradients",
             lambda mlp, xs, ys: mlp.batch_loss_and_gradients(xs, ys)[1])
-        slow = train_title_scorer(titles, lexicons, config)
+        slow = train_title_scorer(titles, lexicons, seed=2)
         for key, value in fast.mlp.parameters().items():
             assert value.tobytes() == slow.mlp.parameters()[key].tobytes()
 
@@ -267,14 +261,22 @@ class TestTitleScorer:
                 title = " ".join(rng.choice(fillers, size=4))
                 label = "real"
             (train if i < 90 else test).append((title, label))
-        scorer = train_title_scorer(train, lexicons,
-                                    TitleScorerConfig(epochs=150, seed=1))
+        scorer = train_title_scorer(train, lexicons, seed=1)
         fake_scores = [scorer.score(t) for t, lab in test if lab == "fake"]
         real_scores = [scorer.score(t) for t, lab in test if lab == "real"]
         assert np.mean(fake_scores) > np.mean(real_scores)
         correct = sum(1 for t, lab in test
                       if (scorer.score(t) >= 0.5) == (lab == "fake"))
         assert correct / len(test) >= 0.9
+
+    def test_trained_scorer_bytes(self, tmp_path, lexicons):
+        # Taken while the hidden width, learning rate, epochs and batch
+        # size were still settings.
+        train_title_scorer(synthetic.make_labeled_titles(240, seed=7),
+                           lexicons).save(tmp_path / "scorer.model")
+        assert hashlib.sha256((tmp_path / "scorer.model").read_bytes()
+                              ).hexdigest() == ("8a416eb1de501b29447c32fba6f23967"
+                                                "784c34122e706d8abe0ae462c81a9f2a")
 
     def test_single_class_rejected(self, lexicons):
         with pytest.raises(ValueError):

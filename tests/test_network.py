@@ -417,8 +417,8 @@ class TestTrain:
         losses = iter([0.7, 0.6, 0.5, float("nan")])
         original = UCNetModel.batch_loss_and_gradients
 
-        def lossy(self, videos):
-            return next(losses), original(self, videos)[1]
+        def lossy(self, videos, workspace=None):
+            return next(losses), original(self, videos, workspace)[1]
 
         monkeypatch.setattr(UCNetModel, "batch_loss_and_gradients", lossy)
         config = TrainingConfig(epochs=2, batch_size=4, seed=0)
@@ -742,7 +742,7 @@ class TestExactPooling:
 
 class TestTrainingBuffers:
     """``train`` packs every batch's LSTM cache into one workspace, reserved
-    once for the run and dropped when it returns."""
+    once for the run and passed with each batch; the model holds none."""
 
     @staticmethod
     def spy_on_lstm(monkeypatch):
@@ -769,12 +769,10 @@ class TestTrainingBuffers:
         small, large = videos[:2], videos[1:]
         fresh = copied(model.batch_loss_and_gradients(small))
         calls = self.spy_on_lstm(monkeypatch)
-        with model._lstm_buffers_for(videos, len(large)):
-            first = copied(model.batch_loss_and_gradients(small))
-            model.batch_loss_and_gradients(large)
-            again = copied(model.batch_loss_and_gradients(small))
-            workspace = model._lstm_workspace
-        assert model._lstm_workspace is None
+        workspace = model._workspace_for(videos, len(large))
+        first = copied(model.batch_loss_and_gradients(small, workspace))
+        model.batch_loss_and_gradients(large, workspace)
+        again = copied(model.batch_loss_and_gradients(small, workspace))
         assert [w is workspace for w, _ in calls] == [True] * 3
         assert all(np.shares_memory(cache.gates, workspace)
                    for _, cache in calls)
@@ -789,8 +787,10 @@ class TestTrainingBuffers:
         model = network.train(dataset, table, lexicons, scorer,
                               TrainingConfig(epochs=2, batch_size=4, seed=2),
                               lstm_hidden=8)
-        assert calls and all(w is not None for w, _ in calls)
-        assert model._lstm_workspace is None
+        assert calls and calls[0][0] is not None
+        assert all(w is calls[0][0] for w, _ in calls)
+        assert not any(isinstance(value, np.ndarray)
+                       for value in vars(model).values())
         model.save(tmp_path / "ucnet.model")
         again = UCNetModel.load(tmp_path / "ucnet.model")
         calls.clear()
@@ -848,8 +848,7 @@ class TestInference:
                                             model.feature_names)
         video = model.prepare(record.comments, features, table,
                               int(record.label == "fake"))
-        state = neural.AdamState.for_params(model.flat.vector,
-                                            learning_rate=0.05)
+        state = neural.AdamState(model.flat.vector, 0.05)
         model.batch_loss_and_gradients([video])
         neural.adam_step(model.flat.vector, model.flat.gradient, state)
         after = outputs(model)

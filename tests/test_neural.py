@@ -674,7 +674,7 @@ def pure_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 class TestAdam:
     def test_zero_gradients_are_a_fixed_point(self):
         params = np.array([1.0, -2.0, 3.0])
-        state = AdamState.for_params(params, learning_rate=0.1)
+        state = AdamState(params, 0.1)
         adam_step(params, np.zeros(3), state)
         assert np.array_equal(params, [1.0, -2.0, 3.0])
         assert state.t == 1
@@ -684,7 +684,7 @@ class TestAdam:
         params = np.array([0.0, 10.0, -4.0])
         before = params.copy()
         grads = np.array([0.5, -3.0, 2.0])
-        state = AdamState.for_params(params, learning_rate=lr)
+        state = AdamState(params, lr)
         adam_step(params, grads, state)
         step = params - before
         # bias-corrected first step: -lr * g / (|g| + eps) ~ -lr * sign(g)
@@ -695,7 +695,7 @@ class TestAdam:
         runs = []
         for _ in range(2):
             params = np.array([1.0, 2.0])
-            state = AdamState.for_params(params, learning_rate=0.01)
+            state = AdamState(params, 0.01)
             adam_step(params, grads, state)
             runs.append((params, state))
         assert np.array_equal(runs[0][0], runs[1][0])
@@ -703,7 +703,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         params = np.zeros(3)
-        state = AdamState.for_params(params)
+        state = AdamState(params, 1e-4)
         with pytest.raises(ValueError):
             adam_step(params, np.zeros(4), state)
         with pytest.raises(ValueError):
@@ -711,9 +711,11 @@ class TestAdam:
         assert state.t == 0
 
     def test_defaults_match_convention(self):
-        state = AdamState()
-        assert (state.beta1, state.beta2, state.epsilon) == (0.9, 0.999, 1e-8)
-        assert state.learning_rate == 1e-4
+        assert (neural.ADAM_BETA1, neural.ADAM_BETA2, neural.ADAM_EPSILON) \
+            == (0.9, 0.999, 1e-8)
+        state = AdamState(np.ones(3), 1e-4)
+        assert state.learning_rate == 1e-4 and state.t == 0
+        assert state.m.tobytes() == state.v.tobytes() == np.zeros(3).tobytes()
 
     def test_in_place_update_matches_pure_formula_bit_for_bit(self):
         rng = np.random.default_rng(19)
@@ -721,7 +723,7 @@ class TestAdam:
         # mixed magnitudes, exact zeros and subnormal-adjacent values
         scales = np.array([1e-300, 1e-8, 1.0, 1e6])[rng.integers(0, 4, 257)]
         ref_p, ref_m, ref_v = params.copy(), np.zeros(257), np.zeros(257)
-        state = AdamState.for_params(params, learning_rate=3e-4)
+        state = AdamState(params, 3e-4)
         for t in range(1, 8):
             grads = rng.normal(size=257) * scales
             grads[rng.random(257) < 0.1] = 0.0
@@ -738,7 +740,7 @@ class TestAdam:
         params = rng.normal(size=size)
         scales = np.array([1e-300, 1e-8, 1.0, 1e6])[rng.integers(0, 4, size)]
         ref_p, ref_m, ref_v = params.copy(), np.zeros(size), np.zeros(size)
-        state = AdamState.for_params(params, learning_rate=3e-4)
+        state = AdamState(params, 3e-4)
         for t in range(1, 8):
             grads = rng.normal(size=size) * scales
             grads[rng.random(size) < 0.1] = 0.0
@@ -750,7 +752,7 @@ class TestAdam:
     def test_parameter_views_share_the_flat_buffer_after_steps(self):
         rng = np.random.default_rng(20)
         net = Mlp.init(rng, [3, 4, 2])
-        state = AdamState.for_params(net.flat.vector, learning_rate=0.05)
+        state = AdamState(net.flat.vector, 0.05)
         xs, ys = rng.normal(size=(6, 3)), np.array([0, 1, 1, 0, 1, 0])
         before = net.flat.vector.copy()
         for _ in range(5):
