@@ -136,15 +136,21 @@ def _write_predictions_csv(path, ids, p_fake) -> None:
 
 def _read_labels_csv(path) -> dict[str, str]:
     """video_id -> label of a ``video_id,label`` CSV, or of a predictions
-    CSV whose ``p_fake`` values are then each a probability."""
+    CSV whose ``p_fake`` values are then each a probability and whose
+    labels are each ``evaluation.classify`` of it."""
     labels = {}
     for where, row in corpus.read_csv(path, _LABELS_HEADER,
                                       _PREDICTIONS_HEADER):
-        if len(row) == 3 and not 0.0 <= corpus.csv_number(
-                where, "p_fake", row[2]) <= 1.0:
-            raise ValueError(f"{where}: p_fake {row[2][:40]!r} is outside "
-                             "[0, 1]")
         corpus.fake_indicators(row[1:2], where)  # refuses another label
+        if len(row) == 3:
+            p_fake = corpus.csv_number(where, "p_fake", row[2])
+            if not 0.0 <= p_fake <= 1.0:
+                raise ValueError(f"{where}: p_fake {row[2][:40]!r} is "
+                                 "outside [0, 1]")
+            if row[1] != evaluation.classify(p_fake):
+                raise ValueError(f"{where}: label {row[1]!r} contradicts "
+                                 f"p_fake {row[2][:40]!r}, which classifies "
+                                 f"as {evaluation.classify(p_fake)!r}")
         labels[row[0]] = row[1]
     return labels
 
@@ -158,7 +164,7 @@ def _comment_vocabulary(*datasets) -> set[str]:
 
 
 def _cmd_mine(args) -> int:
-    dataset = corpus.load_dataset(args.input, args.name or Path(args.input).stem)
+    dataset = corpus.load_dataset(args.input, Path(args.input).stem)
     seed_path = args.seed_phrases or str(lexical.default_lexicon_dir() / "seed_phrases.txt")
     seed_phrases = lexical.load_lexicon_lines(seed_path)
     expansion = ()
@@ -302,6 +308,11 @@ def _cmd_train_classic(args) -> int:
 
 
 def _cmd_train_ucnet(args) -> int:
+    if args.truth_out and not args.predictions:
+        raise ValueError("--truth-out requires --predictions")
+    if args.predictions and args.train and not args.test:
+        raise ValueError("--predictions requires a test set: --test with "
+                         "--train, or --input")
     lexicon_dir = _lexicon_dir(args)
     lexicons = LexiconSet.from_directory(lexicon_dir)
     if not lexicons.fakeness_phrases:
@@ -345,7 +356,7 @@ def _cmd_train_ucnet(args) -> int:
     model.save(args.output)
     outputs = [args.output]
 
-    if test_set is not None and args.predictions:
+    if args.predictions:
         p_fake = [model.predict_record(record, table, lexicons, scorer).p_fake
                   for record in test_set]
         _write_predictions_csv(args.predictions, test_set.ids(), p_fake)
@@ -452,7 +463,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         "mine", help="heuristic candidate mining")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--name", default=None)
     p.add_argument("--seed-phrases", default=None)
     p.add_argument("--expansion-lexicon", default=None)
     p.add_argument("--min-views", type=int, default=10_000)

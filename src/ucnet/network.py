@@ -10,7 +10,10 @@ which is concatenated with the selected simple features and classified by a
 ReLU dense layer into a 2-way softmax over (real, fake).
 
 There is one forward pass, ``_forward_batch`` over a ``_collate``d batch of
-prepared videos, and one backward pass, ``_backward_batch``. The forward
+prepared videos, and one backward pass, ``_backward_batch``. A video
+without comments, and a batch without any, runs the same passes over zero
+LSTM cells: its unified embedding is the zero vector, and the weight
+head's and the LSTM's gradients from it are +0.0. The forward
 pass pools the whole batch with one call, ``_exact_segment_sums``: each
 video's column sums of its weight-scaled embeddings are rounded once from
 the exact sum, equal to ``math.fsum`` per column but vectorized over the
@@ -210,10 +213,8 @@ def prepare_video(comments: Sequence[Comment], features: np.ndarray,
                   label: int | None = None) -> PreparedVideo:
     chosen = _select_comments(comments, max_comments)
     ids = [embed_comment(c.text, table, max_tokens) for c in chosen]
-    if chosen:
-        fvs = np.stack([fakeness_vector(c.text, phrases) for c in chosen])
-    else:
-        fvs = np.zeros((0, len(phrases)))
+    fvs = np.array([fakeness_vector(c.text, phrases) for c in chosen],
+                   dtype=np.float64).reshape(len(chosen), len(phrases))
     return PreparedVideo(comment_ids=ids, matrix=table.matrix, fvs=fvs,
                          features=np.asarray(features, dtype=np.float64),
                          label=label)
@@ -230,23 +231,25 @@ class _Batch:
     labels: np.ndarray | None
 
 
-def _collate(videos: Sequence[PreparedVideo], n_phrases: int) -> _Batch:
+def _collate(videos: Sequence[PreparedVideo]) -> _Batch:
+    """One batch of ``videos``, which share one embedding matrix. A video
+    without comments is an empty segment of ``offsets``; a batch without
+    comments has zero rows of ``ids`` and ``fvs``, which the forward and
+    backward passes take like any other."""
     matrix = videos[0].matrix
     if any(v.matrix is not matrix for v in videos):
         raise ValueError("videos in one batch must share one embedding matrix")
     seqs = [seq for v in videos for seq in v.comment_ids]
     counts = [len(v.comment_ids) for v in videos]
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    total = int(offsets[-1])
     lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
     t_max = int(lengths.max(initial=0))
-    ids = np.zeros((total, t_max), dtype=np.int64)
-    if total:
-        # Row-major order of the mask is the order of the concatenated ids.
-        ids[np.arange(t_max) < lengths[:, None]] = np.concatenate(seqs)
-        fvs = np.concatenate([v.fvs for v in videos if len(v.fvs)])
-    else:
-        fvs = np.zeros((0, n_phrases))
+    ids = np.zeros((len(seqs), t_max), dtype=np.int64)
+    # Row-major order of the mask is the order of the concatenated ids; the
+    # leading empty array lets a batch without comments concatenate too.
+    ids[np.arange(t_max) < lengths[:, None]] = np.concatenate(
+        [np.zeros(0, np.int64), *seqs])
+    fvs = np.concatenate([v.fvs for v in videos])
     features = np.stack([v.features for v in videos])
     labels = None
     if all(v.label is not None for v in videos):
@@ -346,23 +349,15 @@ def _forward_batch(model: UCNetModel, batch: _Batch,
     ``_backward_batch`` reads; only a pass given an LSTM ``workspace``
     keeps the LSTM's part of it."""
     params = model.flat.params
-    hidden_dim = model.lstm_hidden
-    if batch.ids.shape[0]:
-        cell = model._compute_cell()
-        finals, lstm_cache = neural.lstm_forward_batch(
-            cell, batch.ids, batch.lengths, batch.matrix, workspace=workspace)
-        finals = finals.astype(np.float64, copy=False)
-        weights = _comment_weights(batch.fvs, params["weight_head.weights"],
-                                   params["weight_head.bias"])  # (n_comments, 1)
-        weighted = weights * finals
-    else:
-        cell = lstm_cache = None
-        finals = np.zeros((0, hidden_dim))
-        weights = np.zeros((0, 1))
-        weighted = finals
-    unified = _exact_segment_sums(weighted, batch.offsets)
-    counts = np.diff(batch.offsets)
-    np.divide(unified, counts[:, None], out=unified, where=counts[:, None] > 0)
+    cell = model._compute_cell()
+    finals, lstm_cache = neural.lstm_forward_batch(
+        cell, batch.ids, batch.lengths, batch.matrix, workspace=workspace)
+    finals = finals.astype(np.float64, copy=False)
+    weights = _comment_weights(batch.fvs, params["weight_head.weights"],
+                               params["weight_head.bias"])  # (n_comments, 1)
+    unified = _exact_segment_sums(weights * finals, batch.offsets)
+    # A video without comments sums to +0.0, so its mean is the zero vector.
+    unified /= np.maximum(np.diff(batch.offsets), 1)[:, None]
     x = np.concatenate([unified, batch.features], axis=1)
     probs, head_inputs = model.head._forward_cached(x)
     cache = (cell, lstm_cache, finals, weights, head_inputs)
@@ -372,31 +367,24 @@ def _forward_batch(model: UCNetModel, batch: _Batch,
 def _backward_batch(model: UCNetModel, batch: _Batch, cache,
                     delta: np.ndarray) -> None:
     """Write the gradient of every parameter into ``model.flat.grads``,
-    given the gradient of the loss with respect to the output logits."""
+    given the gradient of the loss with respect to the output logits. With
+    no comments in the batch, the sums over zero rows write +0.0 into the
+    weight head's and the LSTM's gradients."""
     cell, lstm_cache, finals, weights, head_inputs = cache
     grads = model.flat.grads
-    n_videos = batch.features.shape[0]
     dx = model.head._backward_from_delta(delta, head_inputs)
-    d_unified = dx[:, :model.lstm_hidden]
-
-    d_weighted = np.zeros_like(finals)
-    for v in range(n_videos):
-        start, end = batch.offsets[v], batch.offsets[v + 1]
-        if end > start:
-            d_weighted[start:end] = d_unified[v] / (end - start)
-    if finals.shape[0]:
-        d_w = (finals * d_weighted).sum(axis=1, keepdims=True)
-        d_finals = np.multiply(weights, d_weighted, out=d_weighted)
-        d_pre = d_w * weights * (1.0 - weights)
-        np.matmul(d_pre.T, batch.fvs, out=grads["weight_head.weights"])
-        d_pre.sum(axis=0, out=grads["weight_head.bias"])
-        lstm_grads = neural.lstm_backward_batch(cell, lstm_cache, d_finals)
-        for name in ("wx", "wh", "bias"):
-            grads[f"lstm.{name}"][...] = lstm_grads[name]  # widened to float64
-    else:
-        for name in ("weight_head.weights", "weight_head.bias",
-                     "lstm.wx", "lstm.wh", "lstm.bias"):
-            grads[name][...] = 0.0
+    counts = np.diff(batch.offsets)
+    # Each comment's share of its video's mean.
+    d_weighted = np.repeat(dx[:, :model.lstm_hidden]
+                           / np.maximum(counts, 1)[:, None], counts, axis=0)
+    d_w = (finals * d_weighted).sum(axis=1, keepdims=True)
+    d_finals = np.multiply(weights, d_weighted, out=d_weighted)
+    d_pre = d_w * weights * (1.0 - weights)
+    np.matmul(d_pre.T, batch.fvs, out=grads["weight_head.weights"])
+    d_pre.sum(axis=0, out=grads["weight_head.bias"])
+    lstm_grads = neural.lstm_backward_batch(cell, lstm_cache, d_finals)
+    for name in ("wx", "wh", "bias"):
+        grads[f"lstm.{name}"][...] = lstm_grads[name]  # widened to float64
 
 
 class UCNetModel:
@@ -485,7 +473,7 @@ class UCNetModel:
         none is given."""
         if workspace is None:
             workspace = self._workspace_for(videos, len(videos))
-        batch = _collate(videos, len(self.phrases))
+        batch = _collate(videos)
         probs, cache = _forward_batch(self, batch, workspace)
         if batch.labels is None:
             raise ValueError("every video in a loss batch needs a label")
@@ -496,8 +484,7 @@ class UCNetModel:
     def predict(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable) -> Prediction:
         """Class probabilities for one video given its selected features."""
-        batch = _collate([self.prepare(comments, features, table)],
-                         len(self.phrases))
+        batch = _collate([self.prepare(comments, features, table)])
         probs, _ = _forward_batch(self, batch)
         return Prediction(p_real=float(probs[0, 0]), p_fake=float(probs[0, 1]))
 
@@ -510,8 +497,7 @@ class UCNetModel:
                           table: EmbeddingTable) -> np.ndarray:
         """Mean of weight-scaled comment embeddings; zero vector for no comments."""
         prepared = self.prepare(comments, np.zeros(len(self.feature_names)), table)
-        _, (_, _, _, _, (x, _)) = _forward_batch(
-            self, _collate([prepared], len(self.phrases)))
+        _, (_, _, _, _, (x, _)) = _forward_batch(self, _collate([prepared]))
         return x[0, :self.lstm_hidden].copy()
 
     def save(self, path) -> None:

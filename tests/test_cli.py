@@ -145,6 +145,30 @@ class TestEvaluateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {truth}: line 4: ")
 
+    @pytest.mark.parametrize("row,classified", [
+        ("a,real,0.9", "fake"), ("b,fake,0.1", "real"), ("a,real,0.5", "fake")])
+    @pytest.mark.parametrize("where", ["pred", "truth"])
+    def test_label_contradicting_p_fake_names_file_and_line(
+            self, tmp_path, capsys, row, classified, where):
+        # The row's label would score it; its probability says otherwise.
+        files = {"pred": tmp_path / "p.csv", "truth": tmp_path / "t.csv"}
+        good = ["a,fake,0.9", "b,real,0.1"]
+        vid, label, p_fake = row.split(",")
+        line = 2 if vid == "a" else 3
+        bad = [row if i + 2 == line else r for i, r in enumerate(good)]
+        for name, path in files.items():
+            rows = bad if name == where else good
+            path.write_text("video_id,label,p_fake\n"
+                            + "".join(f"{r}\n" for r in rows))
+        code = main(["evaluate", "--pred", str(files["pred"]),
+                     "--truth", str(files["truth"]),
+                     "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {files[where]}: line {line}: label {label!r} contradicts "
+            f"p_fake {p_fake!r}, which classifies as {classified!r}\n")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_empty_predictions_name_the_file(self, tmp_path, capsys):
         pred = tmp_path / "p.csv"
         pred.write_text("video_id,label,p_fake\n")
@@ -200,6 +224,13 @@ class TestMineCommand:
         assert manifest["subcommand"] == "mine"
         assert "dataset" in manifest["inputs"]
         assert manifest["inputs"]["dataset"]["sha256"]
+
+    def test_name_flag_is_gone(self, tmp_path, capsys):
+        data = tmp_path / "pool.jsonl"
+        corpus.save_dataset(make_dataset([make_video("v")]), data)
+        assert main(["mine", "--input", str(data), "--output",
+                     str(tmp_path / "mined.jsonl"), "--name", "pool"]) == 1
+        assert "unrecognized arguments: --name" in capsys.readouterr().err
 
     def test_ratio_beyond_the_float_range_ranks_first(self, tmp_path):
         comments = [make_comment("c", "fake fake fake")]
@@ -532,6 +563,29 @@ class TestTrainUcnetCommand:
         assert main(["evaluate", "--pred", str(predictions),
                      "--truth", str(truth), "--output", str(report)]) == 0
         assert report.exists()
+
+    @pytest.mark.parametrize("source,outputs,message", [
+        ("--train", ("--predictions", "--truth-out"),
+         "--predictions requires a test set: --test with --train, or --input"),
+        ("--train", ("--predictions",),
+         "--predictions requires a test set: --test with --train, or --input"),
+        ("--train", ("--truth-out",), "--truth-out requires --predictions"),
+        ("--input", ("--truth-out",), "--truth-out requires --predictions")],
+        ids=["train-predictions-truth", "train-predictions", "train-truth",
+             "input-truth"])
+    def test_an_output_it_cannot_write_is_refused_first(
+            self, synthetic_dir, tmp_path, capsys, source, outputs, message):
+        # The embeddings file does not exist: the refusal comes before any
+        # input is read.
+        args = self.ucnet_args(synthetic_dir, tmp_path / "m")
+        args[args.index("--input")] = source
+        args[args.index("--embeddings") + 1] = str(tmp_path / "missing.txt")
+        for flag in outputs:
+            args += [flag, str(tmp_path / flag.strip("-"))]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_filtered_embeddings_give_the_unfiltered_bytes(
             self, synthetic_dir, tmp_path, monkeypatch):

@@ -16,8 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucnet import classic, cli, corpus, evaluation
+from ucnet import classic, cli, corpus, evaluation, network, synthetic
+from ucnet.embeddings import save_embeddings
 from ucnet.lexical import FEATURE_NAMES
+
+from conftest import make_comment, make_dataset, make_video
 
 # Counts a JSON int may hold: an int64's overflow and one beyond the float
 # range, as well as the ordinary edges.
@@ -34,11 +37,13 @@ FLOAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5,
                -1.0, 3.0, 9e307, -9e307, 1.7e308, -1.7e308, MAX, -MAX]
 
 
-def fuzz_settings(max_examples: int) -> settings:
+def fuzz_settings(max_examples: int, deep_examples: int | None = None
+                  ) -> settings:
     """Derandomized settings of ``max_examples`` examples, or the loaded
-    profile's when it is ``cli-fuzz-deep``."""
+    profile's when it is ``cli-fuzz-deep``, capped at ``deep_examples``."""
     if settings.get_current_profile_name() == "cli-fuzz-deep":
-        return settings()
+        return settings(max_examples=deep_examples) if deep_examples \
+            else settings()
     return settings(derandomize=True, max_examples=max_examples,
                     deadline=None)
 
@@ -48,10 +53,16 @@ def edge_counts(keys):
                                   for key in keys})
 
 
+# Width of the embedding table the workdir holds for train-ucnet and pca.
+EMBEDDING_DIM = 4
+
+
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory, scorer):
+def workdir(tmp_path_factory, scorer, lexicons):
     out = tmp_path_factory.mktemp("cli-fuzz")
     scorer.save(out / "scorer.model")
+    save_embeddings(synthetic.make_embedding_table(1, EMBEDDING_DIM, lexicons),
+                    out / "embeddings.txt")
     return out
 
 
@@ -166,28 +177,35 @@ IDS = ["v0", "v1", " v1", "", "v2", "v3"]
 # from the other or extra in it, an unknown label or a field holding a tab.
 # Four draws in nine have none, so exit-0 outputs get read back too.
 DEFECTS = ["none"] * 4 + ["duplicate", "missing", "extra", "label", "tab"]
+# Predictions files may also hold a label that contradicts its p_fake.
+PREDICTION_DEFECTS = DEFECTS + ["contradicts"]
 
 
 @st.composite
-def label_files(draw, labels, unknown, cells=(None, None)):
-    """Rows of two files over the same ids, with at most one defect. A row
-    is (id, label) where the file's entry of ``cells`` is None, and (id,
-    label, p_fake cell) otherwise, its cell drawn from a few of them."""
-    defect = draw(st.sampled_from(DEFECTS))
+def label_files(draw, labels, unknown, cells=(None, None), defects=DEFECTS):
+    """Rows of two files over the same ids, with at most one of ``defects``.
+    A row is (id, label) where the file's entry of ``cells`` is None, and
+    (id, classify(p_fake), p_fake cell) otherwise, its cell drawn from a
+    few of them. A contradiction flips a label of the first file, which
+    has cells."""
+    defect = draw(st.sampled_from(defects))
     ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=5,
                         unique=True))
     files = []
     for file_cells in cells:
-        rows = [[vid, draw(st.sampled_from(labels))]
-                for vid in draw(st.permutations(ids))]
-        if file_cells is not None:
+        order = draw(st.permutations(ids))
+        if file_cells is None:
+            rows = [[vid, draw(st.sampled_from(labels))] for vid in order]
+        else:
             some = st.sampled_from(draw(st.lists(st.sampled_from(file_cells),
                                                  min_size=1, max_size=2,
                                                  unique=True)))
-            for row in rows:
-                row.append(draw(some))
+            rows = []
+            for vid in order:
+                cell = draw(some)
+                rows.append([vid, evaluation.classify(float(cell)), cell])
         files.append(rows)
-    rows = files[draw(st.integers(0, 1))]
+    rows = files[0 if defect == "contradicts" else draw(st.integers(0, 1))]
     row = draw(st.sampled_from(rows))
     if defect == "duplicate":
         rows.append(list(row))
@@ -197,6 +215,8 @@ def label_files(draw, labels, unknown, cells=(None, None)):
         rows.append([f"{row[0]}x", *row[1:]])
     elif defect == "label":
         row[1] = unknown
+    elif defect == "contradicts":
+        row[1] = {"fake": "real", "real": "fake"}[row[1]]
     elif defect == "tab":
         row[draw(st.integers(0, 1))] += "\tv9"
     return files
@@ -208,7 +228,8 @@ def prediction_files(draw):
     predictions file."""
     truth_cells = draw(st.sampled_from([None, P_FAKE_CELLS]))
     pred, truth = draw(label_files(["fake", "real"], "spam",
-                                   (P_FAKE_CELLS, truth_cells)))
+                                   (P_FAKE_CELLS, truth_cells),
+                                   PREDICTION_DEFECTS))
     header = ("video_id", "label", "p_fake")
     return ([header, *pred],
             [header[:2] if truth_cells is None else header, *truth])
@@ -246,3 +267,53 @@ class TestEdgeLabels:
                       for where, row in corpus.read_csv(matrix, header)]
             assert sum(map(sum, counts)) == \
                 len(corpus.load_annotation_round(paths[0]))
+
+
+MAX_COMMENTS = 3
+# Comment texts: empty, all out of vocabulary, over the 100-token cap, and
+# ordinary ones with and without a fakeness phrase.
+COMMENT_TEXTS = ["", "qzxv wkpj", " ".join(["fake", "video"] * 60),
+                 "this is fake", "nice song", "!!!"]
+
+
+@st.composite
+def comment_corpora(draw):
+    """Records of 4-8 videos, 2 or more of each class, each with 0 to
+    ``MAX_COMMENTS + 2`` comments; a whole corpus may have none."""
+    labels = draw(st.permutations(["fake", "real"] * 2 + draw(
+        st.lists(st.sampled_from(["fake", "real"]), max_size=4))))
+    # One corpus in four has no comments at all.
+    most = draw(st.sampled_from([MAX_COMMENTS + 2] * 3 + [0]))
+    records = []
+    for i, label in enumerate(labels):
+        texts = draw(st.lists(st.sampled_from(COMMENT_TEXTS), max_size=most))
+        comments = [make_comment(f"c{j}", text,
+                                 published=f"2015-01-{1 + j % 3:02d}T00:00:00Z")
+                    for j, text in enumerate(texts)]
+        records.append(make_video(f"v{i}", label, comments=comments))
+    return records
+
+
+class TestCommentShapes:
+    @fuzz_settings(12, deep_examples=300)
+    @given(records=comment_corpora())
+    def test_train_ucnet_and_pca(self, workdir, records):
+        data = workdir / "comments.jsonl"
+        corpus.save_dataset(make_dataset(records), data)
+        model, predictions = workdir / "ucnet.model", workdir / "pred.csv"
+        embeddings = ["--embeddings", str(workdir / "embeddings.txt")]
+        if run(["train-ucnet", "--input", str(data), *embeddings,
+                "--embedding-dim", str(EMBEDDING_DIM),
+                "--scorer", str(workdir / "scorer.model"), "--all-features",
+                "--epochs", "1", "--batch-size", "2", "--lstm-hidden", "4",
+                "--max-comments", str(MAX_COMMENTS), "--output", str(model),
+                "--predictions", str(predictions)]) != 0:
+            return
+        network.UCNetModel.load(model)
+        cli._read_labels_csv(predictions)
+        projection = workdir / "comments-pca.csv"
+        if run(["pca", "--input", str(data), "--model", str(model),
+                *embeddings, "--output", str(projection)]) == 0:
+            header = ("video_id", "pc1", "pc2", "label")
+            assert [row[0] for _, row in corpus.read_csv(projection, header)
+                    ] == [r.id for r in records]

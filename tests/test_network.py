@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -456,6 +457,31 @@ class TestModelIO:
                               ).hexdigest() == ("eda33a7922f5b8f214cbaa779c1104c6"
                                                 "de2c9560302faf59330ec4558f22d40c")
 
+    def test_comment_less_batches_train_to_pinned_bytes(self, monkeypatch,
+                                                        tmp_path):
+        # 15 of 24 videos lose their comments, so some shuffled mini-batches
+        # hold none; pinned before such batches ran the LSTM over zero cells.
+        lexicons, dataset, table, scorer = small_training_world(24, seed=5)
+        dataset = make_dataset(
+            dataclasses.replace(r, comments=()) if i % 8 < 5 else r
+            for i, r in enumerate(dataset))
+        calls = TestTrainingBuffers.spy_on_lstm(monkeypatch)
+        model = network.train(dataset, table, lexicons, scorer,
+                              TrainingConfig(epochs=3, batch_size=4, seed=1),
+                              lstm_hidden=6)
+        assert any(cache.order.size == 0 for _, cache in calls)
+        model.save(tmp_path / "ucnet.model")
+        p_fake = np.array([model.predict_record(r, table, lexicons, scorer
+                                                ).p_fake for r in dataset])
+        embeddings = extract_unified_embeddings(dataset, table, model)
+        assert not embeddings[0].any() and embeddings[5].any()
+        digests = [hashlib.sha256(data).hexdigest()[:32] for data in (
+            (tmp_path / "ucnet.model").read_bytes(), p_fake.tobytes(),
+            embeddings.tobytes())]
+        assert digests == ["6b55ff53af9a8d2558ad0a72ec4fe718",
+                           "40f6a7b43db31cb4156282ac725302f3",
+                           "5a65ced8a86a50c35ee05826c9fd74cf"]
+
     def test_phrase_list_round_trips_in_order(self, tmp_path):
         phrases = ("so fake", "trucage évident", 'a "quoted" one', "#1 hoax",
                    "it's fake #lol", "back\\slash", "x", "fake  news", "嘘")
@@ -729,7 +755,7 @@ class TestExactPooling:
                           ((7,), 0), ((1, 2), 1)))
         model = UCNetModel(reference.parameters(), phrases, ("a", "b"), 8,
                            dtype=dtype)
-        batch = network._collate(videos, len(phrases))
+        batch = network._collate(videos)
         _, (_, _, finals, weights, (x, _)) = network._forward_batch(model,
                                                                      batch)
         hidden = model.lstm_hidden
@@ -809,21 +835,25 @@ class TestInference:
     cache; it must still give the training path's bits."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_inference_forward_equals_the_cached_path(self, phrases, dtype):
-        # 3, 0, 4 and 1 comments; the second video has none
+    def test_inference_forward_equals_the_cached_path(self, phrases, dtype,
+                                                      monkeypatch):
+        # 3, 0, 4 and 1 comments; the second video has none, so alone it
+        # runs the LSTM over zero cells on both paths
         reference, videos = TestGradientCheckFullModel.ragged_batch(
             phrases, 17, (((4, 1, 6), 1), ((), 0), ((3, 3, 3, 3), 1),
                           ((7,), 0)))
         model = UCNetModel(reference.parameters(), phrases, ("a", "b"), 8,
                            dtype=dtype)
-        # the second video alone never reaches the LSTM
-        for chosen, runs_lstm in ((videos, True), (videos[1:2], False)):
-            batch = network._collate(chosen, len(phrases))
+        calls = TestTrainingBuffers.spy_on_lstm(monkeypatch)
+        for chosen, cells in ((videos, 30), (videos[1:2], 0)):
+            calls.clear()
+            batch = network._collate(chosen)
             probs, cache = network._forward_batch(model, batch)
             want, want_cache = network._forward_batch(
                 model, batch, model._workspace_for(chosen, len(chosen)))
+            assert [lstm is None for _, lstm in calls] == [True, False]
             assert cache[1] is None
-            assert (want_cache[1] is not None) == runs_lstm
+            assert want_cache[1].gates.shape == (4, cells, model.lstm_hidden)
             assert probs.tobytes() == want.tobytes()
             for got, expected in zip(cache[2:4], want_cache[2:4]):
                 assert got.tobytes() == expected.tobytes()
@@ -951,6 +981,24 @@ class TestGradientCheckFullModel:
         for key in grads:
             mean_grad = np.mean([s[1][key] for s in singles], axis=0)
             assert np.allclose(grads[key], mean_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_batch_without_comments_writes_zero_gradients(self, phrases,
+                                                            dtype):
+        reference, videos = self.ragged_batch(
+            phrases, 10, (((3, 2), 0), ((), 1), ((), 0)))
+        model = UCNetModel(reference.parameters(), phrases, ("a", "b"), 8,
+                           dtype=dtype)
+        # A batch with comments leaves every gradient nonzero first.
+        _, grads = model.batch_loss_and_gradients(videos[:1])
+        names = [name for name in grads
+                 if name.startswith(("weight_head.", "lstm."))]
+        assert all(grads[name].any() for name in names)
+        _, grads = model.batch_loss_and_gradients(videos[1:])
+        for name in names:
+            assert grads[name].tobytes() == \
+                np.zeros_like(grads[name]).tobytes(), name
+        assert grads["output.bias"].any()
 
     def test_unlabelled_video_rejected(self, phrases):
         params = init_params(np.random.default_rng(0), 8, len(phrases), 2,
