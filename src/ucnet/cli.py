@@ -67,7 +67,7 @@ def _write_manifest(primary_output, args, inputs: dict, lexicons: dict,
         "arguments": {k: v for k, v in sorted(vars(args).items())
                       if k not in ("func", "subcommand")},
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
-                   for name, p in inputs.items() if p is not None},
+                   for name, p in inputs.items() if p},
         "lexicons": lexicons,
         "outputs": [str(p) for p in outputs],
     }
@@ -167,18 +167,16 @@ def _cmd_mine(args) -> int:
     dataset = corpus.load_dataset(args.input, Path(args.input).stem)
     seed_path = args.seed_phrases or str(lexical.default_lexicon_dir() / "seed_phrases.txt")
     seed_phrases = lexical.load_lexicon_lines(seed_path)
-    expansion = ()
-    if args.expansion_lexicon:
-        expansion = lexical.load_lexicon_lines(args.expansion_lexicon)
+    expansion = lexical.load_lexicon_lines(args.expansion_lexicon) \
+        if args.expansion_lexicon else ()
     mined = corpus.mine_candidates(
         dataset, seed_phrases, min_views=args.min_views,
         min_comments=args.min_comments,
         min_dislike_like_ratio=args.min_dislike_ratio,
         rounds=args.rounds, expansion_lexicon=expansion)
     corpus.save_dataset(mined, args.output)
-    inputs = {"dataset": args.input, "seed_phrases": seed_path}
-    if args.expansion_lexicon:
-        inputs["expansion_lexicon"] = args.expansion_lexicon
+    inputs = {"dataset": args.input, "seed_phrases": seed_path,
+              "expansion_lexicon": args.expansion_lexicon}
     _write_manifest(args.output, args, inputs, {}, [args.output])
     print(f"mined {len(mined)} candidate videos -> {args.output}")
     return EXIT_OK
@@ -207,11 +205,9 @@ def _cmd_features(args) -> int:
     matrix = lexical.feature_matrix(videos, lexicons, scorer)
     corpus.write_csv(args.output, _FEATURES_HEADER,
                      ([v.id, *row, v.label] for v, row in zip(videos, matrix)))
-    outputs = [args.output]
-    if args.save_scorer:
-        outputs.append(args.save_scorer)
     _write_manifest(args.output, args, {"dataset": args.input, **scorer_inputs},
-                    _lexicon_digests(lexicon_dir), outputs)
+                    _lexicon_digests(lexicon_dir),
+                    [p for p in (args.output, args.save_scorer) if p])
     print(f"extracted features for {len(videos)} videos -> {args.output}")
     return EXIT_OK
 
@@ -294,13 +290,11 @@ def _cmd_train_classic(args) -> int:
     # Nothing is written before every input is read and scored, so a run
     # that exits 2 leaves no file behind.
     classic.save_model(model, args.output)
-    inputs = {"features": args.features}
-    if args.selected:
-        inputs["selected"] = args.selected
+    inputs = {"features": args.features, "selected": args.selected,
+              "test_features": args.test_features}
     outputs = [args.output]
     if args.test_features:
         _write_predictions_csv(args.predictions, test_ids, p_fake)
-        inputs["test_features"] = args.test_features
         outputs.append(args.predictions)
     _write_manifest(args.output, args, inputs, {}, outputs)
     print(f"trained {args.model} on {len(y)} videos -> {args.output}")
@@ -308,6 +302,10 @@ def _cmd_train_classic(args) -> int:
 
 
 def _cmd_train_ucnet(args) -> int:
+    if args.input and (args.train or args.test):
+        raise ValueError(f"--input and --{'train' if args.train else 'test'} "
+                         "conflict: --input splits its own training and test "
+                         "sets")
     if args.truth_out and not args.predictions:
         raise ValueError("--truth-out requires --predictions")
     if args.predictions and args.train and not args.test:
@@ -319,19 +317,16 @@ def _cmd_train_ucnet(args) -> int:
         raise ValueError(f"{lexicon_dir / 'fakeness_phrases.txt'}: no phrases")
     scorer, scorer_inputs = _get_scorer(args, lexicons)
 
-    inputs = {"embeddings": args.embeddings, **scorer_inputs}
+    inputs = {"embeddings": args.embeddings, "train": args.train,
+              "test": args.test, "input": args.input, **scorer_inputs}
     if args.train:
         train_set = corpus.load_dataset(args.train, Path(args.train).stem)
-        test_set = None
-        inputs["train"] = args.train
-        if args.test:
-            test_set = corpus.load_dataset(args.test, Path(args.test).stem)
-            inputs["test"] = args.test
+        test_set = corpus.load_dataset(args.test, Path(args.test).stem) \
+            if args.test else None
     elif args.input:
         full = corpus.load_dataset(args.input, Path(args.input).stem)
         train_set, test_set = corpus.split_dataset(full, args.test_fraction,
                                                    args.seed)
-        inputs["input"] = args.input
     else:
         raise ValueError("either --train or --input is required")
     table = load_embeddings(args.embeddings, args.embedding_dim,
@@ -354,19 +349,16 @@ def _cmd_train_ucnet(args) -> int:
                           feature_indices=indices,
                           lstm_hidden=args.lstm_hidden)
     model.save(args.output)
-    outputs = [args.output]
-
     if args.predictions:
         p_fake = [model.predict_record(record, table, lexicons, scorer).p_fake
                   for record in test_set]
         _write_predictions_csv(args.predictions, test_set.ids(), p_fake)
-        outputs.append(args.predictions)
         if args.truth_out:
             corpus.write_csv(args.truth_out, _LABELS_HEADER,
                              ((r.id, r.label) for r in test_set))
-            outputs.append(args.truth_out)
-    _write_manifest(args.output, args, inputs,
-                    _lexicon_digests(lexicon_dir), outputs)
+    _write_manifest(args.output, args, inputs, _lexicon_digests(lexicon_dir),
+                    [p for p in (args.output, args.predictions, args.truth_out)
+                     if p])
     final_loss = model.loss_history[-1] if model.loss_history else float("nan")
     print(f"trained ucnet on {len(train_set)} videos "
           f"(final mean loss {final_loss:.4f}) -> {args.output}")
@@ -424,12 +416,12 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_make_synthetic(args) -> int:
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lexicons = LexiconSet.default()
     dataset = synthetic.make_synthetic_corpus(args.n_videos, args.seed, lexicons)
     table = synthetic.make_embedding_table(args.seed, args.embedding_dim, lexicons)
     titles = synthetic.make_labeled_titles(args.n_titles, args.seed, lexicons)
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     corpus_path = out_dir / "corpus.jsonl"
     corpus.save_dataset(dataset, corpus_path)
     save_embeddings(table, out_dir / "embeddings.txt")

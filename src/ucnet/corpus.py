@@ -14,6 +14,7 @@ keys are the ``init`` fields of ``VideoRecord`` and ``Comment``.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -147,6 +148,23 @@ def parse_timestamp(text: str) -> datetime:
 def nfc(text: str) -> str:
     """Unicode NFC normalization used before any phrase matching."""
     return unicodedata.normalize("NFC", text)
+
+
+def fold(text: str) -> str:
+    """The form phrase matching compares: NFC, then case-folded."""
+    return nfc(text).casefold()
+
+
+@functools.lru_cache(maxsize=8)
+def _folded(phrases: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(fold(p) for p in phrases)
+
+
+def phrase_hits(folded_text: str, phrases: Sequence[str]) -> list[bool]:
+    """The package's phrase rule: entry i is true when phrase i, folded, is a
+    substring of ``folded_text``, a :func:`fold` result. The phrases are
+    folded once per distinct list, cached by its tuple."""
+    return [p in folded_text for p in _folded(tuple(phrases))]
 
 
 @dataclass(frozen=True)
@@ -408,7 +426,7 @@ def mine_candidates(dataset: Dataset,
 
     Pipeline: (1) keep only popular videos (view and comment floors);
     (2) bootstrap: repeatedly select videos with a comment containing any
-    current phrase (case-insensitive substring after NFC normalization) and
+    current phrase (by :func:`phrase_hits`, the package's phrase rule) and
     grow the phrase set with expansion-lexicon phrases found in the selected
     videos' comments; (3) keep videos whose dislike:like ratio exceeds the
     floor, sorted by that ratio, highest first.
@@ -425,23 +443,19 @@ def mine_candidates(dataset: Dataset,
 
     pool = [rec for rec in dataset.records
             if rec.view_count >= min_views and len(rec.comments) >= min_comments]
-    comment_texts = {rec.id: [nfc(c.text).casefold() for c in rec.comments]
-                     for rec in pool}
-
-    phrases = {nfc(p).casefold() for p in seed_phrases if p}
-    expansion = [nfc(p).casefold() for p in expansion_lexicon if p]
-    matched: set[str] = set()
+    seeds = tuple(p for p in seed_phrases if p)
+    phrases = seeds + tuple(p for p in expansion_lexicon if p)
+    # Each video's phrase indices, from one fold and match of each comment.
+    found = {}
+    for rec in pool:
+        hits = map(any, zip(*(phrase_hits(fold(c.text), phrases)
+                              for c in rec.comments)))
+        found[rec.id] = {i for i, hit in enumerate(hits) if hit}
+    active = set(range(len(seeds)))
     for _ in range(rounds):
-        matched = {
-            rec.id for rec in pool
-            if any(p in text for text in comment_texts[rec.id] for p in phrases)
-        }
-        for rec in pool:
-            if rec.id not in matched:
-                continue
-            for phrase in expansion:
-                if any(phrase in text for text in comment_texts[rec.id]):
-                    phrases.add(phrase)
+        matched = {vid for vid, hits in found.items() if hits & active}
+        for vid in matched:
+            active |= found[vid]
 
     candidates = [rec for rec in pool
                   if rec.id in matched

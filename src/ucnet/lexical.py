@@ -3,7 +3,8 @@ r"""The eight metadata/comment features plus correlation-based pruning.
 Tokenization rule used throughout the package: a token is a maximal run of
 alphanumeric characters (str.isalnum), taken after Unicode NFC
 normalization. :func:`tokenize` finds the runs with one compiled pattern,
-``[^\W_]+``. Phrase matching is case-insensitive substring matching.
+``[^\W_]+``. Phrases match by the one rule of :mod:`ucnet.corpus`: ``fold``
+(NFC, then case-folding) and ``phrase_hits`` (a folded-substring test).
 
 A lexicon directory holds the five lists of ``LEXICON_FILES``: four for the
 features, and the fakeness-indicator phrases that the network trains on.
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import neural
 from .corpus import (Comment, VideoRecord, _dislike_like_ratio_unbounded,
-                     content_lines, fake_indicators, nfc)
+                     content_lines, fake_indicators, fold, nfc, phrase_hits)
 
 DISLIKE_RATIO_CAP = 1000.0
 
@@ -44,10 +45,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(nfc(text))
 
 
-def _fold(text: str) -> str:
-    return nfc(text).casefold()
-
-
 def load_lexicon_lines(path) -> tuple[str, ...]:
     """One entry per line; blank lines and '#' comment lines are skipped."""
     return tuple(line.strip() for _, line in content_lines(path))
@@ -62,13 +59,13 @@ def _compile_pattern(pattern: str) -> re.Pattern:
 
 
 def lexicon_digest(entries: Sequence[str]) -> str:
-    joined = "\n".join(_fold(e) for e in entries)
+    joined = "\n".join(fold(e) for e in entries)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
 class LexiconSet:
-    clickbait_phrases: tuple[str, ...]
+    clickbait_phrases: tuple[str, ...]  # as written, in file order
     violent_words: frozenset[str]
     fakeness_patterns: tuple[re.Pattern, ...]
     swear_words: frozenset[str]
@@ -84,10 +81,10 @@ class LexiconSet:
             if any(not e for e in entries):
                 raise ValueError(f"{name} lexicon contains an empty entry")
         return cls(
-            clickbait_phrases=tuple(_fold(p) for p in clickbait),
-            violent_words=frozenset(_fold(w) for w in violent),
+            clickbait_phrases=tuple(clickbait),
+            violent_words=frozenset(fold(w) for w in violent),
             fakeness_patterns=tuple(_compile_pattern(p) for p in patterns),
-            swear_words=frozenset(_fold(w) for w in swear),
+            swear_words=frozenset(fold(w) for w in swear),
             fakeness_phrases=tuple(phrases),
         )
 
@@ -126,8 +123,7 @@ def load_fakeness_phrases() -> tuple[str, ...]:
 
 
 def has_clickbait_phrase(title: str, lex: LexiconSet) -> int:
-    folded = _fold(title)
-    return int(any(phrase in folded for phrase in lex.clickbait_phrases))
+    return int(any(phrase_hits(fold(title), lex.clickbait_phrases)))
 
 
 def ratio_violent_words(title: str, lex: LexiconSet) -> float:

@@ -51,7 +51,6 @@ Pooling, both dense heads and the softmax stay float64.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import logging
@@ -62,7 +61,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import neural, serialize
-from .corpus import Comment, Dataset, VideoRecord, fake_indicators, nfc
+from .corpus import (Comment, Dataset, VideoRecord, fake_indicators, fold,
+                     phrase_hits)
 from .embeddings import EmbeddingTable, embed_comment
 from .lexical import FEATURE_NAMES, LexiconSet, TitleScorer, extract_features
 
@@ -73,25 +73,14 @@ DEFAULT_HIDDEN_UNITS = 4
 N_CLASSES = 2  # (real, fake)
 
 
-@functools.lru_cache(maxsize=8)
-def _folded_phrases(phrases: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(nfc(p).casefold() for p in phrases)
-
-
 def fakeness_vector(comment_text: str, phrases: Sequence[str]) -> np.ndarray:
-    """Binary presence vector of the indicator phrases in one comment.
-
-    Entry i is 1.0 when phrase i, NFC-normalized and case-folded, is a
-    substring of the comment normalized and folded the same way. The folded
-    phrases are computed once per distinct phrase list (cached by the list's
-    tuple, so a list and a tuple of the same phrases share them); a call
-    folds only the comment.
-    """
+    """Binary presence vector of the indicator phrases in one comment, by
+    :func:`ucnet.corpus.phrase_hits`: entry i is 1.0 when phrase i occurs in
+    the folded comment. A call folds only the comment."""
     if not phrases:
         raise ValueError("phrase list must be non-empty")
-    folded = nfc(comment_text).casefold()
-    return np.array([1.0 if p in folded else 0.0
-                     for p in _folded_phrases(tuple(phrases))], dtype=np.float64)
+    return np.fromiter(phrase_hits(fold(comment_text), phrases), np.float64,
+                       len(phrases))
 
 
 @dataclass
@@ -580,7 +569,8 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
     the eight simple features (the post-pruning selection); None feeds all
     eight. Deterministic for a fixed config seed; per-epoch mean loss lands
     in model.loss_history. The mini-batches' LSTM caches share one
-    workspace, reserved here for the run.
+    workspace, reserved here for the run. A step whose values leave the
+    float range raises a ValueError naming its epoch and batch.
     """
     config = config if config is not None else TrainingConfig()
     if feature_indices is None:
@@ -611,12 +601,19 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
         for start in range(0, n, config.batch_size):
             chunk = [prepared[i]
                      for i in order[start:start + config.batch_size]]
-            loss, _ = model.batch_loss_and_gradients(chunk, workspace)
-            if not math.isfinite(loss):
+            try:
+                with np.errstate(over="raise", divide="raise",
+                                 invalid="raise"):
+                    loss, _ = model.batch_loss_and_gradients(chunk, workspace)
+                    if not math.isfinite(loss):
+                        raise FloatingPointError(f"the loss is {loss}")
+                    neural.adam_step(model.flat.vector, model.flat.gradient,
+                                     state)
+            except FloatingPointError as exc:
                 raise ValueError(
-                    f"training loss is {loss} at epoch {epoch + 1}, batch "
-                    f"{start // config.batch_size + 1}; aborting")
-            neural.adam_step(model.flat.vector, model.flat.gradient, state)
+                    f"training diverged at epoch {epoch + 1}, batch "
+                    f"{start // config.batch_size + 1} (learning rate "
+                    f"{config.learning_rate:g}): {exc}") from None
             epoch_loss += loss * len(chunk)
         mean_loss = epoch_loss / n
         model.loss_history.append(mean_loss)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Comment, Dataset, VideoRecord
+from .corpus import Comment, Dataset, VideoRecord, fold, phrase_hits
 from .embeddings import EmbeddingTable
 from .lexical import LexiconSet, tokenize
 
@@ -39,9 +39,8 @@ def _iso_timestamp(day: int, minute: int) -> str:
 def _generic_words(phrases) -> tuple[str, ...]:
     """Filler vocabulary, minus words an indicator phrase would substring-match
     (e.g. 'subscribe' contains 'bs')."""
-    folded = [p.casefold() for p in phrases]
     return tuple(w for w in GENERIC_WORDS
-                 if not any(p in w for p in folded))
+                 if not any(phrase_hits(fold(w), phrases)))
 
 
 def _phrase_vocabulary(lexicons: LexiconSet) -> list[str]:
@@ -66,6 +65,8 @@ def make_embedding_table(seed: int = 7, dimension: int = 16,
     direction plus noise, mimicking how pretrained embeddings cluster
     semantically related words.
     """
+    if dimension < 1:
+        raise ValueError(f"embedding dimension must be >= 1, got {dimension}")
     lexicons = lexicons if lexicons is not None else LexiconSet.default()
     phrases = lexicons.fakeness_phrases
     vocab = _phrase_vocabulary(lexicons)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import shlex
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,19 @@ class TestMakeSynthetic:
         assert (synthetic_dir / "embeddings.txt").exists()
         assert (synthetic_dir / "titles.tsv").exists()
         assert (synthetic_dir / "corpus.jsonl.manifest.json").exists()
+
+
+    @pytest.mark.parametrize("dimension", ["0", "-3"])
+    def test_an_embedding_dimension_below_one_is_refused(
+            self, tmp_path, capsys, dimension):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["make-synthetic", "--output-dir",
+                         str(tmp_path / "out"), "--n-videos", "4",
+                         "--embedding-dim", dimension]) == 2
+        assert capsys.readouterr().err == \
+            f"error: embedding dimension must be >= 1, got {dimension}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEvaluateCommand:
@@ -586,6 +600,47 @@ class TestTrainUcnetCommand:
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--train", "--test"])
+    def test_input_with_train_or_test_is_refused_first(
+            self, synthetic_dir, tmp_path, capsys, flag):
+        # --input splits its own test set, so a --train or --test beside it
+        # would be dropped; the file it names does not even exist, and the
+        # refusal comes before any input is read.
+        args = [*self.ucnet_args(synthetic_dir, tmp_path / "m"),
+                flag, str(tmp_path / "missing.jsonl")]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: --input and {flag} conflict: --input splits its own "
+            f"training and test sets\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_with_input_is_refused_first(self, synthetic_dir, tmp_path,
+                                               capsys):
+        args = self.ucnet_args(synthetic_dir, tmp_path / "m")
+        args[args.index("--input") + 1] = str(tmp_path / "missing.jsonl")
+        args += ["--train", str(synthetic_dir / "corpus.jsonl")]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert "--input and --train conflict" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rate,batch", [("1e30", 3), ("1e308", 2)])
+    def test_a_diverging_learning_rate_stops_where_it_diverges(
+            self, synthetic_dir, tmp_path, capsys, rate, batch):
+        # The first Adam step moves every weight by about the rate; a later
+        # batch's float32 cast, in its forward or backward pass, overflows.
+        args = [*self.ucnet_args(synthetic_dir, tmp_path / "m"),
+                "--learning-rate", rate]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: training diverged at epoch 1, batch {batch} (learning "
+            f"rate {float(rate):g}): overflow encountered in cast\n")
+        assert not (tmp_path / "m").exists()
 
     def test_filtered_embeddings_give_the_unfiltered_bytes(
             self, synthetic_dir, tmp_path, monkeypatch):

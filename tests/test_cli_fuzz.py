@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucnet import classic, cli, corpus, evaluation, network, synthetic
-from ucnet.embeddings import save_embeddings
+from ucnet.embeddings import load_embeddings, save_embeddings
 from ucnet.lexical import FEATURE_NAMES
 
 from conftest import make_comment, make_dataset, make_video
@@ -317,3 +317,130 @@ class TestCommentShapes:
             header = ("video_id", "pc1", "pc2", "label")
             assert [row[0] for _, row in corpus.read_csv(projection, header)
                     ] == [r.id for r in records]
+
+
+# Numeric flags at their type's edges. A size flag only takes a few small
+# values, so no run allocates or loops at a huge size; the others take
+# their type's share of {0, -0.0, -1, 1, 2**63, 1e308, nan, +-inf}.
+SIZE_FLAGS = {"n_videos", "n_titles", "trees", "epochs", "rounds",
+              "components", "lstm_hidden", "embedding_dim"}
+SIZE_EDGES = ["-1", "0", "1", "2"]
+INT_FLAG_EDGES = ["0", "-1", "1", str(2**63)]
+FLOAT_FLAG_EDGES = ["0", "-0.0", "-1", "1", str(2**63), "1e308", "nan",
+                    "inf", "-inf"]
+
+
+def numeric_flags(command) -> dict[str, list[str]]:
+    """Each int or float flag of ``command``, as the parser declares it,
+    with the edge values it draws from."""
+    return {action.option_strings[0]:
+            SIZE_EDGES if action.dest in SIZE_FLAGS
+            else INT_FLAG_EDGES if action.type is int else FLOAT_FLAG_EDGES
+            for action in cli._build_parser()[1][command]._actions
+            if action.type in (int, float)}
+
+
+@pytest.fixture(scope="module")
+def flag_workdir(tmp_path_factory, lexicons):
+    """A 12-video synthetic corpus with its titles, scorer, features and
+    embedding tables of widths 1, 2 and 4."""
+    out = tmp_path_factory.mktemp("cli-fuzz-flags")
+    assert run(["make-synthetic", "--output-dir", str(out),
+                "--n-videos", "12", "--n-titles", "20",
+                "--embedding-dim", "4", "--seed", "3"]) == 0
+    for dim in (1, 2, 4):
+        save_embeddings(synthetic.make_embedding_table(3, dim, lexicons),
+                        out / f"embeddings-{dim}.txt")
+    assert run(["features", "--input", str(out / "corpus.jsonl"),
+                "--output", str(out / "features.csv"),
+                "--train-titles", str(out / "titles.tsv"),
+                "--save-scorer", str(out / "scorer.model")]) == 0
+    return out
+
+
+def flag_base(w, o) -> dict[str, list[str]]:
+    """An argv that exits 0 for each subcommand with numeric flags, reading
+    ``w``'s inputs and writing into ``o``; its sizes are small."""
+    corpus_file, features = str(w / "corpus.jsonl"), str(w / "features.csv")
+    return {
+        "mine": ["--input", corpus_file, "--output", str(o / "mined.jsonl"),
+                 "--min-views", "0", "--min-comments", "0"],
+        "features": ["--input", corpus_file, "--output", str(o / "f.csv"),
+                     "--train-titles", str(w / "titles.tsv")],
+        "prune": ["--features", features, "--output", str(o / "sel.json"),
+                  "--trees", "2"],
+        "train-classic": ["--features", features, "--test-features", features,
+                          "--predictions", str(o / "pred.csv"),
+                          "--output", str(o / "classic.model"),
+                          "--trees", "2", "--epochs", "2"],
+        "train-ucnet": ["--input", corpus_file,
+                        "--embeddings", str(w / "embeddings-4.txt"),
+                        "--embedding-dim", "4",
+                        "--scorer", str(w / "scorer.model"), "--all-features",
+                        "--epochs", "1", "--lstm-hidden", "2",
+                        "--batch-size", "4",
+                        "--output", str(o / "ucnet.model"),
+                        "--predictions", str(o / "pred.csv")],
+        "pca": ["--features", features, "--output", str(o / "pca.csv")],
+        "make-synthetic": ["--output-dir", str(o / "synthetic"),
+                           "--n-videos", "4", "--n-titles", "4",
+                           "--embedding-dim", "2"],
+    }
+
+
+def read_back(command, argv, o) -> None:
+    """Read an exit-0 run's outputs through their own readers."""
+    flags = dict(arg.split("=", 1) for arg in argv if "=" in arg)
+    if command == "mine":
+        corpus.load_dataset(o / "mined.jsonl", "mined")
+    elif command == "features":
+        assert np.isfinite(cli._read_features_csv(o / "f.csv")[1]).all()
+    elif command == "prune":
+        cli._load_selected(o / "sel.json")
+        importances = json.loads((o / "sel.json").read_text())["importances"]
+        assert np.isfinite(importances).all()
+    elif command == "train-classic":
+        classic.load_model(o / "classic.model")
+        cli._read_labels_csv(o / "pred.csv")
+    elif command == "train-ucnet":
+        network.UCNetModel.load(o / "ucnet.model")
+        cli._read_labels_csv(o / "pred.csv")
+    elif command == "pca":
+        k = int(flags.get("--components", 2))
+        header = ("video_id", *(f"pc{i + 1}" for i in range(k)), "label")
+        for where, row in corpus.read_csv(o / "pca.csv", header):
+            for name, text in zip(header[1:-1], row[1:-1]):
+                corpus.csv_number(where, name, text)
+    else:
+        out = o / "synthetic"
+        corpus.load_dataset(out / "corpus.jsonl", "synthetic")
+        load_embeddings(out / "embeddings.txt",
+                        int(flags.get("--embedding-dim", 2)))
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command", ["mine", "features", "prune",
+                                         "train-classic", "train-ucnet",
+                                         "pca", "make-synthetic"])
+    @fuzz_settings(20, deep_examples=300)
+    @given(data=st.data())
+    def test_flags_at_their_edges(self, flag_workdir, tmp_path_factory,
+                                  command, data):
+        edges = numeric_flags(command)
+        drawn = data.draw(st.fixed_dictionaries(
+            {}, optional={flag: st.sampled_from(values)
+                          for flag, values in edges.items()}))
+        o = tmp_path_factory.mktemp("flags")
+        argv = [command, *flag_base(flag_workdir, o)[command]]
+        if command == "train-classic":
+            argv += ["--model", data.draw(st.sampled_from(
+                ["forest", "tree", "logistic"]))]
+        dim = drawn.get("--embedding-dim")
+        if command == "train-ucnet" and dim in ("1", "2"):
+            argv[argv.index("--embeddings") + 1] = \
+                str(flag_workdir / f"embeddings-{dim}.txt")
+        # A later occurrence of a flag overrides the base's; the = form
+        # keeps a value such as -inf from reading as an option.
+        argv += [f"{flag}={value}" for flag, value in drawn.items()]
+        if run(argv) == 0:
+            read_back(command, argv, o)

@@ -1,4 +1,5 @@
 import json
+import unicodedata
 from dataclasses import fields
 from datetime import timezone
 
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucnet import corpus
-from ucnet.corpus import (agreement_matrix, balance_subset, load_annotation_round,
-                          load_dataset, mine_candidates, save_dataset,
-                          split_dataset)
+from ucnet import corpus, network
+from ucnet.corpus import (agreement_matrix, balance_subset, fold,
+                          load_annotation_round, load_dataset, mine_candidates,
+                          save_dataset, split_dataset)
+from ucnet.lexical import LexiconSet, has_clickbait_phrase
 
 from conftest import make_comment, make_dataset, make_video
 
@@ -369,6 +371,57 @@ class TestMineCandidates:
         ds = make_dataset([mining_video("a", ["x"])])
         with pytest.raises(ValueError):
             mine_candidates(ds, [], min_views=0, min_comments=0)
+
+
+def folded(text):
+    """The phrase rule written out: NFC, then case-folding."""
+    return unicodedata.normalize("NFC", text).casefold()
+
+
+# Pieces of text where the rule's steps matter: an NFC/NFD pair, case pairs,
+# characters whose case-fold expands (ß, İ, ǰ, the fi ligature) and
+# combining marks left loose.
+PIECES = ["a", "B", "e", "E", "\u00e9", "e\u0301", "\u00c9", "E\u0301",
+          "\u0301", "\u00df", "ss", "SS", "\u1e9e", "\u0130", "i", "I",
+          "\u0307", "\u01f0", "j", "J", "\u030c", "\u0316", "\ufb01", "fi",
+          "FI", "k", "\u212a", " "]
+unicode_texts = st.lists(st.sampled_from(PIECES), max_size=8).map("".join)
+unicode_phrases = st.lists(st.sampled_from(PIECES), min_size=1,
+                           max_size=3).map("".join)
+
+
+class TestPhraseRule:
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(unicode_texts, min_size=1, max_size=4),
+           phrases=st.lists(unicode_phrases, min_size=1, max_size=4))
+    def test_every_caller_matches_by_the_rule(self, texts, phrases):
+        hits = [[folded(p) in folded(t) for p in phrases] for t in texts]
+        lex = LexiconSet.from_entries(phrases, [], [], [], phrases)
+        for text, row in zip(texts, hits):
+            assert network.fakeness_vector(text, phrases).tolist() == \
+                [float(hit) for hit in row]
+            assert has_clickbait_phrase(text, lex) == int(any(row))
+        videos = [mining_video(f"v{i}", [text])
+                  for i, text in enumerate(texts)]
+        mined = mine_candidates(make_dataset(videos), phrases, min_views=0,
+                                min_comments=0, min_dislike_like_ratio=0.0,
+                                rounds=1)
+        assert set(mined.ids()) == {f"v{i}" for i, row in enumerate(hits)
+                                    if any(row)}
+
+    @pytest.mark.parametrize("phrase", ["J\u0316\u030c", "T\u0316\u0308"])
+    def test_a_phrase_whose_fold_refolds_differently_matches_itself(
+            self, phrase):
+        # NFC leaves the phrase as it is, case-folding makes it composable,
+        # so a second fold reorders its marks: a caller folding a stored
+        # folded phrase again would miss the text the phrase equals.
+        assert fold(fold(phrase)) != fold(phrase)
+        lex = LexiconSet.from_entries([phrase], [], [], [], [phrase])
+        assert has_clickbait_phrase(phrase, lex) == 1
+        assert network.fakeness_vector(phrase, [phrase]).tolist() == [1.0]
+        video = make_dataset([mining_video("v", [phrase])])
+        assert mine_candidates(video, [phrase], min_views=0, min_comments=0,
+                               min_dislike_like_ratio=0.0).ids() == ("v",)
 
 
 PAPER_AGREEMENT = np.array([[70, 62, 26],
