@@ -29,6 +29,11 @@ ENV_LEXICON_DIR = "UCNET_LEXICON_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # A flag is written in full, so an abbreviation cannot silently
+        # stand for another flag, such as --train for --train-titles.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -44,7 +49,7 @@ def _sha256(path) -> str:
 
 
 def _lexicon_dir(args) -> Path:
-    if getattr(args, "lexicon_dir", None):
+    if args.lexicon_dir:
         return Path(args.lexicon_dir)
     env = os.environ.get(ENV_LEXICON_DIR)
     if env:
@@ -89,18 +94,25 @@ def _load_labeled_titles(path) -> list[tuple[str, str]]:
     return titles
 
 
+def _check_scorer_flags(args) -> None:
+    """Refuse, before any input is read, a run given no title scorer or
+    two: a saved one and titles to train another."""
+    if args.scorer and args.train_titles:
+        raise ValueError("--scorer and --train-titles conflict: give a "
+                         "trained scorer or the titles to train one on")
+    if not (args.scorer or args.train_titles):
+        raise ValueError("either --scorer or --train-titles is required")
+
+
 def _get_scorer(args, lexicons: LexiconSet) -> tuple[TitleScorer, dict]:
-    inputs = {}
-    if getattr(args, "scorer", None):
+    if args.scorer:
         scorer = TitleScorer.load(args.scorer, lexicons)
-        inputs["scorer"] = args.scorer
-    elif getattr(args, "train_titles", None):
+        inputs = {"scorer": args.scorer}
+    else:
         titles = _load_labeled_titles(args.train_titles)
         scorer = train_title_scorer(titles, lexicons, seed=args.scorer_seed)
-        inputs["train_titles"] = args.train_titles
-    else:
-        raise ValueError("either --scorer or --train-titles is required")
-    if getattr(args, "save_scorer", None):
+        inputs = {"train_titles": args.train_titles}
+    if args.save_scorer:
         scorer.save(args.save_scorer)
     return scorer, inputs
 
@@ -197,6 +209,7 @@ def _cmd_agreement(args) -> int:
 
 
 def _cmd_features(args) -> int:
+    _check_scorer_flags(args)
     lexicon_dir = _lexicon_dir(args)
     lexicons = LexiconSet.from_directory(lexicon_dir)
     dataset = corpus.load_dataset(args.input, Path(args.input).stem)
@@ -311,6 +324,7 @@ def _cmd_train_ucnet(args) -> int:
     if args.predictions and args.train and not args.test:
         raise ValueError("--predictions requires a test set: --test with "
                          "--train, or --input")
+    _check_scorer_flags(args)
     lexicon_dir = _lexicon_dir(args)
     lexicons = LexiconSet.from_directory(lexicon_dir)
     if not lexicons.fakeness_phrases:
@@ -564,51 +578,27 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subs
 
 
-def _read_config_file(path) -> dict[str, str]:
-    overrides = {}
-    for lineno, line in corpus.content_lines(path):
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    return overrides
-
-
-def _apply_config(subs: dict[str, _Parser], overrides: dict[str, str],
-                  parser: _Parser) -> None:
-    recognized = set()
-    for sub in subs.values():
-        for action in sub._actions:
-            if action.dest in overrides:
-                recognized.add(action.dest)
-                raw = overrides[action.dest]
-                if isinstance(action, argparse._StoreTrueAction):
-                    value = raw.lower() in ("1", "true", "yes", "on")
-                elif action.type is not None:
-                    value = action.type(raw)
-                else:
-                    value = raw
-                sub.set_defaults(**{action.dest: value})
-    unknown = sorted(set(overrides) - recognized)
-    if unknown:
-        parser.error(f"unknown config keys: {', '.join(unknown)}")
+def _config_flags(path) -> list[str]:
+    """The flags a ``--config`` file's lines name: a ``key=value`` line is
+    ``--key=value`` and a key alone is the switch ``--key``. A key may
+    spell ``-`` as ``_``."""
+    flags = []
+    for _, line in corpus.content_lines(path):
+        key, sep, value = line.partition("=")
+        flags.append(f"--{key.strip().replace('_', '-')}{sep}{value.strip()}")
+    return flags
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subs = _build_parser()
-
-    config_path = None
-    if "--config" in argv:
-        pos = argv.index("--config")
-        if pos + 1 >= len(argv):
-            parser.error("--config requires a file argument")
-        config_path = argv[pos + 1]
-        del argv[pos:pos + 2]
-
+    parser, _ = _build_parser()
     try:
-        if config_path is not None:
-            _apply_config(subs, _read_config_file(config_path), parser)
+        if argv[:1] == ["--config"]:
+            if len(argv) < 2:
+                parser.error("--config requires a file argument")
+            # The subcommand's parser reads the config's flags before the
+            # command line's own, so an explicit flag wins.
+            argv = [*argv[2:3], *_config_flags(argv[1]), *argv[3:]]
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -618,7 +608,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -211,19 +211,31 @@ class TitleScorer:
     an :class:`ucnet.neural.Mlp` whose inputs are standardized with the
     training set's ``mean`` and ``std``. Class order is (real, fake), so
     score() returns the probability of the fake class. A scorer is built
-    trained, by :func:`train_title_scorer` or :meth:`load`.
+    trained, by :func:`train_title_scorer` or :meth:`load`; ``source``
+    names it in errors, as the file it was loaded from.
     """
 
     def __init__(self, lexicons: LexiconSet, mlp: neural.Mlp,
-                 mean: np.ndarray, std: np.ndarray):
+                 mean: np.ndarray, std: np.ndarray,
+                 source: str = "trained title scorer"):
         self.lexicons = lexicons
         self.mlp = mlp
         self.mean = mean
         self.std = std
+        self.source = source
 
     def score(self, title: str) -> float:
-        x = (title_linguistic_features(title, self.lexicons) - self.mean) / self.std
-        return float(self.mlp.forward(x)[1])
+        """The title's probability of fake. A title whose arithmetic leaves
+        the float range raises a ValueError naming the scorer."""
+        features = title_linguistic_features(title, self.lexicons)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return float(self.mlp.forward(
+                    (features - self.mean) / self.std)[1])
+        except FloatingPointError as exc:
+            raise ValueError(f"{self.source}: scoring the title "
+                             f"{title[:40]!r} leaves the float range "
+                             f"({exc})") from None
 
     def save(self, path) -> None:
         from .serialize import save_tensors
@@ -250,6 +262,10 @@ class TitleScorer:
         n_inputs = len(TITLE_SCORER_FEATURES)
         mean = tensors.shaped("feature_mean", n_inputs)
         std = tensors.shaped("feature_std", n_inputs)
+        if not (std > 0).all():
+            raise ValueError(f"{path}: tensor 'feature_std' holds "
+                             f"{float(std.min())!r}; a trained scorer's "
+                             "entries are all positive")
         weights = tensors.shaped("layer0.weights", None, n_inputs)
         units = weights.shape[0]
         flat = neural.FlatParameters.pack({
@@ -257,7 +273,8 @@ class TitleScorer:
             "layer0.bias": tensors.shaped("layer0.bias", units),
             "layer1.weights": tensors.shaped("layer1.weights", 2, units),
             "layer1.bias": tensors.shaped("layer1.bias", 2)})
-        return cls(lexicons, neural.Mlp(flat, ("layer0", "layer1")), mean, std)
+        return cls(lexicons, neural.Mlp(flat, ("layer0", "layer1")), mean, std,
+                   str(path))
 
 
 def train_title_scorer(titles: Sequence[tuple[str, str]],

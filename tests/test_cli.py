@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ucnet import classic, cli, corpus, evaluation, lexical, network
+from ucnet import (classic, cli, corpus, evaluation, lexical, network,
+                   serialize)
 from ucnet.cli import main
 from ucnet.embeddings import (EmbeddingTable, comment_vocabulary,
                               load_embeddings, save_embeddings)
@@ -349,6 +350,61 @@ class TestFeaturesCommand:
         assert main([command, "--features", str(features),
                      "--output", str(tmp_path / "out"), *extra]) == 2
         assert capsys.readouterr().err == f"error: {features}: {message}\n"
+
+
+def scorer_run(command, synthetic_dir, out, *scorer_flags):
+    """A features or train-ucnet run on the synthetic corpus whose title
+    scorer ``scorer_flags`` give."""
+    argv = [command, "--input", str(synthetic_dir / "corpus.jsonl"),
+            "--output", str(out), *scorer_flags]
+    if command == "train-ucnet":
+        argv += ["--embeddings", str(synthetic_dir / "embeddings.txt"),
+                 "--embedding-dim", "8", "--all-features", "--epochs", "1",
+                 "--lstm-hidden", "4"]
+    return argv
+
+
+class TestTitleScorerFlags:
+    @pytest.mark.parametrize("command", ["features", "train-ucnet"])
+    def test_scorer_with_train_titles_is_refused_first(
+            self, synthetic_dir, tmp_path, capsys, command):
+        # Neither the input nor the scorer file exists: the refusal comes
+        # before any input is read.
+        argv = scorer_run(command, synthetic_dir, tmp_path / "out",
+                          "--scorer", str(tmp_path / "missing.model"),
+                          "--train-titles", str(synthetic_dir / "titles.tsv"))
+        argv[argv.index("--input") + 1] = str(tmp_path / "missing.jsonl")
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --scorer and --train-titles conflict: give a trained "
+            "scorer or the titles to train one on\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["features", "train-ucnet"])
+    @pytest.mark.parametrize("tensor,value,message", [
+        ("feature_std", 0.0, "tensor 'feature_std' holds 0.0; a trained "
+                             "scorer's entries are all positive"),
+        ("layer1.weights", 1e308, "leaves the float range (overflow "
+                                  "encountered in matmul)")],
+        ids=["zero-std", "huge-weights"])
+    def test_degenerate_scorer_file_names_the_file(
+            self, synthetic_dir, tmp_path, capsys, scorer, command, tensor,
+            value, message):
+        path = tmp_path / "scorer.model"
+        scorer.save(path)
+        tensors, meta = serialize.load_tensors(path)
+        tensors = {name: tensors[name].copy() for name in tensors}
+        tensors[tensor][0] = value
+        serialize.save_tensors(path, tensors, dict(meta))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(scorer_run(command, synthetic_dir, tmp_path / "out",
+                                   "--scorer", str(path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert not (tmp_path / "out").exists()
 
 
 def extreme_features(synthetic_dir, tmp_path):
@@ -993,6 +1049,66 @@ class TestConfigFile:
         config.write_text("definitely-not-a-flag=1\n")
         assert main(["--config", str(config), "evaluate", "--pred", "x",
                      "--truth", "y", "--output", "z"]) == 1
+
+    def test_lines_are_the_subcommands_flags(self, synthetic_dir, tmp_path):
+        # The config supplies the required --embeddings, a switch as its key
+        # alone and a key spelled with "_"; the command line's --epochs
+        # overrides the config's.
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"embeddings = {synthetic_dir / 'embeddings.txt'}\n"
+            f"train_titles={synthetic_dir / 'titles.tsv'}\n"
+            "embedding_dim=8\nall-features\nlstm-hidden=4\nepochs=3\n")
+        out = tmp_path / "m"
+        assert main(["--config", str(config), "train-ucnet", "--input",
+                     str(synthetic_dir / "corpus.jsonl"), "--output", str(out),
+                     "--epochs", "1"]) == 0
+        arguments = json.loads(
+            (tmp_path / "m.manifest.json").read_text())["arguments"]
+        assert arguments["embeddings"] == str(synthetic_dir / "embeddings.txt")
+        assert (arguments["all_features"], arguments["embedding_dim"],
+                arguments["lstm_hidden"], arguments["epochs"]) == (True, 8, 4, 1)
+
+    @pytest.mark.parametrize("line,argv,message", [
+        ("model=svm", ["train-classic", "--features", "f", "--output", "o"],
+         "argument --model: invalid choice: 'svm'"),
+        ("trees=abc", ["prune", "--features", "f", "--output", "o"],
+         "argument --trees: invalid int value: 'abc'"),
+        ("all-features=maybe", ["train-ucnet", "--embeddings", "e",
+                                "--output", "o"],
+         "argument --all-features: ignored explicit argument 'maybe'"),
+        ("trees", ["prune", "--features", "f", "--output", "o"],
+         "argument --trees: expected one argument"),
+        ("lstm-hidden=2", ["evaluate", "--pred", "p", "--truth", "t",
+                           "--output", "o"],
+         "unrecognized arguments: --lstm-hidden=2"),
+        # A flag is written in full: --train is not --train-titles.
+        ("train=t", ["features", "--input", "i", "--output", "o"],
+         "unrecognized arguments: --train=t"),
+    ], ids=["choice", "type", "switch-value", "no-value", "other-subcommand",
+            "abbreviation"])
+    def test_a_line_the_subcommand_refuses_is_a_usage_error(
+            self, tmp_path, capsys, line, argv, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), *argv]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_config_is_read_only_before_the_subcommand(
+            self, synthetic_dir, tmp_path, capsys, monkeypatch):
+        # After the subcommand, --config is a word like any other: here the
+        # path that --output names.
+        monkeypatch.chdir(tmp_path)
+        argv = ["features", "--input", str(synthetic_dir / "corpus.jsonl"),
+                "--train-titles", str(synthetic_dir / "titles.tsv")]
+        assert main([*argv, "--output=--config"]) == 0
+        assert (tmp_path / "--config").is_file()
+        capsys.readouterr()
+        assert main([*argv, "--output", "x", "--config", "y"]) == 1
+        assert "unrecognized arguments: --config y" in capsys.readouterr().err
+        assert main(["--config"]) == 1
+        assert "--config requires a file argument" in capsys.readouterr().err
 
 
 class TestLexiconDirEnv:

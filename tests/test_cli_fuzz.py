@@ -1,6 +1,8 @@
 """Subcommands run through ``cli.main`` on files every reader accepts, with
 values at their edges. Each run exits 0 or 2 without a traceback or a
 RuntimeWarning, and an exit-0 output reads back through its own reader.
+A run under a ``--config`` file may also exit 1, exactly when the file
+holds a line the subcommand's parser refuses.
 
 Tier-1 runs each test derandomized and short. CI runs this file again with
 ``--hypothesis-profile=cli-fuzz-deep`` (registered in ``conftest.py``),
@@ -66,15 +68,16 @@ def workdir(tmp_path_factory, scorer, lexicons):
     return out
 
 
-def run(argv) -> int:
-    """``cli.main(argv)``'s exit status; a RuntimeWarning raises."""
+def run(argv, codes=(0, 2)) -> int:
+    """``cli.main(argv)``'s exit status, one of ``codes``; a RuntimeWarning
+    raises."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()), \
             warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv)
-    assert code in (0, 2), err.getvalue()
+    assert code in codes, err.getvalue()
     assert "Traceback" not in err.getvalue()
     return code
 
@@ -330,12 +333,16 @@ FLOAT_FLAG_EDGES = ["0", "-0.0", "-1", "1", str(2**63), "1e308", "nan",
                     "inf", "-inf"]
 
 
+def flag_edges(action) -> list[str]:
+    """The edge values an int or float flag draws from."""
+    return SIZE_EDGES if action.dest in SIZE_FLAGS \
+        else INT_FLAG_EDGES if action.type is int else FLOAT_FLAG_EDGES
+
+
 def numeric_flags(command) -> dict[str, list[str]]:
     """Each int or float flag of ``command``, as the parser declares it,
     with the edge values it draws from."""
-    return {action.option_strings[0]:
-            SIZE_EDGES if action.dest in SIZE_FLAGS
-            else INT_FLAG_EDGES if action.type is int else FLOAT_FLAG_EDGES
+    return {action.option_strings[0]: flag_edges(action)
             for action in cli._build_parser()[1][command]._actions
             if action.type in (int, float)}
 
@@ -356,6 +363,11 @@ def flag_workdir(tmp_path_factory, lexicons):
                 "--train-titles", str(out / "titles.tsv"),
                 "--save-scorer", str(out / "scorer.model")]) == 0
     return out
+
+
+# The subcommands with numeric flags, each of which flag_base runs.
+FLAG_COMMANDS = ["mine", "features", "prune", "train-classic", "train-ucnet",
+                 "pca", "make-synthetic"]
 
 
 def flag_base(w, o) -> dict[str, list[str]]:
@@ -419,9 +431,7 @@ def read_back(command, argv, o) -> None:
 
 
 class TestNumericFlags:
-    @pytest.mark.parametrize("command", ["mine", "features", "prune",
-                                         "train-classic", "train-ucnet",
-                                         "pca", "make-synthetic"])
+    @pytest.mark.parametrize("command", FLAG_COMMANDS)
     @fuzz_settings(20, deep_examples=300)
     @given(data=st.data())
     def test_flags_at_their_edges(self, flag_workdir, tmp_path_factory,
@@ -444,3 +454,80 @@ class TestNumericFlags:
         argv += [f"{flag}={value}" for flag, value in drawn.items()]
         if run(argv) == 0:
             read_back(command, argv, o)
+
+
+# The values a config line may give each flag of any subcommand: a switch
+# gets two words, both refused; a flag with choices gets them and one word
+# outside them; a path gets PATH, a file in the example's own directory; an
+# int or float flag gets its edges, as TestNumericFlags draws them, and a
+# word that is no number. The last value, None, writes the key alone.
+PATH = object()
+
+
+def config_values() -> dict[str, list]:
+    values: dict[str, list] = {}
+    for parser in cli._build_parser()[1].values():
+        for action in parser._actions:
+            flag = action.option_strings[-1]
+            if flag == "--help":
+                continue
+            if action.nargs == 0:
+                drawn = ["true", "maybe"]
+            elif action.choices:
+                drawn = [*action.choices, "svm"]
+            elif action.type is None:
+                drawn = [PATH]
+            else:
+                drawn = [*flag_edges(action), "abc"]
+            known = values.setdefault(flag, [])
+            known += [value for value in drawn if value not in known]
+    return {flag: [*known, None] for flag, known in values.items()}
+
+
+CONFIG_VALUES = config_values()
+
+
+def refuses(parser, flag, value) -> bool:
+    """Whether ``parser`` refuses ``flag`` with ``value`` (None for none)."""
+    action = next((a for a in parser._actions if flag in a.option_strings),
+                  None)
+    if action is None:
+        return True
+    if action.nargs == 0 or value is None:
+        return (action.nargs == 0) != (value is None)
+    try:
+        value = action.type(value) if action.type else value
+    except ValueError:
+        return True
+    return bool(action.choices) and value not in action.choices
+
+
+class TestConfigLines:
+    @fuzz_settings(40, deep_examples=300)
+    @given(data=st.data())
+    def test_a_refused_line_is_a_usage_error(self, flag_workdir,
+                                             tmp_path_factory, data):
+        command = data.draw(st.sampled_from(FLAG_COMMANDS))
+        parser = cli._build_parser()[1][command]
+        own = sorted(s for a in parser._actions for s in a.option_strings
+                     if s in CONFIG_VALUES)
+        o = tmp_path_factory.mktemp("config")
+        lines, refused = [], False
+        for _ in range(data.draw(st.integers(0, 3))):
+            # Three lines in four name a flag of the subcommand's own.
+            flag = data.draw(st.sampled_from(data.draw(st.sampled_from(
+                [own, own, own, sorted(CONFIG_VALUES)]))))
+            value = data.draw(st.sampled_from(CONFIG_VALUES[flag]))
+            value = str(o / "value") if value is PATH else value
+            key = flag[2:]
+            if data.draw(st.booleans()):
+                key = key.replace("-", "_")
+            lines.append(key if value is None else
+                         key + data.draw(st.sampled_from(["=", " = "]))
+                         + value)
+            refused |= refuses(parser, flag, value)
+        config = o / "run.cfg"
+        config.write_text("".join(line + "\n" for line in lines))
+        code = run(["--config", str(config), command,
+                    *flag_base(flag_workdir, o)[command]], codes=(0, 1, 2))
+        assert (code == 1) == refused, lines

@@ -105,7 +105,7 @@ class TestFuzzedReaders:
     @settings(max_examples=150, deadline=None)
     @given(content=files(["min-views", "rounds", "3", "x", "-"]))
     def test_config_file(self, tmp_path_factory, content):
-        parses_or_names_file(tmp_path_factory, content, cli._read_config_file)
+        parses_or_names_file(tmp_path_factory, content, cli._config_flags)
 
     # Random patterns such as "[[" draw re's FutureWarning on nested sets.
     @pytest.mark.filterwarnings("ignore::FutureWarning")
