@@ -410,7 +410,14 @@ def _cmd_pca(args) -> int:
         model = network.UCNetModel.load(args.model)
         table = load_embeddings(args.embeddings, model.embedding_dim,
                                 vocabulary=_comment_vocabulary(dataset))
-        matrix = network.extract_unified_embeddings(dataset, table, model)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                matrix = network.extract_unified_embeddings(dataset, table,
+                                                            model)
+        except (FloatingPointError, ValueError) as exc:
+            # A finite model can still leave the float range (weights near
+            # 1e308), or exact pooling's.
+            raise ValueError(f"{args.model}: {exc}") from None
         ids = dataset.ids()
         labels = [r.label for r in dataset]
         inputs = {"input": args.input, "model": args.model,
@@ -596,6 +603,12 @@ def main(argv=None) -> int:
         if argv[:1] == ["--config"]:
             if len(argv) < 2:
                 parser.error("--config requires a file argument")
+            # No subcommand takes a positional argument; placed after the
+            # config's flags, a word here would be read as the value of a
+            # key-alone line's flag.
+            if argv[3:4] and not argv[3].startswith("-"):
+                parser.error(f"{argv[2]} takes no positional argument: "
+                             f"{argv[3]!r}")
             # The subcommand's parser reads the config's flags before the
             # command line's own, so an explicit flag wins.
             argv = [*argv[2:3], *_config_flags(argv[1]), *argv[3:]]

@@ -41,12 +41,15 @@ meta and ``load`` reads it back. A model keeps all its parameters, and
 their gradients, in one flat float64 vector each
 (:class:`ucnet.neural.FlatParameters`), which Adam updates in place; the
 LSTM's tensors come first, so they are a prefix of the vector. The
-gradient vector is allocated by the first backward pass, so a model that
-is loaded to predict or embed holds its parameters once. The LSTM
-runs in the model's compute dtype, float32 by default: each forward pass
-casts the LSTM's master weights once, the LSTM's final states are widened
-to float64, and its gradients are widened into the flat gradient vector.
-Pooling, both dense heads and the softmax stay float64.
+gradient vector is allocated by the first backward pass, and ``load``
+adopts the file's payload vector as the parameter vector, so a model that
+is loaded to predict or embed holds its parameters once. The LSTM runs in
+the model's compute dtype, float32 by default: each forward pass hands it
+views of the float64 master weights, which it casts where it reads them
+(see :mod:`ucnet.neural`), so no pass holds a cast copy of the LSTM's
+tensors; the LSTM's final states are widened to float64, and its gradients
+are widened into the flat gradient vector. Pooling, both dense heads and
+the softmax stay float64.
 """
 
 from __future__ import annotations
@@ -338,7 +341,8 @@ def _forward_batch(model: UCNetModel, batch: _Batch,
     ``_backward_batch`` reads; only a pass given an LSTM ``workspace``
     keeps the LSTM's part of it."""
     params = model.flat.params
-    cell = model._compute_cell()
+    cell = neural.LSTMCell(params["lstm.wx"], params["lstm.wh"],
+                           params["lstm.bias"], model.dtype)
     finals, lstm_cache = neural.lstm_forward_batch(
         cell, batch.ids, batch.lengths, batch.matrix, workspace=workspace)
     finals = finals.astype(np.float64, copy=False)
@@ -383,24 +387,29 @@ class UCNetModel:
     ``batch_loss_and_gradients``) over labelled :class:`PreparedVideo`s, so
     the finite-difference gradient checker applies to the full architecture.
     ``params`` maps the tensor names of ``_layout`` to arrays, in layout
-    order; they are copied into ``self.flat``. ``dtype`` is the LSTM's
-    compute dtype: float32 by default, float64 for checks against float64
-    references.
+    order; they are copied into ``self.flat``. It may instead be a
+    :class:`ucnet.neural.FlatParameters` of that layout, which becomes
+    ``self.flat`` itself, as ``load`` passes a file's payload. ``dtype`` is
+    the LSTM's compute dtype: float32 by default, float64 for checks
+    against float64 references.
     """
 
-    def __init__(self, params: Mapping[str, np.ndarray],
+    def __init__(self, params: Mapping[str, np.ndarray] | neural.FlatParameters,
                  phrases: Sequence[str], feature_names: Sequence[str],
                  embedding_dim: int, config: TrainingConfig | None = None,
                  *, dtype=np.float32):
         if not phrases:
             raise ValueError("a model needs at least one fakeness phrase")
-        shapes = {name: np.shape(array) for name, array in params.items()}
+        flat = params if isinstance(params, neural.FlatParameters) else None
+        shapes = {name: np.shape(array) for name, array
+                  in (params if flat is None else flat.params).items()}
         wh, bias = shapes.get("lstm.wh", ()), shapes.get("hidden.bias", ())
         self.lstm_hidden = wh[-1] if wh else 0
         layout = _layout(embedding_dim, len(phrases), len(feature_names),
                          self.lstm_hidden, bias[0] if bias else 0)
         _check_layout(shapes, layout)
-        self.flat = neural.FlatParameters.pack(params)
+        self.flat = flat if flat is not None \
+            else neural.FlatParameters.pack(params)
         # np.abs's temporary costs no peak RSS, and freeing it keeps later
         # training temporaries on the heap: a min/max check measured more
         # page faults and a slower paper-train.
@@ -408,9 +417,6 @@ class UCNetModel:
             if np.abs(self.flat.params[name]).max(initial=0.0) \
                     > np.finfo(np.float32).max:
                 raise ValueError(f"tensor {name!r} overflows float32")
-        self._lstm_shapes = {name.removeprefix("lstm."): shape
-                             for name, shape in layout.items()
-                             if name.startswith("lstm.")}
         self.head = neural.Mlp(self.flat, ("hidden", "output"))
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
@@ -424,16 +430,6 @@ class UCNetModel:
 
     def parameters(self) -> dict[str, np.ndarray]:
         return dict(self.flat.params)
-
-    def _compute_cell(self) -> neural.LSTMCell:
-        """The LSTM cell in the compute dtype, built from views of one cast
-        copy of the LSTM prefix of the flat vector (the master weights
-        themselves at float64). Inference casts on every call too: keeping
-        the cast cell on the model measured a 5 MB higher peak RSS where two
-        models are alive at once, as in the long-threads benchmark."""
-        size = sum(math.prod(shape) for shape in self._lstm_shapes.values())
-        cast = self.flat.vector[:size].astype(self.dtype, copy=False)
-        return neural.LSTMCell(**neural.segment_views(cast, self._lstm_shapes))
 
     def _workspace_for(self, videos: Sequence[PreparedVideo],
                        batch_size: int) -> np.ndarray:
@@ -506,7 +502,9 @@ class UCNetModel:
 
     @classmethod
     def load(cls, path) -> "UCNetModel":
-        """The model saved at ``path``, with the phrase list it records."""
+        """The model saved at ``path``, with the phrase list it records.
+        The file's payload vector becomes the model's parameter vector, so
+        the file's tensors must come in layout order."""
         tensors, meta = serialize.load_tensors(path)
         if meta.get("kind") != "ucnet":
             raise ValueError(f"{path}: not a ucnet model file")
@@ -517,13 +515,15 @@ class UCNetModel:
         units = tensors.shaped("hidden.weights", None, None).shape[0]
         layout = _layout(embedding_dim, len(phrases), len(feature_names),
                          meta.integer("lstm_hidden"), units)
-        params = {name: tensors.shaped(name, *shape)
-                  for name, shape in layout.items()}
+        for name, shape in layout.items():
+            tensors.shaped(name, *shape)
         settings = {field.name: meta.real(field.name) if field.type == "float"
                     else meta.integer(field.name)
                     for field in fields(TrainingConfig)}
         try:
-            return cls(params, phrases, feature_names, embedding_dim,
+            flat = neural.FlatParameters.adopt(
+                tensors.payload, {name: a.shape for name, a in tensors.items()})
+            return cls(flat, phrases, feature_names, embedding_dim,
                        TrainingConfig(**settings))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None

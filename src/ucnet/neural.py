@@ -6,9 +6,11 @@ view into it, so the Adam optimizer updates the whole model with a handful
 of in-place vector operations and the finite-difference gradient checker
 treats every architecture uniformly. The gradient vector is allocated by
 its first reader, a backward pass, so a model that only predicts holds its
-parameters once. :meth:`FlatParameters.pack` is where parameters enter a
-model, and the one place their finiteness is checked. A dense layer is a
-pair of views ``name.weights`` and ``name.bias``, read as the
+parameters once. :meth:`FlatParameters.pack`, which copies, and
+:meth:`FlatParameters.adopt`, which takes a vector as it is (a model file's
+payload), are where parameters enter a model, and the one place their
+finiteness is checked. A dense layer is a pair of views ``name.weights``
+and ``name.bias``, read as the
 affine map ``x @ weights.T + bias``; its nonlinearity is fixed where it is
 used: :class:`Mlp` puts ReLU between its layers and a softmax on top. A
 "network" is any object with two methods::
@@ -21,10 +23,16 @@ The gradient checker perturbs the live parameter arrays in place, so
 The gradient arrays may be the network's own buffer, overwritten by its next
 call: copy them to keep them.
 
-The LSTM computes in the dtype of the cell it is given. UCNet hands it a
-float32 copy of its float64 master weights (mixed precision, Micikevicius et
-al. 2018, arXiv:1710.03740); gradient checks hand it the float64 weights.
-Everything else computes in float64.
+The LSTM computes in the compute dtype of the cell it is given, and casts
+each weight where the pass reads it. UCNet hands it views of its float64
+master weights with float32 as the compute dtype (mixed precision,
+Micikevicius et al. 2018, arXiv:1710.03740); gradient checks hand it a
+float64 cell. The forward pass casts ``wx`` and the bias for the input
+projection alone and drops the copies before the recurrence; it casts
+``wh`` straight into its staged ``wh.T``; and a pass that keeps a cache
+keeps ``wh`` in the compute dtype there, for the backward pass to read.
+No pass holds a cast copy of all the LSTM's weights. Everything else
+computes in float64.
 
 The batched LSTM reads token ids, not vectors: its input is a padded
 ``(n, t_max)`` integer array of row ids into a ``(V, input_dim)`` float64
@@ -42,9 +50,10 @@ distinct ids among the real cells only, whose rows are gathered straight
 into the compute dtype, laid out gate-planar, ``(4, U, hidden)``; each step
 takes its cells' rows of it by index, gate by gate, since a cell's
 projection depends only on its token, then adds ``h[:b_t] @ wh.T``. Each
-pass copies ``wh.T`` once, C-ordered: OpenBLAS is several times slower on
-the transposed view at small row counts, and gives the same bits on the
-copy. A float32 pass copies it gate by gate, ``(4, hidden, hidden)``,
+pass copies ``wh.T`` once, C-ordered and cast in the same copy: OpenBLAS
+is several times slower on the transposed view at small row counts, and
+gives the same bits on the copy. A float32 pass copies it gate by gate,
+``(4, hidden, hidden)``,
 multiplies ``h[:b_t]`` by each gate's block into that gate's plane of the
 step scratch and adds the scratch to the step's gates in one pass. Late in
 a long thread only a few rows still run, and there one gate's block (360
@@ -146,6 +155,11 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int,
 class LSTMCell:
     """Single LSTM cell with gate matrices stacked as (input, forget, candidate, output).
 
+    ``dtype`` is the compute dtype, float32 or float64; left out, it is
+    float32 for float32 weights and float64 otherwise. The weights are
+    kept as given, and the passes cast them where they read them, so a
+    cell over views of float64 master weights computing in float32 holds
+    no copy of them.
     Building one checks shapes only: the weights were checked where they
     entered the model, so a forward pass does not scan them again.
     """
@@ -153,13 +167,18 @@ class LSTMCell:
     wx: np.ndarray    # (4 * hidden_dim, input_dim)
     wh: np.ndarray    # (4 * hidden_dim, hidden_dim)
     bias: np.ndarray  # (4 * hidden_dim,)
+    dtype: np.dtype | None = None
 
     def __post_init__(self) -> None:
-        # float32 weights make a float32 cell; anything else computes in float64.
-        dtype = np.float32 if np.asarray(self.wx).dtype == np.float32 else np.float64
-        self.wx = np.asarray(self.wx, dtype=dtype)
-        self.wh = np.asarray(self.wh, dtype=dtype)
-        self.bias = np.asarray(self.bias, dtype=dtype)
+        self.wx, self.wh, self.bias = map(np.asarray,
+                                          (self.wx, self.wh, self.bias))
+        if self.dtype is None:
+            self.dtype = np.float32 if self.wx.dtype == np.float32 \
+                else np.float64
+        self.dtype = np.dtype(self.dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(
+                f"compute dtype must be float32 or float64, got {self.dtype}")
         hidden = self.wh.shape[1]
         if self.wx.shape[0] != 4 * hidden or self.wh.shape[0] != 4 * hidden \
                 or self.bias.shape != (4 * hidden,):
@@ -226,6 +245,7 @@ class PackedLSTMCache:
     bounds: np.ndarray   # (t_real + 1,) packed offset of each step
     cell_of: np.ndarray  # (P,) row of ``inputs`` each cell reads
     inputs: np.ndarray   # (U, input_dim) distinct input vectors, compute dtype
+    wh: np.ndarray       # (4 * hidden, hidden) the cell's wh, compute dtype
     gates: np.ndarray    # (4, P, hidden) activated i, f, g, o
     h_prev: np.ndarray   # (P, hidden) hidden state entering the step
     c_prev: np.ndarray   # (P, hidden) cell state entering the step
@@ -284,7 +304,9 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
 
     A pass given a ``workspace`` (from :func:`lstm_workspace`, large enough
     for the batch's real cells) keeps that cache, in views of it: step t's
-    gates and states land in packed rows ``bounds[t]:bounds[t + 1]``. A
+    gates and states land in packed rows ``bounds[t]:bounds[t + 1]``; the
+    cache also holds ``wh`` cast to the compute dtype for the backward
+    pass. A
     pass without one keeps none and returns None for it: step t's gates
     and ``tanh(c)`` land in rows ``0:b_t`` of buffers sized for step 0,
     which the next step overwrites, so inference holds one step of state
@@ -302,7 +324,7 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     n, t_max = xs.shape
     if lengths.shape != (n,) or np.any(lengths < 0) or np.any(lengths > t_max):
         raise ValueError(f"lengths must be {n} values in [0, {t_max}]")
-    hidden, dtype = cell.hidden_dim, cell.wx.dtype
+    hidden, dtype = cell.hidden_dim, cell.dtype
     order = np.argsort(-lengths, kind="stable")
     t_real = int(lengths.max(initial=0))
     steps, rows = np.nonzero(np.arange(t_real)[:, None] < lengths[order])
@@ -315,6 +337,9 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     # tanh_c hold step 0's rows, which every later step overwrites, and
     # h_prev and c_prev are empty: no backward pass will read them.
     keep = workspace is not None
+    # Cast before the pass's other buffers: cast after the loop, it set
+    # paper-train's peak RSS ~1 MB higher.
+    cached_wh = cell.wh.astype(dtype, copy=False) if keep else None
     held, states = (cells, cells) if keep else (first, 0)
     shapes = {"gates": (4, held, hidden), "h_prev": (states, hidden),
               "c_prev": (states, hidden), "tanh_c": (held, hidden),
@@ -331,23 +356,25 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     gates, h_prev, c_prev, tanh_c, scratch = packed.values()
     distinct, cell_of = np.unique(ids, return_inverse=True)
     inputs = _gather_rows(matrix, distinct, dtype)
-    wide = _rowwise_matmul(inputs, cell.wx.T).reshape(-1, 4, hidden)
+    # wx and the bias in the compute dtype serve this one product only.
+    wx, bias = (cell.wx.astype(dtype, copy=False),
+                cell.bias.astype(dtype, copy=False))
+    wide = _rowwise_matmul(inputs, wx.T).reshape(-1, 4, hidden)
     # Gate-planar, with the bias added on the way, so that each step takes
     # its rows from contiguous tables: np.take copies a non-contiguous
     # source whole on every call.
     projected = np.empty((4, distinct.size, hidden), dtype)
-    np.add(wide.transpose(1, 0, 2), cell.bias.reshape(4, 1, hidden),
-           out=projected)
-    del wide
+    np.add(wide.transpose(1, 0, 2), bias.reshape(4, 1, hidden), out=projected)
+    del wide, wx, bias
     h = np.zeros((n, hidden), dtype)
     c = np.zeros((n, hidden), dtype)
     # float32: gate k's block of wh.T in wh_t[k]; float64: one wide block.
+    # One copy casts and transposes the weights at once.
     per_gate = dtype == np.float32
-    if per_gate:
-        wh_t = np.ascontiguousarray(
-            cell.wh.reshape(4, hidden, hidden).transpose(0, 2, 1))
-    else:
-        wh_t = np.ascontiguousarray(cell.wh.T)
+    source = cell.wh.reshape(4, hidden, hidden).transpose(0, 2, 1) \
+        if per_gate else cell.wh.T
+    wh_t = np.empty(source.shape, dtype)
+    np.copyto(wh_t, source, casting="same_kind")
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
@@ -384,8 +411,8 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     finals[order] = h
     if not keep:
         return finals, None
-    return finals, PackedLSTMCache(order, bounds, cell_of, inputs, gates,
-                                   h_prev, c_prev, tanh_c, scratch)
+    return finals, PackedLSTMCache(order, bounds, cell_of, inputs, cached_wh,
+                                   gates, h_prev, c_prev, tanh_c, scratch)
 
 
 def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache | None,
@@ -398,7 +425,8 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache | None,
     every element goes through the operations of the textbook expressions,
     in their order, with the temporaries in ``cache.scratch``. The step's
     ``dh`` is one GEMM of the gate gradients, copied side by side into the
-    scratch, by ``wh``. The weight gradients are then stacked per-gate GEMMs
+    scratch, by the cache's ``wh``, which the forward pass kept in the
+    compute dtype. The weight gradients are then stacked per-gate GEMMs
     over all cells; the ``wh`` GEMM skips step 0, whose cells enter with
     ``h = 0``.
     """
@@ -407,7 +435,7 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache | None,
                          "ran without a workspace, so it kept none")
     hidden = cell.hidden_dim
     bounds, gates, scratch = cache.bounds, cache.gates, cache.scratch
-    dh = np.asarray(dh_final, dtype=cell.wh.dtype)[cache.order]
+    dh = np.asarray(dh_final, dtype=cell.dtype)[cache.order]
     dc = np.zeros_like(dh)
     for t in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[t], bounds[t + 1]
@@ -447,7 +475,7 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache | None,
         if t:
             dz = scratch[:4 * b * hidden].reshape(b, 4, hidden)
             np.copyto(dz, gates[:, lo:hi].transpose(1, 0, 2))
-            np.matmul(dz.reshape(b, 4 * hidden), cell.wh, out=dh_b)
+            np.matmul(dz.reshape(b, 4 * hidden), cache.wh, out=dh_b)
     first = bounds[1] if len(bounds) > 1 else 0  # past step 0's rows
     dz_t = gates.transpose(0, 2, 1)  # (4, hidden, P)
     return {"wx": np.matmul(dz_t, cache.inputs[cache.cell_of]).reshape(
@@ -485,9 +513,16 @@ class FlatParameters:
     def pack(cls, arrays: Mapping[str, np.ndarray]) -> "FlatParameters":
         """Copy the named arrays, in order, into a new vector; every value
         must be finite."""
-        shapes = {name: np.shape(a) for name, a in arrays.items()}
         vector = np.concatenate([np.ravel(a) for a in arrays.values()],
                                 dtype=np.float64)
+        return cls.adopt(vector, {name: np.shape(a)
+                                  for name, a in arrays.items()})
+
+    @classmethod
+    def adopt(cls, vector: np.ndarray, shapes: Mapping[str, tuple[int, ...]]
+              ) -> "FlatParameters":
+        """Parameters of ``shapes``, in order, as views of ``vector`` itself,
+        a float64 vector of exactly their size; every value must be finite."""
         params = segment_views(vector, shapes)
         if not np.isfinite(vector).all():
             bad = next(n for n, a in params.items() if not np.isfinite(a).all())

@@ -20,11 +20,13 @@ bit for bit by construction, and the same tensors always give the same bytes.
 the all-text version 1 that preceded it, raises ``unsupported version``.
 
 Tensor names and meta keys are non-empty and contain no whitespace. A meta
-value is the rest of its line and may hold anything but ``\\n``. Loaded
-arrays are writable, C-contiguous and own their memory, and they are always
-finite. The loader checks the payload's length against the file's size
-before it reads any of it, then reads each tensor's bytes straight into
-that tensor's own new array, so no part of the payload is held twice. A
+value is the rest of its line and may hold anything but ``\\n``. The loader
+checks the payload's length against the file's size before it reads any of
+it, then reads the whole payload with one read into one new float64 vector,
+:attr:`Tensors.payload`, so no part of it is held twice. The loaded arrays
+are consecutive views of that vector, in header order: writable,
+C-contiguous and always finite. A model loader may adopt the vector as its
+parameter vector without a copy, as ``UCNetModel.load`` does. A
 malformed file raises ``ValueError`` naming the file and, where there is
 one, the line. Indexing a loaded mapping with a name it lacks also
 raises ``ValueError`` naming the file, so model loaders report a missing
@@ -42,6 +44,8 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+
+from .neural import segment_views
 
 FORMAT_NAME = "tensors"
 FORMAT_VERSION = 2
@@ -62,9 +66,14 @@ class _Entries(dict):
 
 
 class Tensors(_Entries):
-    """Loaded ``name -> array`` mapping of one file."""
+    """Loaded ``name -> array`` mapping of one file; every array is a view
+    of ``payload``, the file's whole payload as one float64 vector."""
 
     kind = "tensor"
+
+    def __init__(self, path: Path, payload: np.ndarray):
+        super().__init__(path)
+        self.payload = payload
 
     def shaped(self, name: str, *shape: int | None) -> np.ndarray:
         """The tensor ``name``, which must have ``shape``; ``None`` matches
@@ -229,13 +238,14 @@ def _load_binary(path: Path, fh) -> tuple[Tensors, Meta]:
     if held != n_bytes:
         raise ValueError(f"{path}: payload holds {held} bytes, "
                          f"the header declares {n_bytes}")
-    tensors = Tensors(path)
-    for name, shape in shapes.items():
-        array = np.empty(shape, dtype=PAYLOAD_DTYPE)
-        if fh.readinto(array) != array.nbytes:  # the file shrank meanwhile
-            raise ValueError(f"{path}: payload ends inside tensor {name!r}")
-        if not np.isfinite(array).all():
-            raise ValueError(f"{path}: tensor {name!r} contains non-finite values")
-        # No copy where <f8 is native: the array owns the bytes it read.
-        tensors[name] = array.astype(np.float64, copy=False)
+    payload = np.empty(n_bytes // PAYLOAD_DTYPE.itemsize, PAYLOAD_DTYPE)
+    if fh.readinto(payload) != n_bytes:  # the file shrank meanwhile
+        raise ValueError(f"{path}: payload ends before its {n_bytes} bytes")
+    # No copy where <f8 is native: the vector owns the bytes it read.
+    tensors = Tensors(path, payload.astype(np.float64, copy=False))
+    tensors.update(segment_views(tensors.payload, shapes))
+    if not np.isfinite(tensors.payload).all():
+        bad = next(name for name, array in tensors.items()
+                   if not np.isfinite(array).all())
+        raise ValueError(f"{path}: tensor {bad!r} contains non-finite values")
     return tensors, meta

@@ -990,6 +990,23 @@ class TestPcaCommand:
         err = capsys.readouterr().err
         assert str(model_file) in err and entry in err
 
+    def test_overflowing_weight_head_names_the_model_file(
+            self, synthetic_dir, tmp_path, capsys, model_file):
+        # Finite weights the loader accepts, whose weighted sums leave the
+        # float range: refused naming the model, with no warning on the way.
+        tensors, meta = serialize.load_tensors(model_file)
+        weights = tensors["weight_head.weights"]
+        weights[0, ::2], weights[0, 1::2] = 1e308, -1e308
+        serialize.save_tensors(model_file, tensors, meta)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run_pca(synthetic_dir, model_file,
+                                synthetic_dir / "embeddings.txt",
+                                tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model_file}: ")
+        assert not (tmp_path / "x.csv").exists()
+
     # Lines 2 and 3 hold "the" and "this", which the corpus's comments use.
     @pytest.mark.parametrize("line,bad", [
         (1, "x 8"), (3, "this 1 2 3 4 5 6 7 x"), (2, "the nan 0 0 0 0 0 0 0")])
@@ -1094,6 +1111,22 @@ class TestConfigFile:
         capsys.readouterr()
         assert main(["--config", str(config), *argv]) == 1
         assert message in capsys.readouterr().err
+
+    def test_a_word_after_the_subcommand_is_refused(self, synthetic_dir,
+                                                    tmp_path, capsys):
+        # Were the config's flags placed first, "input" would take the
+        # corpus path as its value.
+        config = tmp_path / "run.cfg"
+        config.write_text("input\n")
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        assert main(["--config", str(config), "features",
+                     str(synthetic_dir / "corpus.jsonl"), "--output", str(out),
+                     "--train-titles", str(synthetic_dir / "titles.tsv")]) == 1
+        assert (f"features takes no positional argument: "
+                f"{str(synthetic_dir / 'corpus.jsonl')!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_config_is_read_only_before_the_subcommand(
             self, synthetic_dir, tmp_path, capsys, monkeypatch):

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ucnet import classic, cli, corpus, evaluation, network, synthetic
+from ucnet import (classic, cli, corpus, evaluation, network, serialize,
+                   synthetic)
 from ucnet.embeddings import load_embeddings, save_embeddings
 from ucnet.lexical import FEATURE_NAMES
 
@@ -270,6 +271,66 @@ class TestEdgeLabels:
                       for where, row in corpus.read_csv(matrix, header)]
             assert sum(map(sum, counts)) == \
                 len(corpus.load_annotation_round(paths[0]))
+
+
+# The ucnet model's tensors, in layout order.
+MODEL_TENSORS = list(network._layout(1, 1, 1, 1, 1))
+
+
+@pytest.fixture(scope="module")
+def model_workdir(workdir, lexicons):
+    """A small saved ucnet model (``base.model``) and a 4-video corpus
+    whose comments hold several fakeness phrases at once."""
+    phrases = lexicons.fakeness_phrases
+    params = network.init_params(np.random.default_rng(14), EMBEDDING_DIM,
+                                 len(phrases), 2, lstm_hidden=3)
+    network.UCNetModel(params, phrases, FEATURE_NAMES[:2], EMBEDDING_DIM
+                       ).save(workdir / "base.model")
+    texts = [" ".join(phrases[:4]), "nice song", "", " ".join(phrases[1:3])]
+    records = [make_video(f"v{i}", "fake" if i % 2 else "real",
+                          comments=[make_comment(f"c{j}", text) for j, text
+                                    in enumerate(texts[i:] + texts[:i])])
+               for i in range(len(texts))]
+    corpus.save_dataset(make_dataset(records), workdir / "model-corpus.jsonl")
+    return workdir
+
+
+@st.composite
+def model_edits(draw):
+    """1-3 edits of the model's tensors: one cell, every cell, or every
+    cell with alternating signs set to an edge value."""
+    return draw(st.lists(st.tuples(
+        st.sampled_from(MODEL_TENSORS),
+        st.sampled_from(["one", "all", "alternate"]),
+        st.integers(0, 2**16), st.sampled_from(FLOAT_EDGES)),
+        min_size=1, max_size=3))
+
+
+class TestEdgeModelCells:
+    @fuzz_settings(20, deep_examples=300)
+    @given(edits=model_edits())
+    def test_pca_on_a_model_with_edge_cells(self, model_workdir, edits):
+        w = model_workdir
+        tensors, meta = serialize.load_tensors(w / "base.model")
+        for name, how, index, value in edits:
+            cells = tensors[name].reshape(-1)
+            if how == "one":
+                cells[index % cells.size] = value
+            else:
+                cells[:] = value
+                if how == "alternate":
+                    cells[1::2] = -value
+        model = w / "edge.model"
+        serialize.save_tensors(model, tensors, meta)
+        projection = w / "model-pca.csv"
+        if run(["pca", "--input", str(w / "model-corpus.jsonl"),
+                "--model", str(model), "--embeddings",
+                str(w / "embeddings.txt"), "--output", str(projection)]) == 0:
+            header = ("video_id", "pc1", "pc2", "label")
+            rows = [[corpus.csv_number(where, name, text)
+                     for name, text in zip(header[1:3], row[1:3])]
+                    for where, row in corpus.read_csv(projection, header)]
+            assert len(rows) == 4
 
 
 MAX_COMMENTS = 3

@@ -561,6 +561,27 @@ class TestModelIO:
         assert str(info.value).startswith(f"{path}: ")
         assert entry in str(info.value)
 
+    @pytest.mark.parametrize("change,message", [
+        ("reordered", "tensor 1 is 'lstm.bias', the model needs 'lstm.wh'"),
+        ("extra", "tensor 9 is 'spare', the model needs None")])
+    def test_a_file_out_of_layout_is_refused(self, phrases, tmp_path, change,
+                                             message):
+        # The payload becomes the parameter vector as it is, so the file's
+        # tensors must be the layout's, in its order.
+        path = tmp_path / "ucnet.model"
+        UCNetModel(tiny_params(n_phrases=len(phrases)), phrases, ("f0", "f1"),
+                   4).save(path)
+        tensors, meta = serialize.load_tensors(path)
+        tensors = dict(tensors)
+        if change == "reordered":
+            tensors["lstm.wh"] = tensors.pop("lstm.wh")
+        else:
+            tensors["spare"] = np.zeros(1)
+        serialize.save_tensors(path, tensors, meta)
+        with pytest.raises(ValueError) as info:
+            UCNetModel.load(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestLayout:
     # (embedding_dim, n_phrases, n_features, lstm_hidden, hidden_units)
@@ -904,6 +925,59 @@ class TestInference:
         finally:
             tracemalloc.stop()
         assert held < 1.5 * model.flat.vector.nbytes
+
+    def test_load_reads_the_payload_into_the_model_vector(self, phrases,
+                                                          tmp_path):
+        # At the long-threads shape (hidden 300, dimension 300), load holds
+        # the payload once: beside it only the float32-range check's np.abs
+        # of one LSTM tensor and the header's parse (the slack).
+        params = init_params(np.random.default_rng(28), 300, len(phrases), 8,
+                             lstm_hidden=300)
+        UCNetModel(params, phrases, lexical.FEATURE_NAMES, 300).save(
+            tmp_path / "ucnet.model")
+        payload = sum(array.nbytes for array in params.values())
+        tracemalloc.start()
+        try:
+            model = UCNetModel.load(tmp_path / "ucnet.model")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.flat.vector.tobytes() == np.concatenate(
+            [a.ravel() for a in params.values()]).tobytes()
+        assert peak <= payload + params["lstm.wh"].nbytes + 64 * 1024, peak
+
+    def test_inference_holds_no_cast_copy_of_wh(self, phrases):
+        # 200 comments of 1-59 tokens over 100 distinct words at hidden 300.
+        # A pass holds float32 wx only for the input projection, and then
+        # the staged wh.T; neither is there beside a float32 wh.
+        rng = np.random.default_rng(28)
+        hidden, dim, n_words, n_comments = 300, 300, 100, 200
+        words = [f"w{i}" for i in range(n_words)]
+        table = EmbeddingTable(dimension=dim, vectors={
+            w: rng.normal(size=dim) for w in words})
+        comments = [make_comment(f"c{i}", " ".join(rng.choice(words, size=t)))
+                    for i, t in enumerate(rng.integers(1, 60, n_comments))]
+        model = UCNetModel(
+            init_params(rng, dim, len(phrases), 8, lstm_hidden=hidden),
+            phrases, lexical.FEATURE_NAMES, dim)
+        want = model.unified_embedding(comments, table)
+        tracemalloc.start()
+        try:
+            got = model.unified_embedding(comments, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        f32 = np.dtype(np.float32).itemsize
+        wx = 4 * hidden * dim * f32
+        wh_t = 4 * hidden * hidden * f32
+        projected = 4 * n_words * hidden * f32
+        # gates (4 planes), tanh_c and the scratch (4 planes) of step 0's
+        # rows, one per comment
+        steps = 9 * n_comments * hidden * f32
+        # h, c, the gathered inputs and the collated batch
+        slack = 512 * 1024
+        assert peak <= wx + wh_t + projected + steps + slack, peak
 
     def test_predict_memory_stays_below_one_cache_plane(self):
         # A long thread at hidden 300: 200 comments, a third of them at the

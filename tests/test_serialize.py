@@ -10,6 +10,24 @@ from hypothesis.extra.numpy import array_shapes
 from ucnet.serialize import load_tensors, save_tensors
 
 
+def assert_views_of_one_payload(loaded, tensors):
+    """Every loaded tensor is a view, in order, of one owning, C-contiguous
+    <f8 vector of exactly the payload's size: the loader reads the payload
+    once and holds it once."""
+    payload = loaded.payload
+    assert payload.dtype == np.dtype("<f8") and payload.ndim == 1
+    assert payload.flags.owndata and payload.flags.c_contiguous
+    assert payload.nbytes == sum(np.asarray(a, dtype=np.float64).nbytes
+                                 for a in tensors.values())
+    start = payload.__array_interface__["data"][0]
+    offset = 0
+    for got in loaded.values():
+        assert got.base is payload
+        if got.size:
+            assert got.__array_interface__["data"][0] - start == offset
+        offset += got.nbytes
+
+
 class TestTensorDocument:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -117,7 +135,7 @@ class TestBinaryFormat:
             assert got.dtype == np.float64 and got.shape == array.shape
             assert got.tobytes() == array.tobytes()
             assert got.flags.writeable and got.flags.c_contiguous
-            assert got.flags.owndata
+        assert_views_of_one_payload(loaded, tensors)
 
     def test_header_is_text_then_raw_little_endian_payload(self, tmp_path):
         path = tmp_path / "m.tensors"
@@ -276,7 +294,7 @@ class TestPayloadReads:
                 assert got.shape == array.shape
                 assert got.tobytes() == array.tobytes()
                 assert got.flags.writeable and got.flags.c_contiguous
-                assert got.flags.owndata
+            assert_views_of_one_payload(loaded, kept)
 
     @pytest.mark.parametrize("payload,held", [(8, 8), (0, 0), (24, 24),
                                               (17, 17)])
@@ -314,5 +332,5 @@ class TestPayloadReads:
             tracemalloc.stop()
         assert all(loaded[name].tobytes() == array.tobytes()
                    for name, array in tensors.items())
-        # the arrays themselves, plus one tensor's finiteness mask at most
+        # the payload itself, plus its finiteness mask
         assert peak <= 1.25 * payload + 64 * 1024, (peak, payload)
