@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,7 +24,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-ENV_LEXICON_DIR = "UCNET_LEXICON_DIR"
+
+class _UsageError(SystemExit):
+    """A refused command line: the parser that refused it, and why."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(EXIT_USAGE)
+        self.parser, self.message = parser, message
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,9 +40,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _UsageError(self, message)
 
 
 def _sha256(path) -> str:
@@ -51,9 +54,6 @@ def _sha256(path) -> str:
 def _lexicon_dir(args) -> Path:
     if args.lexicon_dir:
         return Path(args.lexicon_dir)
-    env = os.environ.get(ENV_LEXICON_DIR)
-    if env:
-        return Path(env)
     return lexical.default_lexicon_dir()
 
 
@@ -585,20 +585,55 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subs
 
 
-def _config_flags(path) -> list[str]:
-    """The flags a ``--config`` file's lines name: a ``key=value`` line is
-    ``--key=value`` and a key alone is the switch ``--key``. A key may
-    spell ``-`` as ``_``."""
+def _config_flags(path) -> list[tuple[int, str]]:
+    """The flags a ``--config`` file's lines name, with their line numbers:
+    a ``key=value`` line is ``--key=value`` and a key alone is the switch
+    ``--key``. A key may spell ``-`` as ``_``."""
     flags = []
-    for _, line in corpus.content_lines(path):
+    for lineno, line in corpus.content_lines(path):
         key, sep, value = line.partition("=")
-        flags.append(f"--{key.strip().replace('_', '-')}{sep}{value.strip()}")
+        flags.append(
+            (lineno, f"--{key.strip().replace('_', '-')}{sep}{value.strip()}"))
     return flags
+
+
+def _refused_config_line(parser, path, flags, subcommand: list[str],
+                         rest: list[str]) -> _UsageError | None:
+    """After a run given ``--config`` was refused: the first config line
+    that the subcommand refuses before the command line's own flags, alone
+    or beside the lines that parse alone (which may give required flags),
+    as a usage error naming the file and line. None where the command line
+    is refused without the config, or no line is."""
+    def refusal(*words) -> _UsageError | None:
+        try:
+            parser.parse_args([*subcommand, *words, *rest])
+        except _UsageError as exc:
+            return exc
+        except SystemExit:  # a help line prints the help
+            pass
+        return None
+
+    def refused(exc) -> bool:  # a missing required flag refuses no word
+        return exc is not None and not exc.message.startswith(
+            "the following arguments are required")
+
+    if refused(refusal()):
+        return None
+    clean = [flag for _, flag in flags if refusal(flag) is None]
+    for lineno, flag in flags:
+        exc = refusal(flag)
+        if not refused(exc):
+            exc = refusal(*clean, flag)
+        if refused(exc):
+            return _UsageError(exc.parser,
+                               f"{path}: line {lineno}: {exc.message}")
+    return None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, _ = _build_parser()
+    config = None
     try:
         if argv[:1] == ["--config"]:
             if len(argv) < 2:
@@ -609,10 +644,18 @@ def main(argv=None) -> int:
             if argv[3:4] and not argv[3].startswith("-"):
                 parser.error(f"{argv[2]} takes no positional argument: "
                              f"{argv[3]!r}")
-            # The subcommand's parser reads the config's flags before the
-            # command line's own, so an explicit flag wins.
-            argv = [*argv[2:3], *_config_flags(argv[1]), *argv[3:]]
-        args = parser.parse_args(argv)
+            config = _config_flags(argv[1])
+        # The subcommand's parser reads the config's flags before the
+        # command line's own, so an explicit flag wins.
+        args = parser.parse_args(argv if config is None else [
+            *argv[2:3], *(flag for _, flag in config), *argv[3:]])
+    except _UsageError as exc:
+        if config:  # only a refused run reads the lines one by one
+            exc = _refused_config_line(parser, argv[1], config, argv[2:3],
+                                       argv[3:]) or exc
+        exc.parser.print_usage(sys.stderr)
+        print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, OSError) as exc:

@@ -97,7 +97,8 @@ def load_embeddings(path, expected_dim: int,
     from an unfiltered load's but pick the same vectors in the same
     relative order. Every line is checked for its field count and for a
     duplicate token, and the header's count against the number of lines;
-    the components of kept rows must also be finite numbers. Memory is the
+    the components of kept rows must also be finite numbers within the
+    float32 range, which the LSTM computes in. Memory is the
     kept rows' matrix, grown by a quarter at a time and trimmed at the end,
     plus one line and the set of the file's tokens.
     """
@@ -156,6 +157,13 @@ def load_embeddings(path, expected_dim: int,
     if bad is not None:
         raise ValueError(f"{path}: line {linenos[bad]}: token "
                          f"{list(vocab)[bad]!r} has non-finite components")
+    # The LSTM gathers rows into float32; min and max make no temporary.
+    limit = np.finfo(np.float32).max
+    if matrix.size and max(matrix.max(), -matrix.min()) > limit:
+        bad = int(np.argmax((np.abs(matrix) > limit).any(axis=1)))
+        raise ValueError(f"{path}: line {linenos[bad]}: token "
+                         f"{list(vocab)[bad]!r} has a component beyond the "
+                         f"float32 range (±{limit:.8g})")
     table = EmbeddingTable.__new__(EmbeddingTable)
     table._adopt(vocab, matrix)
     return table

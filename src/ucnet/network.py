@@ -9,16 +9,23 @@ mean of the weight-scaled embeddings is the video's unified embedding,
 which is concatenated with the selected simple features and classified by a
 ReLU dense layer into a 2-way softmax over (real, fake).
 
+The unified embedding is a function of the comment multiset (a set
+function, Zaheer et al. 2017, "Deep Sets"). ``prepare_video`` alone decides
+what a video sends to the LSTM: its distinct (token ids, fakeness vector)
+pairs, once each, in one total order, with a count each. So a video's LSTM,
+weight-head and pooling calls, and its unified embedding, do not depend on
+the order or repetition of its comments, on any BLAS kernel.
+
 There is one forward pass, ``_forward_batch`` over a ``_collate``d batch of
 prepared videos, and one backward pass, ``_backward_batch``. A video
 without comments, and a batch without any, runs the same passes over zero
 LSTM cells: its unified embedding is the zero vector, and the weight
-head's and the LSTM's gradients from it are +0.0. The forward
-pass pools the whole batch with one call, ``_exact_segment_sums``: each
-video's column sums of its weight-scaled embeddings are rounded once from
-the exact sum, equal to ``math.fsum`` per column but vectorized over the
-batch, so a unified embedding does not depend on the order of the comments
-or on their duplication. The weight
+head's and the LSTM's gradients from it are +0.0. The forward pass pools
+the batch with one call, ``_exact_segment_sums``, over each distinct
+comment's weight-scaled embedding repeated by its count: each video's
+column sums are rounded once from the exact sum, as ``math.fsum`` per
+column, and divided by its kept-comment total. The backward pass scales
+each distinct comment's share of the mean by its count. The weight
 head is ``_comment_weights``, and the classifier is a :class:`ucnet.neural.Mlp`
 over the layers ``hidden`` and ``output``. ``UCNetModel.batch_loss_and_gradients``
 chains them over labelled videos, with the LSTM caching into the workspace
@@ -181,11 +188,13 @@ class Prediction:
 
 @dataclass
 class PreparedVideo:
-    """Token-id sequences and fakeness vectors for one video, ready to batch."""
+    """One video's distinct comments (token ids and fakeness vector), ready
+    to batch; ``counts`` gives the kept comments each one stands for."""
 
     comment_ids: list[np.ndarray]   # (length_i,) int64 rows of matrix each
     matrix: np.ndarray              # (vocab_size, embedding_dim) word vectors
-    fvs: np.ndarray                 # (n_comments, n_phrases)
+    fvs: np.ndarray                 # (n_distinct, n_phrases)
+    counts: np.ndarray              # (n_distinct,) int64, each >= 1
     features: np.ndarray            # (n_features,)
     label: int | None = None
 
@@ -203,37 +212,50 @@ def prepare_video(comments: Sequence[Comment], features: np.ndarray,
                   table: EmbeddingTable, phrases: Sequence[str],
                   max_comments: int, max_tokens: int,
                   label: int | None = None) -> PreparedVideo:
+    """What a video sends to the LSTM: each kept comment is embedded and its
+    fakeness vector taken once, and comments with equal (token ids,
+    fakeness vector) merge into one with a count, sorted by that pair."""
     chosen = _select_comments(comments, max_comments)
-    ids = [embed_comment(c.text, table, max_tokens) for c in chosen]
-    fvs = np.array([fakeness_vector(c.text, phrases) for c in chosen],
-                   dtype=np.float64).reshape(len(chosen), len(phrases))
-    return PreparedVideo(comment_ids=ids, matrix=table.matrix, fvs=fvs,
-                         features=np.asarray(features, dtype=np.float64),
-                         label=label)
+    groups: dict[bytes, list] = {}
+    for comment in chosen:
+        row_ids = embed_comment(comment.text, table, max_tokens)
+        fv = fakeness_vector(comment.text, phrases)
+        # The vector's size is fixed, so the key splits back into the pair.
+        groups.setdefault(fv.tobytes() + row_ids.tobytes(),
+                          [row_ids, fv, 0])[2] += 1
+    distinct = [groups[key] for key in sorted(groups)]
+    ids, fvs, counts = ([group[i] for group in distinct] for i in range(3))
+    return PreparedVideo(
+        comment_ids=ids, matrix=table.matrix,
+        fvs=np.array(fvs, np.float64).reshape(len(ids), len(phrases)),
+        counts=np.array(counts, np.int64),
+        features=np.asarray(features, dtype=np.float64), label=label)
 
 
 @dataclass
 class _Batch:
-    ids: np.ndarray       # (n_comments_total, t_max) int64, 0 past each length
-    lengths: np.ndarray   # (n_comments_total,)
+    ids: np.ndarray       # (n_distinct_total, t_max) int64, 0 past each length
+    lengths: np.ndarray   # (n_distinct_total,)
     matrix: np.ndarray    # (vocab_size, embedding_dim) rows the ids index
-    fvs: np.ndarray       # (n_comments_total, n_phrases)
-    offsets: np.ndarray   # (n_videos + 1,) comment segment boundaries
+    fvs: np.ndarray       # (n_distinct_total, n_phrases)
+    counts: np.ndarray    # (n_distinct_total,) kept comments per distinct one
+    distinct: np.ndarray  # (n_videos,) distinct comments per video
+    totals: np.ndarray    # (n_videos,) kept comments per video
     features: np.ndarray  # (n_videos, n_features)
     labels: np.ndarray | None
 
 
 def _collate(videos: Sequence[PreparedVideo]) -> _Batch:
     """One batch of ``videos``, which share one embedding matrix. A video
-    without comments is an empty segment of ``offsets``; a batch without
-    comments has zero rows of ``ids`` and ``fvs``, which the forward and
-    backward passes take like any other."""
+    without comments has no distinct comments and a total of 0; a batch
+    without comments has zero rows of ``ids`` and ``fvs``, which the
+    forward and backward passes take like any other."""
     matrix = videos[0].matrix
     if any(v.matrix is not matrix for v in videos):
         raise ValueError("videos in one batch must share one embedding matrix")
     seqs = [seq for v in videos for seq in v.comment_ids]
-    counts = [len(v.comment_ids) for v in videos]
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    counts = np.concatenate([np.zeros(0, np.int64),
+                             *(v.counts for v in videos)])
     lengths = np.array([len(seq) for seq in seqs], dtype=np.int64)
     t_max = int(lengths.max(initial=0))
     ids = np.zeros((len(seqs), t_max), dtype=np.int64)
@@ -247,7 +269,10 @@ def _collate(videos: Sequence[PreparedVideo]) -> _Batch:
     if all(v.label is not None for v in videos):
         labels = np.array([v.label for v in videos], dtype=np.int64)
     return _Batch(ids=ids, lengths=lengths, matrix=matrix, fvs=fvs,
-                  offsets=offsets, features=features, labels=labels)
+                  counts=counts,
+                  distinct=np.array([len(v.counts) for v in videos], np.int64),
+                  totals=np.array([v.counts.sum() for v in videos], np.int64),
+                  features=features, labels=labels)
 
 
 def _exact_segment_sums(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -347,10 +372,13 @@ def _forward_batch(model: UCNetModel, batch: _Batch,
         cell, batch.ids, batch.lengths, batch.matrix, workspace=workspace)
     finals = finals.astype(np.float64, copy=False)
     weights = _comment_weights(batch.fvs, params["weight_head.weights"],
-                               params["weight_head.bias"])  # (n_comments, 1)
-    unified = _exact_segment_sums(weights * finals, batch.offsets)
+                               params["weight_head.bias"])  # (n_distinct, 1)
+    # One row per kept comment, so the sum is math.fsum's over them.
+    unified = _exact_segment_sums(
+        np.repeat(weights * finals, batch.counts, axis=0),
+        np.concatenate([[0], np.cumsum(batch.totals)]))
     # A video without comments sums to +0.0, so its mean is the zero vector.
-    unified /= np.maximum(np.diff(batch.offsets), 1)[:, None]
+    unified /= np.maximum(batch.totals, 1)[:, None]
     x = np.concatenate([unified, batch.features], axis=1)
     probs, head_inputs = model.head._forward_cached(x)
     cache = (cell, lstm_cache, finals, weights, head_inputs)
@@ -366,10 +394,12 @@ def _backward_batch(model: UCNetModel, batch: _Batch, cache,
     cell, lstm_cache, finals, weights, head_inputs = cache
     grads = model.flat.grads
     dx = model.head._backward_from_delta(delta, head_inputs)
-    counts = np.diff(batch.offsets)
-    # Each comment's share of its video's mean.
+    # Each kept comment's share of its video's mean, times the kept
+    # comments that a distinct one stands for.
     d_weighted = np.repeat(dx[:, :model.lstm_hidden]
-                           / np.maximum(counts, 1)[:, None], counts, axis=0)
+                           / np.maximum(batch.totals, 1)[:, None],
+                           batch.distinct, axis=0)
+    d_weighted *= batch.counts[:, None]
     d_w = (finals * d_weighted).sum(axis=1, keepdims=True)
     d_finals = np.multiply(weights, d_weighted, out=d_weighted)
     d_pre = d_w * weights * (1.0 - weights)

@@ -43,46 +43,33 @@ length, so the rows still running at step t are a prefix of size b_t. Only
 real (row, step) cells are stored, time-major: step t owns packed rows
 ``bounds[t]:bounds[t + 1]`` of every cache array. The gates are stored
 gate-planar, ``(4, cells, hidden)``, so each gate of each step is one
-contiguous ``(b_t, hidden)`` block: numpy runs element-wise passes two to
-four times faster on such blocks than on column slices of a ``(cells, 4 *
-hidden)`` array. The input projection is one GEMM before the loop over the
-distinct ids among the real cells only, whose rows are gathered straight
-into the compute dtype, laid out gate-planar, ``(4, U, hidden)``; each step
-takes its cells' rows of it by index, gate by gate, since a cell's
-projection depends only on its token, then adds ``h[:b_t] @ wh.T``. Each
-pass copies ``wh.T`` once, C-ordered and cast in the same copy: OpenBLAS
-is several times slower on the transposed view at small row counts, and
-gives the same bits on the copy. A float32 pass copies it gate by gate,
-``(4, hidden, hidden)``,
-multiplies ``h[:b_t]`` by each gate's block into that gate's plane of the
-step scratch and adds the scratch to the step's gates in one pass. Late in
-a long thread only a few rows still run, and there one gate's block (360
-KB at hidden 300) stays in a 2 MB L2 cache where the whole operand and
-BLAS's packed copy of it do not (the cache-resident panel of Goto and van
-de Geijn 2008, "Anatomy of High-Performance Matrix Multiplication"): the
-product takes a half to two thirds of the time at 3 to 11 rows, and the
-same from 12 rows up. At float32 every per-gate row equals the wide
-product's row bit for bit; ``tools/recurrent_gemm.py`` checks that on the
-BLAS at hand. A float64 pass keeps the one wide ``(hidden, 4 * hidden)``
-product: at float64 OpenBLAS multiplies a ``(b, hidden) @ (hidden,
-hidden)`` product of up to 11 rows with a small-matrix kernel whose rows
-differ from the other kernel's, so a row's bits would depend on how many
-batch mates it has, and pooling needs them not to. Only a pass that a
-backward pass will follow keeps this cache: one given a workspace, which
-the caller reserves once and passes to every pass, as ``network.train``
-does for its mini-batches, so that a training step allocates no large
-array. A pass without a workspace is an inference pass: it writes each
-step's gates and ``tanh(c)`` into fresh buffers of ``b_0`` rows, which the
-next step overwrites, and returns no cache, so its memory does not grow
-with the number of cells. Both kinds run one loop and give the same finals,
-bit for bit. The backward pass writes each step's gate gradients over that
-step's activated gates, so a cache is backpropagated at most once, with the
-same operations per element as the textbook expressions; it then forms the
-weight gradients with stacked per-gate GEMMs over all cells, gathering the
-cells' input vectors from the distinct rows for ``wx``; the ``wh`` GEMM
-leaves out step 0, whose cells enter with ``h = 0``. The layout changes no
-bits: every GEMM and element-wise operation computes what it would on a
-row-major ``(cells, 4 * hidden)`` cache.
+contiguous ``(b_t, hidden)`` block, on which numpy's element-wise passes
+run two to four times faster than on column slices. The input projection
+is one GEMM, before the loop, over the distinct ids among the real cells,
+gathered straight into the compute dtype; each step takes its cells' rows
+of it by index, then adds ``h[:b_t] @ wh.T``. Each pass copies ``wh.T``
+once, cast and C-ordered (OpenBLAS is several times slower on the
+transposed view at small row counts), gate by gate, ``(4, hidden,
+hidden)``, and a step multiplies ``h[:b_t]`` by each gate's block into that
+gate's plane: late in a long thread, where a few rows still run, one
+gate's block (360 KB at hidden 300) stays in a 2 MB L2 cache where the
+whole operand does not (Goto and van de Geijn 2008, "Anatomy of
+High-Performance Matrix Multiplication"). Every product is a plain
+``np.matmul``, in both dtypes, so a one-row step runs gemv; a row's bits
+may depend on its batch mates and on the BLAS kernel, and nothing here
+needs them not to (:func:`ucnet.network.prepare_video` makes pooling
+invariant by construction). Only a pass given a workspace keeps this
+cache; the caller reserves the workspace once and passes it to every pass,
+as ``network.train`` does, so a training step allocates no large array. A
+pass without one is an inference pass: it writes each step's gates and
+``tanh(c)`` into buffers of ``b_0`` rows, which the next step overwrites,
+and returns no cache; both kinds give the same finals, bit for bit. The
+backward pass writes each step's gate gradients over that step's activated
+gates, so a cache is backpropagated at most once, with the operations per
+element of the textbook expressions; the weight gradients are then stacked
+per-gate GEMMs over all cells (``wh``'s leaves out step 0, whose cells
+enter with ``h = 0``). The layout changes no bits: every operation computes
+what it would on a row-major ``(cells, 4 * hidden)`` cache.
 
 :class:`AdamState` is built for one parameter vector, with its moments and
 step scratch; Adam's β1, β2 and ε are module constants. :func:`adam_step`
@@ -203,27 +190,6 @@ def init_lstm(rng: np.random.Generator, input_dim: int,
     return LSTMCell(wx, wh, bias)
 
 
-def _rowwise_matmul(a: np.ndarray, b: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` with each output row's bits independent of the other rows,
-    written into ``out`` when given. ``b`` may be a stack of matrices,
-    ``(k, m, n)``: numpy multiplies ``a`` by each in turn with the GEMM a
-    single matrix gets, into ``out[k]``.
-
-    numpy hands a one-row product to BLAS gemv, which sums in a different
-    order from gemm, so a row computed alone would not match the same row
-    computed in company; pooling relies on that match for its exact
-    permutation and duplication invariance.
-    """
-    if a.shape[0] == 1:
-        product = (np.concatenate([a, a]) @ b)[..., :1, :]
-        if out is None:
-            return product
-        out[...] = product
-        return out
-    return np.matmul(a, b, out=out)
-
-
 @dataclass
 class PackedLSTMCache:
     """Real (row, step) cells of one forward pass, packed time-major.
@@ -292,24 +258,19 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     cells are computed: the input projection is one GEMM over the distinct
     ids among them, laid out gate-planar, ``(4, U, hidden)``, and each step
     takes its cells' rows of it into the step's gate block, multiplies the
-    hidden states of the rows still running by a C-ordered copy of
-    ``wh.T`` into the step scratch and adds that to the gates. A float32
-    cell's copy is gate-planar, ``(4, hidden, hidden)``, so the product is
-    one GEMM per gate, written into that gate's plane: faster at a few
-    rows, and the same bits. A float64 cell's is ``(hidden, 4 * hidden)``,
-    one wide GEMM, since its per-gate rows would depend on their batch
-    mates (see the module docstring). Returns the (n, hidden_dim) final
-    states in the caller's row order (zeros for empty rows), in the cell's
-    dtype, and the cache the backward pass needs.
+    hidden states of the rows still running by each gate's block of a
+    C-ordered copy of ``wh.T``, ``(4, hidden, hidden)``, into that gate's
+    plane of the step scratch, and adds that to the gates. Returns the
+    (n, hidden_dim) final states in the caller's row order (zeros for empty
+    rows), in the cell's dtype, and the cache the backward pass needs.
 
     A pass given a ``workspace`` (from :func:`lstm_workspace`, large enough
     for the batch's real cells) keeps that cache, in views of it: step t's
     gates and states land in packed rows ``bounds[t]:bounds[t + 1]``; the
     cache also holds ``wh`` cast to the compute dtype for the backward
-    pass. A
-    pass without one keeps none and returns None for it: step t's gates
-    and ``tanh(c)`` land in rows ``0:b_t`` of buffers sized for step 0,
-    which the next step overwrites, so inference holds one step of state
+    pass. A pass without one keeps none and returns None for it: step t's
+    gates and ``tanh(c)`` land in rows ``0:b_t`` of buffers sized for step
+    0, which the next step overwrites, so inference holds one step of state
     rather than every cell's. Both give the same finals, bit for bit.
     """
     xs = np.asarray(xs)
@@ -359,7 +320,7 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     # wx and the bias in the compute dtype serve this one product only.
     wx, bias = (cell.wx.astype(dtype, copy=False),
                 cell.bias.astype(dtype, copy=False))
-    wide = _rowwise_matmul(inputs, wx.T).reshape(-1, 4, hidden)
+    wide = (inputs @ wx.T).reshape(-1, 4, hidden)
     # Gate-planar, with the bias added on the way, so that each step takes
     # its rows from contiguous tables: np.take copies a non-contiguous
     # source whole on every call.
@@ -368,13 +329,10 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     del wide, wx, bias
     h = np.zeros((n, hidden), dtype)
     c = np.zeros((n, hidden), dtype)
-    # float32: gate k's block of wh.T in wh_t[k]; float64: one wide block.
-    # One copy casts and transposes the weights at once.
-    per_gate = dtype == np.float32
-    source = cell.wh.reshape(4, hidden, hidden).transpose(0, 2, 1) \
-        if per_gate else cell.wh.T
-    wh_t = np.empty(source.shape, dtype)
-    np.copyto(wh_t, source, casting="same_kind")
+    # Gate k's block of wh.T in wh_t[k]: one copy casts and transposes it.
+    wh_t = np.empty((4, hidden, hidden), dtype)
+    np.copyto(wh_t, cell.wh.reshape(4, hidden, hidden).transpose(0, 2, 1),
+              casting="same_kind")
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
@@ -388,14 +346,8 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
             # mode="raise", take would fill a temporary and copy it into z.
             np.take(projected[k], cell_of[lo:hi], axis=0, out=z[k], mode="clip")
         if t:
-            if per_gate:
-                recurrent = scratch[:4 * b * hidden].reshape(4, b, hidden)
-                _rowwise_matmul(h[:b], wh_t, out=recurrent)
-            else:
-                by_row = scratch[:4 * b * hidden].reshape(b, 4 * hidden)
-                _rowwise_matmul(h[:b], wh_t, out=by_row)
-                recurrent = by_row.reshape(b, 4, hidden).transpose(1, 0, 2)
-            z += recurrent
+            recurrent = scratch[:4 * b * hidden].reshape(4, b, hidden)
+            z += np.matmul(h[:b], wh_t, out=recurrent)
         _sigmoid_inplace(z[:2])
         np.tanh(z[2], out=z[2])
         _sigmoid_inplace(z[3])

@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -20,6 +24,33 @@ def phrases():
 def scorer(lexicons):
     titles = synthetic.make_labeled_titles(160, seed=5, lexicons=lexicons)
     return lexical.train_title_scorer(titles, lexicons)
+
+
+def openblas_kernel() -> str:
+    """The core name of the OpenBLAS bundled with numpy, such as
+    ``SkylakeX`` or ``Haswell`` (``OPENBLAS_CORETYPE`` forces one), read
+    through ctypes; ``unknown`` where the library or its symbol is missing.
+    GEMM rows' bits depend on it, so the trained-model pins are kept per
+    kernel."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def assert_kernel_pin(pins: dict[str, object], actual) -> None:
+    """Assert that ``actual`` is the value pinned for this process's OpenBLAS
+    kernel in ``pins``; skip, naming the kernel, where none is recorded."""
+    kernel = openblas_kernel()
+    if kernel not in pins:
+        pytest.skip(f"no digest recorded for OpenBLAS kernel {kernel!r}")
+    assert actual == pins[kernel]
 
 
 def make_comment(cid="c0", text="nice video", likes=0, replies=0,

@@ -47,7 +47,7 @@ def test_criterion_1_gradient_correctness(phrases):
         comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
         matrix=rng.normal(size=(15, 8)),
         fvs=(rng.random((3, len(phrases))) < 0.2).astype(float),
-        features=rng.normal(size=2), label=1)
+        counts=np.ones(3, np.int64), features=rng.normal(size=2), label=1)
     error = neural.gradient_check(model, [prepared], h=1e-5)
     elapsed = time.monotonic() - started
     assert error < 1e-4

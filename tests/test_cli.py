@@ -886,7 +886,6 @@ class TestPcaCommand:
 
     def test_pca_reads_the_phrase_list_from_the_model_file(
             self, synthetic_dir, tmp_path, monkeypatch):
-        monkeypatch.delenv(cli.ENV_LEXICON_DIR, raising=False)
         lexicons = tmp_path / "lexicons"
         shutil.copytree(lexical.default_lexicon_dir(), lexicons)
         with (lexicons / "fakeness_phrases.txt").open("a") as fh:
@@ -1020,6 +1019,30 @@ class TestPcaCommand:
                             tmp_path) == 2
         assert f"{embeddings}: line {line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pca", "train-ucnet"])
+    def test_a_row_beyond_float32_names_the_embedding_file(
+            self, synthetic_dir, tmp_path, capsys, model_file, command):
+        # Finite in float64, but the float32 LSTM would overflow gathering
+        # it: refused at load, naming the file and line, with no warning.
+        lines = (synthetic_dir / "embeddings.txt").read_text().splitlines()
+        assert lines[1].split()[0] == "the"
+        lines[1] = "the 1e308" + " 0" * 7
+        embeddings = tmp_path / "huge.txt"
+        embeddings.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.out"
+        argv = ["pca", "--input", str(synthetic_dir / "corpus.jsonl"),
+                "--model", str(model_file), "--embeddings", str(embeddings),
+                "--output", str(out)] if command == "pca" else \
+            [*TestTrainUcnetCommand().ucnet_args(synthetic_dir, out),
+             "--embeddings", str(embeddings)]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {embeddings}: line 2: token 'the' ")
+        assert "float32" in err and not out.exists()
+
     @pytest.mark.parametrize("values", ["1 2 3 4 5 6 7 x", "nan 0 0 0 0 0 0 0"])
     def test_bad_values_in_a_row_the_corpus_never_uses_are_dropped(
             self, synthetic_dir, tmp_path, model_file, values):
@@ -1112,6 +1135,35 @@ class TestConfigFile:
         assert main(["--config", str(config), *argv]) == 1
         assert message in capsys.readouterr().err
 
+    def test_a_refused_line_names_the_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        prune = ["prune", "--features", "f.csv"]
+        # Line 1 gives the required --output, which no line alone misses.
+        config.write_text("output=o.txt\n# shared\ntrees=5\n\ntrees=abc\n"
+                          "seed=x\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), *prune]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ucnet prune")
+        assert err.endswith(f"ucnet prune: error: {config}: line 5: argument "
+                            "--trees: invalid int value: 'abc'\n")
+        config.write_text("output=o.txt\nlstm-hidden=2\n")
+        assert main(["--config", str(config), *prune]) == 1
+        assert (f"error: {config}: line 2: unrecognized arguments: "
+                "--lstm-hidden=2") in capsys.readouterr().err
+        # No line is refused: argparse's message stands.
+        config.write_text("trees=5\n")
+        assert main(["--config", str(config), *prune]) == 1
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --output" in err
+        assert str(config) not in err
+        # The command line is refused without the config: its own message.
+        assert main(["--config", str(config), *prune, "--output", "o",
+                     "--max-depth", "x"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --max-depth: invalid int value: 'x'" in err
+        assert str(config) not in err
+
     def test_a_word_after_the_subcommand_is_refused(self, synthetic_dir,
                                                     tmp_path, capsys):
         # Were the config's flags placed first, "input" would take the
@@ -1144,19 +1196,32 @@ class TestConfigFile:
         assert "--config requires a file argument" in capsys.readouterr().err
 
 
-class TestLexiconDirEnv:
-    def test_env_var_used_for_default_lexicons(self, synthetic_dir, tmp_path,
-                                               monkeypatch):
+class TestLexiconDir:
+    def test_config_line_sets_the_lexicon_dir(self, synthetic_dir, tmp_path):
+        # The manifest's arguments record a directory a config line names.
         custom = tmp_path / "lexicons"
         shutil.copytree(lexical.default_lexicon_dir(), custom)
-        monkeypatch.setenv(cli.ENV_LEXICON_DIR, str(custom))
-        out = tmp_path / "features.csv"
-        code = main(["features", "--input", str(synthetic_dir / "corpus.jsonl"),
-                     "--output", str(out),
-                     "--train-titles", str(synthetic_dir / "titles.tsv")])
-        assert code == 0
-        manifest = json.loads((tmp_path / "features.csv.manifest.json").read_text())
-        assert manifest["lexicons"]
+        with (custom / "fakeness_phrases.txt").open("a") as fh:
+            fh.write("totally staged\n")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"lexicon-dir={custom}\n")
+        features = tmp_path / "features.csv"
+        model = tmp_path / "m.model"
+        commands = (
+            ["features", "--input", str(synthetic_dir / "corpus.jsonl"),
+             "--output", str(features),
+             "--train-titles", str(synthetic_dir / "titles.tsv")],
+            TestTrainUcnetCommand().ucnet_args(synthetic_dir, model))
+        digests = {name: hashlib.sha256((custom / name).read_bytes()
+                                        ).hexdigest()
+                   for name in lexical.LEXICON_FILES}
+        for argv, out in zip(commands, (features, model)):
+            assert main(["--config", str(config), *argv]) == 0
+            manifest = json.loads(
+                Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+            assert manifest["arguments"]["lexicon_dir"] == str(custom)
+            assert manifest["lexicons"] == digests
+        assert network.UCNetModel.load(model).phrases[-1] == "totally staged"
 
     def test_invalid_pattern_names_file_and_line(self, synthetic_dir, tmp_path,
                                                  capsys):

@@ -72,6 +72,11 @@ def workdir(tmp_path_factory, scorer, lexicons):
 def run(argv, codes=(0, 2)) -> int:
     """``cli.main(argv)``'s exit status, one of ``codes``; a RuntimeWarning
     raises."""
+    return run_with_stderr(argv, codes)[0]
+
+
+def run_with_stderr(argv, codes=(0, 2)) -> tuple[int, str]:
+    """:func:`run`'s exit status and what the run wrote to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -80,7 +85,7 @@ def run(argv, codes=(0, 2)) -> int:
         code = cli.main(argv)
     assert code in codes, err.getvalue()
     assert "Traceback" not in err.getvalue()
-    return code
+    return code, err.getvalue()
 
 
 class TestEdgeCounts:
@@ -296,32 +301,38 @@ def model_workdir(workdir, lexicons):
 
 
 @st.composite
-def model_edits(draw):
-    """1-3 edits of the model's tensors: one cell, every cell, or every
-    cell with alternating signs set to an edge value."""
+def tensor_edits(draw, names):
+    """1-3 edits of the tensors ``names`` of a saved file: one cell, every
+    cell, or every cell with alternating signs set to an edge value."""
     return draw(st.lists(st.tuples(
-        st.sampled_from(MODEL_TENSORS),
+        st.sampled_from(names),
         st.sampled_from(["one", "all", "alternate"]),
         st.integers(0, 2**16), st.sampled_from(FLOAT_EDGES)),
         min_size=1, max_size=3))
 
 
+def save_edited(source, target, edits) -> None:
+    """The tensor file ``source`` with ``edits`` applied, saved as
+    ``target``."""
+    tensors, meta = serialize.load_tensors(source)
+    for name, how, index, value in edits:
+        cells = tensors[name].reshape(-1)
+        if how == "one":
+            cells[index % cells.size] = value
+        else:
+            cells[:] = value
+            if how == "alternate":
+                cells[1::2] = -value
+    serialize.save_tensors(target, tensors, meta)
+
+
 class TestEdgeModelCells:
     @fuzz_settings(20, deep_examples=300)
-    @given(edits=model_edits())
+    @given(edits=tensor_edits(MODEL_TENSORS))
     def test_pca_on_a_model_with_edge_cells(self, model_workdir, edits):
         w = model_workdir
-        tensors, meta = serialize.load_tensors(w / "base.model")
-        for name, how, index, value in edits:
-            cells = tensors[name].reshape(-1)
-            if how == "one":
-                cells[index % cells.size] = value
-            else:
-                cells[:] = value
-                if how == "alternate":
-                    cells[1::2] = -value
         model = w / "edge.model"
-        serialize.save_tensors(model, tensors, meta)
+        save_edited(w / "base.model", model, edits)
         projection = w / "model-pca.csv"
         if run(["pca", "--input", str(w / "model-corpus.jsonl"),
                 "--model", str(model), "--embeddings",
@@ -331,6 +342,39 @@ class TestEdgeModelCells:
                      for name, text in zip(header[1:3], row[1:3])]
                     for where, row in corpus.read_csv(projection, header)]
             assert len(rows) == 4
+
+
+# The title scorer's tensors, in file order.
+SCORER_TENSORS = ["feature_mean", "feature_std", "layer0.weights",
+                  "layer0.bias", "layer1.weights", "layer1.bias"]
+# Titles with and without clickbait, shouting and numbers.
+SCORER_TITLES = ["a plain title", "You WON'T believe this!!!",
+                 "10 SHOCKING facts", ""]
+
+
+@pytest.fixture(scope="module")
+def scorer_workdir(workdir):
+    """The workdir's saved title scorer and a corpus of one video per
+    ``SCORER_TITLES`` title."""
+    records = [make_video(f"v{i}", "fake" if i % 2 else "real", title=title)
+               for i, title in enumerate(SCORER_TITLES)]
+    corpus.save_dataset(make_dataset(records), workdir / "titles.jsonl")
+    return workdir
+
+
+class TestEdgeScorerCells:
+    @fuzz_settings(20, deep_examples=300)
+    @given(edits=tensor_edits(SCORER_TENSORS))
+    def test_features_with_a_scorer_with_edge_cells(self, scorer_workdir,
+                                                    edits):
+        w = scorer_workdir
+        scorer = w / "edge-scorer.model"
+        save_edited(w / "scorer.model", scorer, edits)
+        features = w / "scorer-features.csv"
+        if run(["features", "--input", str(w / "titles.jsonl"),
+                "--scorer", str(scorer), "--output", str(features)]) == 0:
+            assert cli._read_features_csv(features)[0] == \
+                [f"v{i}" for i in range(len(SCORER_TITLES))]
 
 
 MAX_COMMENTS = 3
@@ -573,7 +617,7 @@ class TestConfigLines:
         own = sorted(s for a in parser._actions for s in a.option_strings
                      if s in CONFIG_VALUES)
         o = tmp_path_factory.mktemp("config")
-        lines, refused = [], False
+        lines, refused = [], []
         for _ in range(data.draw(st.integers(0, 3))):
             # Three lines in four name a flag of the subcommand's own.
             flag = data.draw(st.sampled_from(data.draw(st.sampled_from(
@@ -586,9 +630,13 @@ class TestConfigLines:
             lines.append(key if value is None else
                          key + data.draw(st.sampled_from(["=", " = "]))
                          + value)
-            refused |= refuses(parser, flag, value)
+            if refuses(parser, flag, value):
+                refused.append(len(lines))
         config = o / "run.cfg"
         config.write_text("".join(line + "\n" for line in lines))
-        code = run(["--config", str(config), command,
-                    *flag_base(flag_workdir, o)[command]], codes=(0, 1, 2))
-        assert (code == 1) == refused, lines
+        code, err = run_with_stderr(
+            ["--config", str(config), command,
+             *flag_base(flag_workdir, o)[command]], codes=(0, 1, 2))
+        assert (code == 1) == bool(refused), lines
+        if refused:  # the file and the first refused line are named
+            assert f"error: {config}: line {refused[0]}: " in err, (lines, err)

@@ -66,7 +66,9 @@ class TestLoadEmbeddings:
     def test_save_load_save_is_byte_identical_and_keeps_order(self, tmp_path):
         rng = np.random.default_rng(1)
         tokens = ["zeta", "alpha", "Mid", "b2", "_"]
-        vectors = {t: rng.normal(size=3) * 10.0 ** rng.integers(-300, 300, 3)
+        # Magnitudes from 1e-300 to the float32 range's edge, the largest
+        # a loaded row may hold.
+        vectors = {t: rng.normal(size=3) * 10.0 ** rng.integers(-300, 38, 3)
                    for t in tokens}
         vectors["alpha"][0] = -0.0
         table = EmbeddingTable(dimension=3, vectors=vectors)
@@ -90,6 +92,9 @@ class TestLoadEmbeddings:
         ("2 2 2\na 1 2\n", 1),              # header with three fields
         ("2 2\na 1 2\n\nb nan 0\n", 4),     # non-finite component
         ("2 2\na inf 2\nb 0 0\n", 2),
+        # beyond the float32 range, which the LSTM gathers rows into
+        ("2 2\na 1 2\nb 0 -3.5e38\n", 3),
+        ("2 2\na 1e308 2\nb 0 0\n", 2),
         # Lines are numbered as str.splitlines numbers them.
         ("2 2\na 1 2\x85b 1 x\n", 3),
         ("2 2\u2028a 1 2\nb nan 0\n", 3),

