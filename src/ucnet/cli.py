@@ -3,7 +3,9 @@
 Every artifact-producing subcommand writes a `<output>.manifest.json`
 recording the tool version, seeds, argument values and SHA-256 digests of
 all inputs and lexicons, which is enough to reproduce the run bit for bit.
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error. A `--config FILE`
+before the subcommand gives it flags, one a line, each checked alone as it
+is read, so a refused line is named by file and line.
 """
 
 from __future__ import annotations
@@ -464,7 +466,10 @@ def _add_scorer_flags(parser) -> None:
     parser.add_argument("--scorer-seed", type=int, default=0)
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+def _build_parser(strict: bool = True) -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each subcommand's. With ``strict`` False,
+    the subcommands' parsers are those a config line is checked on alone:
+    no flag is required and none has ``-h``."""
     parser = _Parser(prog="ucnet",
                      description="Misleading-video detection pipelines")
     parser.add_argument("--version", action="version", version=__version__)
@@ -472,10 +477,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                                        metavar="SUBCOMMAND")
     subs: dict[str, _Parser] = {}
 
-    p = subs["mine"] = subparsers.add_parser(
-        "mine", help="heuristic candidate mining")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    def sub(name, **kwargs) -> _Parser:
+        subs[name] = subparsers.add_parser(name, add_help=strict, **kwargs)
+        return subs[name]
+
+    p = sub("mine", help="heuristic candidate mining")
+    p.add_argument("--input", required=strict)
+    p.add_argument("--output", required=strict)
     p.add_argument("--seed-phrases", default=None)
     p.add_argument("--expansion-lexicon", default=None)
     p.add_argument("--min-views", type=int, default=10_000)
@@ -484,37 +492,33 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--rounds", type=int, default=3)
     p.set_defaults(func=_cmd_mine)
 
-    p = subs["agreement"] = subparsers.add_parser(
-        "agreement", help="inter-annotator agreement matrix")
-    p.add_argument("--round1", required=True)
-    p.add_argument("--round2", required=True)
-    p.add_argument("--output", required=True)
+    p = sub("agreement", help="inter-annotator agreement matrix")
+    p.add_argument("--round1", required=strict)
+    p.add_argument("--round2", required=strict)
+    p.add_argument("--output", required=strict)
     p.set_defaults(func=_cmd_agreement)
 
-    p = subs["features"] = subparsers.add_parser(
-        "features", help="extract the eight simple features")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
+    p = sub("features", help="extract the eight simple features")
+    p.add_argument("--input", required=strict)
+    p.add_argument("--output", required=strict)
     p.add_argument("--lexicon-dir", default=None)
     _add_scorer_flags(p)
     p.set_defaults(func=_cmd_features)
 
-    p = subs["prune"] = subparsers.add_parser(
-        "prune", help="correlation-based feature pruning")
-    p.add_argument("--features", required=True)
-    p.add_argument("--output", required=True)
+    p = sub("prune", help="correlation-based feature pruning")
+    p.add_argument("--features", required=strict)
+    p.add_argument("--output", required=strict)
     p.add_argument("--threshold", type=float, default=0.2)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--max-depth", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_prune)
 
-    p = subs["train-classic"] = subparsers.add_parser(
-        "train-classic", help="train a baseline classifier on features")
-    p.add_argument("--features", required=True)
+    p = sub("train-classic", help="train a baseline classifier on features")
+    p.add_argument("--features", required=strict)
     p.add_argument("--model", choices=("forest", "tree", "logistic"),
                    default="forest")
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=strict)
     p.add_argument("--selected", default=None)
     p.add_argument("--test-features", default=None)
     p.add_argument("--predictions", default=None)
@@ -527,14 +531,13 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.set_defaults(func=_cmd_train_classic)
 
     training = network.TrainingConfig()
-    p = subs["train-ucnet"] = subparsers.add_parser(
-        "train-ucnet", help="train the unified-comments network")
+    p = sub("train-ucnet", help="train the unified-comments network")
     p.add_argument("--train", default=None)
     p.add_argument("--test", default=None)
     p.add_argument("--input", default=None,
                    help="full dataset to split with --test-fraction")
     p.add_argument("--test-fraction", type=float, default=0.3)
-    p.add_argument("--embeddings", required=True)
+    p.add_argument("--embeddings", required=strict)
     p.add_argument("--embedding-dim", type=int, default=300)
     p.add_argument("--lexicon-dir", default=None)
     p.add_argument("--selected", default=None)
@@ -550,32 +553,31 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    default=training.max_tokens_per_comment)
     p.add_argument("--lstm-hidden", type=int,
                    default=network.DEFAULT_LSTM_HIDDEN)
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=strict)
     p.add_argument("--predictions", default=None)
     p.add_argument("--truth-out", default=None,
                    help="write the held-out ids and true labels here")
     _add_scorer_flags(p)
     p.set_defaults(func=_cmd_train_ucnet)
 
-    p = subs["evaluate"] = subparsers.add_parser(
-        "evaluate", help="macro-averaged report from prediction/truth CSVs")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--output", required=True)
+    p = sub("evaluate",
+            help="macro-averaged report from prediction/truth CSVs")
+    p.add_argument("--pred", required=strict)
+    p.add_argument("--truth", required=strict)
+    p.add_argument("--output", required=strict)
     p.set_defaults(func=_cmd_evaluate)
 
-    p = subs["pca"] = subparsers.add_parser(
-        "pca", help="2-D projection of features or unified embeddings")
+    p = sub("pca", help="2-D projection of features or unified embeddings")
     p.add_argument("--features", default=None)
     p.add_argument("--input", default=None)
     p.add_argument("--model", default=None)
     p.add_argument("--embeddings", default=None)
     p.add_argument("--components", type=int, default=2)
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=strict)
     p.set_defaults(func=_cmd_pca)
 
-    p = subs["make-synthetic"] = subparsers.add_parser("make-synthetic")
-    p.add_argument("--output-dir", required=True)
+    p = sub("make-synthetic")
+    p.add_argument("--output-dir", required=strict)
     p.add_argument("--n-videos", type=int, default=200)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--embedding-dim", type=int, default=16)
@@ -585,74 +587,50 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subs
 
 
-def _config_flags(path) -> list[tuple[int, str]]:
-    """The flags a ``--config`` file's lines name, with their line numbers:
-    a ``key=value`` line is ``--key=value`` and a key alone is the switch
-    ``--key``. A key may spell ``-`` as ``_``."""
+def _config_flags(path, lenient: _Parser | None = None) -> list[str]:
+    """The flags a ``--config`` file's lines name: a ``key=value`` line is
+    ``--key=value`` and a key alone is the switch ``--key``. A key may
+    spell ``-`` as ``_``. Given the subcommand's ``lenient`` parser (no
+    required flags, no ``-h``), each flag is parsed alone as it is read,
+    and the first one refused is a usage error naming the file and line.
+    A flag that passes is ``--key=value`` or a switch, so it takes no
+    other word as its value."""
     flags = []
     for lineno, line in corpus.content_lines(path):
         key, sep, value = line.partition("=")
-        flags.append(
-            (lineno, f"--{key.strip().replace('_', '-')}{sep}{value.strip()}"))
+        flag = f"--{key.strip().replace('_', '-')}{sep}{value.strip()}"
+        if lenient is not None:
+            try:
+                lenient.parse_args([flag])
+            except _UsageError as exc:
+                raise _UsageError(lenient, f"{path}: line {lineno}: "
+                                  f"{exc.message}") from None
+        flags.append(flag)
     return flags
-
-
-def _refused_config_line(parser, path, flags, subcommand: list[str],
-                         rest: list[str]) -> _UsageError | None:
-    """After a run given ``--config`` was refused: the first config line
-    that the subcommand refuses before the command line's own flags, alone
-    or beside the lines that parse alone (which may give required flags),
-    as a usage error naming the file and line. None where the command line
-    is refused without the config, or no line is."""
-    def refusal(*words) -> _UsageError | None:
-        try:
-            parser.parse_args([*subcommand, *words, *rest])
-        except _UsageError as exc:
-            return exc
-        except SystemExit:  # a help line prints the help
-            pass
-        return None
-
-    def refused(exc) -> bool:  # a missing required flag refuses no word
-        return exc is not None and not exc.message.startswith(
-            "the following arguments are required")
-
-    if refused(refusal()):
-        return None
-    clean = [flag for _, flag in flags if refusal(flag) is None]
-    for lineno, flag in flags:
-        exc = refusal(flag)
-        if not refused(exc):
-            exc = refusal(*clean, flag)
-        if refused(exc):
-            return _UsageError(exc.parser,
-                               f"{path}: line {lineno}: {exc.message}")
-    return None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, _ = _build_parser()
-    config = None
+    parser, subs = _build_parser()
     try:
         if argv[:1] == ["--config"]:
             if len(argv) < 2:
                 parser.error("--config requires a file argument")
-            # No subcommand takes a positional argument; placed after the
-            # config's flags, a word here would be read as the value of a
-            # key-alone line's flag.
-            if argv[3:4] and not argv[3].startswith("-"):
-                parser.error(f"{argv[2]} takes no positional argument: "
-                             f"{argv[3]!r}")
-            config = _config_flags(argv[1])
-        # The subcommand's parser reads the config's flags before the
-        # command line's own, so an explicit flag wins.
-        args = parser.parse_args(argv if config is None else [
-            *argv[2:3], *(flag for _, flag in config), *argv[3:]])
+            command = argv[2] if len(argv) > 2 else None
+            lenient = _build_parser(strict=False)[1].get(command)
+            # A config holds a subcommand's flags: without one the CLI has,
+            # argparse's message about the subcommand stands.
+            flags = []
+            if lenient is not None:
+                try:
+                    flags = _config_flags(argv[1], lenient)
+                except _UsageError as exc:  # shown with the strict usage
+                    raise _UsageError(subs[command], exc.message) from None
+            # The subcommand's parser reads the config's flags before the
+            # command line's own, so an explicit flag wins.
+            argv = [*argv[2:3], *flags, *argv[3:]]
+        args = parser.parse_args(argv)
     except _UsageError as exc:
-        if config:  # only a refused run reads the lines one by one
-            exc = _refused_config_line(parser, argv[1], config, argv[2:3],
-                                       argv[3:]) or exc
         exc.parser.print_usage(sys.stderr)
         print(f"{exc.parser.prog}: error: {exc.message}", file=sys.stderr)
         return EXIT_USAGE

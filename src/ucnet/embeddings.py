@@ -37,7 +37,8 @@ class EmbeddingTable:
     """Tokens mapped to the rows of one ``(V, dimension)`` float64 matrix.
 
     Built from an insertion-ordered ``token -> vector`` mapping; the row of
-    each token is its position in that order. Every component is finite.
+    each token is its position in that order. Every component is finite
+    and within the float32 range.
     """
 
     dimension: int
@@ -56,10 +57,9 @@ class EmbeddingTable:
                     f"expected {dimension}")
             rows.append(vec)
         matrix = np.stack(rows) if rows else np.zeros((0, dimension))
-        bad = _first_non_finite_row(matrix)
+        bad = _first_bad_row(matrix, vectors)
         if bad is not None:
-            raise ValueError(
-                f"token {list(vectors)[bad]!r} has non-finite components")
+            raise ValueError(bad[1])
         self._adopt({token: row for row, token in enumerate(vectors)}, matrix)
 
     def _adopt(self, vocab: dict[str, int], matrix: np.ndarray) -> None:
@@ -83,9 +83,25 @@ class EmbeddingTable:
         return self.matrix[self.vocab[token]]
 
 
-def _first_non_finite_row(matrix: np.ndarray) -> int | None:
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _first_bad_row(matrix: np.ndarray, tokens: Iterable[str]
+                   ) -> tuple[int, str] | None:
+    """(row, why) of the first row with a non-finite component, else of the
+    first with one beyond the float32 range, which the LSTM gathers rows
+    into; ``why`` names the row's token, its entry in ``tokens``. None for
+    a good matrix, which min and max check without a temporary."""
+    if not matrix.size or max(matrix.max(), -matrix.min()) <= _FLOAT32_MAX:
+        return None  # NaN fails the comparison
     finite = np.isfinite(matrix).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
+    if not finite.all():
+        row, why = int(np.argmin(finite)), "has non-finite components"
+    else:
+        row = int(np.argmax((np.abs(matrix) > _FLOAT32_MAX).any(axis=1)))
+        why = ("has a component beyond the float32 range "
+               f"(±{_FLOAT32_MAX:.8g})")
+    return row, f"token {list(tokens)[row]!r} {why}"
 
 
 def load_embeddings(path, expected_dim: int,
@@ -153,17 +169,9 @@ def load_embeddings(path, expected_dim: int,
         raise ValueError(
             f"{path}: header promises {vocab_size} tokens, file has {len(seen)}")
     matrix.resize((len(vocab), dim), refcheck=False)
-    bad = _first_non_finite_row(matrix)
+    bad = _first_bad_row(matrix, vocab)
     if bad is not None:
-        raise ValueError(f"{path}: line {linenos[bad]}: token "
-                         f"{list(vocab)[bad]!r} has non-finite components")
-    # The LSTM gathers rows into float32; min and max make no temporary.
-    limit = np.finfo(np.float32).max
-    if matrix.size and max(matrix.max(), -matrix.min()) > limit:
-        bad = int(np.argmax((np.abs(matrix) > limit).any(axis=1)))
-        raise ValueError(f"{path}: line {linenos[bad]}: token "
-                         f"{list(vocab)[bad]!r} has a component beyond the "
-                         f"float32 range (±{limit:.8g})")
+        raise ValueError(f"{path}: line {linenos[bad[0]]}: {bad[1]}")
     table = EmbeddingTable.__new__(EmbeddingTable)
     table._adopt(vocab, matrix)
     return table

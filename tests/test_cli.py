@@ -1166,8 +1166,8 @@ class TestConfigFile:
 
     def test_a_word_after_the_subcommand_is_refused(self, synthetic_dir,
                                                     tmp_path, capsys):
-        # Were the config's flags placed first, "input" would take the
-        # corpus path as its value.
+        # Were the key-alone line "input" let through, it would take the
+        # corpus path after the subcommand as its value.
         config = tmp_path / "run.cfg"
         config.write_text("input\n")
         out = tmp_path / "f.csv"
@@ -1175,10 +1175,50 @@ class TestConfigFile:
         assert main(["--config", str(config), "features",
                      str(synthetic_dir / "corpus.jsonl"), "--output", str(out),
                      "--train-titles", str(synthetic_dir / "titles.tsv")]) == 1
-        assert (f"features takes no positional argument: "
-                f"{str(synthetic_dir / 'corpus.jsonl')!r}"
+        assert (f"{config}: line 1: argument --input: expected one argument"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines,argv,line,message", [
+        # The help line once printed the help and exited 0, unnoticed.
+        ("trees=5\nhelp\n", ["--features", "none.csv", "--output", "s.json"],
+         2, "unrecognized arguments: --help"),
+        # The unknown line went unnamed beside two lines of required flags.
+        ("features=f\noutput=o\nlstm-hidden=2\n", [], 3,
+         "unrecognized arguments: --lstm-hidden=2"),
+        # The refused line came after the help text on stdout.
+        ("trees=abc\nhelp\n", ["--features", "f", "--output", "o"], 1,
+         "argument --trees: invalid int value: 'abc'"),
+        ("h\n", ["--features", "f", "--output", "o"], 1,
+         "unrecognized arguments: --h"),
+    ], ids=["help", "unknown-beside-required", "refused-then-help", "h"])
+    def test_a_refused_line_is_named_and_nothing_runs(
+            self, tmp_path, capsys, lines, argv, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(lines)
+        capsys.readouterr()
+        assert main(["--config", str(config), "prune", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ucnet prune [-h] --features FEATURES")
+        assert err.endswith(
+            f"ucnet prune: error: {config}: line {line}: {message}\n")
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("subcommand,message", [
+        ([], "the following arguments are required: SUBCOMMAND"),
+        (["bogus"], "argument SUBCOMMAND: invalid choice: 'bogus'"),
+    ], ids=["none", "unknown"])
+    def test_a_config_without_a_known_subcommand_keeps_argparses_message(
+            self, tmp_path, capsys, subcommand, message):
+        config = tmp_path / "run.cfg"
+        config.write_text("trees=abc\nhelp\n")
+        capsys.readouterr()
+        assert main(["--config", str(config), *subcommand]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("usage: ucnet [-h] [--version] SUBCOMMAND")
+        assert f"ucnet: error: {message}" in err and str(config) not in err
 
     def test_config_is_read_only_before_the_subcommand(
             self, synthetic_dir, tmp_path, capsys, monkeypatch):
@@ -1239,31 +1279,53 @@ class TestLexiconDir:
         assert f"{patterns}: line {len(lines)}:" in err and "(unclosed" in err
 
 
-def readme_commands() -> list[str]:
-    """Every ``ucnet ...`` command of the README's ``sh`` blocks, with its
-    continuation lines joined."""
+def readme_commands(prefix="ucnet ") -> list[str]:
+    """Every command of the README's ``sh`` blocks that starts with
+    ``prefix``, with its continuation lines joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
     commands, in_sh = [], False
     for line in text.replace("\\\n", " ").splitlines():
         if line.startswith("```"):
             in_sh = line == "```sh"
-        elif in_sh and line.startswith("ucnet "):
+        elif in_sh and line.startswith(prefix):
             commands.append(" ".join(line.split()))
     return commands
 
 
+def readme_config_lines() -> dict[str, list[str]]:
+    """The lines each ``printf '%s\\n' LINE... > FILE`` of the README's
+    ``sh`` blocks writes, by FILE."""
+    files = {}
+    for command in readme_commands("printf "):
+        words = shlex.split(command)
+        assert words[1] == "%s\\n" and words[-2] == ">", command
+        files[words[-1]] = words[2:-2]
+    return files
+
+
+def readme_subcommand(command: str) -> str:
+    words = command.split()
+    return words[3] if words[1] == "--config" else words[1]
+
+
 def test_readme_shows_every_subcommand():
     _, subs = cli._build_parser()
-    assert {command.split()[1] for command in readme_commands()} == set(subs)
+    assert set(map(readme_subcommand, readme_commands())) == set(subs)
 
 
-@pytest.mark.parametrize("command", readme_commands(), ids=lambda command:
-                         command.split()[1])
-def test_readme_command_parses(command):
+@pytest.mark.parametrize("command", readme_commands(), ids=readme_subcommand)
+def test_readme_command_parses(command, tmp_path):
     parser, _ = cli._build_parser()
+    words = shlex.split(command)[1:]
+    if words[0] == "--config":  # the config's lines come from its printf
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(line + "\n" for line
+                                  in readme_config_lines()[words[1]]))
+        lenient = cli._build_parser(strict=False)[1][words[2]]
+        words = [words[2], *cli._config_flags(config, lenient), *words[3:]]
     try:
-        args = parser.parse_args(shlex.split(command)[1:])
+        args = parser.parse_args(words)
     except SystemExit:
         pytest.fail(f"README command does not parse: {command}")
     assert callable(args.func)

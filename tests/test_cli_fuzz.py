@@ -355,26 +355,38 @@ SCORER_TITLES = ["a plain title", "You WON'T believe this!!!",
 @pytest.fixture(scope="module")
 def scorer_workdir(workdir):
     """The workdir's saved title scorer and a corpus of one video per
-    ``SCORER_TITLES`` title."""
-    records = [make_video(f"v{i}", "fake" if i % 2 else "real", title=title)
+    ``SCORER_TITLES`` title, each with a comment."""
+    records = [make_video(f"v{i}", "fake" if i % 2 else "real", title=title,
+                          comments=[make_comment("c0", "this is fake")])
                for i, title in enumerate(SCORER_TITLES)]
     corpus.save_dataset(make_dataset(records), workdir / "titles.jsonl")
     return workdir
 
 
 class TestEdgeScorerCells:
+    @pytest.mark.parametrize("command", ["features", "train-ucnet"])
     @fuzz_settings(20, deep_examples=300)
     @given(edits=tensor_edits(SCORER_TENSORS))
-    def test_features_with_a_scorer_with_edge_cells(self, scorer_workdir,
-                                                    edits):
+    def test_a_scorer_with_edge_cells(self, scorer_workdir, command, edits):
         w = scorer_workdir
         scorer = w / "edge-scorer.model"
         save_edited(w / "scorer.model", scorer, edits)
-        features = w / "scorer-features.csv"
-        if run(["features", "--input", str(w / "titles.jsonl"),
-                "--scorer", str(scorer), "--output", str(features)]) == 0:
-            assert cli._read_features_csv(features)[0] == \
-                [f"v{i}" for i in range(len(SCORER_TITLES))]
+        out, predictions = w / f"scorer-{command}.out", w / "scorer-pred.csv"
+        argv = [command, "--input", str(w / "titles.jsonl"),
+                "--scorer", str(scorer), "--output", str(out)]
+        if command == "train-ucnet":
+            argv += ["--embeddings", str(w / "embeddings.txt"),
+                     "--embedding-dim", str(EMBEDDING_DIM), "--all-features",
+                     "--epochs", "1", "--lstm-hidden", "2",
+                     "--predictions", str(predictions)]
+        if run(argv) != 0:
+            return
+        ids = [f"v{i}" for i in range(len(SCORER_TITLES))]
+        if command == "features":
+            assert cli._read_features_csv(out)[0] == ids
+        else:
+            network.UCNetModel.load(out)
+            assert set(cli._read_labels_csv(predictions)) < set(ids)
 
 
 MAX_COMMENTS = 3
@@ -565,12 +577,14 @@ class TestNumericFlags:
 # gets two words, both refused; a flag with choices gets them and one word
 # outside them; a path gets PATH, a file in the example's own directory; an
 # int or float flag gets its edges, as TestNumericFlags draws them, and a
-# word that is no number. The last value, None, writes the key alone.
+# word that is no number. The last value, None, writes the key alone. The
+# keys help and h, which a config refuses, get a word too.
 PATH = object()
+HELP_FLAGS = ["--h", "--help"]
 
 
 def config_values() -> dict[str, list]:
-    values: dict[str, list] = {}
+    values: dict[str, list] = {flag: ["true"] for flag in HELP_FLAGS}
     for parser in cli._build_parser()[1].values():
         for action in parser._actions:
             flag = action.option_strings[-1]
@@ -596,7 +610,7 @@ def refuses(parser, flag, value) -> bool:
     """Whether ``parser`` refuses ``flag`` with ``value`` (None for none)."""
     action = next((a for a in parser._actions if flag in a.option_strings),
                   None)
-    if action is None:
+    if action is None or flag in HELP_FLAGS:
         return True
     if action.nargs == 0 or value is None:
         return (action.nargs == 0) != (value is None)
@@ -605,6 +619,18 @@ def refuses(parser, flag, value) -> bool:
     except ValueError:
         return True
     return bool(action.choices) and value not in action.choices
+
+
+def base_pairs(argv) -> list[tuple[str, str | None]]:
+    """The (flag, value) pairs of a ``flag_base`` argv; a switch's value is
+    None."""
+    pairs = []
+    for i, word in enumerate(argv):
+        if word.startswith("--"):
+            value = argv[i + 1] if i + 1 < len(argv) else None
+            pairs.append((word, None if value is None
+                          or value.startswith("--") else value))
+    return pairs
 
 
 class TestConfigLines:
@@ -617,26 +643,34 @@ class TestConfigLines:
         own = sorted(s for a in parser._actions for s in a.option_strings
                      if s in CONFIG_VALUES)
         o = tmp_path_factory.mktemp("config")
-        lines, refused = [], []
+        # Some of the base's flags, the required ones among them, move from
+        # the command line into config lines, which the parser accepts.
+        argv, lines = [], []
+        for flag, value in base_pairs(flag_base(flag_workdir, o)[command]):
+            if data.draw(st.booleans()):
+                lines.append((flag[2:] if value is None
+                              else f"{flag[2:]}={value}", False))
+            else:
+                argv += [flag] if value is None else [flag, value]
         for _ in range(data.draw(st.integers(0, 3))):
-            # Three lines in four name a flag of the subcommand's own.
+            # Of five drawn lines, three name a flag of the subcommand's
+            # own and one the key help or h.
             flag = data.draw(st.sampled_from(data.draw(st.sampled_from(
-                [own, own, own, sorted(CONFIG_VALUES)]))))
+                [own, own, own, sorted(CONFIG_VALUES), HELP_FLAGS]))))
             value = data.draw(st.sampled_from(CONFIG_VALUES[flag]))
             value = str(o / "value") if value is PATH else value
             key = flag[2:]
             if data.draw(st.booleans()):
                 key = key.replace("-", "_")
-            lines.append(key if value is None else
-                         key + data.draw(st.sampled_from(["=", " = "]))
-                         + value)
-            if refuses(parser, flag, value):
-                refused.append(len(lines))
+            lines.append((key if value is None else
+                          key + data.draw(st.sampled_from(["=", " = "]))
+                          + value, refuses(parser, flag, value)))
+        lines = data.draw(st.permutations(lines))
+        refused = [n for n, (_, bad) in enumerate(lines, 1) if bad]
         config = o / "run.cfg"
-        config.write_text("".join(line + "\n" for line in lines))
-        code, err = run_with_stderr(
-            ["--config", str(config), command,
-             *flag_base(flag_workdir, o)[command]], codes=(0, 1, 2))
-        assert (code == 1) == bool(refused), lines
+        config.write_text("".join(line + "\n" for line, _ in lines))
+        code, err = run_with_stderr(["--config", str(config), command, *argv],
+                                    codes=(0, 1, 2))
+        assert (code == 1) == bool(refused), (lines, err)
         if refused:  # the file and the first refused line are named
             assert f"error: {config}: line {refused[0]}: " in err, (lines, err)

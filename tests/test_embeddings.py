@@ -289,6 +289,27 @@ class TestEmbedComment:
         with pytest.raises(ValueError):
             EmbeddingTable(dimension=0, vectors={})
 
+    @pytest.mark.parametrize("row,why", [
+        ([1e308, 0.0], "has a component beyond the float32 range"),
+        ([0.0, -3.5e38], "has a component beyond the float32 range"),
+        ([3e38, np.inf], "has non-finite components"),
+        ([np.nan, 0.0], "has non-finite components"),
+    ])
+    def test_table_refuses_the_rows_the_loader_refuses(self, tmp_path, row,
+                                                       why):
+        # A table built in memory meets the loader's checks, so the float32
+        # LSTM never casts a row out of range.
+        with pytest.raises(ValueError) as built:
+            EmbeddingTable(2, {"ok": np.zeros(2), "fake": np.array(row)})
+        assert str(built.value).startswith(f"token 'fake' {why}")
+        path = tmp_path / "vec.txt"
+        write_table(path, [("ok", [0.0, 0.0]), ("fake", row)])
+        with pytest.raises(ValueError) as loaded:
+            load_embeddings(path, 2)
+        assert str(loaded.value) == f"{path}: line 3: {built.value}"
+        edge = np.array([3.4e38, -3.4e38])
+        assert len(EmbeddingTable(2, {"edge": edge})) == 1
+
     def test_table_keeps_insertion_order_in_rows(self):
         table = toy_table()
         assert list(table.vocab) == list(table.vectors) == ["fake", "video",
