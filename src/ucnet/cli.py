@@ -418,7 +418,7 @@ def _cmd_pca(args) -> int:
                                                             model)
         except (FloatingPointError, ValueError) as exc:
             # A finite model can still leave the float range (weights near
-            # 1e308), or exact pooling's.
+            # 1e308).
             raise ValueError(f"{args.model}: {exc}") from None
         ids = dataset.ids()
         labels = [r.label for r in dataset]

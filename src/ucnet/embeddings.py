@@ -22,6 +22,7 @@ keeps, so a model computes the same bits from either table.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -116,58 +117,67 @@ def load_embeddings(path, expected_dim: int,
     the components of kept rows must also be finite numbers within the
     float32 range, which the LSTM computes in. Memory is the
     kept rows' matrix, grown by a quarter at a time and trimmed at the end,
-    plus one line and the set of the file's tokens.
+    plus one line and an 8-byte hash of each token: a hash seen twice is
+    confirmed by reading the file again, and a file fails on its first bad
+    line whichever check finds it.
     """
     if expected_dim <= 0:
         raise ValueError("embedding dimension must be positive")
     path = Path(path)
-    with path.open("rb") as fh:
-        lines = _numbered_lines(path, fh)
-        _, header = next(lines, (None, None))
-        if header is None:
-            raise ValueError(f"{path}: empty embedding file")
-        try:
-            vocab_size, dim = map(int, header.split())
-        except ValueError:  # not two fields, or one is not an integer
-            raise ValueError(f"{path}: line 1: header must be '<vocab_size> "
-                             f"<dimension>', got {header[:60]!r}") from None
-        if dim != expected_dim:
-            raise ValueError(f"{path}: file dimension {dim} does not match "
-                             f"expected {expected_dim}")
-        seen: set[str] = set()
-        vocab: dict[str, int] = {}
-        linenos: list[int] = []
-        # Grown as rows arrive, never sized from the header's count.
-        matrix = np.empty((max(1, 65536 // (8 * dim)), dim))
-        for lineno, line in lines:
-            parts = line.split()
-            if not parts:
-                continue
-            token = parts[0]
-            if token in seen:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate token {token!r}")
-            seen.add(token)
-            if len(parts) - 1 != expected_dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: token {token!r} has "
-                    f"{len(parts) - 1} values, expected {expected_dim}")
-            if vocabulary is not None and token not in vocabulary:
-                continue
+    hashes = bytearray()  # _token_hash of each token line, in order
+    try:
+        with path.open("rb") as fh:
+            lines = _numbered_lines(path, fh)
+            _, header = next(lines, (None, None))
+            if header is None:
+                raise ValueError(f"{path}: empty embedding file")
             try:
-                row = list(map(float, parts[1:]))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: token {token!r} has "
-                                 "a component that is not a number") from None
-            if len(vocab) == len(matrix):
-                # realloc: the old block is released as the new one is made
-                matrix.resize((len(matrix) * 5 // 4 + 1, dim), refcheck=False)
-            matrix[len(vocab)] = row
-            vocab[token] = len(linenos)
-            linenos.append(lineno)
-    if len(seen) != vocab_size:
-        raise ValueError(
-            f"{path}: header promises {vocab_size} tokens, file has {len(seen)}")
+                vocab_size, dim = map(int, header.split())
+            except ValueError:  # not two fields, or one is not an integer
+                raise ValueError(
+                    f"{path}: line 1: header must be '<vocab_size> "
+                    f"<dimension>', got {header[:60]!r}") from None
+            if dim != expected_dim:
+                raise ValueError(f"{path}: file dimension {dim} does not "
+                                 f"match expected {expected_dim}")
+            vocab: dict[str, int] = {}
+            linenos: list[int] = []
+            # Grown as rows arrive, never sized from the header's count.
+            matrix = np.empty((max(1, 65536 // (8 * dim)), dim))
+            for lineno, line in lines:
+                parts = line.split()
+                if not parts:
+                    continue
+                token = parts[0]
+                hashes += _token_hash(token).to_bytes(8, "little", signed=True)
+                if token in vocab:
+                    raise _duplicate(path, lineno, token)
+                if len(parts) - 1 != expected_dim:
+                    raise ValueError(
+                        f"{path}: line {lineno}: token {token!r} has "
+                        f"{len(parts) - 1} values, expected {expected_dim}")
+                if vocabulary is not None and token not in vocabulary:
+                    continue
+                try:
+                    row = list(map(float, parts[1:]))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: token {token!r} has a "
+                        "component that is not a number") from None
+                if len(vocab) == len(matrix):
+                    # realloc releases the old block as it makes the new one
+                    matrix.resize((len(matrix) * 5 // 4 + 1, dim),
+                                  refcheck=False)
+                matrix[len(vocab)] = row
+                vocab[token] = len(linenos)
+                linenos.append(lineno)
+    except ValueError:
+        _refuse_duplicates(path, hashes)  # a duplicate before the fault
+        raise
+    _refuse_duplicates(path, hashes)
+    if len(hashes) // 8 != vocab_size:
+        raise ValueError(f"{path}: header promises {vocab_size} tokens, "
+                         f"file has {len(hashes) // 8}")
     matrix.resize((len(vocab), dim), refcheck=False)
     bad = _first_bad_row(matrix, vocab)
     if bad is not None:
@@ -175,6 +185,36 @@ def load_embeddings(path, expected_dim: int,
     table = EmbeddingTable.__new__(EmbeddingTable)
     table._adopt(vocab, matrix)
     return table
+
+
+_token_hash = hash  # 64 bits; equal hashes are confirmed by the tokens
+
+
+def _duplicate(path: Path, lineno: int, token: str) -> ValueError:
+    return ValueError(f"{path}: line {lineno}: duplicate token {token!r}")
+
+
+def _refuse_duplicates(path: Path, hashes: bytearray) -> None:
+    """Raise the duplicate-token error of the first token line of ``path``
+    that repeats an earlier token, among the token lines ``hashes`` holds
+    the 8-byte hashes of; distinct tokens with one hash pass. Sorts
+    ``hashes``."""
+    ordered = np.frombuffer(hashes, "<i8")
+    ordered.sort()
+    repeated = set(ordered[1:][ordered[1:] == ordered[:-1]].tolist())
+    if not repeated:
+        return
+    seen: set[str] = set()
+    with path.open("rb") as fh:
+        lines = _numbered_lines(path, fh)
+        next(lines)  # the header
+        tokens = ((lineno, parts[0]) for lineno, line in lines
+                  if (parts := line.split(maxsplit=1)))
+        for lineno, token in itertools.islice(tokens, len(ordered)):
+            if _token_hash(token) in repeated:
+                if token in seen:
+                    raise _duplicate(path, lineno, token) from None
+                seen.add(token)
 
 
 def _numbered_lines(path: Path, fh) -> Iterator[tuple[int, str]]:

@@ -21,19 +21,19 @@ prepared videos, and one backward pass, ``_backward_batch``. A video
 without comments, and a batch without any, runs the same passes over zero
 LSTM cells: its unified embedding is the zero vector, and the weight
 head's and the LSTM's gradients from it are +0.0. The forward pass pools
-the batch with one call, ``_exact_segment_sums``, over each distinct
-comment's weight-scaled embedding repeated by its count: each video's
-column sums are rounded once from the exact sum, as ``math.fsum`` per
-column, and divided by its kept-comment total. The backward pass scales
-each distinct comment's share of the mean by its count. The weight
-head is ``_comment_weights``, and the classifier is a :class:`ucnet.neural.Mlp`
-over the layers ``hidden`` and ``output``. ``UCNetModel.batch_loss_and_gradients``
-chains them over labelled videos, with the LSTM caching into the workspace
-it is passed: ``train`` reserves one for the run and passes it with every
-shuffled mini-batch. Called without one, as
-:func:`ucnet.neural.gradient_check` calls it, the method reserves a
-workspace of the batch's size; the model itself holds none. Inference
-(``predict``, ``predict_record``, ``unified_embedding`` and so
+the batch with ``_pool``: each distinct comment's weight-scaled embedding,
+times its count, is added to its video's sum in ``prepare_video``'s order
+from +0.0, and the sum is divided by the video's kept-comment total. The
+order is the canonical one, so the sum is a function of the multiset too.
+The backward pass scales each distinct comment's share of the mean by its
+count. The weight head is ``_comment_weights``, and the classifier is a
+:class:`ucnet.neural.Mlp` over the layers ``hidden`` and ``output``.
+``UCNetModel.batch_loss_and_gradients`` chains them over labelled videos,
+with the LSTM caching into the workspace it is passed: ``train`` reserves
+one for the run and passes it with every shuffled mini-batch. Called
+without one, as :func:`ucnet.neural.gradient_check` calls it, the method
+reserves a workspace of the batch's size; the model itself holds none.
+Inference (``predict``, ``predict_record``, ``unified_embedding`` and so
 :func:`extract_unified_embeddings`) runs the forward pass on one video per
 call and without a workspace, so the LSTM keeps no backpropagation cache
 and holds one time step of state; its outputs are the bits the cached pass
@@ -182,7 +182,9 @@ class Prediction:
     p_fake: float
 
     def __post_init__(self) -> None:
-        if abs(self.p_real + self.p_fake - 1.0) > 1e-12:
+        # NaN fails every comparison, so finiteness is checked on its own.
+        if not (math.isfinite(self.p_real) and math.isfinite(self.p_fake)) \
+                or abs(self.p_real + self.p_fake - 1.0) > 1e-12:
             raise ValueError("class probabilities must sum to 1")
 
 
@@ -275,83 +277,23 @@ def _collate(videos: Sequence[PreparedVideo]) -> _Batch:
                   features=features, labels=labels)
 
 
-def _exact_segment_sums(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Column sums of each segment ``rows[offsets[s]:offsets[s + 1]]``, each
-    rounded once from the exact sum, so they equal ``math.fsum`` per column
-    (a zero sum is +0.0) and do not depend on the order of the rows or the
-    other segments. An empty segment sums to zeros.
-
-    The segments are zero-padded to one ``(segments, k_max, columns)``
-    array; zeros leave an exact sum unchanged. Then error-free extraction
-    (Rump, Ogita and Oishi 2008, "Accurate floating-point summation"): with
-    ``sigma = 2**(e + M)`` per segment and column, where ``2**e`` bounds the
-    column's magnitudes and ``2**M > k_max + 2``, ``q = (sigma + x) - sigma``
-    splits each x into a high part q, whose sum over the segment is exact in
-    any order, and an exact residual ``x - q`` below ``2**-53 sigma``.
-    Repeating on the residuals until they are all zero gives a short
-    expansion of exact level sums, which is made nonoverlapping with
-    two-sums (Shewchuk 1997) and rounded to nearest, ties to even, as
-    ``math.fsum`` rounds its partials.
-    """
-    counts = np.diff(offsets)
-    k_max = int(counts.max(initial=0))
-    residual = np.zeros((counts.size, k_max, rows.shape[1]))
-    # Row-major order of the mask is the order of the segments' rows.
-    residual[np.arange(k_max) < counts[:, None]] = rows
-    extra = (k_max + 2).bit_length()  # M, so that 2**M > k_max + 2
-    high = np.empty_like(residual)
-    levels = []
-    while residual.any():
-        np.abs(residual, out=high)
-        bound = high.max(axis=1)
-        exponent = np.frexp(bound)[1]  # bound < 2**exponent
-        if not np.isfinite(bound).all() or exponent.max() + extra > 1023:
-            raise ValueError("exact pooling needs finite values below "
-                             f"2**{1023 - extra}")
-        sigma = np.ldexp(1.0, exponent + extra)[:, None, :]
-        np.add(sigma, residual, out=high)
-        high -= sigma
-        residual -= high
-        levels.append(high.sum(axis=1))
-    if not levels:
-        return np.zeros((counts.size, rows.shape[1]))
-    return _round_expansion(levels)
-
-
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(s, e)`` with ``s = fl(a + b)`` and ``a + b = s + e`` exactly."""
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)
-
-
-def _round_expansion(terms: Sequence[np.ndarray]) -> np.ndarray:
-    """The sum of one or more same-shaped arrays, rounded to nearest once
-    per element."""
-    parts: list[np.ndarray] = []  # nonoverlapping, increasing; zeros allowed
-    for x in reversed(terms):
-        for i, part in enumerate(parts):
-            x, parts[i] = _two_sum(x, part)
-        parts.append(x)
-    # Add from the top until an addition rounds (math.fsum's final loop);
-    # below that, only the sign of the next nonzero part can still matter.
-    high = parts[-1]
-    low = np.zeros_like(high)
-    rounded = np.zeros(high.shape, dtype=bool)
-    below = np.zeros_like(high)  # sign of the first nonzero part past it
-    for part in reversed(parts[:-1]):
-        below = np.where(rounded & (below == 0), np.sign(part), below)
-        total = high + part
-        error = part - (total - high)
-        high = np.where(rounded, high, total)
-        low = np.where(rounded, low, error)
-        rounded |= error != 0
-    # A tie (low is half an ulp of high) breaks away from high when the
-    # rest of the expansion has low's sign.
-    doubled = 2.0 * low
-    away = high + doubled
-    tie = (below != 0) & (np.sign(low) == below) & (away - high == doubled)
-    return np.where(tie, away, high) + 0.0
+def _pool(rows: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Each video's sum of its ``distinct`` consecutive ``rows``, added one
+    row at a time in their order, starting from +0.0; a video without rows
+    sums to +0.0. The loop fixes the order: ``sum`` over a padded axis goes
+    pairwise at some widths, which would make a video's bits depend on its
+    batch mates' row counts. A non-finite sum raises ``ValueError``."""
+    k_max = int(distinct.max(initial=0))
+    padded = np.zeros((distinct.size, k_max, rows.shape[1]))
+    # Row-major order of the mask is the order of the videos' rows; the
+    # zeros past a video's rows leave its sum unchanged.
+    padded[np.arange(k_max) < distinct[:, None]] = rows
+    sums = np.zeros((distinct.size, rows.shape[1]))
+    for k in range(k_max):
+        sums += padded[:, k]
+    if not np.isfinite(sums).all():
+        raise ValueError("a pooled comment embedding is not finite")
+    return sums
 
 
 def _comment_weights(fvs: np.ndarray, weights: np.ndarray,
@@ -373,10 +315,7 @@ def _forward_batch(model: UCNetModel, batch: _Batch,
     finals = finals.astype(np.float64, copy=False)
     weights = _comment_weights(batch.fvs, params["weight_head.weights"],
                                params["weight_head.bias"])  # (n_distinct, 1)
-    # One row per kept comment, so the sum is math.fsum's over them.
-    unified = _exact_segment_sums(
-        np.repeat(weights * finals, batch.counts, axis=0),
-        np.concatenate([[0], np.cumsum(batch.totals)]))
+    unified = _pool(weights * finals * batch.counts[:, None], batch.distinct)
     # A video without comments sums to +0.0, so its mean is the zero vector.
     unified /= np.maximum(batch.totals, 1)[:, None]
     x = np.concatenate([unified, batch.features], axis=1)
@@ -613,9 +552,10 @@ def train(train_set: Dataset, table: EmbeddingTable, lexicons: LexiconSet,
 
     rng = np.random.default_rng(config.seed)
     phrases = lexicons.fakeness_phrases
-    params = init_params(rng, table.dimension, len(phrases), len(feature_names),
-                         lstm_hidden)
-    model = UCNetModel(params, phrases, feature_names, table.dimension, config)
+    # The model packs its own copy; no name keeps the drawn arrays alive.
+    model = UCNetModel(init_params(rng, table.dimension, len(phrases),
+                                   len(feature_names), lstm_hidden),
+                       phrases, feature_names, table.dimension, config)
 
     prepared = []
     for record, label in zip(train_set, labels):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ucnet import embeddings
 from ucnet.embeddings import (EmbeddingTable, embed_comment, load_embeddings,
                               save_embeddings)
 from ucnet.lexical import tokenize
@@ -192,6 +193,59 @@ class TestVocabularyFilter:
             with pytest.raises(ValueError) as info:
                 load_embeddings(path, 2, vocabulary={"the", token})
             assert str(info.value) == f"{path}: {message}"
+
+
+class TestDuplicateTokens:
+    """A duplicate is found from 8-byte token hashes and confirmed by the
+    tokens, so a file fails on the same line whatever the hashes are: with
+    every token given one hash, too."""
+
+    @pytest.fixture(params=["hash", "one-hash"])
+    def hashing(self, request, monkeypatch):
+        if request.param == "one-hash":
+            monkeypatch.setattr(embeddings, "_token_hash", lambda token: 7)
+
+    @pytest.mark.parametrize("content,line,token", [
+        ("4 2\nzz 1 2\nthe 1 2\nzz 1 2\nyy 1 2 3\n", 4, "zz"),
+        ("4 2\nzz 1 2\nthe 1 2\nzz 1 2\nthe x 2\n", 4, "zz"),
+        ("3 2\nzz 1 2\nzz 1 2\nthe inf 2\n", 3, "zz"),
+        ("9 2\nzz 1 2\n\n\nzz 1 2\n", 5, "zz"),
+        ("3 2\nzz 1 2\nzz 1 2\n\xff 1 2\n", 3, "zz"),
+        ("3 2\nthe 1 2\nyy 1 2\nthe 1 2\n", 4, "the"),
+        ("4 2\nthe 1 2\nzz 1 2\nthe 1 2\nzz 1 2\n", 4, "the"),
+    ], ids=["values-count", "number", "non-finite", "header-count", "utf-8",
+            "kept", "two-duplicates"])
+    def test_the_first_duplicate_is_the_fault(self, tmp_path, hashing,
+                                              content, line, token):
+        # Each file has a later fault, or a later duplicate, too.
+        path = tmp_path / "vec.txt"
+        path.write_bytes(content.encode("latin-1"))
+        for vocabulary in ({"the"}, None):
+            with pytest.raises(ValueError) as info:
+                load_embeddings(path, 2, vocabulary)
+            assert str(info.value) == \
+                f"{path}: line {line}: duplicate token {token!r}"
+
+    def test_distinct_tokens_load(self, tmp_path, hashing):
+        path = tmp_path / "vec.txt"
+        write_table(path, ROWS)
+        assert list(load_embeddings(path, 2).vocab) == [t for t, _ in ROWS]
+        assert list(load_embeddings(path, 2, {"zz"}).vocab) == ["zz"]
+
+    def test_tokens_outside_the_vocabulary_cost_a_hash_each(self, tmp_path):
+        # 100 000 tokens, 10 kept: a set of the tokens peaked at 10.2 MiB.
+        path = tmp_path / "vec.txt"
+        with path.open("w") as fh:
+            fh.write("100000 2\n")
+            fh.writelines(f"w{i} 0.5 -0.25\n" for i in range(100_000))
+        tracemalloc.start()
+        try:
+            table = load_embeddings(path, 2, {f"w{i}" for i in range(10)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 10
+        assert peak < 2 * 2**20, peak
 
 
 class TestLoadMemory:
