@@ -283,17 +283,23 @@ def _pool(rows: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     sums to +0.0. The loop fixes the order: ``sum`` over a padded axis goes
     pairwise at some widths, which would make a video's bits depend on its
     batch mates' row counts. A non-finite sum raises ``ValueError``."""
+    # Videos stable-sorted by row count, descending, so the videos with a
+    # k-th row are a prefix; their k-th rows are gathered rank-major, as
+    # the LSTM packs its cells, and each rank is one addition.
+    by_count = np.argsort(-distinct, kind="stable")
     k_max = int(distinct.max(initial=0))
-    padded = np.zeros((distinct.size, k_max, rows.shape[1]))
-    # Row-major order of the mask is the order of the videos' rows; the
-    # zeros past a video's rows leave its sum unchanged.
-    padded[np.arange(k_max) < distinct[:, None]] = rows
+    ranks, slots = np.nonzero(np.arange(k_max)[:, None] < distinct[by_count])
+    bounds = np.searchsorted(ranks, np.arange(k_max + 1))
+    firsts = np.cumsum(distinct) - distinct
+    ranked = rows[firsts[by_count[slots]] + ranks]
     sums = np.zeros((distinct.size, rows.shape[1]))
-    for k in range(k_max):
-        sums += padded[:, k]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sums[:hi - lo] += ranked[lo:hi]
     if not np.isfinite(sums).all():
         raise ValueError("a pooled comment embedding is not finite")
-    return sums
+    pooled = np.empty_like(sums)
+    pooled[by_count] = sums
+    return pooled
 
 
 def _comment_weights(fvs: np.ndarray, weights: np.ndarray,

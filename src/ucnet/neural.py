@@ -28,11 +28,12 @@ each weight where the pass reads it. UCNet hands it views of its float64
 master weights with float32 as the compute dtype (mixed precision,
 Micikevicius et al. 2018, arXiv:1710.03740); gradient checks hand it a
 float64 cell. The forward pass casts ``wx`` and the bias for the input
-projection alone and drops the copies before the recurrence; it casts
-``wh`` straight into its staged ``wh.T``; and a pass that keeps a cache
-keeps ``wh`` in the compute dtype there, for the backward pass to read.
-No pass holds a cast copy of all the LSTM's weights. Everything else
-computes in float64.
+projection alone and drops the copies before the recurrence, and casts
+``wh`` straight into its staged ``wh.T``; the backward pass casts ``wh``
+itself, for its ``dh`` products, and drops it before the weight
+gradients. So no pass holds a cast copy of all the LSTM's weights, and a
+training step holds one float32 ``(4 * hidden, hidden)`` array at a time.
+Everything else computes in float64.
 
 The batched LSTM reads token ids, not vectors: its input is a padded
 ``(n, t_max)`` integer array of row ids into a ``(V, input_dim)`` float64
@@ -47,29 +48,41 @@ contiguous ``(b_t, hidden)`` block, on which numpy's element-wise passes
 run two to four times faster than on column slices. The input projection
 is one GEMM, before the loop, over the distinct ids among the real cells,
 gathered straight into the compute dtype; each step takes its cells' rows
-of it by index, then adds ``h[:b_t] @ wh.T``. Each pass copies ``wh.T``
-once, cast and C-ordered (OpenBLAS is several times slower on the
-transposed view at small row counts), gate by gate, ``(4, hidden,
-hidden)``, and a step multiplies ``h[:b_t]`` by each gate's block into that
-gate's plane: late in a long thread, where a few rows still run, one
-gate's block (360 KB at hidden 300) stays in a 2 MB L2 cache where the
-whole operand does not (Goto and van de Geijn 2008, "Anatomy of
-High-Performance Matrix Multiplication"). Every product is a plain
+of it by index, then adds ``h[:b_t] @ wh.T``. The i, f and o planes of
+the projection and of ``wh.T`` are staged negated: IEEE negation commutes
+exactly with products and sums, so those gates' pre-activations come out
+negated, bit for bit, and their sigmoid is exp, +1 and a reciprocal, with
+no negate pass per step. Each pass copies ``wh.T`` once, cast and
+C-ordered (OpenBLAS is several times slower on the transposed view at
+small row counts), gate by gate, ``(4, hidden, hidden)``, and a step
+multiplies ``h[:b_t]`` by each gate's block into that gate's plane: late
+in a long thread, where a few rows still run, one gate's block (360 KB at
+hidden 300) stays in a 2 MB L2 cache where the whole operand does not
+(Goto and van de Geijn 2008, "Anatomy of High-Performance Matrix
+Multiplication"). Every product is a plain
 ``np.matmul``, in both dtypes, so a one-row step runs gemv; a row's bits
 may depend on its batch mates and on the BLAS kernel, and nothing here
 needs them not to (:func:`ucnet.network.prepare_video` makes pooling
 invariant by construction). Only a pass given a workspace keeps this
-cache; the caller reserves the workspace once and passes it to every pass,
-as ``network.train`` does, so a training step allocates no large array. A
-pass without one is an inference pass: it writes each step's gates and
-``tanh(c)`` into buffers of ``b_0`` rows, which the next step overwrites,
-and returns no cache; both kinds give the same finals, bit for bit. The
-backward pass writes each step's gate gradients over that step's activated
-gates, so a cache is backpropagated at most once, with the operations per
-element of the textbook expressions; the weight gradients are then stacked
-per-gate GEMMs over all cells (``wh``'s leaves out step 0, whose cells
-enter with ``h = 0``). The layout changes no bits: every operation computes
-what it would on a row-major ``(cells, 4 * hidden)`` cache.
+cache, six planes of cells: the four activated gates, ``h_prev`` and
+``c``, each cell's cell state after its step. The caller reserves the
+workspace once and passes it to every pass, as ``network.train`` does, so
+a training step allocates no large array. Such a pass takes every cell's
+projection rows into the gate planes at once and frees the projection
+before it stages ``wh.T``. A pass without one is an inference pass: it
+takes each step's gate rows in one call into a buffer of ``b_0`` rows,
+which the next step overwrites, and returns no cache; both kinds give the
+same finals, bit for bit. The backward pass recomputes ``tanh(c)`` into
+its step scratch, and reads the cell state entering step t from the first
+b_t rows of step t - 1's block of ``c``, as the forward pass did (trading
+a little recomputation for stored planes, as Chen et al. 2016,
+arXiv:1604.06174, do for whole layers). It writes each step's gate
+gradients over that step's activated gates, so a cache is backpropagated
+at most once, with the operations per element of the textbook
+expressions; the weight gradients are then stacked per-gate GEMMs over all
+cells (``wh``'s leaves out step 0, whose cells enter with ``h = 0``). The
+layout changes no bits: every operation computes what it would on a
+row-major ``(cells, 4 * hidden)`` cache.
 
 :class:`AdamState` is built for one parameter vector, with its moments and
 step scratch; Adam's β1, β2 and ε are module constants. :func:`adam_step`
@@ -95,6 +108,12 @@ def sigmoid(x):
 def _sigmoid_inplace(z: np.ndarray) -> None:
     """Overwrite z with 1 / (1 + exp(-z)); exp overflow correctly gives 0."""
     np.negative(z, out=z)
+    _sigmoid_of_negated(z)
+
+
+def _sigmoid_of_negated(z: np.ndarray) -> None:
+    """Overwrite z, a negated pre-activation, with 1 / (1 + exp(z)): the
+    sigmoid of -z, bit for bit, without a negate pass."""
     with np.errstate(over="ignore"):
         np.exp(z, out=z)
     z += 1.0
@@ -197,32 +216,36 @@ class PackedLSTMCache:
     Rows are stable-sorted by descending length (``order``), so the rows
     still running at step t are the prefix of size ``bounds[t + 1] -
     bounds[t]``, and step t owns packed rows ``bounds[t]:bounds[t + 1]``.
-    ``gates`` is gate-planar, ``(4, cells, hidden)``, so each gate of each
-    step is one contiguous ``(b_t, hidden)`` block. Only a forward pass
-    given a workspace (:func:`lstm_workspace`) makes a cache: ``gates``,
-    ``h_prev``, ``c_prev``, ``tanh_c`` and ``scratch`` are consecutive views
-    of it, which the next pass over it overwrites. ``scratch`` holds no
-    state: both passes write each step's temporaries into it.
-    :func:`lstm_backward_batch` overwrites ``gates`` with the gate
-    gradients, so a cache can be backpropagated once.
+    The cache holds six planes of cells: ``gates``, gate-planar ``(4,
+    cells, hidden)`` so that each gate of each step is one contiguous
+    ``(b_t, hidden)`` block, then ``h_prev`` and ``c``, each cell's state
+    after its step. A row enters step t with its ``c`` of step t - 1, among
+    the first b_t rows of that step's block (zeros at step 0), and the
+    backward pass recomputes ``tanh(c)``, so neither has a plane. The gates
+    are activated: the forward pass's negated staging does not reach them.
+    Only a forward pass given a workspace (:func:`lstm_workspace`) makes a
+    cache: ``gates``, ``h_prev``, ``c`` and ``scratch`` are consecutive
+    views of it, which the next pass over it overwrites; ``scratch`` holds
+    no state. The cache keeps no cast of ``wh``: :func:`lstm_backward_batch`
+    casts the cell's own, so it must be given the cell the forward pass
+    read. It overwrites ``gates`` with the gate gradients, so a cache can
+    be backpropagated once.
     """
 
     order: np.ndarray    # (n,) sorted position -> original row
     bounds: np.ndarray   # (t_real + 1,) packed offset of each step
     cell_of: np.ndarray  # (P,) row of ``inputs`` each cell reads
     inputs: np.ndarray   # (U, input_dim) distinct input vectors, compute dtype
-    wh: np.ndarray       # (4 * hidden, hidden) the cell's wh, compute dtype
     gates: np.ndarray    # (4, P, hidden) activated i, f, g, o
     h_prev: np.ndarray   # (P, hidden) hidden state entering the step
-    c_prev: np.ndarray   # (P, hidden) cell state entering the step
-    tanh_c: np.ndarray   # (P, hidden) tanh of the cell state leaving it
+    c: np.ndarray        # (P, hidden) cell state leaving the step
     scratch: np.ndarray  # (4 * b_0 * hidden,) step buffers, b_0 = bounds[1]
 
 
 # Entries each real cell needs in a workspace, in multiples of the hidden
-# size: the packed cache arrays, then the step scratch, sized for the worst
-# case of one cell per row.
-_WORKSPACE_WIDTH = 4 + 1 + 1 + 1 + 4
+# size: the packed cache arrays (four gate planes, h_prev and c), then the
+# step scratch, sized for the worst case of one cell per row.
+_WORKSPACE_WIDTH = 4 + 1 + 1 + 4
 
 # Rows of the embedding matrix gathered into the compute dtype at a time:
 # bounds the float64 temporary of the gather at 256 KB.
@@ -230,8 +253,9 @@ _GATHER_ELEMENTS = 1 << 15
 
 
 def lstm_workspace(cells: int, hidden_dim: int, dtype) -> np.ndarray:
-    """Room for the packed cache arrays and the step scratch of forward and
-    backward passes over up to ``cells`` real cells; pass it to
+    """Room for the packed cache arrays (six planes: four gates, ``h_prev``
+    and ``c``) and the step scratch (four planes of step 0's rows) of
+    forward and backward passes over up to ``cells`` real cells; pass it to
     :func:`lstm_forward_batch` as ``workspace``, with a cell of this hidden
     size and dtype. Only the part a pass uses is ever written."""
     return np.empty(cells * _WORKSPACE_WIDTH * hidden_dim, dtype)
@@ -247,6 +271,17 @@ def _gather_rows(matrix: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _negate_sigmoid_planes(planes: np.ndarray) -> None:
+    """Negate the i, f and o planes of a gate-planar ``(4, ...)`` array in
+    place. IEEE negation commutes exactly with products, sums and casts, so
+    a pass that stages these planes negated computes each sigmoid gate's
+    negated pre-activation, bit for bit, and its sigmoid needs no negate
+    pass (:func:`_sigmoid_of_negated`); a zero's sign may differ, which
+    ``exp`` does not see."""
+    np.negative(planes[:2], out=planes[:2])
+    np.negative(planes[3], out=planes[3])
+
+
 def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
                        matrix: np.ndarray, *, workspace: np.ndarray | None = None
                        ) -> tuple[np.ndarray, PackedLSTMCache | None]:
@@ -260,18 +295,22 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     takes its cells' rows of it into the step's gate block, multiplies the
     hidden states of the rows still running by each gate's block of a
     C-ordered copy of ``wh.T``, ``(4, hidden, hidden)``, into that gate's
-    plane of the step scratch, and adds that to the gates. Returns the
-    (n, hidden_dim) final states in the caller's row order (zeros for empty
-    rows), in the cell's dtype, and the cache the backward pass needs.
+    plane of the step scratch, and adds that to the gates. The i, f and o
+    planes of the projection and of ``wh.T`` are staged negated, so those
+    gates' sigmoids run without a negate pass. Returns the (n, hidden_dim)
+    final states in the caller's row order (zeros for empty rows), in the
+    cell's dtype, and the cache the backward pass needs.
 
     A pass given a ``workspace`` (from :func:`lstm_workspace`, large enough
-    for the batch's real cells) keeps that cache, in views of it: step t's
-    gates and states land in packed rows ``bounds[t]:bounds[t + 1]``; the
-    cache also holds ``wh`` cast to the compute dtype for the backward
-    pass. A pass without one keeps none and returns None for it: step t's
-    gates and ``tanh(c)`` land in rows ``0:b_t`` of buffers sized for step
-    0, which the next step overwrites, so inference holds one step of state
-    rather than every cell's. Both give the same finals, bit for bit.
+    for the batch's real cells) keeps that cache, in views of it: the
+    projection's rows of every cell are taken into ``gates`` at once, and
+    the projection is freed before ``wh.T`` is staged, so the pass never
+    holds both; step t's gates and states land in packed rows
+    ``bounds[t]:bounds[t + 1]``. A pass without one keeps none and returns
+    None for it: step t's gates land in ``b_t`` rows of a buffer sized for
+    step 0, taken in one call, and its cell state in the rows' running
+    state, so inference holds one step of state rather than every cell's.
+    Both give the same finals, bit for bit.
     """
     xs = np.asarray(xs)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -294,77 +333,76 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     if ids.size and (ids.min() < 0 or ids.max() >= matrix.shape[0]):
         raise ValueError(f"token ids must lie in [0, {matrix.shape[0]})")
     cells, first = ids.size, int(bounds[1]) if t_real else 0
-    # A kept cache holds every cell. Without one, the gate planes and
-    # tanh_c hold step 0's rows, which every later step overwrites, and
-    # h_prev and c_prev are empty: no backward pass will read them.
     keep = workspace is not None
-    # Cast before the pass's other buffers: cast after the loop, it set
-    # paper-train's peak RSS ~1 MB higher.
-    cached_wh = cell.wh.astype(dtype, copy=False) if keep else None
-    held, states = (cells, cells) if keep else (first, 0)
-    shapes = {"gates": (4, held, hidden), "h_prev": (states, hidden),
-              "c_prev": (states, hidden), "tanh_c": (held, hidden),
-              "scratch": (4 * first * hidden,)}
     if not keep:
-        packed = {name: np.empty(shape, dtype) for name, shape in shapes.items()}
+        # Step t's gates fill the first 4 * b_t * hidden entries.
+        step_gates, scratch = np.empty((2, 4 * first * hidden), dtype)
     elif workspace.dtype == dtype and \
             workspace.size >= cells * _WORKSPACE_WIDTH * hidden:
-        packed = segment_views(workspace, shapes)
+        gates, h_prev, c_cells, scratch = segment_views(workspace, {
+            "gates": (4, cells, hidden), "h_prev": (cells, hidden),
+            "c": (cells, hidden), "scratch": (4 * first * hidden,)}).values()
     else:
         raise ValueError(f"a workspace of {workspace.size} {workspace.dtype} "
                          f"entries cannot hold {cells} cells of hidden "
                          f"size {hidden} in {dtype}")
-    gates, h_prev, c_prev, tanh_c, scratch = packed.values()
     distinct, cell_of = np.unique(ids, return_inverse=True)
     inputs = _gather_rows(matrix, distinct, dtype)
     # wx and the bias in the compute dtype serve this one product only.
     wx, bias = (cell.wx.astype(dtype, copy=False),
                 cell.bias.astype(dtype, copy=False))
     wide = (inputs @ wx.T).reshape(-1, 4, hidden)
-    # Gate-planar, with the bias added on the way, so that each step takes
-    # its rows from contiguous tables: np.take copies a non-contiguous
-    # source whole on every call.
+    # Gate-planar, with the bias added on the way, so that rows are taken
+    # from contiguous tables: np.take copies a non-contiguous source whole
+    # on every call.
     projected = np.empty((4, distinct.size, hidden), dtype)
     np.add(wide.transpose(1, 0, 2), bias.reshape(4, 1, hidden), out=projected)
     del wide, wx, bias
+    _negate_sigmoid_planes(projected)
+    if keep:
+        # cell_of indexes projected by construction; under the default
+        # mode="raise", take would fill a temporary and copy it into gates.
+        np.take(projected, cell_of, axis=1, out=gates, mode="clip")
+        del projected
     h = np.zeros((n, hidden), dtype)
-    c = np.zeros((n, hidden), dtype)
+    c = None if keep else np.zeros((n, hidden), dtype)
     # Gate k's block of wh.T in wh_t[k]: one copy casts and transposes it.
     wh_t = np.empty((4, hidden, hidden), dtype)
     np.copyto(wh_t, cell.wh.reshape(4, hidden, hidden).transpose(0, 2, 1),
               casting="same_kind")
+    _negate_sigmoid_planes(wh_t)
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
-        at = slice(lo, hi) if keep else slice(0, b)  # where step t's rows land
         if keep:
-            h_prev[at] = h[:b]
-            c_prev[at] = c[:b]
-        z = gates[:, at]
-        for k in range(4):
-            # cell_of indexes projected by construction; under the default
-            # mode="raise", take would fill a temporary and copy it into z.
-            np.take(projected[k], cell_of[lo:hi], axis=0, out=z[k], mode="clip")
+            h_prev[lo:hi] = h[:b]
+            z, c_new = gates[:, lo:hi], c_cells[lo:hi]
+            # The rows' states from step t - 1; h is still zeros at step 0.
+            c_old = c_cells[bounds[t - 1]:bounds[t - 1] + b] if t else h[:b]
+        else:
+            z = step_gates[:4 * b * hidden].reshape(4, b, hidden)
+            np.take(projected, cell_of[lo:hi], axis=1, out=z, mode="clip")
+            c_new = c_old = c[:b]
         if t:
             recurrent = scratch[:4 * b * hidden].reshape(4, b, hidden)
             z += np.matmul(h[:b], wh_t, out=recurrent)
-        _sigmoid_inplace(z[:2])
+        _sigmoid_of_negated(z[:2])
         np.tanh(z[2], out=z[2])
-        _sigmoid_inplace(z[3])
+        _sigmoid_of_negated(z[3])
         gi, gf, gg, go = z
         # c = gf * c + gi * gg, one rounding per operation as written
-        product = scratch[:b * hidden].reshape(b, hidden)
-        np.multiply(gf, c[:b], out=c[:b])
+        product, tanh_c = scratch[:2 * b * hidden].reshape(2, b, hidden)
+        np.multiply(gf, c_old, out=c_new)
         np.multiply(gi, gg, out=product)
-        c[:b] += product
-        np.tanh(c[:b], out=tanh_c[at])
-        np.multiply(go, tanh_c[at], out=h[:b])
+        c_new += product
+        np.tanh(c_new, out=tanh_c)
+        np.multiply(go, tanh_c, out=h[:b])
     finals = np.empty((n, hidden), dtype)
     finals[order] = h
     if not keep:
         return finals, None
-    return finals, PackedLSTMCache(order, bounds, cell_of, inputs, cached_wh,
-                                   gates, h_prev, c_prev, tanh_c, scratch)
+    return finals, PackedLSTMCache(order, bounds, cell_of, inputs, gates,
+                                   h_prev, c_cells, scratch)
 
 
 def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache | None,
@@ -372,30 +410,40 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache | None,
     """Backpropagation through time; returns gradients for wx, wh and bias
     in the cell's dtype.
 
-    The reverse loop writes each step's gate gradients over that step's
-    blocks of ``cache.gates``, so the cache cannot be backpropagated again;
-    every element goes through the operations of the textbook expressions,
-    in their order, with the temporaries in ``cache.scratch``. The step's
+    ``cell`` must carry the weights the forward pass that made ``cache``
+    read: the cache keeps no copy of ``wh``, so this pass casts the cell's
+    own into the compute dtype, and drops the cast before the weight
+    gradients' products. The reverse loop writes each step's gate gradients
+    over that step's blocks of ``cache.gates``, so the cache cannot be
+    backpropagated again; every element goes through the operations of the
+    textbook expressions, in their order, with the temporaries in
+    ``cache.scratch``: each step recomputes ``tanh(c)`` there from
+    ``cache.c`` and reads the cell state entering it from the first b_t
+    rows of step t - 1's block of ``cache.c`` (zeros at step 0). The step's
     ``dh`` is one GEMM of the gate gradients, copied side by side into the
-    scratch, by the cache's ``wh``, which the forward pass kept in the
-    compute dtype. The weight gradients are then stacked per-gate GEMMs
-    over all cells; the ``wh`` GEMM skips step 0, whose cells enter with
-    ``h = 0``.
+    scratch, by ``wh``. The weight gradients are then stacked per-gate
+    GEMMs over all cells; the ``wh`` GEMM skips step 0, whose cells enter
+    with ``h = 0``.
     """
     if cache is None:
         raise ValueError("no LSTM cache to backpropagate: the forward pass "
                          "ran without a workspace, so it kept none")
     hidden = cell.hidden_dim
-    bounds, gates, scratch = cache.bounds, cache.gates, cache.scratch
+    bounds, gates, c, scratch = cache.bounds, cache.gates, cache.c, \
+        cache.scratch
     dh = np.asarray(dh_final, dtype=cell.dtype)[cache.order]
     dc = np.zeros_like(dh)
+    wh = cell.wh.astype(cell.dtype, copy=False)
     for t in range(len(bounds) - 2, -1, -1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
         gi, gf, gg, go = gates[:, lo:hi]
-        tanh_c, c_prev = cache.tanh_c[lo:hi], cache.c_prev[lo:hi]
+        # Cells enter step 0 with h = c = 0, so its block of h_prev is zeros.
+        c_prev = c[bounds[t - 1]:bounds[t - 1] + b] if t \
+            else cache.h_prev[lo:hi]
         dh_b, dc_cand = dh[:b], dc[:b]
-        a, e = scratch[:2 * b * hidden].reshape(2, b, hidden)
+        a, e, tanh_c = scratch[:3 * b * hidden].reshape(3, b, hidden)
+        np.tanh(c[lo:hi], out=tanh_c)
         # dc_cand = dc + dh * go * (1 - tanh_c ** 2), kept in dc
         np.square(tanh_c, out=a)
         np.subtract(1.0, a, out=a)
@@ -427,7 +475,8 @@ def lstm_backward_batch(cell: LSTMCell, cache: PackedLSTMCache | None,
         if t:
             dz = scratch[:4 * b * hidden].reshape(b, 4, hidden)
             np.copyto(dz, gates[:, lo:hi].transpose(1, 0, 2))
-            np.matmul(dz.reshape(b, 4 * hidden), cache.wh, out=dh_b)
+            np.matmul(dz.reshape(b, 4 * hidden), wh, out=dh_b)
+    del wh
     first = bounds[1] if len(bounds) > 1 else 0  # past step 0's rows
     dz_t = gates.transpose(0, 2, 1)  # (4, hidden, P)
     return {"wx": np.matmul(dz_t, cache.inputs[cache.cell_of]).reshape(

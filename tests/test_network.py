@@ -927,6 +927,27 @@ class TestOrderedPooling:
         with pytest.raises(ValueError, match="not finite"):
             network._forward_batch(model, batch)
 
+    def test_pooling_holds_no_padded_array(self):
+        # 15 videos of six distinct comments and one of 200, at hidden 300:
+        # padding every video to 200 rows would hold 7.7 MB for 290 rows.
+        distinct = np.array([6] * 15 + [200])
+        rows = np.random.default_rng(31).normal(size=(distinct.sum(), 300))
+        rows[::7] = -0.0
+        tracemalloc.start()
+        try:
+            pooled = network._pool(rows, distinct)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = np.zeros_like(pooled)
+        for video, row in zip(np.repeat(np.arange(distinct.size), distinct),
+                              rows):
+            want[video] += row
+        assert pooled.tobytes() == want.tobytes()
+        # the rows gathered rank-major, the sums in both video orders and
+        # the gather's indices
+        assert peak <= rows.nbytes + 2 * pooled.nbytes + 64 * 1024, peak
+
 
 class TestTrainingBuffers:
     """``train`` packs every batch's LSTM cache into one workspace, reserved
@@ -1015,6 +1036,38 @@ class TestTrainingBuffers:
             assert model.unified_embedding(record.comments, table).tobytes() \
                 == again.unified_embedding(record.comments, table).tobytes()
         assert calls and all(w is None for w, _ in calls)
+
+    def test_a_training_step_holds_one_float32_wh(self, phrases):
+        # Four videos, 169 cells over 16-d inputs at hidden 300. The forward
+        # pass stages wh.T and frees the input projection first; BPTT casts
+        # wh and drops it before the weight gradients. So at most one
+        # float32 (4 * hidden, hidden) array is alive at a time: that, or
+        # wh's float32 gradient.
+        rng = np.random.default_rng(32)
+        hidden, dim = 300, 16
+        matrix = rng.normal(size=(40, dim))
+        videos = [network.PreparedVideo(
+            comment_ids=[rng.integers(0, 40, size=t)
+                         for t in rng.integers(1, 12, size=k)],
+            matrix=matrix,
+            fvs=(rng.random((k, len(phrases))) < 0.3).astype(float),
+            counts=np.ones(k, np.int64), features=rng.normal(size=2),
+            label=i % 2) for i, k in enumerate((6, 8, 3, 10))]
+        model = UCNetModel(init_params(rng, dim, len(phrases), 2,
+                                       lstm_hidden=hidden),
+                           phrases, ("a", "b"), dim)
+        workspace = model._workspace_for(videos, len(videos))
+        assert model.flat.gradient.size
+        tracemalloc.start()
+        try:
+            model.batch_loss_and_gradients(videos, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        wh = 4 * hidden * hidden * np.dtype(np.float32).itemsize
+        # Beside it: the batch's (27, hidden) states and gradients, wx's
+        # float32 gradient and the collated batch, about 0.3 MB.
+        assert peak <= wh + 512 * 1024, peak
 
 
 class TestInference:
@@ -1147,7 +1200,7 @@ class TestInference:
 
     def test_predict_memory_stays_below_one_cache_plane(self):
         # A long thread at hidden 300: 200 comments, a third of them at the
-        # 100-token cap. A BPTT cache holds seven (cells, hidden) planes.
+        # 100-token cap. A BPTT cache holds six (cells, hidden) planes.
         rng = np.random.default_rng(61)
         words = [f"w{i}" for i in range(200)]
         table = EmbeddingTable(dimension=16, vectors={
