@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
+from . import neural, serialize
 
 
 def gini(counts) -> float:
@@ -240,12 +240,6 @@ class LogisticModel:
         return _fake_probabilities(X, self.weights, self.intercept)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function that exponentiates only -|z|, so it never overflows."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _fake_probabilities(X: np.ndarray, weights: np.ndarray,
                         intercept: float) -> np.ndarray:
     """The sigmoid of the scores ``X @ weights + intercept``. A score beyond
@@ -259,7 +253,7 @@ def _fake_probabilities(X: np.ndarray, weights: np.ndarray,
             f"the logistic score of row {int(np.argmin(finite)) + 1} "
             f"overflows float64; the features reach "
             f"{np.abs(X).max():.3g} in magnitude")
-    return _sigmoid(z)
+    return neural.sigmoid(z)
 
 
 def logistic_loss_and_gradient(weights: np.ndarray, intercept: float,

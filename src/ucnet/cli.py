@@ -271,6 +271,8 @@ def _load_selected(path) -> tuple[int, ...]:
 def _cmd_train_classic(args) -> int:
     if args.test_features and not args.predictions:
         raise ValueError("--test-features requires --predictions")
+    if args.predictions and not args.test_features:
+        raise ValueError("--predictions requires --test-features")
     ids, matrix, labels = _read_features_csv(args.features)
     _require_rows(args.features, ids, 1, "training")
     if args.model == "logistic" and len(set(labels)) < 2:
@@ -402,6 +404,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pca(args) -> int:
+    beside = [f"--{name}" for name in ("input", "model", "embeddings")
+              if getattr(args, name)]
+    if args.features and beside:
+        raise ValueError(f"--features and {' and '.join(beside)} conflict: "
+                         "pca projects either a feature table or a corpus's "
+                         "unified embeddings")
     if args.features:
         ids, matrix, labels = _read_features_csv(args.features)
         _require_rows(args.features, ids, 2, "PCA")

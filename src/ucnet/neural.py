@@ -47,42 +47,37 @@ gate-planar, ``(4, cells, hidden)``, so each gate of each step is one
 contiguous ``(b_t, hidden)`` block, on which numpy's element-wise passes
 run two to four times faster than on column slices. The input projection
 is one GEMM, before the loop, over the distinct ids among the real cells,
-gathered straight into the compute dtype; each step takes its cells' rows
-of it by index, then adds ``h[:b_t] @ wh.T``. The i, f and o planes of
-the projection and of ``wh.T`` are staged negated: IEEE negation commutes
-exactly with products and sums, so those gates' pre-activations come out
-negated, bit for bit, and their sigmoid is exp, +1 and a reciprocal, with
-no negate pass per step. Each pass copies ``wh.T`` once, cast and
-C-ordered (OpenBLAS is several times slower on the transposed view at
+gathered into the compute dtype; each step takes its cells' rows of it by
+index, then adds ``h[:b_t] @ wh.T``. Each pass copies ``wh.T`` once, cast
+and C-ordered (OpenBLAS is several times slower on the transposed view at
 small row counts), gate by gate, ``(4, hidden, hidden)``, and a step
 multiplies ``h[:b_t]`` by each gate's block into that gate's plane: late
 in a long thread, where a few rows still run, one gate's block (360 KB at
 hidden 300) stays in a 2 MB L2 cache where the whole operand does not
 (Goto and van de Geijn 2008, "Anatomy of High-Performance Matrix
-Multiplication"). Every product is a plain
-``np.matmul``, in both dtypes, so a one-row step runs gemv; a row's bits
-may depend on its batch mates and on the BLAS kernel, and nothing here
-needs them not to (:func:`ucnet.network.prepare_video` makes pooling
-invariant by construction). Only a pass given a workspace keeps this
-cache, six planes of cells: the four activated gates, ``h_prev`` and
-``c``, each cell's cell state after its step. The caller reserves the
-workspace once and passes it to every pass, as ``network.train`` does, so
-a training step allocates no large array. Such a pass takes every cell's
-projection rows into the gate planes at once and frees the projection
-before it stages ``wh.T``. A pass without one is an inference pass: it
-takes each step's gate rows in one call into a buffer of ``b_0`` rows,
-which the next step overwrites, and returns no cache; both kinds give the
-same finals, bit for bit. The backward pass recomputes ``tanh(c)`` into
-its step scratch, and reads the cell state entering step t from the first
-b_t rows of step t - 1's block of ``c``, as the forward pass did (trading
-a little recomputation for stored planes, as Chen et al. 2016,
-arXiv:1604.06174, do for whole layers). It writes each step's gate
-gradients over that step's activated gates, so a cache is backpropagated
-at most once, with the operations per element of the textbook
-expressions; the weight gradients are then stacked per-gate GEMMs over all
-cells (``wh``'s leaves out step 0, whose cells enter with ``h = 0``). The
-layout changes no bits: every operation computes what it would on a
-row-major ``(cells, 4 * hidden)`` cache.
+Multiplication"). Every product is a plain ``np.matmul``, in both dtypes,
+so a one-row step runs gemv; a row's bits may depend on its batch mates
+and on the BLAS kernel, and nothing here needs them not to
+(:func:`ucnet.network.prepare_video` makes pooling invariant by
+construction). Only a pass given a workspace keeps this cache, six planes
+of cells: the four activated gates, ``h_prev`` and ``c``, each cell's cell
+state after its step. The caller reserves the workspace once and passes it
+to every pass, as ``network.train`` does, so a training step allocates no
+large array. Such a pass takes every cell's projection rows into the gate
+planes at once and frees the projection before it stages ``wh.T``. A pass
+without one is an inference pass: it takes each step's gate rows in one
+call into a buffer of ``b_0`` rows, which the next step overwrites, and
+returns no cache; both kinds give the same finals, bit for bit. The
+backward pass recomputes ``tanh(c)`` into its step scratch, and reads the
+cell state entering step t from the first b_t rows of step t - 1's block of
+``c``, as the forward pass did (trading a little recomputation for stored
+planes, as Chen et al. 2016, arXiv:1604.06174, do for whole layers). It
+writes each step's gate gradients over that step's activated gates, so a
+cache is backpropagated at most once, with the operations per element of
+the textbook expressions; the weight gradients are then stacked per-gate
+GEMMs over all cells (``wh``'s leaves out step 0, whose cells enter with
+``h = 0``). The layout changes no bits: every operation computes what it
+would on a row-major ``(cells, 4 * hidden)`` cache.
 
 :class:`AdamState` is built for one parameter vector, with its moments and
 step scratch; Adam's β1, β2 and ε are module constants. :func:`adam_step`
@@ -108,12 +103,6 @@ def sigmoid(x):
 def _sigmoid_inplace(z: np.ndarray) -> None:
     """Overwrite z with 1 / (1 + exp(-z)); exp overflow correctly gives 0."""
     np.negative(z, out=z)
-    _sigmoid_of_negated(z)
-
-
-def _sigmoid_of_negated(z: np.ndarray) -> None:
-    """Overwrite z, a negated pre-activation, with 1 / (1 + exp(z)): the
-    sigmoid of -z, bit for bit, without a negate pass."""
     with np.errstate(over="ignore"):
         np.exp(z, out=z)
     z += 1.0
@@ -221,15 +210,14 @@ class PackedLSTMCache:
     ``(b_t, hidden)`` block, then ``h_prev`` and ``c``, each cell's state
     after its step. A row enters step t with its ``c`` of step t - 1, among
     the first b_t rows of that step's block (zeros at step 0), and the
-    backward pass recomputes ``tanh(c)``, so neither has a plane. The gates
-    are activated: the forward pass's negated staging does not reach them.
-    Only a forward pass given a workspace (:func:`lstm_workspace`) makes a
-    cache: ``gates``, ``h_prev``, ``c`` and ``scratch`` are consecutive
-    views of it, which the next pass over it overwrites; ``scratch`` holds
-    no state. The cache keeps no cast of ``wh``: :func:`lstm_backward_batch`
-    casts the cell's own, so it must be given the cell the forward pass
-    read. It overwrites ``gates`` with the gate gradients, so a cache can
-    be backpropagated once.
+    backward pass recomputes ``tanh(c)``, so neither has a plane. Only a
+    forward pass given a workspace (:func:`lstm_workspace`) makes a cache:
+    ``gates``, ``h_prev``, ``c`` and ``scratch`` are consecutive views of
+    it, which the next pass over it overwrites; ``scratch`` holds no state.
+    The cache keeps no cast of ``wh``: :func:`lstm_backward_batch` casts
+    the cell's own, so it must be given the cell the forward pass read. It
+    overwrites ``gates`` with the gate gradients, so a cache can be
+    backpropagated once.
     """
 
     order: np.ndarray    # (n,) sorted position -> original row
@@ -247,10 +235,6 @@ class PackedLSTMCache:
 # step scratch, sized for the worst case of one cell per row.
 _WORKSPACE_WIDTH = 4 + 1 + 1 + 4
 
-# Rows of the embedding matrix gathered into the compute dtype at a time:
-# bounds the float64 temporary of the gather at 256 KB.
-_GATHER_ELEMENTS = 1 << 15
-
 
 def lstm_workspace(cells: int, hidden_dim: int, dtype) -> np.ndarray:
     """Room for the packed cache arrays (six planes: four gates, ``h_prev``
@@ -259,27 +243,6 @@ def lstm_workspace(cells: int, hidden_dim: int, dtype) -> np.ndarray:
     :func:`lstm_forward_batch` as ``workspace``, with a cell of this hidden
     size and dtype. Only the part a pass uses is ever written."""
     return np.empty(cells * _WORKSPACE_WIDTH * hidden_dim, dtype)
-
-
-def _gather_rows(matrix: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
-    """``matrix[rows].astype(dtype)``, gathered in chunks of at most
-    ``_GATHER_ELEMENTS`` entries so that no full-size float64 copy is made."""
-    out = np.empty((rows.size, matrix.shape[1]), dtype)
-    step = max(1, _GATHER_ELEMENTS // max(matrix.shape[1], 1))
-    for lo in range(0, rows.size, step):
-        out[lo:lo + step] = matrix[rows[lo:lo + step]]
-    return out
-
-
-def _negate_sigmoid_planes(planes: np.ndarray) -> None:
-    """Negate the i, f and o planes of a gate-planar ``(4, ...)`` array in
-    place. IEEE negation commutes exactly with products, sums and casts, so
-    a pass that stages these planes negated computes each sigmoid gate's
-    negated pre-activation, bit for bit, and its sigmoid needs no negate
-    pass (:func:`_sigmoid_of_negated`); a zero's sign may differ, which
-    ``exp`` does not see."""
-    np.negative(planes[:2], out=planes[:2])
-    np.negative(planes[3], out=planes[3])
 
 
 def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
@@ -295,11 +258,9 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     takes its cells' rows of it into the step's gate block, multiplies the
     hidden states of the rows still running by each gate's block of a
     C-ordered copy of ``wh.T``, ``(4, hidden, hidden)``, into that gate's
-    plane of the step scratch, and adds that to the gates. The i, f and o
-    planes of the projection and of ``wh.T`` are staged negated, so those
-    gates' sigmoids run without a negate pass. Returns the (n, hidden_dim)
-    final states in the caller's row order (zeros for empty rows), in the
-    cell's dtype, and the cache the backward pass needs.
+    plane of the step scratch, and adds that to the gates. Returns the
+    (n, hidden_dim) final states in the caller's row order (zeros for empty
+    rows), in the cell's dtype, and the cache the backward pass needs.
 
     A pass given a ``workspace`` (from :func:`lstm_workspace`, large enough
     for the batch's real cells) keeps that cache, in views of it: the
@@ -347,7 +308,7 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
                          f"entries cannot hold {cells} cells of hidden "
                          f"size {hidden} in {dtype}")
     distinct, cell_of = np.unique(ids, return_inverse=True)
-    inputs = _gather_rows(matrix, distinct, dtype)
+    inputs = matrix[distinct].astype(dtype, copy=False)
     # wx and the bias in the compute dtype serve this one product only.
     wx, bias = (cell.wx.astype(dtype, copy=False),
                 cell.bias.astype(dtype, copy=False))
@@ -358,7 +319,6 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     projected = np.empty((4, distinct.size, hidden), dtype)
     np.add(wide.transpose(1, 0, 2), bias.reshape(4, 1, hidden), out=projected)
     del wide, wx, bias
-    _negate_sigmoid_planes(projected)
     if keep:
         # cell_of indexes projected by construction; under the default
         # mode="raise", take would fill a temporary and copy it into gates.
@@ -370,7 +330,6 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
     wh_t = np.empty((4, hidden, hidden), dtype)
     np.copyto(wh_t, cell.wh.reshape(4, hidden, hidden).transpose(0, 2, 1),
               casting="same_kind")
-    _negate_sigmoid_planes(wh_t)
     for t in range(len(bounds) - 1):
         lo, hi = bounds[t], bounds[t + 1]
         b = hi - lo
@@ -386,9 +345,9 @@ def lstm_forward_batch(cell: LSTMCell, xs: np.ndarray, lengths: np.ndarray,
         if t:
             recurrent = scratch[:4 * b * hidden].reshape(4, b, hidden)
             z += np.matmul(h[:b], wh_t, out=recurrent)
-        _sigmoid_of_negated(z[:2])
+        _sigmoid_inplace(z[:2])
         np.tanh(z[2], out=z[2])
-        _sigmoid_of_negated(z[3])
+        _sigmoid_inplace(z[3])
         gi, gf, gg, go = z
         # c = gf * c + gi * gg, one rounding per operation as written
         product, tanh_c = scratch[:2 * b * hidden].reshape(2, b, hidden)

@@ -481,6 +481,19 @@ class TestPruneAndClassic:
         assert not model.exists()
         assert not (tmp_path / "tree.model.manifest.json").exists()
 
+    def test_predictions_without_test_features_is_refused_first(
+            self, tmp_path, capsys):
+        # There would be no test rows to write predictions for; the
+        # features file does not even exist, and the refusal comes before
+        # any input is read.
+        assert main(["train-classic", "--features",
+                     str(tmp_path / "missing.csv"), "--model", "tree",
+                     "--output", str(tmp_path / "tree.model"),
+                     "--predictions", str(tmp_path / "pred.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: --predictions requires --test-features\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["forest", "tree", "logistic"])
     def test_empty_selection_is_refused(self, synthetic_dir, tmp_path, capsys,
                                         kind):
@@ -936,6 +949,27 @@ class TestPcaCommand:
 
     def test_pca_requires_a_source(self, tmp_path):
         assert main(["pca", "--output", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("beside,named", [
+        (("--input",), "--input"),
+        (("--input", "--model"), "--input and --model"),
+        (("--input", "--model", "--embeddings"),
+         "--input and --model and --embeddings"),
+        (("--embeddings",), "--embeddings")],
+        ids=["input", "input-model", "input-model-embeddings", "embeddings"])
+    def test_features_beside_a_corpus_flag_is_refused_first(
+            self, tmp_path, capsys, beside, named):
+        # Neither source would be projected as asked; no file named exists,
+        # and the refusal comes before any input is read.
+        argv = ["pca", "--features", str(tmp_path / "missing.csv"),
+                "--output", str(tmp_path / "proj.csv")]
+        for flag in beside:
+            argv += [flag, str(tmp_path / f"no{flag.strip('-')}")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --features and {named} conflict: pca projects either a "
+            "feature table or a corpus's unified embeddings\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("content", [
         b"tensors 2\ntensor a\ndata 0\n",

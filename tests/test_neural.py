@@ -417,13 +417,9 @@ class TestLstm:
                 with pytest.raises(ValueError, match="cannot hold 14 cells"):
                     lstm_forward_batch(cell, *big, matrix, workspace=bad)
 
-    @pytest.mark.parametrize("chunk", [1 << 15, 7])
-    def test_gathered_inputs_equal_cast_rows(self, monkeypatch, chunk):
-        # The distinct rows are gathered into the compute dtype a chunk at
-        # a time; a 7-entry chunk holds two 3-d rows, so 5 distinct tokens
-        # take three chunks, the last one short.
-        monkeypatch.setattr(neural, "_GATHER_ELEMENTS", chunk)
-        rng = np.random.default_rng([47, chunk])
+    def test_gathered_inputs_equal_cast_rows(self):
+        # The distinct rows, in id order, cast into the compute dtype.
+        rng = np.random.default_rng(47)
         xs, lengths = padded_ids([[8, 1, 4], [4, 0], [], [6, 1, 8, 8]])
         for dtype in (np.float32, np.float64):
             # fresh values each time, so no stale buffer can hold them

@@ -18,14 +18,19 @@ process and reports its wall time and peak RSS:
 
 ``peak_rss_mb`` is the process's peak resident set (``ru_maxrss``), and
 ``load_rss_mb`` is that peak less the resident set just before the load.
-On a small table the peak can be the imports' rather than the load's. The
-last line of output is one JSON object. Run from the repository root; it
-downloads nothing.
+On a small table the peak can be the imports' rather than the load's.
+``matrix_sha256`` is the SHA-256 of a case's matrix bytes; the full loads
+also report ``vocabulary_sha256``, that of the ``--vocabulary`` tokens'
+rows in file order. The run fails unless ``whole-file`` and ``streaming``
+give the same matrix bytes and ``streaming``'s vocabulary rows are
+``streaming-filtered``'s matrix, byte for byte. The last line of output is
+one JSON object. Run from the repository root; it downloads nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -91,7 +96,6 @@ def _resident_mb() -> float:
 
 def run_case(case: str, path: Path, dim: int, vocabulary: list[str]) -> dict:
     """Load once in this process; the caller starts a fresh one per case."""
-    import numpy as np
     from ucnet.embeddings import load_embeddings
 
     keep = set(vocabulary) if case == "streaming-filtered" else None
@@ -104,10 +108,21 @@ def run_case(case: str, path: Path, dim: int, vocabulary: list[str]) -> dict:
         vocab, matrix = table.vocab, table.matrix
     seconds = time.perf_counter() - start
     peak = _peak_mb()
-    return {"case": case, "load_s": round(seconds, 4),
-            "peak_rss_mb": round(peak, 2), "load_rss_mb": round(peak - before, 2),
-            "rows_kept": len(vocab), "matrix_mb": round(matrix.nbytes / 2**20, 2),
-            "matrix_sum": float(np.sum(matrix))}
+    result = {"case": case, "load_s": round(seconds, 4),
+              "peak_rss_mb": round(peak, 2),
+              "load_rss_mb": round(peak - before, 2), "rows_kept": len(vocab),
+              "matrix_mb": round(matrix.nbytes / 2**20, 2),
+              "matrix_sha256": _sha256(matrix)}
+    if keep is None:
+        rows = sorted(vocab[token] for token in vocabulary)
+        result["vocabulary_sha256"] = _sha256(matrix[rows])
+    return result
+
+
+def _sha256(matrix) -> str:
+    import numpy as np
+
+    return hashlib.sha256(np.ascontiguousarray(matrix).tobytes()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -153,9 +168,13 @@ def main(argv=None) -> int:
             raise SystemExit(f"{case} failed:\n{child.stderr}")
         results.append(json.loads(child.stdout.splitlines()[-1]))
         print(json.dumps(results[-1]), file=sys.stderr)
-    sums = {r["matrix_sum"] for r in results if r["case"] != "streaming-filtered"}
-    if len(sums) > 1:
-        raise SystemExit(f"the loaders disagree on the matrix: {sums}")
+    whole, streaming, filtered = results
+    if whole["matrix_sha256"] != streaming["matrix_sha256"]:
+        raise SystemExit("whole-file and streaming loads disagree on the "
+                         "matrix bytes")
+    if streaming["vocabulary_sha256"] != filtered["matrix_sha256"]:
+        raise SystemExit("streaming-filtered's matrix is not streaming's "
+                         "rows of the vocabulary, byte for byte")
     print(json.dumps({"table": {"rows": args.rows, "dim": args.dim,
                                 "seed": args.seed, "bytes": path.stat().st_size,
                                 "vocabulary": args.vocabulary},
