@@ -241,10 +241,12 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             raise ValueError(f"token {token!r} must be non-empty and contain "
                              "no whitespace to be saved")
     path = Path(path)
+    # One format for a whole row; '%.17g' writes the digits f"{v:.17g}" does.
+    row_format = " ".join(["%.17g"] * table.dimension)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table)} {table.dimension}\n")
         for token, row in zip(table.vocab, table.matrix.tolist()):
-            fh.write(token + " " + " ".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(token + " " + row_format % tuple(row) + "\n")
 
 
 def comment_vocabulary(texts: Iterable[str]) -> set[str]:

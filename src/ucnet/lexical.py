@@ -12,6 +12,7 @@ features, and the fakeness-indicator phrases that the network trains on.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -56,6 +57,19 @@ def _compile_pattern(pattern: str) -> re.Pattern:
     except (re.error, OverflowError, RecursionError) as exc:
         raise ValueError(
             f"invalid regular expression {pattern!r}: {exc}") from None
+
+
+# The flags of a pattern that _compile_pattern compiled and that sets none
+# of its own.
+_PATTERN_FLAGS = re.compile("", re.IGNORECASE).flags
+
+# What can change a pattern's meaning inside an alternation: a group
+# reference by number (\1), by name ((?P=name)) or in a conditional
+# ((?(1)...)), which the other patterns' groups would renumber or shadow,
+# and an inline global flag ((?x)), which would act on every pattern. The
+# test is textual and errs towards refusing: an escaped backslash before a
+# digit refuses too, and costs only the one-scan path.
+_NOT_ALTERNABLE = re.compile(r"\\[1-9]|\(\?P=|\(\?\(|\(\?[aiLmsux]+\)")
 
 
 def lexicon_digest(entries: Sequence[str]) -> str:
@@ -108,6 +122,28 @@ class LexiconSet:
     def default(cls) -> "LexiconSet":
         return cls.from_directory(default_lexicon_dir())
 
+    @functools.cached_property
+    def fakeness_scan(self) -> re.Pattern | None:
+        """The fakeness patterns as one compiled alternation, which finds a
+        match in a text exactly when one of them does, so a comment is
+        scanned once; None when that cannot be trusted (no patterns, flags
+        of their own, a group reference or an inline global flag, or an
+        alternation that does not compile with their summed groups), and
+        :func:`comments_fakeness` then tries them one by one. Not a field:
+        the lexicon files follow the fields."""
+        patterns = self.fakeness_patterns
+        if not patterns or any(p.flags != _PATTERN_FLAGS
+                               or _NOT_ALTERNABLE.search(p.pattern)
+                               for p in patterns):
+            return None
+        try:
+            scan = re.compile("|".join(f"(?:{p.pattern})" for p in patterns),
+                              re.IGNORECASE)
+        except (re.error, OverflowError, RecursionError):
+            return None
+        return scan if scan.groups == sum(p.groups for p in patterns) \
+            else None
+
 
 # The files of a lexicon directory, one per field of LexiconSet.
 LEXICON_FILES = tuple(f"{f.name}.txt" for f in fields(LexiconSet))
@@ -157,8 +193,12 @@ def comments_fakeness(comments: Sequence[Comment], lex: LexiconSet) -> float:
     if not comments:
         return 0.0
     texts = [nfc(c.text) for c in comments]
-    hits = sum(1 for text in texts
-               if any(p.search(text) for p in lex.fakeness_patterns))
+    scan = lex.fakeness_scan
+    if scan is not None:
+        hits = sum(1 for text in texts if scan.search(text))
+    else:
+        hits = sum(1 for text in texts
+                   if any(p.search(text) for p in lex.fakeness_patterns))
     return hits / len(comments)
 
 
@@ -301,13 +341,76 @@ def train_title_scorer(titles: Sequence[tuple[str, str]],
     rng = np.random.default_rng(seed)
     mlp = neural.Mlp.init(rng, [xs.shape[1], _SCORER_HIDDEN, 2])
     state = neural.AdamState(mlp.flat.vector, _SCORER_LEARNING_RATE)
+    one_hot = np.eye(2)[ys]
+    # Each batch with the step for its size: all but perhaps the last are
+    # full.
+    starts = range(0, len(xs), _SCORER_BATCH)
+    sizes = [min(_SCORER_BATCH, len(xs) - start) for start in starts]
+    steps = {n: _scorer_step(mlp, n) for n in set(sizes)}
+    batches = [(slice(start, start + n), steps[n])
+               for start, n in zip(starts, sizes)]
+    vector, gradient = mlp.flat.vector, mlp.flat.gradient
     for _ in range(_SCORER_EPOCHS):
+        # One gather an epoch; each batch is a view of it.
         order = rng.permutation(len(xs))
-        for start in range(0, len(xs), _SCORER_BATCH):
-            batch = order[start:start + _SCORER_BATCH]
-            mlp.gradients(xs[batch], ys[batch])
-            neural.adam_step(mlp.flat.vector, mlp.flat.gradient, state)
+        epoch_xs, epoch_labels = xs[order], one_hot[order]
+        for batch, step in batches:
+            step(epoch_xs[batch], epoch_labels[batch])
+            neural.adam_step(vector, gradient, state)
     return TitleScorer(lexicons, mlp, mean, std)
+
+
+def _scorer_step(mlp: neural.Mlp, n: int):
+    """The forward and backward pass of the scorer's two-layer, two-class
+    :class:`ucnet.neural.Mlp` over a batch of ``n`` rows, as a function of
+    the rows and their one-hot labels that writes the gradient of the mean
+    cross-entropy into ``mlp.flat.grads``.
+
+    It gives the gradients of ``Mlp.batch_loss_and_gradients`` bit for bit,
+    with about half its numpy calls: each element goes through the same
+    operations in the same order, in buffers reserved here. The bias is
+    added in place, the softmax's max and sum are taken over the two
+    columns, and the delta is the probabilities less the one-hot labels
+    (exact where a label is 0), then divided by ``n``. The products go
+    through ``np.dot``, which for these shapes gives ``np.matmul``'s bits
+    with less overhead a call; the tests hold training to a loop over the
+    loss path.
+    """
+    names = [f"{layer}.{part}" for layer in mlp.names
+             for part in ("weights", "bias")]
+    w0, b0, w1, b1 = (mlp.flat.params[name] for name in names)
+    g_w0, g_b0, g_w1, g_b1 = (mlp.flat.grads[name] for name in names)
+    w0_t, w1_t = w0.T, w1.T
+    hidden, relu = np.empty((2, n, len(b0)))
+    positive = np.empty((n, len(b0)), dtype=bool)
+    logits = np.empty((n, 2))
+    left, right = logits.T
+    column = np.empty((n, 1))
+    row = column[:, 0]
+
+    def step(x: np.ndarray, labels: np.ndarray) -> None:
+        np.dot(x, w0_t, out=hidden)
+        np.add(hidden, b0, out=hidden)
+        np.maximum(hidden, 0.0, out=relu)
+        np.dot(relu, w1_t, out=logits)
+        np.add(logits, b1, out=logits)
+        np.maximum(left, right, out=row)
+        np.subtract(logits, column, out=logits)
+        np.exp(logits, out=logits)
+        np.add(left, right, out=row)
+        np.divide(logits, column, out=logits)
+        np.subtract(logits, labels, out=logits)
+        np.divide(logits, n, out=logits)
+        np.dot(logits.T, relu, out=g_w1)
+        np.add.reduce(logits, axis=0, out=g_b1)
+        # hidden becomes the gradient at the ReLU's output
+        np.dot(logits, w1, out=hidden)
+        np.greater(relu, 0.0, out=positive)
+        np.multiply(hidden, positive, out=hidden)
+        np.dot(hidden.T, x, out=g_w0)
+        np.add.reduce(hidden, axis=0, out=g_b0)
+
+    return step
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,23 @@ class TestLoadEmbeddings:
             for t in tokens)
         assert first.read_text() == expected
 
+    def test_row_format_writes_the_per_value_digits(self, tmp_path):
+        # One '%.17g' format a row must write the bytes of one f-string a
+        # value: signed zero, the smallest subnormal, the float32 range's
+        # edges, an inexact decimal and integral values.
+        rows = {"edges": [-0.0, 5e-324, 3.4028234663852886e38,
+                          -3.4028234663852886e38],
+                "plain": [0.1, 0.0, 1.0, -7.0],
+                "large": [1e16, 2.0 ** 53, -123456789.0, 100.0]}
+        table = EmbeddingTable(dimension=4, vectors={
+            t: np.array(v) for t, v in rows.items()})
+        path = tmp_path / "vec.txt"
+        save_embeddings(table, path)
+        expected = "3 4\n" + "".join(
+            t + " " + " ".join(f"{v:.17g}" for v in row) + "\n"
+            for t, row in rows.items())
+        assert path.read_bytes() == expected.encode("utf-8")
+
     @pytest.mark.parametrize("content,line", [
         ("2 2\na 1 2\nb 1 x\n", 3),        # a component that is no number
         ("two 2\na 1 2\n", 1),              # header count not an integer

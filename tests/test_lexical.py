@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import shutil
@@ -19,6 +20,7 @@ from ucnet.lexical import (FEATURE_NAMES, FeatureVector, LexiconSet,
                            train_title_scorer)
 
 from conftest import make_comment, make_video
+from test_neural import pure_adam
 
 
 # Characters where a regex word class and str.isalnum could part ways:
@@ -153,6 +155,17 @@ class TestDislikeLikeRatio:
         assert dislike_like_ratio(make_video(likes=1, dislikes=10**6)) == 1000.0
 
 
+# Pieces that the bundled patterns and SCAN_PATTERNS match, split or
+# border, for random comments.
+SCAN_PIECES = ["fake", "FAAAKE", "hoax", "click", "bait", " ", "bs", "b",
+               "s", "not", "  real", "NOT", "cgi", "CGI", "_", "-", "!", "é",
+               "\u0301", "ab", "a", "x", "y1", "\u212a", "k", "staged"]
+# Groups, a named group, a scoped flag, a top-level alternation, anchors
+# and a lookbehind: all keep their meaning inside an alternation.
+SCAN_PATTERNS = (r"(ab)+c?", r"(?P<w>fa)ke\b", r"(?-i:CGI)", r"x|y1",
+                 r"^bs$", r"(?<=a)b!", r"\bnot\s+real\b")
+
+
 class TestCommentFeatures:
     def test_fakeness_elongated_match(self, lexicons):
         comments = [make_comment("a", "faaake!!"), make_comment("b", "nice video")]
@@ -172,6 +185,48 @@ class TestCommentFeatures:
         ) / len(texts)
         assert comments_fakeness(comments, lexicons) == pytest.approx(expected)
         assert expected == pytest.approx(0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(
+        st.lists(st.sampled_from(SCAN_PIECES), max_size=8).map("".join)
+        | st.text(max_size=12), min_size=1, max_size=10))
+    def test_one_scan_agrees_with_the_pattern_loop(self, lexicons, texts):
+        comments = [make_comment(f"c{i}", t) for i, t in enumerate(texts)]
+        custom = LexiconSet.from_entries(["x"], ["y"], SCAN_PATTERNS, ["z"],
+                                         ["w"])
+        for lex in (lexicons, custom):
+            assert lex.fakeness_scan is not None
+            # The same patterns, made to take the loop.
+            loop = dataclasses.replace(lex)
+            loop.__dict__["fakeness_scan"] = None
+            assert comments_fakeness(comments, lex) == \
+                comments_fakeness(comments, loop)
+            for text in texts:
+                assert (lex.fakeness_scan.search(text) is not None) == \
+                    any(p.search(text) for p in lex.fakeness_patterns)
+
+    @pytest.mark.parametrize("pattern", [
+        r"(a)\1", r"(?P<n>a)(?P=n)", r"(a)?(?(1)b|c)", r"(?x) a b",
+        r"(?u)ab", r"\\1", r"(?P<w>ho)ax"])
+    def test_patterns_an_alternation_would_change_take_the_loop(
+            self, pattern):
+        # The last one's group name is taken by the first pattern's, so
+        # the alternation does not compile.
+        lex = LexiconSet.from_entries(["x"], ["y"], [r"(?P<w>fa)ke\b", pattern],
+                                      ["z"], ["w"])
+        assert lex.fakeness_scan is None
+        texts = ["aa", "so fake", "ab", "c", "\\1", "hoax", "nothing"]
+        want = sum(1 for t in texts
+                   if any(p.search(t) for p in lex.fakeness_patterns))
+        comments = [make_comment(f"c{i}", t) for i, t in enumerate(texts)]
+        assert comments_fakeness(comments, lex) == want / len(texts)
+
+    def test_the_scan_is_not_a_field(self, lexicons):
+        assert "fakeness_scan" not in {f.name for f in
+                                       dataclasses.fields(LexiconSet)}
+        assert lexicons.fakeness_scan is lexicons.fakeness_scan
+        assert LexiconSet.from_entries(["x"], ["y"], [], ["z"], ["w"]
+                                       ).fakeness_scan is None
 
     def test_inappropriateness_empty_and_full(self, lexicons):
         assert comments_inappropriateness([], lexicons) == 0.0
@@ -236,17 +291,38 @@ class TestTitleScorer:
         for key, value in a.mlp.parameters().items():
             assert np.array_equal(value, b.mlp.parameters()[key])
 
-    def test_training_takes_the_loss_paths_steps(self, lexicons, monkeypatch):
-        # Training reads gradients without the loss; a loop over the loss
-        # path must reach the same parameters, bit for bit.
-        titles = synthetic.make_labeled_titles(48, seed=3, lexicons=lexicons)
+    @pytest.mark.parametrize("n_titles", [48, 53, 17],
+                             ids=["full-batches", "ragged", "one-row-tail"])
+    def test_training_takes_the_loss_paths_steps(self, lexicons, n_titles):
+        # Training's fused step over one gather an epoch must reach the
+        # parameters of a plain loop, bit for bit: each batch gathered
+        # alone, its gradients from the loss path and the textbook Adam
+        # update.
+        titles = synthetic.make_labeled_titles(n_titles, seed=3,
+                                               lexicons=lexicons)
         fast = train_title_scorer(titles, lexicons, seed=2)
-        monkeypatch.setattr(
-            neural.Mlp, "gradients",
-            lambda mlp, xs, ys: mlp.batch_loss_and_gradients(xs, ys)[1])
-        slow = train_title_scorer(titles, lexicons, seed=2)
-        for key, value in fast.mlp.parameters().items():
-            assert value.tobytes() == slow.mlp.parameters()[key].tobytes()
+        xs = np.stack([lexical.title_linguistic_features(t, lexicons)
+                       for t, _ in titles])
+        ys = np.array([label == "fake" for _, label in titles], dtype=np.int64)
+        mean, std = xs.mean(axis=0), xs.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        xs = (xs - mean) / std
+        rng = np.random.default_rng(2)
+        mlp = neural.Mlp.init(rng, [xs.shape[1], lexical._SCORER_HIDDEN, 2])
+        params = mlp.flat.vector
+        m = v = np.zeros_like(params)
+        t = 0
+        for _ in range(lexical._SCORER_EPOCHS):
+            order = rng.permutation(len(xs))
+            for start in range(0, len(xs), lexical._SCORER_BATCH):
+                batch = order[start:start + lexical._SCORER_BATCH]
+                mlp.batch_loss_and_gradients(xs[batch], ys[batch])
+                t += 1
+                params[:], m, v = pure_adam(params, mlp.flat.gradient, m, v, t,
+                                            lexical._SCORER_LEARNING_RATE)
+        assert fast.mlp.flat.vector.tobytes() == params.tobytes()
+        assert (fast.mean.tobytes(), fast.std.tobytes()) == \
+            (mean.tobytes(), std.tobytes())
 
     def test_separable_titles_learned(self, lexicons):
         rng = np.random.default_rng(4)

@@ -538,17 +538,6 @@ class TestBackward:
             mean_grad = np.mean([s[1][key] for s in per_sample], axis=0)
             assert np.allclose(batch_grads[key], mean_grad, atol=1e-12)
 
-    def test_gradients_without_the_loss_are_the_same_bits(self):
-        rng = np.random.default_rng(16)
-        net = Mlp.init(rng, [8, 8, 2])
-        xs = rng.normal(size=(16, 8))
-        ys = rng.integers(0, 2, size=16)
-        _, want = copied(net.batch_loss_and_gradients(xs, ys))
-        got = net.gradients(xs, ys)
-        assert got is net.flat.grads
-        for name, grad in want.items():
-            assert got[name].tobytes() == grad.tobytes()
-
     def test_skipping_the_input_gradient_keeps_the_parameter_gradients(self):
         rng = np.random.default_rng(17)
         net = Mlp.init(rng, [4, 5, 2])
@@ -671,6 +660,29 @@ class TestAdam:
             adam_step(params, grads, state)
             ref_p, ref_m, ref_v = pure_adam(ref_p, grads, ref_m, ref_v, t, 3e-4)
             assert state.t == t
+            for got, want in ((params, ref_p), (state.m, ref_m), (state.v, ref_v)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_moments_are_the_rows_of_one_array(self):
+        params = np.arange(5.0)
+        state = AdamState(params, 0.1)
+        assert state.moments.shape == (2, 5)
+        assert state.m.base is state.moments and state.v.base is state.moments
+        adam_step(params, np.arange(5.0), state)
+        assert state.m.tobytes() == state.moments[0].tobytes()
+        assert state.v.tobytes() == state.moments[1].tobytes()
+
+    @pytest.mark.parametrize("size", [neural._ADAM_BLOCK,
+                                      neural._ADAM_BLOCK + 1])
+    def test_one_block_and_just_past_it_match_pure_formula(self, size):
+        rng = np.random.default_rng(29)
+        params = rng.normal(size=size)
+        ref_p, ref_m, ref_v = params.copy(), np.zeros(size), np.zeros(size)
+        state = AdamState(params, 3e-4)
+        for t in range(1, 4):
+            grads = rng.normal(size=size)
+            adam_step(params, grads, state)
+            ref_p, ref_m, ref_v = pure_adam(ref_p, grads, ref_m, ref_v, t, 3e-4)
             for got, want in ((params, ref_p), (state.m, ref_m), (state.v, ref_v)):
                 assert got.tobytes() == want.tobytes()
 
