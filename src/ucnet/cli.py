@@ -328,7 +328,16 @@ def _cmd_train_ucnet(args) -> int:
     if args.predictions and args.train and not args.test:
         raise ValueError("--predictions requires a test set: --test with "
                          "--train, or --input")
+    if not (args.train or args.input):
+        raise ValueError("either --train or --input is required")
+    if args.selected and args.all_features:
+        raise ValueError("--selected and --all-features conflict: give a "
+                         "prune output or train on all eight features")
+    if not (args.selected or args.all_features):
+        raise ValueError("either --selected or --all-features is required")
     _check_scorer_flags(args)
+    indices = _load_selected(args.selected) if args.selected else \
+        tuple(range(len(FEATURE_NAMES)))
     lexicon_dir = _lexicon_dir(args)
     lexicons = LexiconSet.from_directory(lexicon_dir)
     if not lexicons.fakeness_phrases:
@@ -336,27 +345,18 @@ def _cmd_train_ucnet(args) -> int:
     scorer, scorer_inputs = _get_scorer(args, lexicons)
 
     inputs = {"embeddings": args.embeddings, "train": args.train,
-              "test": args.test, "input": args.input, **scorer_inputs}
+              "test": args.test, "input": args.input,
+              "selected": args.selected, **scorer_inputs}
     if args.train:
         train_set = corpus.load_dataset(args.train, Path(args.train).stem)
         test_set = corpus.load_dataset(args.test, Path(args.test).stem) \
             if args.test else None
-    elif args.input:
+    else:
         full = corpus.load_dataset(args.input, Path(args.input).stem)
         train_set, test_set = corpus.split_dataset(full, args.test_fraction,
                                                    args.seed)
-    else:
-        raise ValueError("either --train or --input is required")
     table = load_embeddings(args.embeddings, args.embedding_dim,
                             vocabulary=_comment_vocabulary(train_set, test_set))
-
-    if args.all_features:
-        indices = tuple(range(len(FEATURE_NAMES)))
-    elif args.selected:
-        indices = _load_selected(args.selected)
-        inputs["selected"] = args.selected
-    else:
-        raise ValueError("either --selected or --all-features is required")
 
     config = network.TrainingConfig(
         learning_rate=args.learning_rate, epochs=args.epochs,

@@ -344,11 +344,9 @@ def train_title_scorer(titles: Sequence[tuple[str, str]],
     one_hot = np.eye(2)[ys]
     # Each batch with the step for its size: all but perhaps the last are
     # full.
-    starts = range(0, len(xs), _SCORER_BATCH)
-    sizes = [min(_SCORER_BATCH, len(xs) - start) for start in starts]
-    steps = {n: _scorer_step(mlp, n) for n in set(sizes)}
-    batches = [(slice(start, start + n), steps[n])
-               for start, n in zip(starts, sizes)]
+    batches = [(slice(start, start + _SCORER_BATCH),
+                mlp.step(min(_SCORER_BATCH, len(xs) - start)))
+               for start in range(0, len(xs), _SCORER_BATCH)]
     vector, gradient = mlp.flat.vector, mlp.flat.gradient
     for _ in range(_SCORER_EPOCHS):
         # One gather an epoch; each batch is a view of it.
@@ -358,59 +356,6 @@ def train_title_scorer(titles: Sequence[tuple[str, str]],
             step(epoch_xs[batch], epoch_labels[batch])
             neural.adam_step(vector, gradient, state)
     return TitleScorer(lexicons, mlp, mean, std)
-
-
-def _scorer_step(mlp: neural.Mlp, n: int):
-    """The forward and backward pass of the scorer's two-layer, two-class
-    :class:`ucnet.neural.Mlp` over a batch of ``n`` rows, as a function of
-    the rows and their one-hot labels that writes the gradient of the mean
-    cross-entropy into ``mlp.flat.grads``.
-
-    It gives the gradients of ``Mlp.batch_loss_and_gradients`` bit for bit,
-    with about half its numpy calls: each element goes through the same
-    operations in the same order, in buffers reserved here. The bias is
-    added in place, the softmax's max and sum are taken over the two
-    columns, and the delta is the probabilities less the one-hot labels
-    (exact where a label is 0), then divided by ``n``. The products go
-    through ``np.dot``, which for these shapes gives ``np.matmul``'s bits
-    with less overhead a call; the tests hold training to a loop over the
-    loss path.
-    """
-    names = [f"{layer}.{part}" for layer in mlp.names
-             for part in ("weights", "bias")]
-    w0, b0, w1, b1 = (mlp.flat.params[name] for name in names)
-    g_w0, g_b0, g_w1, g_b1 = (mlp.flat.grads[name] for name in names)
-    w0_t, w1_t = w0.T, w1.T
-    hidden, relu = np.empty((2, n, len(b0)))
-    positive = np.empty((n, len(b0)), dtype=bool)
-    logits = np.empty((n, 2))
-    left, right = logits.T
-    column = np.empty((n, 1))
-    row = column[:, 0]
-
-    def step(x: np.ndarray, labels: np.ndarray) -> None:
-        np.dot(x, w0_t, out=hidden)
-        np.add(hidden, b0, out=hidden)
-        np.maximum(hidden, 0.0, out=relu)
-        np.dot(relu, w1_t, out=logits)
-        np.add(logits, b1, out=logits)
-        np.maximum(left, right, out=row)
-        np.subtract(logits, column, out=logits)
-        np.exp(logits, out=logits)
-        np.add(left, right, out=row)
-        np.divide(logits, column, out=logits)
-        np.subtract(logits, labels, out=logits)
-        np.divide(logits, n, out=logits)
-        np.dot(logits.T, relu, out=g_w1)
-        np.add.reduce(logits, axis=0, out=g_b1)
-        # hidden becomes the gradient at the ReLU's output
-        np.dot(logits, w1, out=hidden)
-        np.greater(relu, 0.0, out=positive)
-        np.multiply(hidden, positive, out=hidden)
-        np.dot(hidden.T, x, out=g_w0)
-        np.add.reduce(hidden, axis=0, out=g_b0)
-
-    return step
 
 
 @dataclass(frozen=True)

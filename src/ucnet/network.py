@@ -17,7 +17,8 @@ weight-head and pooling calls, and its unified embedding, do not depend on
 the order or repetition of its comments, on any BLAS kernel.
 
 There is one forward pass, ``_forward_batch`` over a ``_collate``d batch of
-prepared videos, and one backward pass, ``_backward_batch``. A video
+prepared videos, which returns the classifier's input, and one backward
+pass, ``_backward_batch``, from the gradient at that input. A video
 without comments, and a batch without any, runs the same passes over zero
 LSTM cells: its unified embedding is the zero vector, and the weight
 head's and the LSTM's gradients from it are +0.0. The forward pass pools
@@ -27,8 +28,10 @@ from +0.0, and the sum is divided by the video's kept-comment total. The
 order is the canonical one, so the sum is a function of the multiset too.
 The backward pass scales each distinct comment's share of the mean by its
 count. The weight head is ``_comment_weights``, and the classifier is a
-:class:`ucnet.neural.Mlp` over the layers ``hidden`` and ``output``.
-``UCNetModel.batch_loss_and_gradients`` chains them over labelled videos,
+two-layer :class:`ucnet.neural.Mlp` over the layers ``hidden`` and
+``output``: prediction runs its ``forward``, and
+``UCNetModel.batch_loss_and_gradients`` chains the forward pass, the
+classifier's training ``step`` and the backward pass over labelled videos,
 with the LSTM caching into the workspace it is passed: ``train`` reserves
 one for the run and passes it with every shuffled mini-batch. Called
 without one, as :func:`ucnet.neural.gradient_check` calls it, the method
@@ -310,9 +313,10 @@ def _comment_weights(fvs: np.ndarray, weights: np.ndarray,
 
 def _forward_batch(model: UCNetModel, batch: _Batch,
                    workspace: np.ndarray | None = None):
-    """Class probabilities of the batch's videos and the cache
-    ``_backward_batch`` reads; only a pass given an LSTM ``workspace``
-    keeps the LSTM's part of it."""
+    """The classifier head's input for the batch's videos, each row its
+    unified embedding then its features, and the cache ``_backward_batch``
+    reads; only a pass given an LSTM ``workspace`` keeps the LSTM's part
+    of it."""
     params = model.flat.params
     cell = neural.LSTMCell(params["lstm.wx"], params["lstm.wh"],
                            params["lstm.bias"], model.dtype)
@@ -325,20 +329,17 @@ def _forward_batch(model: UCNetModel, batch: _Batch,
     # A video without comments sums to +0.0, so its mean is the zero vector.
     unified /= np.maximum(batch.totals, 1)[:, None]
     x = np.concatenate([unified, batch.features], axis=1)
-    probs, head_inputs = model.head._forward_cached(x)
-    cache = (cell, lstm_cache, finals, weights, head_inputs)
-    return probs, cache
+    return x, (cell, lstm_cache, finals, weights)
 
 
 def _backward_batch(model: UCNetModel, batch: _Batch, cache,
-                    delta: np.ndarray) -> None:
-    """Write the gradient of every parameter into ``model.flat.grads``,
-    given the gradient of the loss with respect to the output logits. With
-    no comments in the batch, the sums over zero rows write +0.0 into the
-    weight head's and the LSTM's gradients."""
-    cell, lstm_cache, finals, weights, head_inputs = cache
+                    dx: np.ndarray) -> None:
+    """Write the gradient of every parameter below the classifier head
+    into ``model.flat.grads``, given the gradient of the loss at the head's
+    input. With no comments in the batch, the sums over zero rows write
+    +0.0 into the weight head's and the LSTM's gradients."""
+    cell, lstm_cache, finals, weights = cache
     grads = model.flat.grads
-    dx = model.head._backward_from_delta(delta, head_inputs)
     # Each kept comment's share of its video's mean, times the kept
     # comments that a distinct one stands for.
     d_weighted = np.repeat(dx[:, :model.lstm_hidden]
@@ -430,22 +431,25 @@ class UCNetModel:
         """Mean cross-entropy over labelled videos and its gradients. The
         LSTM caches into ``workspace`` (from ``_workspace_for``, large
         enough for the batch), or into one reserved for this batch when
-        none is given."""
-        if workspace is None:
-            workspace = self._workspace_for(videos, len(videos))
+        none is given; the head trains through its ``step``."""
         batch = _collate(videos)
-        probs, cache = _forward_batch(self, batch, workspace)
         if batch.labels is None:
             raise ValueError("every video in a loss batch needs a label")
-        loss, delta = neural.softmax_cross_entropy(probs, batch.labels)
-        _backward_batch(self, batch, cache, delta)
+        if workspace is None:
+            workspace = self._workspace_for(videos, len(videos))
+        x, cache = _forward_batch(self, batch, workspace)
+        probs, dx = self.head.step(len(videos))(
+            x, np.eye(N_CLASSES)[batch.labels])
+        loss = neural.softmax_cross_entropy(probs, batch.labels)
+        _backward_batch(self, batch, cache, dx)
         return loss, self.flat.grads
 
     def predict(self, comments: Sequence[Comment], features: np.ndarray,
                 table: EmbeddingTable) -> Prediction:
         """Class probabilities for one video given its selected features."""
         batch = _collate([self.prepare(comments, features, table)])
-        probs, _ = _forward_batch(self, batch)
+        x, _ = _forward_batch(self, batch)
+        probs = self.head.forward(x)
         return Prediction(p_real=float(probs[0, 0]), p_fake=float(probs[0, 1]))
 
     def predict_record(self, record: VideoRecord, table: EmbeddingTable,
@@ -457,7 +461,7 @@ class UCNetModel:
                           table: EmbeddingTable) -> np.ndarray:
         """Mean of weight-scaled comment embeddings; zero vector for no comments."""
         prepared = self.prepare(comments, np.zeros(len(self.feature_names)), table)
-        _, (_, _, _, _, (x, _)) = _forward_batch(self, _collate([prepared]))
+        x, _ = _forward_batch(self, _collate([prepared]))
         return x[0, :self.lstm_hidden].copy()
 
     def save(self, path) -> None:

@@ -12,7 +12,9 @@ payload), are where parameters enter a model, and the one place their
 finiteness is checked. A dense layer is a pair of views ``name.weights``
 and ``name.bias``, read as the
 affine map ``x @ weights.T + bias``; its nonlinearity is fixed where it is
-used: :class:`Mlp` puts ReLU between its layers and a softmax on top. A
+used: :class:`Mlp` is two layers, ReLU between them and a two-class
+softmax on top, and trains through one pass, :meth:`Mlp.step`, which the
+title scorer and UCNet's classification head share. A
 "network" is any object with two methods::
 
     parameters()                       -> live dict of named arrays
@@ -120,21 +122,16 @@ def softmax(logits):
     return z
 
 
-def softmax_cross_entropy(probs, labels) -> tuple[float, np.ndarray]:
+def softmax_cross_entropy(probs, labels) -> float:
     """Mean negative log-likelihood of the labels under (n, k) softmax
-    outputs, each probability floored at 1e-12, and its gradient with
-    respect to the softmax logits."""
+    outputs, each probability floored at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     n, k = probs.shape
     if labels.shape != (n,) or np.any((labels < 0) | (labels >= k)):
         raise IndexError(f"labels must be {n} class indices in [0, {k})")
-    rows = np.arange(n)
-    loss = float(-np.log(np.clip(probs[rows, labels], 1e-12, None)).mean())
-    delta = probs.copy()
-    delta[rows, labels] -= 1.0
-    delta /= n
-    return loss, delta
+    return float(-np.log(np.clip(probs[np.arange(n), labels], 1e-12,
+                                 None)).mean())
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int,
@@ -497,30 +494,36 @@ class FlatParameters:
 
 
 class Mlp:
-    """ReLU hidden layers under a softmax output, trained on mean
+    """A ReLU hidden layer under a two-class softmax, trained on mean
     cross-entropy. The title scorer is one; UCNet's classification head is
     another, over the model's own :class:`FlatParameters`.
 
-    Layer ``name`` is the affine map of the views ``name.weights`` and
-    ``name.bias`` of ``flat``, into whose gradient vector the backward pass
-    writes.
+    Its two layers, ``names``, are the affine maps of the views
+    ``name.weights`` and ``name.bias`` of ``flat``, into whose gradient
+    vector :meth:`step` writes. :meth:`forward` scores and predicts;
+    :meth:`step` is the one training pass.
     """
 
     def __init__(self, flat: FlatParameters, names: Sequence[str]):
         self.names = tuple(names)
-        if not self.names:
-            raise ValueError("Mlp needs at least one layer")
+        if len(self.names) != 2:
+            raise ValueError(f"an Mlp has two layers, got {len(self.names)}")
+        classes = flat.params[f"{self.names[1]}.bias"].shape
+        if classes != (2,):
+            raise ValueError(f"an Mlp has two classes, got {classes}")
         self.flat = flat
+        self._steps = {}
 
     @classmethod
     def init(cls, rng: np.random.Generator, dims: Sequence[int]) -> "Mlp":
-        """Glorot-uniform layers ``layer0``, ``layer1``, ... in a new vector."""
-        names = [f"layer{i}" for i in range(len(dims) - 1)]
-        arrays = {}
-        for name, in_dim, out_dim in zip(names, dims, dims[1:]):
-            arrays[f"{name}.weights"] = glorot_uniform(rng, out_dim, in_dim)
-            arrays[f"{name}.bias"] = np.zeros(out_dim)
-        return cls(FlatParameters.pack(arrays), names)
+        """Glorot-uniform layers ``layer0`` and ``layer1`` with zero biases
+        in a new vector, for ``dims`` = (inputs, hidden units, 2)."""
+        inputs, units, classes = dims
+        return cls(FlatParameters.pack({
+            "layer0.weights": glorot_uniform(rng, units, inputs),
+            "layer0.bias": np.zeros(units),
+            "layer1.weights": glorot_uniform(rng, classes, units),
+            "layer1.bias": np.zeros(classes)}), ("layer0", "layer1"))
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {f"{name}.{part}": self.flat.params[f"{name}.{part}"]
@@ -528,46 +531,75 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities of one row or of a batch of rows."""
-        return self._forward_cached(x)[0]
+        w0, b0, w1, b1 = self.parameters().values()
+        hidden = np.maximum(np.asarray(x, dtype=np.float64) @ w0.T + b0, 0.0)
+        return softmax(hidden @ w1.T + b1)
 
-    def _forward_cached(self, xs):
-        """Class probabilities of a batch of rows, plus each layer's input
-        for ``_backward_from_delta``."""
-        params = self.flat.params
-        inputs = []
-        out = np.asarray(xs, dtype=np.float64)
-        for i, name in enumerate(self.names):
-            if i:
-                out = np.maximum(out, 0.0)
-            inputs.append(out)
-            out = out @ params[f"{name}.weights"].T + params[f"{name}.bias"]
-        return softmax(out), inputs
+    def step(self, n: int):
+        """The forward and backward pass over a batch of ``n`` rows, as a
+        function ``step(x, one_hot)`` of the float64 rows and their one-hot
+        labels. It writes the gradient of the mean cross-entropy into
+        ``flat.grads`` and returns the class probabilities and the gradient
+        at the input, in buffers that its next call overwrites. The first
+        call for ``n`` reserves them, and later calls return the same
+        function.
 
-    def _backward_from_delta(self, delta, inputs, *,
-                             input_gradient: bool = True) -> np.ndarray | None:
-        """Write the parameter gradients into ``flat.grads``, given the
-        gradient with respect to the output logits of a batch, and return
-        the input gradient, or None when ``input_gradient`` is false."""
-        params, grads = self.flat.params, self.flat.grads
-        for i in range(len(self.names) - 1, -1, -1):
-            name = self.names[i]
-            if i < len(self.names) - 1:
-                # ReLU passes the gradient where its output is positive.
-                delta = delta * (inputs[i + 1] > 0)
-            np.matmul(delta.T, inputs[i], out=grads[f"{name}.weights"])
-            delta.sum(axis=0, out=grads[f"{name}.bias"])
-            if i == 0 and not input_gradient:
-                return None
-            delta = delta @ params[f"{name}.weights"]
-        return delta
+        Each element goes through the operations of ``forward`` and of the
+        textbook gradient, in their order: the bias is added in place, the
+        softmax's max and sum are taken over the two columns, and the
+        logits' gradient is the probabilities less the one-hot labels
+        (exact where a label is 0), divided by ``n``. The products go
+        through ``np.dot``, which for these shapes gives ``np.matmul``'s
+        bits with less overhead a call.
+        """
+        if n in self._steps:
+            return self._steps[n]
+        params = self.parameters()
+        w0, b0, w1, b1 = params.values()
+        g_w0, g_b0, g_w1, g_b1 = (self.flat.grads[name] for name in params)
+        w0_t, w1_t = w0.T, w1.T
+        hidden, relu = np.empty((2, n, len(b0)))
+        positive = np.empty((n, len(b0)), dtype=bool)
+        logits, probs = np.empty((2, n, 2))
+        left, right = logits.T
+        column = np.empty((n, 1))
+        row = column[:, 0]
+        dx = np.empty((n, w0.shape[1]))
+
+        def step(x: np.ndarray, one_hot: np.ndarray):
+            np.dot(x, w0_t, out=hidden)
+            np.add(hidden, b0, out=hidden)
+            np.maximum(hidden, 0.0, out=relu)
+            np.dot(relu, w1_t, out=logits)
+            np.add(logits, b1, out=logits)
+            np.maximum(left, right, out=row)
+            np.subtract(logits, column, out=logits)
+            np.exp(logits, out=logits)
+            np.add(left, right, out=row)
+            np.divide(logits, column, out=probs)
+            # logits becomes their gradient
+            np.subtract(probs, one_hot, out=logits)
+            np.divide(logits, n, out=logits)
+            np.dot(logits.T, relu, out=g_w1)
+            np.add.reduce(logits, axis=0, out=g_b1)
+            # hidden becomes the gradient at the ReLU's output
+            np.dot(logits, w1, out=hidden)
+            np.greater(relu, 0.0, out=positive)
+            np.multiply(hidden, positive, out=hidden)
+            np.dot(hidden.T, x, out=g_w0)
+            np.add.reduce(hidden, axis=0, out=g_b0)
+            np.dot(hidden, w0, out=dx)
+            return probs, dx
+
+        self._steps[n] = step
+        return step
 
     def batch_loss_and_gradients(self, xs: np.ndarray, ys: np.ndarray):
         """Mean cross-entropy over a batch of rows and its gradients (views
-        into ``flat.gradient``)."""
-        out, inputs = self._forward_cached(xs)
-        loss, delta = softmax_cross_entropy(out, ys)
-        self._backward_from_delta(delta, inputs, input_gradient=False)
-        return loss, self.flat.grads
+        into ``flat.gradient``), by :meth:`step`."""
+        xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys)
+        probs, _ = self.step(len(xs))(xs, np.eye(2)[ys])
+        return softmax_cross_entropy(probs, ys), self.flat.grads
 
 
 # Elements per block of an Adam step: a block's slices of the six vectors

@@ -778,6 +778,29 @@ class TestTrainUcnetCommand:
         args.remove("--all-features")
         assert main(args) == 2
 
+    @pytest.mark.parametrize("change,message", [
+        ("no-input", "either --train or --input is required"),
+        ("no-selection", "either --selected or --all-features is required"),
+        ("both-selections", "--selected and --all-features conflict: give a "
+                            "prune output or train on all eight features")],
+        ids=["no-input", "no-selection", "both-selections"])
+    def test_input_and_selection_flags_are_refused_first(
+            self, synthetic_dir, tmp_path, capsys, change, message):
+        # The scorer would be trained on the titles and saved, and the
+        # corpus loaded, before a late refusal: nothing is read or written.
+        args = self.ucnet_args(synthetic_dir, tmp_path / "m.model") + [
+            "--save-scorer", str(tmp_path / "scorer.model")]
+        if change == "no-input":
+            del args[args.index("--input"):args.index("--input") + 2]
+        elif change == "no-selection":
+            args.remove("--all-features")
+        else:
+            args += ["--selected", str(tmp_path / "missing.json")]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_loss_is_data_error(self, synthetic_dir, tmp_path,
                                            monkeypatch, capsys):
         original = network.UCNetModel.batch_loss_and_gradients
@@ -866,7 +889,9 @@ class TestSelectedFile:
                     str(run_features(synthetic_dir, tmp_path)),
                     "--output", str(out)]
         else:
-            args = TestTrainUcnetCommand().ucnet_args(synthetic_dir, out)
+            # read before the scorer is trained and saved
+            args = TestTrainUcnetCommand().ucnet_args(synthetic_dir, out) + [
+                "--save-scorer", str(tmp_path / "scorer.model")]
             args.remove("--all-features")
         capsys.readouterr()
         assert main(args + ["--selected", str(selected)]) == 2
@@ -874,6 +899,7 @@ class TestSelectedFile:
         assert err.startswith(f"error: {selected}: ")
         assert "Traceback" not in err
         assert not out.exists()
+        assert not (tmp_path / "scorer.model").exists()
 
 
 class TestPcaCommand:

@@ -20,7 +20,7 @@ from ucnet.lexical import (FEATURE_NAMES, FeatureVector, LexiconSet,
                            train_title_scorer)
 
 from conftest import make_comment, make_video
-from test_neural import pure_adam
+from test_neural import mlp_reference, pure_adam
 
 
 # Characters where a regex word class and str.isalnum could part ways:
@@ -293,11 +293,11 @@ class TestTitleScorer:
 
     @pytest.mark.parametrize("n_titles", [48, 53, 17],
                              ids=["full-batches", "ragged", "one-row-tail"])
-    def test_training_takes_the_loss_paths_steps(self, lexicons, n_titles):
-        # Training's fused step over one gather an epoch must reach the
+    def test_training_takes_the_written_out_steps(self, lexicons, n_titles):
+        # Training's step over one gather an epoch must reach the
         # parameters of a plain loop, bit for bit: each batch gathered
-        # alone, its gradients from the loss path and the textbook Adam
-        # update.
+        # alone, its gradients written out with no Mlp, and the textbook
+        # Adam update.
         titles = synthetic.make_labeled_titles(n_titles, seed=3,
                                                lexicons=lexicons)
         fast = train_title_scorer(titles, lexicons, seed=2)
@@ -308,18 +308,24 @@ class TestTitleScorer:
         std = np.where(std > 0, std, 1.0)
         xs = (xs - mean) / std
         rng = np.random.default_rng(2)
-        mlp = neural.Mlp.init(rng, [xs.shape[1], lexical._SCORER_HIDDEN, 2])
-        params = mlp.flat.vector
+        units, inputs = lexical._SCORER_HIDDEN, xs.shape[1]
+        layers = [neural.glorot_uniform(rng, units, inputs), np.zeros(units),
+                  neural.glorot_uniform(rng, 2, units), np.zeros(2)]
+        params = np.concatenate([a.ravel() for a in layers])
+        bounds = np.cumsum([a.size for a in layers])[:-1]
         m = v = np.zeros_like(params)
         t = 0
         for _ in range(lexical._SCORER_EPOCHS):
             order = rng.permutation(len(xs))
             for start in range(0, len(xs), lexical._SCORER_BATCH):
                 batch = order[start:start + lexical._SCORER_BATCH]
-                mlp.batch_loss_and_gradients(xs[batch], ys[batch])
+                _, grads, _ = mlp_reference(xs[batch], *layers, ys[batch])
                 t += 1
-                params[:], m, v = pure_adam(params, mlp.flat.gradient, m, v, t,
-                                            lexical._SCORER_LEARNING_RATE)
+                params, m, v = pure_adam(
+                    params, np.concatenate([g.ravel() for g in grads]), m, v,
+                    t, lexical._SCORER_LEARNING_RATE)
+                layers = [part.reshape(a.shape) for part, a
+                          in zip(np.split(params, bounds), layers)]
         assert fast.mlp.flat.vector.tobytes() == params.tobytes()
         assert (fast.mean.tobytes(), fast.std.tobytes()) == \
             (mean.tobytes(), std.tobytes())

@@ -22,7 +22,7 @@ from ucnet.network import (Prediction, TrainingConfig, UCNetModel,
 
 from conftest import (assert_kernel_pin, lstm_cell, lstm_sequence,
                       make_comment, make_dataset, make_video)
-from test_neural import copied
+from test_neural import copied, mlp_reference
 
 
 class TestFakenessVector:
@@ -911,8 +911,7 @@ class TestOrderedPooling:
         # At hidden 1, ``sum`` over the padded comment axis goes pairwise
         # for the video of 20 and gives other bits.
         model, batch = self.batch(phrases, lstm_hidden, monkeypatch)
-        _, (_, _, finals, weights, (x, _)) = network._forward_batch(model,
-                                                                     batch)
+        x, (_, _, finals, weights) = network._forward_batch(model, batch)
         assert not finals[23].any() and np.signbit(finals[23]).all()
         want = pooled_means(finals, weights, batch)
         assert x[:, :lstm_hidden].tobytes() == want.tobytes()
@@ -1088,14 +1087,14 @@ class TestInference:
         for chosen, cells in ((videos, 30), (videos[1:2], 0)):
             calls.clear()
             batch = network._collate(chosen)
-            probs, cache = network._forward_batch(model, batch)
+            x, cache = network._forward_batch(model, batch)
             want, want_cache = network._forward_batch(
                 model, batch, model._workspace_for(chosen, len(chosen)))
             assert [lstm is None for _, lstm in calls] == [True, False]
             assert cache[1] is None
             assert want_cache[1].gates.shape == (4, cells, model.lstm_hidden)
-            assert probs.tobytes() == want.tobytes()
-            for got, expected in zip(cache[2:4], want_cache[2:4]):
+            assert x.tobytes() == want.tobytes()
+            for got, expected in zip(cache[2:], want_cache[2:]):
                 assert got.tobytes() == expected.tobytes()
 
     def test_predict_after_a_training_step_reads_the_new_weights(self,
@@ -1296,12 +1295,59 @@ class TestGradientCheckFullModel:
                 np.zeros_like(grads[name]).tobytes(), name
         assert grads["output.bias"].any()
 
-    def test_unlabelled_video_rejected(self, phrases):
+    def test_unlabelled_video_rejected(self, phrases, monkeypatch):
         params = init_params(np.random.default_rng(0), 8, len(phrases), 2,
                              lstm_hidden=8)
         model = UCNetModel(params, phrases, ("a", "b"), 8)
         prepared = network.PreparedVideo(
             comment_ids=[], matrix=np.zeros((0, 8)), fvs=np.zeros((0, 30)),
             counts=np.zeros(0, np.int64), features=np.zeros(2))
+        # refused before the LSTM runs
+        monkeypatch.delattr(neural, "lstm_forward_batch")
         with pytest.raises(ValueError, match="label"):
             model.batch_loss_and_gradients([prepared])
+
+
+class TestHead:
+    """The classifier head trains through ``Mlp.step``: its gradients and
+    the gradient it hands the pooling are a written-out reference's bits,
+    on any BLAS kernel, where the trained-model pins skip."""
+
+    # (LSTM units, features, videos): 300 units under eight features or
+    # the one kept by pruning, in a full batch and a one-video tail.
+    @pytest.mark.parametrize("lstm_hidden,n_features,n_videos", [
+        (300, 8, 16), (300, 1, 5), (300, 8, 1), (8, 2, 3)])
+    def test_head_gradients_match_a_written_out_reference(
+            self, phrases, monkeypatch, lstm_hidden, n_features, n_videos):
+        rng = np.random.default_rng(lstm_hidden + n_features + n_videos)
+        model = UCNetModel(init_params(rng, 8, len(phrases), n_features,
+                                       lstm_hidden),
+                           phrases, lexical.FEATURE_NAMES[:n_features], 8)
+        matrix = rng.normal(size=(12, 8))
+        videos = [network.PreparedVideo(
+            comment_ids=[rng.integers(0, 12, size=t)
+                         for t in rng.integers(1, 7, size=k)],
+            matrix=matrix,
+            fvs=(rng.random((k, len(phrases))) < 0.3).astype(float),
+            counts=rng.integers(1, 4, size=k),
+            features=rng.normal(size=n_features), label=i % 2)
+            for i, k in enumerate(rng.integers(0, 4, size=n_videos))]
+        x, _ = network._forward_batch(
+            model, network._collate(videos),
+            model._workspace_for(videos, n_videos))
+        labels = np.arange(n_videos) % 2
+        want_loss, want, want_dx = mlp_reference(
+            x, *model.head.parameters().values(), labels)
+        handed = []
+        original = network._backward_batch
+
+        def spy(model, batch, cache, dx):
+            handed.append(dx.copy())
+            original(model, batch, cache, dx)
+
+        monkeypatch.setattr(network, "_backward_batch", spy)
+        loss, grads = model.batch_loss_and_gradients(videos)
+        assert loss == want_loss
+        assert handed[0].tobytes() == want_dx.tobytes()
+        for name, expected in zip(model.head.parameters(), want):
+            assert grads[name].tobytes() == expected.tobytes(), name

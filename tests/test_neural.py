@@ -17,9 +17,20 @@ class TestDenseLayer:
     FlatParameters."""
 
     def test_dimension_mismatch(self):
-        net = Mlp.init(np.random.default_rng(5), [3, 2])
+        net = Mlp.init(np.random.default_rng(5), [3, 4, 2])
         with pytest.raises(ValueError):
             net.forward(np.zeros(4))
+
+    def test_two_layers_and_two_classes_only(self):
+        with pytest.raises(ValueError, match="unpack"):
+            Mlp.init(np.random.default_rng(5), [3, 2])
+        with pytest.raises(ValueError, match="unpack"):
+            Mlp.init(np.random.default_rng(5), [3, 4, 4, 2])
+        with pytest.raises(ValueError, match="two classes, got \\(3,\\)"):
+            Mlp.init(np.random.default_rng(5), [3, 4, 3])
+        flat = Mlp.init(np.random.default_rng(5), [3, 4, 2]).flat
+        with pytest.raises(ValueError, match="two layers, got 1"):
+            Mlp(flat, ["layer0"])
 
     def test_non_finite_parameters_rejected(self):
         for bad in (np.inf, -np.inf, np.nan):
@@ -452,7 +463,7 @@ class TestLstm:
 
 
 def ce_loss(probs, labels):
-    return softmax_cross_entropy(np.array(probs), np.array(labels))[0]
+    return softmax_cross_entropy(np.array(probs), np.array(labels))
 
 
 class TestCrossEntropy:
@@ -474,12 +485,6 @@ class TestCrossEntropy:
     def test_floor_keeps_loss_finite(self):
         assert ce_loss([[0.0, 1.0]], [0]) == pytest.approx(-math.log(1e-12))
 
-    def test_delta_is_probabilities_minus_one_hot_over_n(self):
-        p = np.array([[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]])
-        _, delta = softmax_cross_entropy(p, np.array([1, 0, 0]))
-        expected = (p - np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])) / 3
-        assert np.allclose(delta, expected, rtol=0, atol=1e-15)
-
     def test_out_of_range_class(self):
         # -1 would silently pick the last column under numpy indexing
         for label in (2, -1):
@@ -494,35 +499,81 @@ def copied(loss_and_grads):
     return loss, {name: g.copy() for name, g in grads.items()}
 
 
+def mlp_reference(x, w0, b0, w1, b1, labels):
+    """Loss, parameter gradients (w0, b0, w1, b1) and input gradient of a
+    two-layer, two-class net, written out with ``np.matmul`` products and
+    fresh arrays: ``Mlp.step`` must give these bits on any BLAS kernel."""
+    n = len(x)
+    relu = np.maximum(x @ w0.T + b0, 0.0)
+    logits = relu @ w1.T + b1
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p = z / z.sum(axis=1, keepdims=True)
+    loss = float(-np.log(np.clip(p[np.arange(n), labels], 1e-12,
+                                 None)).mean())
+    delta = (p - np.eye(2)[labels]) / n
+    d_hidden = (delta @ w1) * (relu > 0)
+    grads = (np.matmul(d_hidden.T, x), d_hidden.sum(axis=0),
+             np.matmul(delta.T, relu), delta.sum(axis=0))
+    return loss, grads, d_hidden @ w0
+
+
 class TestBackward:
+    # (rows, inputs, hidden units): the title scorer's full batch and
+    # one-row tail, and UCNet heads over 300 LSTM units with 8 or 1
+    # features and over small test models.
+    @pytest.mark.parametrize("n,inputs,units", [
+        (16, 8, 8), (1, 8, 8), (16, 308, 4), (5, 301, 4), (1, 308, 4),
+        (3, 13, 4), (7, 9, 4)])
+    def test_step_gives_the_written_out_bits(self, n, inputs, units):
+        rng = np.random.default_rng(n * inputs + units)
+        net = Mlp.init(rng, [inputs, units, 2])
+        net.flat.vector[:] = rng.normal(size=net.flat.vector.size)
+        xs, ys = rng.normal(size=(n, inputs)), rng.integers(0, 2, size=n)
+        want_loss, want, want_dx = mlp_reference(
+            xs, *net.parameters().values(), ys)
+        probs, dx = net.step(n)(xs, np.eye(2)[ys])
+        assert probs.tobytes() == net.forward(xs).tobytes()
+        assert softmax_cross_entropy(probs, ys) == want_loss
+        assert dx.tobytes() == want_dx.tobytes()
+        for got, expected in zip(net.flat.grads.values(), want):
+            assert got.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def identity_input(w, b):
+        """A net whose one hidden unit passes a positive input through
+        ReLU unchanged, under the output layer ``w``, ``b``."""
+        return Mlp(FlatParameters.pack({
+            "layer0.weights": np.eye(w.shape[1], 1),
+            "layer0.bias": np.zeros(w.shape[1]),
+            "layer1.weights": w, "layer1.bias": b}), ["layer0", "layer1"])
+
     def test_gradients_vanish_at_near_stationary_point(self):
         # logits with a huge margin: loss ~ 0 and so is every gradient
-        net = Mlp(FlatParameters.pack({
-            "layer0.weights": np.array([[50.0, 0.0], [-50.0, 0.0]]),
-            "layer0.bias": np.zeros(2)}), ["layer0"])
-        loss, grads = net.batch_loss_and_gradients(np.array([[1.0, 0.0]]), [0])
+        net = self.identity_input(np.array([[50.0], [-50.0]]), np.zeros(2))
+        loss, grads = net.batch_loss_and_gradients(np.array([[1.0]]), [0])
         assert loss < 1e-15
         assert all(np.abs(g).max() < 1e-15 for g in grads.values())
 
     def test_two_way_softmax_hand_gradient(self):
         # logits (0, 0.7 x - 0.2): p(class 1) is the sigmoid of the second
-        w = np.array([[0.0], [0.7]])
-        b = np.array([0.0, -0.2])
-        net = Mlp(FlatParameters.pack({"layer0.weights": w, "layer0.bias": b}),
-                  ["layer0"])
+        net = self.identity_input(np.array([[0.0], [0.7]]),
+                                  np.array([0.0, -0.2]))
         loss, grads = net.batch_loss_and_gradients(np.array([[1.3]]), [1])
         p = 1.0 / (1.0 + math.exp(-(0.7 * 1.3 - 0.2)))
         assert loss == pytest.approx(-math.log(p), abs=1e-12)
         # d(-log p)/dw = (p - 1) * x for the true class 1
-        assert grads["layer0.weights"][1, 0] == pytest.approx((p - 1) * 1.3,
+        assert grads["layer1.weights"][1, 0] == pytest.approx((p - 1) * 1.3,
                                                               abs=1e-12)
-        assert grads["layer0.bias"][1] == pytest.approx(p - 1, abs=1e-12)
+        assert grads["layer1.bias"][1] == pytest.approx(p - 1, abs=1e-12)
+        # and through the hidden unit, whose one outgoing weight is 0.7
+        assert grads["layer0.weights"][0, 0] == pytest.approx(
+            0.7 * (p - 1) * 1.3, abs=1e-12)
 
     def test_mlp_gradient_check(self):
         rng = np.random.default_rng(13)
-        net = Mlp.init(rng, [5, 4, 3])
+        net = Mlp.init(rng, [5, 4, 2])
         xs = rng.normal(size=(3, 5))
-        assert gradient_check(net, xs, np.array([2, 0, 1]), h=1e-5) < 1e-6
+        assert gradient_check(net, xs, np.array([1, 0, 1]), h=1e-5) < 1e-6
 
     def test_batch_gradients_average_per_sample(self):
         rng = np.random.default_rng(14)
@@ -538,16 +589,19 @@ class TestBackward:
             mean_grad = np.mean([s[1][key] for s in per_sample], axis=0)
             assert np.allclose(batch_grads[key], mean_grad, atol=1e-12)
 
-    def test_skipping_the_input_gradient_keeps_the_parameter_gradients(self):
+    def test_a_step_is_built_once_for_each_batch_size(self):
         rng = np.random.default_rng(17)
         net = Mlp.init(rng, [4, 5, 2])
-        out, inputs = net._forward_cached(rng.normal(size=(3, 4)))
-        _, delta = softmax_cross_entropy(out, np.array([1, 0, 1]))
-        assert net._backward_from_delta(delta, inputs).shape == (3, 4)
+        step = net.step(3)
+        assert net.step(3) is step and net.step(2) is not step
+        xs, one_hot = rng.normal(size=(3, 4)), np.eye(2)[[1, 0, 1]]
+        probs, dx = step(xs, one_hot)
+        assert probs.shape == (3, 2) and dx.shape == (3, 4)
         want = {name: g.copy() for name, g in net.flat.grads.items()}
-        net.flat.gradient[:] = 0.0
-        assert net._backward_from_delta(delta, inputs,
-                                        input_gradient=False) is None
+        # the next call of the step overwrites the same buffers
+        again = step(xs + 1.0, one_hot)
+        assert again[0] is probs and again[1] is dx
+        step(xs, one_hot)
         for name, grad in want.items():
             assert net.flat.grads[name].tobytes() == grad.tobytes()
 
@@ -556,9 +610,8 @@ class TestBackward:
         net = Mlp.init(rng, [4, 5, 2])
         xs = rng.normal(size=(3, 4))
         ys = np.array([1, 0, 1])
-        out, inputs = net._forward_cached(xs)
-        _, delta = softmax_cross_entropy(out, ys)
-        dx = net._backward_from_delta(delta, inputs)
+        # a copy: the finite differences below run the same step
+        dx = net.step(3)(xs, np.eye(2)[ys])[1].copy()
         h = 1e-6
         for idx in np.ndindex(xs.shape):
             bumped = [xs.copy(), xs.copy()]
@@ -778,7 +831,7 @@ class TestGradientCheck:
 
 class TestInitialization:
     def test_glorot_bounds(self):
-        net = Mlp.init(np.random.default_rng(0), [20, 30])
+        net = Mlp.init(np.random.default_rng(0), [20, 30, 2])
         bound = math.sqrt(6.0 / 50.0)
         assert np.abs(net.parameters()["layer0.weights"]).max() <= bound
         assert np.array_equal(net.parameters()["layer0.bias"], np.zeros(30))
